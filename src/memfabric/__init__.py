@@ -34,12 +34,10 @@ from memfabric.fabric import (
     Episode,
     Fabric,
     FabricConfig,
+    FilterState,
     InvalidConfigError,
-    LearnRegister,
     SelfPairError,
-    TimingFilter,
     UnknownWordError,
-    WordState,
 )
 from memfabric.oracle import (
     TimelineEntry,
@@ -89,9 +87,9 @@ __all__ = [
     "EventQueue",
     "Fabric",
     "FabricConfig",
+    "FilterState",
     "InvalidConfigError",
     "InvalidPlanError",
-    "LearnRegister",
     "MalformedTraceError",
     "OverrideDirective",
     "OverrideSet",
@@ -109,12 +107,10 @@ __all__ = [
     "Simulation",
     "TICK_LIMIT",
     "TimelineEntry",
-    "TimingFilter",
     "TraceRecord",
     "UnknownWordError",
     "ValidationError",
     "WordDone",
-    "WordState",
     "build_report",
     "build_simulation",
     "canonical_scenario",

@@ -17,10 +17,19 @@ that masks a learned connection without clearing it. Within a single
 episode (the activation chain rooted at one CPU enable) each word may
 fire at most once; repeat attempts are suppressed, so learned cycles
 cannot loop on their own.
+
+The K(K-1) filters are represented as one window per source word plus
+a capped shift count per touched pair, and this is exact. The filters
+``(i, *)`` are only ever opened together, by a done of ``i``, so they
+always hold the same window. A register of set-once latches whose
+shifts fill stage after stage always holds a prefix of set stages, so
+its whole state is the number of shifts capped at the register depth.
+A pair whose filter never fired is an empty register.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -137,62 +146,33 @@ class Episode:
     fired_words: set[int] = field(default_factory=set)
 
 
-@dataclass
-class WordState:
-    word: int
-    busy_until: int | None = None
+@dataclass(frozen=True)
+class FilterState:
+    """Read-only view of one timing filter, as the hardware would hold it.
 
-
-class LearnRegister:
-    """Shift register of set-once latches.
-
-    Stages only ever transition false -> true; each shift moves the
-    true prefix one stage further, so the set stages always form a
-    prefix. Once full, further shifts change nothing.
+    ``window_open_until`` is the closing tick of the source word's most
+    recent hold window (a tick behind the clock means it has closed),
+    or None if no window is on record. ``set_count`` is the number of
+    latched register stages.
     """
 
-    def __init__(self, depth: int):
-        self.stages = [False] * depth
-
-    @property
-    def set_count(self) -> int:
-        return sum(self.stages)
-
-    @property
-    def full(self) -> bool:
-        return self.stages[-1]
-
-    def shift(self) -> bool:
-        """Advance once; return True iff the last stage newly latched."""
-        was_full = self.stages[-1]
-        for k in range(len(self.stages) - 1, 0, -1):
-            self.stages[k] = self.stages[k] or self.stages[k - 1]
-        self.stages[0] = True
-        return self.stages[-1] and not was_full
-
-
-class TimingFilter:
-    """Coincidence detector plus learn register for one ordered pair."""
-
-    def __init__(self, src: int, dst: int, depth: int):
-        self.src = src
-        self.dst = dst
-        self.register = LearnRegister(depth)
-        self.window_open_until: int | None = None
-        self.last_shift_tick: int | None = None
-        self.shift_count = 0
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.src, self.dst)
-
-    def window_contains(self, tick: int) -> bool:
-        # Closed interval: a trigger exactly delay1 after the done still counts.
-        return self.window_open_until is not None and tick <= self.window_open_until
+    pair: tuple[int, int]
+    window_open_until: int | None
+    set_count: int
 
 
 class Fabric:
     """Word block, K(K-1) timing filters, and the learned switch matrix.
+
+    The filters are held as one window-until tick per source word and
+    a ``(shift_count, last_shift_tick)`` entry per pair whose filter has
+    fired; the latched stage count is ``min(shift_count, threshold)``.
+    Both are exact for the reasons given in the module docstring. Each
+    word also keeps its learned successors in ascending order. A done or
+    an enable therefore costs its open windows and learned out-degree,
+    not a scan of all K words, and a fresh fabric allocates nothing per
+    word or per pair; :attr:`filters` rebuilds the per-pair view on
+    demand.
 
     All mutation happens through the single-threaded dispatch loop of
     the owning simulation, which is passed in so the fabric can emit
@@ -206,17 +186,31 @@ class Fabric:
     def __init__(self, config: FabricConfig, *, loop_suppression: bool = True):
         self.config = config
         self.loop_suppression = loop_suppression
-        self.words = {w: WordState(w) for w in config.word_ids()}
-        self.filters = {
-            pair: TimingFilter(pair[0], pair[1], config.threshold)
-            for pair in config.ordered_pairs()
-        }
+        self._busy_until: dict[int, int] = {}
+        # Source word -> closing tick of its hold window. A closed window
+        # stays closed (the clock never moves back), so stale entries are
+        # dropped whenever a trigger scans the windows.
+        self._window_until: dict[int, int] = {}
+        self._shifts: dict[tuple[int, int], tuple[int, int]] = {}
         self._learned: dict[tuple[int, int], int] = {}
+        self._successors: dict[int, list[int]] = {}
         self._override_open: set[tuple[int, int]] = set()
 
     @property
     def filter_count(self) -> int:
-        return len(self.filters)
+        return self.config.word_count * (self.config.word_count - 1)
+
+    @property
+    def filters(self) -> dict[tuple[int, int], FilterState]:
+        """Snapshot of every filter, built on demand in O(K^2) for inspection."""
+        counts = self.detection_counts()
+        threshold = self.config.threshold
+        return {
+            pair: FilterState(
+                pair, self._window_until.get(pair[0]), min(counts.get(pair, 0), threshold)
+            )
+            for pair in self.config.ordered_pairs()
+        }
 
     def learned_set(self) -> set[tuple[int, int]]:
         return set(self._learned)
@@ -232,7 +226,7 @@ class Fabric:
 
     def detection_counts(self) -> dict[tuple[int, int], int]:
         """Per-pair count of register shifts (refractory-respecting detections)."""
-        return {f.pair: f.shift_count for f in self.filters.values() if f.shift_count}
+        return {pair: count for pair, (count, _) in self._shifts.items()}
 
     def on_enable(self, sim, word: int, tick: int, *, source: str, pair, episode: Episode) -> None:
         """Apply an enable signal to a word.
@@ -245,8 +239,7 @@ class Fabric:
         watching for this word as a sequence successor.
         """
         self.config.check_word(word)
-        state = self.words[word]
-        busy = state.busy_until is not None and state.busy_until > tick
+        busy = self._busy_until.get(word, 0) > tick
         repeat = self.loop_suppression and word in episode.fired_words
         if busy or repeat:
             sim.emit(
@@ -260,8 +253,8 @@ class Fabric:
                 )
             )
             return
-        state.busy_until = tick + self.config.durations[word]
-        sim.schedule_done(state.busy_until, word, episode)
+        done_tick = self._busy_until[word] = tick + self.config.durations[word]
+        sim.schedule_done(done_tick, word, episode)
         episode.fired_words.add(word)
         sim.emit(
             TraceRecord(
@@ -279,28 +272,23 @@ class Fabric:
     def on_done(self, sim, word: int, tick: int, episode: Episode) -> None:
         """Handle a word's done signal.
 
-        Opens (retriggers) the coincidence windows of all filters with
-        this word as the sequence predecessor, feeds done-done filters,
-        and walks the learned successors: overridden pairs are blocked,
-        already-fired successors suppressed, and every remaining one
-        gets an autonomous enable scheduled delay1 ticks out, carrying
-        the same episode.
+        Opens (retriggers) the coincidence window this word holds as the
+        sequence predecessor, feeds done-done filters, and walks the
+        learned successors: overridden pairs are blocked, already-fired
+        successors suppressed, and every remaining one gets an
+        autonomous enable scheduled delay1 ticks out, carrying the same
+        episode.
         """
-        state = self.words[word]
-        if state.busy_until == tick:
+        if self._busy_until.get(word) == tick:
             # A stale done (the word was re-enabled at its exact completion
             # tick) must not clear the newer activation's busy period.
-            state.busy_until = None
+            del self._busy_until[word]
         sim.emit(TraceRecord(t=tick, ev=EV_DONE, word=word, episode=episode.episode_id))
-        for dst in self.config.word_ids():
-            if dst != word:
-                self.filters[(word, dst)].window_open_until = tick + self.config.delay1
+        self._window_until[word] = tick + self.config.delay1
         if self.config.filter_mode == DONE_DONE:
             self._detect_into(sim, word, tick)
-        for dst in self.config.word_ids():
+        for dst in self._successors.get(word, ()):
             link = (word, dst)
-            if link not in self._learned:
-                continue
             if link in self._override_open:
                 sim.emit(
                     TraceRecord(
@@ -353,26 +341,28 @@ class Fabric:
 
     def _detect_into(self, sim, dst: int, tick: int) -> None:
         # Trigger signal for word dst observed: fire every filter (src, dst)
-        # whose window is holding.
-        for src in self.config.word_ids():
-            if src == dst:
-                continue
-            flt = self.filters[(src, dst)]
-            if flt.window_contains(tick):
-                self._fire_filter(sim, flt, tick)
+        # whose window is holding, in ascending src order. The closed
+        # interval lets a trigger exactly delay1 after the done still count.
+        windows = self._window_until
+        for src in [src for src, until in windows.items() if until < tick]:
+            del windows[src]
+        for src in sorted(windows):
+            if src != dst:
+                self._fire_filter(sim, (src, dst), tick)
 
-    def _fire_filter(self, sim, flt: TimingFilter, tick: int) -> None:
-        sim.emit(TraceRecord(t=tick, ev=EV_FILTER_FIRE, pair=flt.pair))
-        if flt.last_shift_tick is not None and tick - flt.last_shift_tick < self.config.delay2:
+    def _fire_filter(self, sim, pair: tuple[int, int], tick: int) -> None:
+        sim.emit(TraceRecord(t=tick, ev=EV_FILTER_FIRE, pair=pair))
+        count, last_shift_tick = self._shifts.get(pair, (0, None))
+        if last_shift_tick is not None and tick - last_shift_tick < self.config.delay2:
             # Still inside the previous learning spike: one spike cannot
             # double-shift the register. The refractory does not restart.
             return
-        flt.last_shift_tick = tick
-        newly_full = flt.register.shift()
-        flt.shift_count += 1
-        sim.emit(
-            TraceRecord(t=tick, ev=EV_LATCH_SHIFT, pair=flt.pair, stage=flt.register.set_count)
-        )
-        if newly_full:
-            self._learned[flt.pair] = tick
-            sim.emit(TraceRecord(t=tick, ev=EV_LEARNED, pair=flt.pair))
+        count += 1
+        self._shifts[pair] = (count, tick)
+        threshold = self.config.threshold
+        sim.emit(TraceRecord(t=tick, ev=EV_LATCH_SHIFT, pair=pair, stage=min(count, threshold)))
+        if count == threshold:
+            # The shift that sets the last stage closes the switch.
+            self._learned[pair] = tick
+            insort(self._successors.setdefault(pair[0], []), pair[1])
+            sim.emit(TraceRecord(t=tick, ev=EV_LEARNED, pair=pair))

@@ -63,6 +63,10 @@ _FIELDS = {
 }
 
 EVENT_KINDS = frozenset(_FIELDS)
+_ALLOWED = {ev: frozenset(("t", "ev", *req, *opt)) for ev, (req, opt) in _FIELDS.items()}
+
+# integer field -> least legal value (bools are rejected: type(True) is bool)
+_INT_FLOORS = {"t": 0, "word": 1, "episode": 0, "stage": 0}
 
 
 class MalformedTraceError(ValueError):
@@ -101,33 +105,37 @@ def record_from_obj(obj: dict) -> TraceRecord:
     ev = obj.get("ev")
     if ev not in EVENT_KINDS:
         raise MalformedTraceError(f"unknown event kind: {ev!r}")
-    t = obj.get("t")
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise MalformedTraceError(f"bad tick in record: {obj!r}")
-    required, optional = _FIELDS[ev]
-    allowed = {"t", "ev", *required, *optional}
-    for key in obj:
+    allowed = _ALLOWED[ev]
+    for key, value in obj.items():
         if key not in allowed:
             raise MalformedTraceError(f"field {key!r} not allowed on {ev!r} record")
-    for key in required:
+        least = _INT_FLOORS.get(key)
+        if least is not None and (type(value) is not int or value < least):
+            raise MalformedTraceError(f"bad {key} in record: {obj!r}")
+    for key in ("t", *_FIELDS[ev][0]):
         if key not in obj:
             raise MalformedTraceError(f"{ev!r} record is missing field {key!r}")
-    word = obj.get("word")
     pair = obj.get("pair")
-    src = obj.get("src")
-    episode = obj.get("episode")
-    stage = obj.get("stage")
-    if pair is not None:
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
+    if "pair" in obj:
+        if not (
+            type(pair) is list
+            and len(pair) == 2
+            and all(type(x) is int and x >= 1 for x in pair)
         ):
             raise MalformedTraceError(f"bad pair in record: {obj!r}")
         pair = (pair[0], pair[1])
-    if src is not None and src not in (SRC_CPU, SRC_AUTO):
+    src = obj.get("src")
+    if "src" in obj and src not in (SRC_CPU, SRC_AUTO):
         raise MalformedTraceError(f"bad src in record: {obj!r}")
-    return TraceRecord(t=t, ev=ev, word=word, pair=pair, src=src, episode=episode, stage=stage)
+    return TraceRecord(
+        t=obj["t"],
+        ev=ev,
+        word=obj.get("word"),
+        pair=pair,
+        src=src,
+        episode=obj.get("episode"),
+        stage=obj.get("stage"),
+    )
 
 
 def format_trace(records: Iterable[TraceRecord]) -> str:

@@ -111,11 +111,53 @@ def test_verify_flags_a_shifted_auto_enable(scenario_file, capsys):
     assert "51" in capsys.readouterr().err
 
 
-def test_verify_rejects_garbage_trace_as_invalid(scenario_file, tmp_path, capsys):
+GOOD_ENABLE = '{"t":0,"ev":"enable","word":1,"src":"cpu","episode":0}'
+
+
+@pytest.mark.parametrize(
+    "lines,bad_line",
+    [
+        (['{"t":0,"ev":"mystery"}'], 1),
+        (
+            [
+                '{"t":0,"ev":"enable","word":"x","src":"cpu","episode":true}',
+                '{"t":4,"ev":"done","word":"x","episode":true}',
+            ],
+            1,
+        ),
+        ([GOOD_ENABLE, '{"t":4,"ev":"done","word":1,"episode":[1]}'], 2),
+        (['{"t":0,"ev":"enable","word":1,"src":"cpu","episode":true}'], 1),
+        (['{"t":0,"ev":"enable","word":1,"src":"cpu","episode":-1}'], 1),
+        (['{"t":0,"ev":"enable","word":0,"src":"cpu","episode":0}'], 1),
+        (['{"t":0,"ev":"enable","word":null,"src":"cpu","episode":0}'], 1),
+        (['{"t":0,"ev":"enable","word":1.0,"src":"cpu","episode":0}'], 1),
+        (['{"t":0,"ev":"enable","word":1,"src":null,"episode":0}'], 1),
+        ([GOOD_ENABLE, '{"t":3,"ev":"latch_shift","pair":[1,3],"stage":"1"}'], 2),
+        ([GOOD_ENABLE, '{"t":3,"ev":"latch_shift","pair":[1,3],"stage":-1}'], 2),
+        ([GOOD_ENABLE, '{"t":3,"ev":"override_set","pair":[1,3],"stage":false}'], 2),
+        ([GOOD_ENABLE, '{"t":3,"ev":"filter_fire","pair":[0,3]}'], 2),
+    ],
+    ids=[
+        "unknown-kind",
+        "string-word-bool-episode",
+        "list-episode",
+        "bool-episode",
+        "negative-episode",
+        "word-zero",
+        "null-word",
+        "float-word",
+        "null-src",
+        "string-stage",
+        "negative-stage",
+        "bool-stage",
+        "pair-word-zero",
+    ],
+)
+def test_verify_rejects_garbage_trace_as_invalid(scenario_file, tmp_path, capsys, lines, bad_line):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"t":0,"ev":"mystery"}\n')
+    bad.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(scenario_file), str(bad)]) == 1
-    assert "malformed" in capsys.readouterr().err
+    assert f"malformed trace: line {bad_line}:" in capsys.readouterr().err
 
 
 def test_check_echoes_the_canonical_form(scenario_file, capsys):

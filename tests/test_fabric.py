@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from bisect import insort
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +11,6 @@ from memfabric import (
     Fabric,
     FabricConfig,
     InvalidConfigError,
-    LearnRegister,
     Probe,
     SelfPairError,
     Simulation,
@@ -59,7 +60,7 @@ def test_fresh_fabric_is_fully_cleared():
     assert fabric.learned_set() == set()
     for flt in fabric.filters.values():
         assert flt.window_open_until is None
-        assert flt.register.stages == [False] * 10
+        assert flt.set_count == 0
     assert fabric.detection_counts() == {}
 
 
@@ -165,6 +166,15 @@ def test_new_done_retriggers_the_window():
     assert [(r.t, r.pair) for r in shifts] == [(12, (1, 2))]
 
 
+def test_open_windows_fire_in_ascending_source_order():
+    sim = Simulation(_config(word_count=3, threshold=3))
+    sim.add_probe(Probe(tick=0, word=2))  # done 4, window [4, 9]
+    sim.add_probe(Probe(tick=1, word=1))  # done 5, window [5, 10]
+    sim.add_probe(Probe(tick=6, word=3))  # inside both windows
+    sim.run_to_quiescence(100)
+    assert [r.pair for r in records_of_sim(sim, EV_FILTER_FIRE)] == [(1, 3), (2, 3)]
+
+
 def test_ignored_enable_does_not_feed_filters():
     sim = Simulation(_config(threshold=3))
     sim.add_probe(Probe(tick=0, word=1))  # done 4, window [4, 9]
@@ -179,29 +189,24 @@ def test_ignored_enable_does_not_feed_filters():
 # -- latch registers ----------------------------------------------------
 
 
-def test_register_fills_one_prefix_stage_per_shift():
-    reg = LearnRegister(3)
-    states = []
-    for _ in range(3):
-        reg.shift()
-        states.append(list(reg.stages))
-    assert states == [[True, False, False], [True, True, False], [True, True, True]]
-
-
-def test_register_saturates_without_a_second_fill_signal():
-    reg = LearnRegister(3)
-    assert [reg.shift() for _ in range(5)] == [False, False, True, False, False]
-    assert reg.stages == [True, True, True]
-
-
-@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=30))
-def test_register_stages_always_form_a_prefix(depth, shifts):
-    reg = LearnRegister(depth)
-    for _ in range(shifts):
-        reg.shift()
-        count = reg.set_count
-        assert reg.stages == [True] * count + [False] * (depth - count)
-    assert reg.set_count == min(shifts, depth)
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=30))
+def test_register_latches_one_prefix_stage_per_shift_and_learns_once(depth, reps):
+    # Every repetition of the rehearsal is one well-spaced detection of
+    # (1, 2); its stages saturate at the register depth, and the shift
+    # that sets the last stage is the only one that learns.
+    text = (
+        f"fabric words=2 delay1=5 delay2=1 threshold={depth}\n"
+        "dur * 2\n"
+        f"rehearse 1 2 reps={reps} gap=1 rest=20 start=0\n"
+        "maxticks 2000\n"
+    )
+    result = run_text(text)
+    shifts = records_of(result, EV_LATCH_SHIFT)
+    assert [(r.pair, r.stage) for r in shifts] == [
+        ((1, 2), min(k, depth)) for k in range(1, reps + 1)
+    ]
+    learned = [(r.pair, r.t) for r in records_of(result, EV_LEARNED)]
+    assert learned == ([((1, 2), shifts[depth - 1].t)] if reps >= depth else [])
 
 
 def test_third_well_spaced_detection_emits_learned_once():
@@ -248,7 +253,9 @@ def _primed_simulation(learned_pairs, *, durations=None, delay1=10, word_count=4
     )
     sim = Simulation(config)
     for pair in learned_pairs:
-        sim.fabric._learned[pair] = 0  # white box: state normally reached via rehearsal
+        # white box: state normally reached via rehearsal
+        sim.fabric._learned[pair] = 0
+        insort(sim.fabric._successors.setdefault(pair[0], []), pair[1])
     return sim
 
 
@@ -271,6 +278,24 @@ def test_fan_out_schedules_successors_in_ascending_word_order():
     assert scheduled == [(2, (1, 2)), (3, (1, 3))]
     enables = [(r.t, r.word) for r in sim.records if r.ev == EV_ENABLE]
     assert enables == [(0, 1), (11, 2), (11, 3)]
+
+
+def test_successors_learned_out_of_word_order_replay_in_word_order():
+    text = (
+        "fabric words=3 delay1=5 delay2=1 threshold=1\n"
+        "dur * 2\n"
+        "rehearse 1 3 reps=1 gap=1 rest=20 start=0\n"
+        "rehearse 1 2 reps=1 gap=1 rest=20 start=100\n"
+        "at 300 probe 1\n"
+        "maxticks 1000\n"
+    )
+    result = run_text(text)
+    learned = result.simulation.fabric.learned_ticks()
+    assert learned[(1, 3)] < learned[(1, 2)]
+    scheduled = [
+        (r.word, r.pair) for r in records_of(result, EV_AUTO_ENABLE_SCHEDULED) if r.t >= 300
+    ]
+    assert scheduled == [(2, (1, 2)), (3, (1, 3))]
 
 
 def test_fan_in_second_arrival_at_idle_word_is_ignored_by_episode_guard():

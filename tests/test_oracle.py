@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
@@ -18,9 +19,12 @@ from memfabric import (
     verify_run,
 )
 from memfabric.trace import (
+    EV_AUTO_ENABLE_SCHEDULED,
     EV_DONE,
     EV_ENABLE,
     EV_LEARNED,
+    EV_LOOP_SUPPRESSED,
+    EV_OVERRIDE_BLOCKED,
     SRC_AUTO,
     SRC_CPU,
     TraceRecord,
@@ -255,3 +259,59 @@ def test_verify_accepts_runs_with_overrides_and_suppression():
     assert any(r.ev == "override_blocked" for r in records)
     assert any(r.ev == "loop_suppressed" for r in records)
     assert verify_run(result.scenario, records) == []
+
+
+# -- cross-check at the scale the sparse fabric core targets --------------
+
+
+LARGE_K_SEED = 20261017
+LARGE_K_SCENARIOS = 20
+
+
+def _large_k_scenario_text(rng: random.Random, word_count: int, mode: str) -> str:
+    """Overlapping rehearsals of a few hot words spread over a large fabric."""
+    delay1 = rng.randint(2, 8)
+    delay2 = rng.randint(1, delay1)
+    threshold = rng.randint(1, 5)
+    lines = [
+        f"fabric words={word_count} delay1={delay1} delay2={delay2} "
+        f"threshold={threshold} mode={mode}",
+        "dur * 1",
+    ]
+    for word in rng.sample(range(1, word_count + 1), 10):
+        lines.append(f"dur {word} {rng.randint(1, 6)}")
+    hot = rng.sample(range(1, word_count + 1), 12)
+    for _ in range(rng.randint(2, 6)):
+        seq = " ".join(map(str, rng.sample(hot, rng.randint(2, 6))))
+        lines.append(
+            f"rehearse {seq} reps={rng.randint(1, threshold + 2)} gap={rng.randint(0, delay1)} "
+            f"rest={rng.randint(0, 2 * delay1)} start={rng.randint(0, 40)}"
+        )
+    tick = 800
+    for _ in range(rng.randint(2, 8)):
+        if rng.random() < 0.5:
+            i, j = rng.sample(hot, 2)
+            lines.append(f"at {tick - 1} override {i} {j} {rng.choice(['open', 'closed'])}")
+        lines.append(f"at {tick} probe {rng.choice(hot)}")
+        tick += rng.randint(1, 80)
+    lines.append(f"maxticks {tick + 5000}")
+    return "\n".join(lines) + "\n"
+
+
+def test_fabric_agrees_with_oracle_at_large_k():
+    rng = random.Random(LARGE_K_SEED)
+    kinds: set[str] = set()
+    for index in range(LARGE_K_SCENARIOS):
+        word_count = rng.choice([60, 150, 300])
+        mode = ("done_enable", "done_done")[index % 2]
+        text = _large_k_scenario_text(rng, word_count, mode)
+        result = run_text(text)
+        assert result.outcome.quiescent, text
+        config = result.scenario.config
+        assert verify_run(result.scenario, result.records) == [], text
+        assert result.simulation.fabric.learned_set() == predict_learned(
+            count_detections(result.records, config), config.threshold
+        ), text
+        kinds.update(rec.ev for rec in result.records)
+    # the sweep must reach replay, suppression and override blocking
+    assert {EV_AUTO_ENABLE_SCHEDULED, EV_LOOP_SUPPRESSED, EV_OVERRIDE_BLOCKED} <= kinds
