@@ -11,27 +11,19 @@ sequences and probes words; a brute-force oracle independently
 recounts detections and predicts replay timelines for verification.
 """
 
-from memfabric.driver import Driver, InvalidPlanError, Probe, RehearsalPlan
+from memfabric.driver import InvalidPlanError, Probe, RehearsalPlan
 from memfabric.engine import (
-    AutoEnable,
-    CpuEnable,
-    Event,
-    EventQueue,
-    OverrideSet,
     QUIESCENT,
     RunOutcome,
     RunResult,
-    SchedulingInPastError,
     Simulation,
     TICK_LIMIT,
-    WordDone,
     build_simulation,
     run_scenario,
 )
 from memfabric.fabric import (
     DONE_DONE,
     DONE_ENABLE,
-    Episode,
     Fabric,
     FabricConfig,
     FilterState,
@@ -61,7 +53,6 @@ from memfabric.scenario import (
     canonical_scenario,
     format_report,
     parse_scenario,
-    read_scenario,
     write_report,
 )
 from memfabric.trace import (
@@ -69,22 +60,15 @@ from memfabric.trace import (
     TraceRecord,
     format_trace,
     parse_trace,
-    read_trace,
     write_trace,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AutoEnable",
-    "CpuEnable",
     "DONE_DONE",
     "DONE_ENABLE",
-    "Driver",
-    "Episode",
     "EpisodeSummary",
-    "Event",
-    "EventQueue",
     "Fabric",
     "FabricConfig",
     "FilterState",
@@ -92,7 +76,6 @@ __all__ = [
     "InvalidPlanError",
     "MalformedTraceError",
     "OverrideDirective",
-    "OverrideSet",
     "ParseError",
     "Probe",
     "QUIESCENT",
@@ -102,7 +85,6 @@ __all__ = [
     "RunResult",
     "Scenario",
     "ScenarioError",
-    "SchedulingInPastError",
     "SelfPairError",
     "Simulation",
     "TICK_LIMIT",
@@ -110,7 +92,6 @@ __all__ = [
     "TraceRecord",
     "UnknownWordError",
     "ValidationError",
-    "WordDone",
     "build_report",
     "build_simulation",
     "canonical_scenario",
@@ -123,8 +104,6 @@ __all__ = [
     "parse_trace",
     "predict_learned",
     "predict_timeline",
-    "read_scenario",
-    "read_trace",
     "run_scenario",
     "shift_entries",
     "verify_run",

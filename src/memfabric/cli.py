@@ -24,6 +24,7 @@ from pathlib import Path
 from memfabric.engine import run_scenario
 from memfabric.oracle import verify_run
 from memfabric.scenario import (
+    ParseError,
     ScenarioError,
     canonical_scenario,
     parse_scenario,
@@ -52,11 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--max-ticks", type=int, help="override the scenario's maxticks directive"
     )
-    run.add_argument(
-        "--no-loop-suppression",
-        action="store_true",
-        help=argparse.SUPPRESS,  # test hook: let learned cycles run unboundedly
-    )
     run.set_defaults(func=_cmd_run)
 
     verify = sub.add_parser("verify", help="cross-check a trace with the oracle")
@@ -71,8 +67,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str, error: type[ValueError]) -> str:
+    """The file's text; bytes that are not UTF-8 raise ``error`` naming their line."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # exc.object holds the file's bytes; all before exc.start decoded.
+        before = exc.object[: exc.start].decode("utf-8")
+        line = len((before + "x").splitlines())
+        raise error(f"line {line}: not UTF-8 text: {exc}") from None
+
+
 def _load_scenario(path: str):
-    scenario = parse_scenario(Path(path).read_text(encoding="utf-8"))
+    scenario = parse_scenario(_read_text(path, ParseError))
     for warning in scenario.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return scenario
@@ -83,11 +90,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("error: --max-ticks must be >= 1", file=sys.stderr)
         return EXIT_INVALID
     scenario = _load_scenario(args.scenario)
-    result = run_scenario(
-        scenario,
-        max_tick=args.max_ticks,
-        loop_suppression=not args.no_loop_suppression,
-    )
+    result = run_scenario(scenario, max_tick=args.max_ticks)
     trace_path = Path(args.trace) if args.trace else Path(args.scenario + ".trace.jsonl")
     report_path = Path(args.report) if args.report else Path(args.scenario + ".report.json")
     write_trace(result.records, trace_path)
@@ -104,7 +107,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
-    records = parse_trace(Path(args.trace).read_text(encoding="utf-8"))
+    records = parse_trace(_read_text(args.trace, MalformedTraceError))
     problems = verify_run(scenario, records)
     if problems:
         print(f"divergence: {problems[0]}", file=sys.stderr)

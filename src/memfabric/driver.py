@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from memfabric.fabric import Episode, FabricConfig, UnknownWordError
+from memfabric.fabric import Episode
 
 
 class InvalidPlanError(ValueError):
@@ -53,13 +53,6 @@ class RehearsalPlan:
         if self.start < 0:
             raise InvalidPlanError(f"start must be >= 0, got {self.start}")
 
-    def check_against(self, config: FabricConfig) -> None:
-        for word in self.sequence:
-            if not 1 <= word <= config.word_count:
-                raise InvalidPlanError(
-                    f"word {word} outside 1..{config.word_count}"
-                )
-
 
 @dataclass(frozen=True)
 class Probe:
@@ -69,8 +62,6 @@ class Probe:
     def __post_init__(self) -> None:
         if self.tick < 0:
             raise ValueError(f"probe tick must be >= 0, got {self.tick}")
-        if self.word < 1:
-            raise ValueError("word ids start at 1")
 
 
 class _PlanRun:
@@ -89,16 +80,13 @@ class Driver:
         self._runs: list[_PlanRun] = []
 
     def add_plan(self, plan: RehearsalPlan) -> None:
-        plan.check_against(self._sim.config)
+        # The simulation checked every word of the plan before handing it
+        # over, so neither this enable nor any later step re-checks one.
         run = _PlanRun(plan, self._sim.new_episode())
         self._runs.append(run)
-        self._sim.schedule_cpu_enable(plan.start, plan.sequence[0], run.episode)
+        self._sim._schedule_cpu_enable(plan.start, plan.sequence[0], run.episode)
 
     def probe(self, probe: Probe) -> None:
-        if not 1 <= probe.word <= self._sim.config.word_count:
-            raise UnknownWordError(
-                f"word {probe.word} outside 1..{self._sim.config.word_count}"
-            )
         self._sim.schedule_cpu_enable(probe.tick, probe.word, self._sim.new_episode())
 
     def unfinished_plans(self) -> int:
@@ -118,13 +106,13 @@ class Driver:
         run.pos += 1
         if run.pos < len(plan.sequence):
             run.enable_tick = tick + plan.gap
-            self._sim.schedule_cpu_enable(run.enable_tick, plan.sequence[run.pos], run.episode)
+            self._sim._schedule_cpu_enable(run.enable_tick, plan.sequence[run.pos], run.episode)
             return
         run.rep += 1
         if run.rep < plan.reps:
             run.pos = 0
             run.episode = self._sim.new_episode()
             run.enable_tick = tick + plan.rest
-            self._sim.schedule_cpu_enable(run.enable_tick, plan.sequence[0], run.episode)
+            self._sim._schedule_cpu_enable(run.enable_tick, plan.sequence[0], run.episode)
         else:
             run.finished = True

@@ -71,14 +71,12 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, tick: int, payload: object, *, clock: int) -> Event:
+    def schedule(self, tick: int, payload: object, *, clock: int) -> None:
         if tick < clock:
             raise SchedulingInPastError(f"event at tick {tick} is behind the clock ({clock})")
-        event = Event(tick, self._next_seq, payload)
+        heapq.heappush(self._heap, (tick, self._next_seq, payload))
         self._next_seq += 1
         self.scheduled_total += 1
-        heapq.heappush(self._heap, (event.tick, event.seq, event.payload))
-        return event
 
     def peek_tick(self) -> int | None:
         return self._heap[0][0] if self._heap else None
@@ -118,6 +116,9 @@ class Simulation:
         self._next_episode = 0
 
     # -- setup and scheduling -------------------------------------------
+    #
+    # Words and pairs are checked here, where they enter a run, and never
+    # again while events dispatch: the fabric's handlers trust them.
 
     def new_episode(self) -> Episode:
         episode = Episode(self._next_episode)
@@ -128,23 +129,37 @@ class Simulation:
         self.records.append(record)
 
     def schedule_cpu_enable(self, tick: int, word: int, episode: Episode) -> None:
+        """Schedule a CPU enable of ``word``, which must be a word of the fabric."""
+        self.config.check_word(word)
+        self._schedule_cpu_enable(tick, word, episode)
+
+    def _schedule_cpu_enable(self, tick: int, word: int, episode: Episode) -> None:
+        # For the driver's plan steps, whose words add_plan has checked.
         self.queue.schedule(tick, CpuEnable(word, episode), clock=self.clock)
 
     def schedule_auto_enable(
         self, tick: int, word: int, pair: tuple[int, int], episode: Episode
     ) -> None:
+        """Schedule a replay enable along a learned pair; nothing is checked."""
         self.queue.schedule(tick, AutoEnable(word, pair, episode), clock=self.clock)
 
     def schedule_done(self, tick: int, word: int, episode: Episode) -> None:
+        """Schedule the done of a word the fabric accepted; nothing is checked."""
         self.queue.schedule(tick, WordDone(word, episode), clock=self.clock)
 
     def schedule_override(self, tick: int, pair: tuple[int, int], is_open: bool) -> None:
+        """Schedule an override switch of ``pair``, two distinct words of the fabric."""
+        self.config.check_pair(*pair)
         self.queue.schedule(tick, OverrideSet(pair, is_open), clock=self.clock)
 
     def add_plan(self, plan: RehearsalPlan) -> None:
+        """Hand a plan to the driver once every word of its sequence is checked."""
+        for word in plan.sequence:
+            self.config.check_word(word)
         self.driver.add_plan(plan)
 
     def add_probe(self, probe: Probe) -> None:
+        """Schedule a probe; its word is checked by :meth:`schedule_cpu_enable`."""
         self.driver.probe(probe)
 
     # -- dispatch --------------------------------------------------------

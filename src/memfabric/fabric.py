@@ -97,7 +97,9 @@ class FabricConfig:
         if self.threshold < 1:
             raise InvalidConfigError(f"threshold must be >= 1, got {self.threshold}")
         if self.filter_mode not in FILTER_MODES:
-            raise InvalidConfigError(f"unknown filter mode: {self.filter_mode!r}")
+            raise InvalidConfigError(
+                f"mode must be done_enable or done_done, got {self.filter_mode!r}"
+            )
         for word in self.word_ids():
             dur = self.durations.get(word)
             if dur is None:
@@ -130,8 +132,16 @@ class FabricConfig:
                     yield (i, j)
 
     def check_word(self, word: int) -> None:
+        """The word-range rule: word ids run from 1 to ``word_count``."""
         if not 1 <= word <= self.word_count:
             raise UnknownWordError(f"word {word} outside 1..{self.word_count}")
+
+    def check_pair(self, i: int, j: int) -> None:
+        """The pair rule: both words in range, and no self connection."""
+        self.check_word(i)
+        self.check_word(j)
+        if i == j:
+            raise SelfPairError(f"pair ({i}, {j}) is a self pair")
 
 
 @dataclass
@@ -218,9 +228,6 @@ class Fabric:
     def learned_ticks(self) -> dict[tuple[int, int], int]:
         return dict(self._learned)
 
-    def is_learned(self, pair: tuple[int, int]) -> bool:
-        return pair in self._learned
-
     def override_is_open(self, pair: tuple[int, int]) -> bool:
         return pair in self._override_open
 
@@ -237,8 +244,11 @@ class Fabric:
         check alone cannot catch). An accepted enable runs the word
         for its duration and, in done_enable mode, feeds the filters
         watching for this word as a sequence successor.
+
+        ``word`` is not checked here: CPU enables were checked when the
+        simulation scheduled them, and autonomous enables follow learned
+        pairs of words the fabric already accepted.
         """
-        self.config.check_word(word)
         busy = self._busy_until.get(word, 0) > tick
         repeat = self.loop_suppression and word in episode.fired_words
         if busy or repeat:
@@ -325,12 +335,9 @@ class Fabric:
         """Open or close the series switch masking pair (i, j).
 
         Purely a mask: independent of whether the pair is learned, and
-        it never touches the learn register.
+        it never touches the learn register. The pair was checked when
+        the simulation scheduled the override.
         """
-        self.config.check_word(i)
-        self.config.check_word(j)
-        if i == j:
-            raise SelfPairError(f"override pair ({i}, {j}) is a self pair")
         if is_open:
             self._override_open.add((i, j))
         else:

@@ -23,6 +23,8 @@ of divergence descriptions (empty means full agreement).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 
 from memfabric.fabric import DONE_ENABLE, FabricConfig
@@ -45,6 +47,9 @@ from memfabric.trace import (
 )
 
 Pair = tuple[int, int]
+
+# What a done of i records for each learned successor j: exactly one of these.
+REPLAY_OUTCOMES = (EV_AUTO_ENABLE_SCHEDULED, EV_LOOP_SUPPRESSED, EV_OVERRIDE_BLOCKED)
 
 KIND_ORDER = {
     EV_ENABLE: 0,
@@ -185,15 +190,43 @@ def predict_timeline(
 
 
 def _override_state_at(scenario: Scenario, tick: int) -> set[Pair]:
-    """Open override pairs in effect at ``tick`` (directives apply at their tick)."""
+    """Open override pairs in effect at ``tick``, by definition.
+
+    Directives apply at their tick, in tick order; directives sharing a
+    tick apply in file order, as the simulation schedules them.
+    """
     state: set[Pair] = set()
-    for d in scenario.overrides:
+    for d in sorted(scenario.overrides, key=lambda d: d.tick):
         if d.tick <= tick:
             if d.is_open:
                 state.add((d.i, d.j))
             else:
                 state.discard((d.i, d.j))
     return state
+
+
+OverrideChanges = dict[Pair, tuple[list[int], list[bool]]]
+
+
+def _override_changes(scenario: Scenario) -> OverrideChanges:
+    """Per pair, the directive ticks in application order and the state each sets.
+
+    Built once, by the same ordering as :func:`_override_state_at`, so
+    that :func:`_override_open_at` answers each lookup by bisection.
+    """
+    changes: OverrideChanges = {}
+    for d in sorted(scenario.overrides, key=lambda d: d.tick):
+        ticks, states = changes.setdefault((d.i, d.j), ([], []))
+        ticks.append(d.tick)
+        states.append(d.is_open)
+    return changes
+
+
+def _override_open_at(changes: OverrideChanges, pair: Pair, tick: int) -> bool:
+    ticks, states = changes.get(pair, ((), ()))
+    # The last directive at or before ``tick``; among same-tick ones, the last applied.
+    index = bisect_right(ticks, tick)
+    return index > 0 and states[index - 1]
 
 
 def verify_run(scenario: Scenario, records: list[TraceRecord]) -> list[str]:
@@ -254,6 +287,8 @@ def verify_run(scenario: Scenario, records: list[TraceRecord]) -> list[str]:
             key = (rec.t, rec.word, rec.pair, rec.episode)
             scheduled[key] = scheduled.get(key, 0) + 1
 
+    overrides = _override_changes(scenario)
+
     def learned_by(pair: Pair, tick: int) -> bool:
         t = ticks.get(pair, [])
         return len(t) >= config.threshold and t[config.threshold - 1] <= tick
@@ -269,7 +304,7 @@ def verify_run(scenario: Scenario, records: list[TraceRecord]) -> list[str]:
                 f"auto enable scheduled at t={t} for pair {pair} but the pair is "
                 f"not learned by then per the recount"
             )
-        if pair in _override_state_at(scenario, t):
+        if _override_open_at(overrides, pair, t):
             problems.append(
                 f"auto enable scheduled at t={t} for pair {pair} while its override is open"
             )
@@ -342,9 +377,40 @@ def verify_run(scenario: Scenario, records: list[TraceRecord]) -> list[str]:
                     f"fired in that episode"
                 )
         else:
-            if rec.pair not in _override_state_at(scenario, rec.t):
+            if not _override_open_at(overrides, rec.pair, rec.t):
                 problems.append(
                     f"override_blocked record {where} but the override was not open"
+                )
+
+    # Completeness: a done of i owes exactly one replay outcome for each
+    # pair (i, j) that the recount has learned at an earlier record. A pair
+    # is learned at the trigger record of its threshold-th detection, so a
+    # done on that tick but dispatched before the trigger owes nothing.
+    trigger_kind = EV_ENABLE if config.filter_mode == DONE_ENABLE else EV_DONE
+    learned_at: dict[tuple[int, int], list[Pair]] = {}  # (trigger word, tick) -> pairs
+    for pair, t in ticks.items():
+        if len(t) >= config.threshold:
+            learned_at.setdefault((pair[1], t[config.threshold - 1]), []).append(pair)
+    successors: dict[int, list[Pair]] = {}
+    owed: list[tuple[int, int, Pair, int]] = []  # (t, word, pair, episode)
+    outcomes: list[tuple[int, int, Pair, int]] = []
+    for rec in records:
+        if rec.ev == EV_DONE and rec.word in successors:
+            owed += [(rec.t, pair[1], pair, rec.episode) for pair in successors[rec.word]]
+        elif rec.ev in REPLAY_OUTCOMES:
+            outcomes.append((rec.t, rec.word, rec.pair, rec.episode))
+        if rec.ev == trigger_kind and (rec.word, rec.t) in learned_at:
+            for pair in learned_at.pop((rec.word, rec.t)):
+                successors.setdefault(pair[0], []).append(pair)
+    owed_count, outcome_count = Counter(owed), Counter(outcomes)
+    if owed_count != outcome_count:
+        for key in sorted(owed_count.keys() | outcome_count.keys()):
+            if owed_count[key] != outcome_count[key]:
+                t, word, pair, episode = key
+                problems.append(
+                    f"done of word {pair[0]} at t={t} (episode {episode}) owes "
+                    f"{owed_count[key]} replay outcome(s) for learned pair {pair} "
+                    f"but the trace has {outcome_count[key]}"
                 )
 
     # Episode no-repeat: at most one accepted enable per word per episode.

@@ -29,8 +29,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from memfabric.driver import InvalidPlanError, Probe, RehearsalPlan
-from memfabric.fabric import DONE_ENABLE, DONE_DONE, FabricConfig, InvalidConfigError
+from memfabric.driver import Probe, RehearsalPlan
+from memfabric.fabric import DONE_ENABLE, FabricConfig
 from memfabric.trace import (
     EV_ENABLE,
     EV_IGNORED_ENABLE,
@@ -64,6 +64,10 @@ class OverrideDirective:
     j: int
     is_open: bool
 
+    def __post_init__(self) -> None:
+        if self.tick < 0:
+            raise ValueError(f"override tick must be >= 0, got {self.tick}")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -75,14 +79,15 @@ class Scenario:
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
 
-_MODE_NAMES = {DONE_ENABLE: DONE_ENABLE, DONE_DONE: DONE_DONE}
-
-
 def _parse_int(token: str, what: str, line: int) -> int:
-    try:
-        return int(token, 10)
-    except ValueError:
-        raise ParseError(f"{what} is not an integer: {token!r}", line) from None
+    """ASCII digits with an optional sign (tokens never hold whitespace)."""
+    # int() alone would also take "1_0" and non-ASCII digits such as "٣".
+    if token.isascii() and "_" not in token:
+        try:
+            return int(token, 10)
+        except ValueError:
+            pass
+    raise ParseError(f"{what} is not an integer: {token!r}", line)
 
 
 def _parse_kv(tokens: list[str], allowed: dict[str, bool], what: str, line: int) -> dict[str, str]:
@@ -110,9 +115,9 @@ def parse_scenario(text: str) -> Scenario:
     fabric_line = 0
     default_dur: tuple[int, int] | None = None  # (value, line)
     dur_overrides: dict[int, tuple[int, int]] = {}  # word -> (value, line)
-    raw_plans: list[tuple[dict[str, str], list[int], int]] = []
+    raw_plans: list[tuple[tuple[int, ...], dict[str, int], int]] = []  # (words, args, line)
     raw_probes: list[tuple[int, int, int]] = []  # (tick, word, line)
-    raw_overrides: list[tuple[OverrideDirective, int]] = []
+    raw_overrides: list[tuple[int, int, int, bool, int]] = []  # (tick, i, j, open, line)
     max_tick: tuple[int, int] | None = None  # (value, line)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -158,7 +163,9 @@ def parse_scenario(text: str) -> Scenario:
                 "rehearse",
                 lineno,
             )
-            raw_plans.append((args, words, lineno))
+            raw_plans.append(
+                (tuple(words), {k: _parse_int(v, k, lineno) for k, v in args.items()}, lineno)
+            )
         elif head == "at":
             if len(tokens) < 3:
                 raise ParseError("at directive needs a tick and an action", lineno)
@@ -176,9 +183,7 @@ def parse_scenario(text: str) -> Scenario:
                 j = _parse_int(tokens[4], "word id", lineno)
                 if tokens[5] not in ("open", "closed"):
                     raise ParseError(f"override state must be open or closed, got {tokens[5]!r}", lineno)
-                raw_overrides.append(
-                    (OverrideDirective(tick, i, j, tokens[5] == "open"), lineno)
-                )
+                raw_overrides.append((tick, i, j, tokens[5] == "open", lineno))
             else:
                 raise ParseError(f"unknown action {action!r} after 'at'", lineno)
         elif head == "maxticks":
@@ -197,71 +202,50 @@ def parse_scenario(text: str) -> Scenario:
     if max_tick[0] < 1:
         raise ValidationError(f"maxticks must be >= 1, got {max_tick[0]}", max_tick[1])
 
-    word_count = _parse_int(fabric_args["words"], "words", fabric_line)
-    mode = fabric_args.get("mode", DONE_ENABLE)
-    if mode not in _MODE_NAMES:
-        raise ValidationError(f"mode must be done_enable or done_done, got {mode!r}", fabric_line)
-
+    word_count, delay1, delay2, threshold = (
+        _parse_int(fabric_args[key], key, fabric_line)
+        for key in ("words", "delay1", "delay2", "threshold")
+    )
     durations: dict[int, int] = {}
     for word in range(1, max(word_count, 1) + 1):
         if word in dur_overrides:
             durations[word] = dur_overrides[word][0]
         elif default_dur is not None:
             durations[word] = default_dur[0]
-    for word, (_, line) in dur_overrides.items():
-        if not 1 <= word <= word_count:
-            raise ValidationError(f"duration for word {word} outside 1..{word_count}", line)
-    try:
-        config = FabricConfig(
-            word_count=word_count,
-            delay1=_parse_int(fabric_args["delay1"], "delay1", fabric_line),
-            delay2=_parse_int(fabric_args["delay2"], "delay2", fabric_line),
-            threshold=_parse_int(fabric_args["threshold"], "threshold", fabric_line),
-            durations=durations,
-            filter_mode=mode,
-        )
-    except InvalidConfigError as exc:
-        raise ValidationError(str(exc), fabric_line) from exc
 
+    # The fabric and every directive are built and checked by the owners
+    # of the rules (FabricConfig, RehearsalPlan, Probe, OverrideDirective).
+    # ``line`` always holds the line being checked, so a broken rule is
+    # reported there.
     warnings: list[str] = []
     plans: list[RehearsalPlan] = []
-    for args, words, line in raw_plans:
-        try:
-            plan = RehearsalPlan(
-                sequence=tuple(words),
-                reps=_parse_int(args["reps"], "reps", line),
-                gap=_parse_int(args["gap"], "gap", line),
-                rest=_parse_int(args["rest"], "rest", line),
-                start=_parse_int(args["start"], "start", line),
-            )
-            plan.check_against(config)
-        except InvalidPlanError as exc:
-            raise ValidationError(str(exc), line) from exc
-        if plan.gap > config.delay1:
-            warnings.append(
-                f"line {line}: gap={plan.gap} exceeds delay1={config.delay1}; "
-                "rehearsed pairs will fall outside every coincidence window"
-            )
-        plans.append(plan)
-
     probes: list[Probe] = []
-    for tick, word, line in raw_probes:
-        if not 1 <= word <= word_count:
-            raise ValidationError(f"word {word} outside 1..{word_count}", line)
-        if tick < 0:
-            raise ValidationError(f"probe tick must be >= 0, got {tick}", line)
-        probes.append(Probe(tick, word))
-
     overrides: list[OverrideDirective] = []
-    for directive, line in raw_overrides:
-        for word in (directive.i, directive.j):
-            if not 1 <= word <= word_count:
-                raise ValidationError(f"word {word} outside 1..{word_count}", line)
-        if directive.i == directive.j:
-            raise ValidationError(f"override pair ({directive.i}, {directive.j}) is a self pair", line)
-        if directive.tick < 0:
-            raise ValidationError(f"override tick must be >= 0, got {directive.tick}", line)
-        overrides.append(directive)
+    line = fabric_line
+    try:
+        config = FabricConfig(
+            word_count, delay1, delay2, threshold, durations, fabric_args.get("mode", DONE_ENABLE)
+        )
+        for word, (_, line) in dur_overrides.items():
+            config.check_word(word)
+        for words, args, line in raw_plans:
+            plan = RehearsalPlan(words, **args)
+            for word in plan.sequence:
+                config.check_word(word)
+            if plan.gap > config.delay1:
+                warnings.append(
+                    f"line {line}: gap={plan.gap} exceeds delay1={config.delay1}; "
+                    "rehearsed pairs will fall outside every coincidence window"
+                )
+            plans.append(plan)
+        for tick, word, line in raw_probes:
+            probes.append(Probe(tick, word))
+            config.check_word(word)
+        for tick, i, j, is_open, line in raw_overrides:
+            overrides.append(OverrideDirective(tick, i, j, is_open))
+            config.check_pair(i, j)
+    except ValueError as exc:
+        raise ValidationError(str(exc), line) from exc
 
     return Scenario(
         config=config,
@@ -386,7 +370,3 @@ def format_report(report: Report) -> str:
 
 def write_report(report: Report, path: str | Path) -> None:
     Path(path).write_text(format_report(report), encoding="utf-8")
-
-
-def read_scenario(path: str | Path) -> Scenario:
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))

@@ -151,7 +151,8 @@ def parse_trace(text: str) -> list[TraceRecord]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: arrays or objects nested too deep to decode
             raise MalformedTraceError(f"line {lineno}: not valid JSON: {exc}") from exc
         try:
             records.append(record_from_obj(obj))
@@ -162,7 +163,3 @@ def parse_trace(text: str) -> list[TraceRecord]:
 
 def write_trace(records: Iterable[TraceRecord], path: str | Path) -> None:
     Path(path).write_text(format_trace(records), encoding="utf-8")
-
-
-def read_trace(path: str | Path) -> list[TraceRecord]:
-    return parse_trace(Path(path).read_text(encoding="utf-8"))

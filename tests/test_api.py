@@ -1,0 +1,56 @@
+"""The supported public surface, and the demos that use it."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import memfabric
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Engine and driver internals (event payloads, the queue, Driver, Episode)
+# stay importable from their own modules but are not part of this list.
+SUPPORTED = {
+    # scenario format, report and run entry points
+    "Scenario", "OverrideDirective", "RehearsalPlan", "Probe",
+    "parse_scenario", "canonical_scenario",
+    "Report", "EpisodeSummary", "build_report", "format_report", "write_report",
+    "Simulation", "build_simulation", "run_scenario",
+    "RunResult", "RunOutcome", "QUIESCENT", "TICK_LIMIT",
+    # fabric model
+    "Fabric", "FabricConfig", "FilterState", "DONE_ENABLE", "DONE_DONE",
+    # trace
+    "TraceRecord", "format_trace", "parse_trace", "write_trace",
+    # oracle
+    "TimelineEntry", "count_detections", "detection_ticks", "episode_subtrace",
+    "predict_learned", "predict_timeline", "shift_entries", "verify_run",
+    # errors
+    "ScenarioError", "ParseError", "ValidationError", "InvalidConfigError",
+    "InvalidPlanError", "UnknownWordError", "SelfPairError", "MalformedTraceError",
+}
+
+
+def test_all_lists_exactly_the_supported_names():
+    assert len(memfabric.__all__) == len(set(memfabric.__all__))
+    assert set(memfabric.__all__) == SUPPORTED
+    for name in memfabric.__all__:
+        assert getattr(memfabric, name) is not None, name
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs_to_exit_zero(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=ROOT,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

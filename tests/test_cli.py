@@ -62,25 +62,24 @@ def test_max_ticks_flag_overrides_the_directive(scenario_file, capsys):
     assert "tick limit" in capsys.readouterr().err
 
 
-def test_suppression_disabled_cycle_exits_three(tmp_path):
-    path = tmp_path / "cycle.scn"
-    path.write_text(
-        "fabric words=2 delay1=5 delay2=1 threshold=2\n"
-        "dur * 3\n"
-        "rehearse 1 2 reps=2 gap=1 rest=10 start=0\n"
-        "rehearse 2 1 reps=2 gap=1 rest=10 start=100\n"
-        "at 300 probe 1\n"
-        "maxticks 1000\n"
-    )
-    assert main(["run", str(path), "--no-loop-suppression"]) == 3
-    assert main(["run", str(path)]) == 0
-
-
 def test_run_then_verify_is_self_consistent(scenario_file, capsys):
     assert main(["run", str(scenario_file)]) == 0
     trace_path = scenario_file.parent / (scenario_file.name + ".trace.jsonl")
     assert main(["verify", str(scenario_file), str(trace_path)]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_override_directives_listed_out_of_tick_order_run_and_verify(scenario_file, capsys):
+    # The engine applies them by tick (open at 400, closed at 450), so the
+    # probe at 500 replays; verify must apply them the same way.
+    with scenario_file.open("a") as out:
+        out.write("at 450 override 1 3 closed\nat 400 override 1 3 open\n")
+    assert main(["run", str(scenario_file)]) == 0
+    trace_path = scenario_file.parent / (scenario_file.name + ".trace.jsonl")
+    replay = '{"t":504,"ev":"auto_enable_scheduled","word":3,"pair":[1,3],"episode":0}'
+    assert replay in trace_path.read_text().splitlines()
+    assert main(["verify", str(scenario_file), str(trace_path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_flags_a_tampered_trace(scenario_file, capsys):
@@ -136,6 +135,8 @@ GOOD_ENABLE = '{"t":0,"ev":"enable","word":1,"src":"cpu","episode":0}'
         ([GOOD_ENABLE, '{"t":3,"ev":"latch_shift","pair":[1,3],"stage":-1}'], 2),
         ([GOOD_ENABLE, '{"t":3,"ev":"override_set","pair":[1,3],"stage":false}'], 2),
         ([GOOD_ENABLE, '{"t":3,"ev":"filter_fire","pair":[0,3]}'], 2),
+        ([GOOD_ENABLE, "\udcfe"], 2),
+        (["[" * 100_000], 1),
     ],
     ids=[
         "unknown-kind",
@@ -151,13 +152,29 @@ GOOD_ENABLE = '{"t":0,"ev":"enable","word":1,"src":"cpu","episode":0}'
         "negative-stage",
         "bool-stage",
         "pair-word-zero",
+        "not-utf8",
+        "deep-nesting",
     ],
 )
 def test_verify_rejects_garbage_trace_as_invalid(scenario_file, tmp_path, capsys, lines, bad_line):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("\n".join(lines) + "\n")
+    # surrogateescape turns "\udcfe" into the lone byte 0xfe
+    bad.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     assert main(["verify", str(scenario_file), str(bad)]) == 1
-    assert f"malformed trace: line {bad_line}:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert f"malformed trace: line {bad_line}:" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "check", "verify"])
+def test_non_utf8_scenario_exits_one_naming_the_line(tmp_path, capsys, command):
+    path = tmp_path / "latin1.scn"
+    path.write_bytes(b"fabric words=2 delay1=5 delay2=1 threshold=1\n# caf\xe9\nmaxticks 10\n")
+    argv = [command, str(path)] + ([str(tmp_path / "absent.jsonl")] if command == "verify" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line 2: not UTF-8 text")
+    assert captured.out == ""
 
 
 def test_check_echoes_the_canonical_form(scenario_file, capsys):

@@ -62,8 +62,9 @@ def test_structurally_bad_plans_are_rejected(kwargs):
 
 def test_plan_word_outside_fabric_is_rejected():
     sim = Simulation(FabricConfig.uniform(2, delay1=5, delay2=1, threshold=1, duration=4))
-    with pytest.raises(InvalidPlanError):
+    with pytest.raises(UnknownWordError, match="outside 1..2"):
         sim.add_plan(RehearsalPlan(sequence=(1, 5), reps=1, gap=0, rest=0, start=0))
+    assert len(sim.queue) == 0
 
 
 def test_probe_word_outside_fabric_is_rejected():

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from memfabric import (
-    EventQueue,
     FabricConfig,
     Probe,
     QUIESCENT,
-    SchedulingInPastError,
     Simulation,
     TICK_LIMIT,
     format_trace,
 )
+from memfabric.engine import EventQueue, SchedulingInPastError
 from conftest import run_text
 
 

@@ -113,7 +113,8 @@ def test_busy_word_ignores_enable():
 def test_unknown_word_enable_raises():
     sim = Simulation(_config())
     with pytest.raises(UnknownWordError):
-        sim.fabric.on_enable(sim, 7, 0, source="cpu", pair=None, episode=Episode(0))
+        sim.schedule_cpu_enable(0, 7, Episode(0))
+    assert len(sim.queue) == 0
 
 
 def test_reenable_at_exact_completion_tick_keeps_both_dones():
@@ -363,9 +364,9 @@ def test_override_on_unlearned_pair_is_legal_and_inert():
 def test_override_self_pair_is_rejected():
     sim = Simulation(_config())
     with pytest.raises(SelfPairError):
-        sim.fabric.set_override(sim, 1, 1, True, 0)
+        sim.schedule_override(0, (1, 1), True)
     with pytest.raises(UnknownWordError):
-        sim.fabric.set_override(sim, 1, 9, True, 0)
+        sim.schedule_override(0, (1, 9), True)
 
 
 def test_filters_observe_replay_uniformly():

@@ -6,10 +6,13 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from memfabric import (
     FabricConfig,
     MalformedTraceError,
+    OverrideDirective,
+    Scenario,
     TimelineEntry,
     count_detections,
     episode_subtrace,
@@ -18,6 +21,7 @@ from memfabric import (
     shift_entries,
     verify_run,
 )
+from memfabric.oracle import _override_changes, _override_open_at, _override_state_at
 from memfabric.trace import (
     EV_AUTO_ENABLE_SCHEDULED,
     EV_DONE,
@@ -259,6 +263,67 @@ def test_verify_accepts_runs_with_overrides_and_suppression():
     assert any(r.ev == "override_blocked" for r in records)
     assert any(r.ev == "loop_suppressed" for r in records)
     assert verify_run(result.scenario, records) == []
+
+
+def test_verify_catches_a_deleted_replay(worked_example_text):
+    # Drop the probe episode's whole replay after its trigger's done: the
+    # records left are consistent, but that done owed one for pair (1, 3).
+    result = run_text(worked_example_text)
+    records = result.records
+    trigger_done = next(
+        index
+        for index, rec in enumerate(records)
+        if rec.ev == EV_DONE and rec.episode == 0
+    )
+    assert records[trigger_done].t == 504 and records[-1].t == 522
+    problems = verify_run(result.scenario, records[: trigger_done + 1])
+    assert problems
+    assert "t=504" in problems[0] and "(1, 3)" in problems[0]
+
+
+def test_done_before_the_learning_trigger_on_its_tick_owes_no_replay():
+    # At t=4 the probe's done of word 1 dispatches before the plan's enable
+    # of word 2 that learns (1, 2): the pair is learned on the done's tick,
+    # but after it, so the done correctly schedules no replay.
+    text = (
+        "fabric words=2 delay1=5 delay2=1 threshold=1\n"
+        "dur 1 2\n"
+        "dur 2 4\n"
+        "rehearse 1 2 reps=1 gap=2 rest=0 start=0\n"
+        "at 2 probe 1\n"
+        "maxticks 100\n"
+    )
+    result = run_text(text)
+    records = result.records
+    at_four = [(rec.ev, rec.word, rec.pair) for rec in records if rec.t == 4]
+    assert at_four.index((EV_DONE, 1, None)) < at_four.index((EV_LEARNED, None, (1, 2)))
+    assert not any(rec.ev == EV_AUTO_ENABLE_SCHEDULED for rec in records)
+    assert verify_run(result.scenario, records) == []
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=12),
+            st.sampled_from([(1, 2), (2, 1), (1, 3)]),
+            st.booleans(),
+        ),
+        max_size=12,
+    )
+)
+def test_override_sweep_equals_the_definition_at_every_tick(directives):
+    scenario = Scenario(
+        config=_cfg(),
+        plans=(),
+        probes=(),
+        overrides=tuple(OverrideDirective(t, i, j, is_open) for t, (i, j), is_open in directives),
+        max_tick=100,
+    )
+    changes = _override_changes(scenario)
+    for tick in range(-1, 15):
+        open_pairs = _override_state_at(scenario, tick)
+        for pair in [(1, 2), (2, 1), (1, 3), (3, 1)]:
+            assert _override_open_at(changes, pair, tick) == (pair in open_pairs)
 
 
 # -- cross-check at the scale the sparse fabric core targets --------------

@@ -59,6 +59,8 @@ def test_comments_and_blank_lines_are_skipped():
         ("at 5 poke 1", ParseError, "unknown action"),
         ("dur two 4", ParseError, "not an integer"),
         ("at 5 override 1 2 ajar", ParseError, "open or closed"),
+        ("rehearse 1 2 reps=1_0 gap=0 rest=0 start=0", ParseError, "not an integer"),
+        ("fabric words=\u0663 delay1=5 delay2=1 threshold=1", ParseError, "not an integer"),
     ],
 )
 def test_syntax_errors_name_the_line(line, error, fragment):
