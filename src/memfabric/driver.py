@@ -87,7 +87,8 @@ class Driver:
         self._sim._schedule_cpu_enable(plan.start, plan.sequence[0], run.episode)
 
     def probe(self, probe: Probe) -> None:
-        self._sim.schedule_cpu_enable(probe.tick, probe.word, self._sim.new_episode())
+        # Checked by the simulation, like a plan's words.
+        self._sim._schedule_cpu_enable(probe.tick, probe.word, self._sim.new_episode())
 
     def unfinished_plans(self) -> int:
         return sum(1 for run in self._runs if not run.finished)

@@ -3,10 +3,12 @@
 Events are totally ordered by ``(tick, seq)`` where ``seq`` is the
 insertion sequence number, so same-tick events dispatch in the order
 they were scheduled. Time is integer ticks and the clock only moves
-forward; scheduling behind the clock is an internal logic error and
-aborts the run. A run ends either quiescent (the queue drained) or at
-the tick limit (the next event lies beyond ``max_tick``), which is how
-runaway autonomous activity is surfaced rather than looping forever.
+forward: the public scheduling methods reject a tick behind the clock
+with a ValueError, and the engine doing so itself is an internal logic
+error that aborts the run. A run ends either quiescent (the queue
+drained) or at the tick limit (the next event lies beyond
+``max_tick``), which is how runaway autonomous activity is surfaced
+rather than looping forever.
 
 A :class:`Simulation` is a self-contained value (engine + fabric +
 scripted CPU driver + trace). It offers no internal parallelism, but
@@ -117,8 +119,8 @@ class Simulation:
 
     # -- setup and scheduling -------------------------------------------
     #
-    # Words and pairs are checked here, where they enter a run, and never
-    # again while events dispatch: the fabric's handlers trust them.
+    # Ticks, words and pairs are checked here, where they enter a run, and
+    # never again while events dispatch: the fabric's handlers trust them.
 
     def new_episode(self) -> Episode:
         episode = Episode(self._next_episode)
@@ -128,8 +130,14 @@ class Simulation:
     def emit(self, record: TraceRecord) -> None:
         self.records.append(record)
 
+    def _check_tick(self, tick: int) -> None:
+        """Reject a tick behind the clock, where no event can be scheduled."""
+        if tick < self.clock:
+            raise ValueError(f"tick {tick} is behind the clock ({self.clock})")
+
     def schedule_cpu_enable(self, tick: int, word: int, episode: Episode) -> None:
-        """Schedule a CPU enable of ``word``, which must be a word of the fabric."""
+        """Schedule a CPU enable of ``word``, a word of the fabric, at a tick not yet past."""
+        self._check_tick(tick)
         self.config.check_word(word)
         self._schedule_cpu_enable(tick, word, episode)
 
@@ -149,17 +157,21 @@ class Simulation:
 
     def schedule_override(self, tick: int, pair: tuple[int, int], is_open: bool) -> None:
         """Schedule an override switch of ``pair``, two distinct words of the fabric."""
+        self._check_tick(tick)
         self.config.check_pair(*pair)
         self.queue.schedule(tick, OverrideSet(pair, is_open), clock=self.clock)
 
     def add_plan(self, plan: RehearsalPlan) -> None:
-        """Hand a plan to the driver once every word of its sequence is checked."""
+        """Hand a plan to the driver once its start and every word are checked."""
+        self._check_tick(plan.start)
         for word in plan.sequence:
             self.config.check_word(word)
         self.driver.add_plan(plan)
 
     def add_probe(self, probe: Probe) -> None:
-        """Schedule a probe; its word is checked by :meth:`schedule_cpu_enable`."""
+        """Hand a probe to the driver once its tick and word are checked."""
+        self._check_tick(probe.tick)
+        self.config.check_word(probe.word)
         self.driver.probe(probe)
 
     # -- dispatch --------------------------------------------------------

@@ -235,9 +235,9 @@ def verify_run(scenario: Scenario, records: list[TraceRecord]) -> list[str]:
     Returns divergence descriptions in check order; an empty list means
     the trace agrees with the oracle on learning, replay timing, and
     the structural trace contracts. Raises MalformedTraceError for a
-    trace that is not even well-formed.
+    trace that is not even well-formed (``detection_ticks`` checks the
+    tick order before anything relies on it).
     """
-    _check_order(records)
     config = scenario.config
     problems: list[str] = []
     last_tick = records[-1].t if records else 0

@@ -30,9 +30,8 @@ position (the schema has no boolean field).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 EV_ENABLE = "enable"
 EV_IGNORED_ENABLE = "ignored_enable"
@@ -62,19 +61,28 @@ _FIELDS = {
     EV_OVERRIDE_SET: (("pair", "stage"), ()),
 }
 
-EVENT_KINDS = frozenset(_FIELDS)
+_REQUIRED = {ev: frozenset(("t", *req)) for ev, (req, _) in _FIELDS.items()}
 _ALLOWED = {ev: frozenset(("t", "ev", *req, *opt)) for ev, (req, opt) in _FIELDS.items()}
 
 # integer field -> least legal value (bools are rejected: type(True) is bool)
 _INT_FLOORS = {"t": 0, "word": 1, "episode": 0, "stage": 0}
+# kind -> the (field, least value) pairs of the integer fields it allows
+_FLOORS = {
+    ev: tuple((key, least) for key, least in _INT_FLOORS.items() if key in allowed)
+    for ev, allowed in _ALLOWED.items()
+}
 
 
 class MalformedTraceError(ValueError):
     """A trace violates the record schema or the dispatch-order contract."""
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One trace line: an immutable, hashable named tuple.
+
+    Derive a changed copy with ``rec._replace(t=...)``.
+    """
+
     t: int
     ev: str
     word: int | None = None
@@ -84,57 +92,70 @@ class TraceRecord:
     stage: int | None = None
 
     def to_json_line(self) -> str:
-        obj: dict[str, object] = {"t": self.t, "ev": self.ev}
-        if self.word is not None:
-            obj["word"] = self.word
-        if self.pair is not None:
-            obj["pair"] = list(self.pair)
-        if self.src is not None:
-            obj["src"] = self.src
-        if self.episode is not None:
-            obj["episode"] = self.episode
-        if self.stage is not None:
-            obj["stage"] = self.stage
-        return json.dumps(obj, separators=(",", ":"))
+        """The record as one compact JSON object, keys in the fixed order.
+
+        Byte-identical to ``json.dumps`` of the present fields with
+        ``separators=(",", ":")``: every value is an int, a pair of ints
+        or a schema string (an event kind or a source) that needs no
+        escaping.
+        """
+        t, ev, word, pair, src, episode, stage = self
+        line = f'{{"t":{t},"ev":"{ev}"'
+        if word is not None:
+            line += f',"word":{word}'
+        if pair is not None:
+            line += f',"pair":[{pair[0]},{pair[1]}]'
+        if src is not None:
+            line += f',"src":"{src}"'
+        if episode is not None:
+            line += f',"episode":{episode}'
+        if stage is not None:
+            line += f',"stage":{stage}'
+        return line + "}"
 
 
 def record_from_obj(obj: dict) -> TraceRecord:
-    """Build a validated record from a decoded JSON object."""
+    """Build a validated record from a decoded JSON object.
+
+    Of several faults, the first found is reported, in this order: the
+    kind, a field the kind does not allow, a bad integer (``t``, ``word``,
+    ``episode``, ``stage``), a missing field, the pair, the source.
+    """
     if not isinstance(obj, dict):
         raise MalformedTraceError(f"trace line is not an object: {obj!r}")
     ev = obj.get("ev")
-    if ev not in EVENT_KINDS:
+    # type check first: an unhashable kind such as a list cannot be looked up
+    allowed = _ALLOWED.get(ev) if type(ev) is str else None
+    if allowed is None:
         raise MalformedTraceError(f"unknown event kind: {ev!r}")
-    allowed = _ALLOWED[ev]
-    for key, value in obj.items():
-        if key not in allowed:
-            raise MalformedTraceError(f"field {key!r} not allowed on {ev!r} record")
-        least = _INT_FLOORS.get(key)
-        if least is not None and (type(value) is not int or value < least):
+    keys = obj.keys()
+    if not keys <= allowed:
+        key = next(key for key in obj if key not in allowed)
+        raise MalformedTraceError(f"field {key!r} not allowed on {ev!r} record")
+    for key, least in _FLOORS[ev]:
+        value = obj.get(key, least)  # an absent field is reported as missing below
+        if type(value) is not int or value < least:
             raise MalformedTraceError(f"bad {key} in record: {obj!r}")
-    for key in ("t", *_FIELDS[ev][0]):
-        if key not in obj:
-            raise MalformedTraceError(f"{ev!r} record is missing field {key!r}")
+    if not keys >= _REQUIRED[ev]:
+        key = next(key for key in ("t", *_FIELDS[ev][0]) if key not in obj)
+        raise MalformedTraceError(f"{ev!r} record is missing field {key!r}")
     pair = obj.get("pair")
-    if "pair" in obj:
+    if "pair" in keys:
         if not (
             type(pair) is list
             and len(pair) == 2
-            and all(type(x) is int and x >= 1 for x in pair)
+            and type(pair[0]) is int
+            and type(pair[1]) is int
+            and pair[0] >= 1
+            and pair[1] >= 1
         ):
             raise MalformedTraceError(f"bad pair in record: {obj!r}")
         pair = (pair[0], pair[1])
     src = obj.get("src")
-    if "src" in obj and src not in (SRC_CPU, SRC_AUTO):
+    if "src" in keys and src not in (SRC_CPU, SRC_AUTO):
         raise MalformedTraceError(f"bad src in record: {obj!r}")
     return TraceRecord(
-        t=obj["t"],
-        ev=ev,
-        word=obj.get("word"),
-        pair=pair,
-        src=src,
-        episode=obj.get("episode"),
-        stage=obj.get("stage"),
+        obj["t"], ev, obj.get("word"), pair, src, obj.get("episode"), obj.get("stage")
     )
 
 

@@ -137,6 +137,7 @@ GOOD_ENABLE = '{"t":0,"ev":"enable","word":1,"src":"cpu","episode":0}'
         ([GOOD_ENABLE, '{"t":3,"ev":"filter_fire","pair":[0,3]}'], 2),
         ([GOOD_ENABLE, "\udcfe"], 2),
         (["[" * 100_000], 1),
+        (['{"t":0,"ev":["enable"],"word":1,"src":"cpu","episode":0}'], 1),
     ],
     ids=[
         "unknown-kind",
@@ -154,6 +155,7 @@ GOOD_ENABLE = '{"t":0,"ev":"enable","word":1,"src":"cpu","episode":0}'
         "pair-word-zero",
         "not-utf8",
         "deep-nesting",
+        "list-kind",
     ],
 )
 def test_verify_rejects_garbage_trace_as_invalid(scenario_file, tmp_path, capsys, lines, bad_line):

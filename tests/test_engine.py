@@ -9,11 +9,13 @@ from memfabric import (
     FabricConfig,
     Probe,
     QUIESCENT,
+    RehearsalPlan,
     Simulation,
     TICK_LIMIT,
     format_trace,
 )
 from memfabric.engine import EventQueue, SchedulingInPastError
+from memfabric.fabric import Episode
 from conftest import run_text
 
 
@@ -39,6 +41,44 @@ def test_scheduling_behind_the_clock_raises():
     q = EventQueue()
     with pytest.raises(SchedulingInPastError):
         q.schedule(2, "stale", clock=4)
+
+
+def _cpu_enable(sim, tick):
+    sim.schedule_cpu_enable(tick, 1, Episode(0))
+
+
+def _override(sim, tick):
+    sim.schedule_override(tick, (1, 2), True)
+
+
+def _probe(sim, tick):
+    sim.add_probe(Probe(tick=tick, word=1))
+
+
+def _plan(sim, tick):
+    sim.add_plan(RehearsalPlan(sequence=(1, 2), reps=1, gap=0, rest=0, start=tick))
+
+
+@pytest.mark.parametrize(
+    "clock, schedule",
+    [(0, _cpu_enable), (0, _override), (9, _cpu_enable), (9, _override), (9, _probe), (9, _plan)],
+    ids=["cpu-enable-at-0", "override-at-0", "cpu-enable", "override", "probe", "plan"],
+)
+def test_public_scheduling_behind_the_clock_is_a_value_error(clock, schedule):
+    # Caller input, not an engine bug: a ValueError naming the caller's
+    # tick, with nothing queued and no episode used up.
+    sim = Simulation(FabricConfig.uniform(2, delay1=2, delay2=1, threshold=1, duration=4))
+    if clock:
+        sim.add_probe(Probe(tick=clock, word=2))
+        sim.run_to_quiescence(clock)  # the probe's done stays pending
+    assert sim.clock == clock
+    pending, scheduled, episodes = len(sim.queue), sim.queue.scheduled_total, sim._next_episode
+    with pytest.raises(ValueError, match=rf"^tick {clock - 1} is behind the clock \({clock}\)$"):
+        schedule(sim, clock - 1)
+    assert (len(sim.queue), sim.queue.scheduled_total) == (pending, scheduled)
+    assert sim._next_episode == episodes
+    schedule(sim, clock)  # the clock's own tick is still open
+    assert sim.queue.scheduled_total == scheduled + 1
 
 
 def test_scheduling_at_the_clock_is_allowed():

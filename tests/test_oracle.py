@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -223,7 +222,7 @@ def test_verify_catches_an_auto_enable_tick_off_by_one(worked_example_text):
     tampered = []
     for rec in result.records:
         if rec.ev == EV_ENABLE and rec.src == SRC_AUTO and rec.t == 509:
-            rec = dataclasses.replace(rec, t=510)
+            rec = rec._replace(t=510)
         tampered.append(rec)
     tampered.sort(key=lambda rec: rec.t)  # stable: restores tick order only
     problems = verify_run(result.scenario, tampered)

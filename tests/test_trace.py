@@ -1,0 +1,155 @@
+"""Trace codec: the fixed-order line formatter, the record validator, and
+the byte contract of the shipped scenarios."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, strategies as st
+
+from memfabric import (
+    MalformedTraceError,
+    TraceRecord,
+    format_report,
+    format_trace,
+    parse_scenario,
+    parse_trace,
+    run_scenario,
+)
+from memfabric.trace import record_from_obj
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# SHA-256 of format_trace(records) and format_report(report) for each
+# shipped scenario, computed with the json.dumps-based codec that the
+# fixed-order formatter replaced.
+OUTPUT_SHA256 = {
+    "concurrent.scn": (
+        "fcd1d05dce880749e308b432ea7490e80e94f0334cb116a82e69f967c728d289",
+        "1332a8145ff040acf8c4eb753eaa309c2d51d274968287ec0166655a645a8ebd",
+    ),
+    "cycle.scn": (
+        "75c0f15f41536efef9d5ec4c8c831e9f8a5358edc4239315c190872ce874e78a",
+        "e11d0503bf20ffaced2195731df050d3b1d20e9067bfb4c0f38b89ab9d2ccbc2",
+    ),
+    "negative_control.scn": (
+        "d55ef5f15fd87fe81ee62d00c885c2f56b9145d94c816f6d86247ec091503ad4",
+        "c783771aa952f5f2cbe90420a1e6f10a64445fa6656547c708e742ba851e7692",
+    ),
+    "override.scn": (
+        "a2cebaee63920edb521901011601ffc936a08bbf8f1c053b81f22ee4ed37c781",
+        "27f5ef5cc3f98b43933c35097bc41bff7ffc77113b75396e42b015fdc8c516a4",
+    ),
+    "worked_example.scn": (
+        "a85d7391039275561ae50f183795b0509f6c5ee0c12208700085701cdb40efd7",
+        "65c46104d4ad60823d00a93a064622b8b39270fbd6ed1d1cd8597e9d609fe5e0",
+    ),
+}
+
+# The record schema, restated from the trace format table:
+# kind -> (required fields, optional fields), beyond t and ev.
+SCHEMA = {
+    "enable": (("word", "src", "episode"), ("pair",)),
+    "ignored_enable": (("word", "src", "episode"), ("pair",)),
+    "done": (("word", "episode"), ()),
+    "filter_fire": (("pair",), ()),
+    "latch_shift": (("pair", "stage"), ()),
+    "learned": (("pair",), ()),
+    "auto_enable_scheduled": (("word", "pair", "episode"), ()),
+    "loop_suppressed": (("word", "pair", "episode"), ()),
+    "override_blocked": (("word", "pair", "episode"), ()),
+    "override_set": (("pair", "stage"), ()),
+}
+KEY_ORDER = ("t", "ev", "word", "pair", "src", "episode", "stage")
+
+
+def reference_line(rec: TraceRecord) -> str:
+    """The line as the json.dumps-based codec wrote it."""
+    obj: dict[str, object] = {"t": rec.t, "ev": rec.ev}
+    if rec.word is not None:
+        obj["word"] = rec.word
+    if rec.pair is not None:
+        obj["pair"] = list(rec.pair)
+    if rec.src is not None:
+        obj["src"] = rec.src
+    if rec.episode is not None:
+        obj["episode"] = rec.episode
+    if rec.stage is not None:
+        obj["stage"] = rec.stage
+    return json.dumps(obj, separators=(",", ":"))
+
+
+# Integers run past 2**63 so that no fixed-width assumption hides.
+_naturals = st.integers(min_value=0, max_value=2**70)
+_words = st.integers(min_value=1, max_value=2**70)
+_FIELD_VALUES = {
+    "word": _words,
+    "pair": st.tuples(_words, _words),
+    "src": st.sampled_from(["cpu", "auto"]),
+    "episode": _naturals,
+    "stage": _naturals,
+}
+
+
+@st.composite
+def records(draw) -> TraceRecord:
+    ev = draw(st.sampled_from(sorted(SCHEMA)))
+    required, optional = SCHEMA[ev]
+    present = [*required, *(key for key in optional if draw(st.booleans()))]
+    return TraceRecord(
+        t=draw(_naturals), ev=ev, **{key: draw(_FIELD_VALUES[key]) for key in present}
+    )
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.scn")))
+def test_scenario_trace_and_report_bytes_are_pinned(name):
+    result = run_scenario(parse_scenario((SCENARIOS / name).read_text(encoding="utf-8")))
+    trace = hashlib.sha256(format_trace(result.records).encode("utf-8")).hexdigest()
+    report = hashlib.sha256(format_report(result.report).encode("utf-8")).hexdigest()
+    assert (trace, report) == OUTPUT_SHA256[name]
+
+
+@given(records())
+def test_line_equals_the_json_dumps_reference(rec):
+    line = rec.to_json_line()
+    assert line == reference_line(rec)
+    keys = list(json.loads(line))
+    assert keys == [key for key in KEY_ORDER if key in keys]
+
+
+@given(st.lists(records(), max_size=20))
+def test_parse_inverts_format(recs):
+    assert parse_trace(format_trace(recs)) == recs
+
+
+@given(records(), st.randoms(use_true_random=False))
+def test_key_order_of_a_valid_object_does_not_matter(rec, rnd):
+    items = list(json.loads(rec.to_json_line()).items())
+    rnd.shuffle(items)
+    assert record_from_obj(dict(items)) == rec
+
+
+@given(records(), st.data())
+def test_a_missing_or_foreign_field_is_rejected_by_name(rec, data):
+    obj = json.loads(rec.to_json_line())
+    required, optional = SCHEMA[rec.ev]
+    dropped = data.draw(st.sampled_from(("t", *required)))
+    with pytest.raises(MalformedTraceError, match=f"missing field '{dropped}'"):
+        record_from_obj({key: value for key, value in obj.items() if key != dropped})
+    allowed = ("t", "ev", *required, *optional)
+    foreign = data.draw(st.sampled_from([k for k in (*KEY_ORDER, "x") if k not in allowed]))
+    with pytest.raises(MalformedTraceError, match=f"field '{foreign}' not allowed"):
+        record_from_obj({**obj, foreign: 1})
+
+
+def test_records_are_immutable_hashable_named_tuples():
+    rec = TraceRecord(t=3, ev="done", word=2, episode=0)
+    assert rec == (3, "done", 2, None, None, 0, None)
+    assert hash(rec) == hash(TraceRecord(3, "done", 2, None, None, 0))
+    with pytest.raises(AttributeError):
+        rec.t = 4
+    assert rec._replace(t=4) == TraceRecord(t=4, ev="done", word=2, episode=0)
+    assert rec.t == 3
