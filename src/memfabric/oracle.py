@@ -274,12 +274,12 @@ def verify_run(scenario: Scenario, records: list[TraceRecord]) -> list[str]:
     # Replay scheduling: every scheduled autonomous enable is justified
     # and pairs up with its arrival exactly delay1 later (arrivals past
     # the end of a truncated trace are legitimately pending).
-    dones: set[tuple[int, int, int]] = set()  # (t, word, episode)
+    dones: Counter[tuple[int, int, int]] = Counter()  # (t, word, episode)
     arrivals: dict[tuple[int, int, Pair, int], int] = {}
     scheduled: dict[tuple[int, int, Pair, int], int] = {}
     for rec in records:
         if rec.ev == EV_DONE:
-            dones.add((rec.t, rec.word, rec.episode))
+            dones[(rec.t, rec.word, rec.episode)] += 1
         elif rec.ev in (EV_ENABLE, EV_IGNORED_ENABLE) and rec.src == SRC_AUTO:
             key = (rec.t, rec.word, rec.pair, rec.episode)
             arrivals[key] = arrivals.get(key, 0) + 1
@@ -411,6 +411,30 @@ def verify_run(scenario: Scenario, records: list[TraceRecord]) -> list[str]:
                     f"done of word {pair[0]} at t={t} (episode {episode}) owes "
                     f"{owed_count[key]} replay outcome(s) for learned pair {pair} "
                     f"but the trace has {outcome_count[key]}"
+                )
+
+    # Durations: an accepted enable of word w owes one done of w exactly
+    # durations[w] ticks later in its episode (a done past the end of a
+    # truncated trace is pending), and every done is owed by one.
+    owed_dones: Counter[tuple[int, int, int]] = Counter()
+    for rec in records:
+        if rec.ev == EV_ENABLE:
+            if not 1 <= rec.word <= config.word_count:
+                problems.append(
+                    f"enable at t={rec.t} names word {rec.word}, outside the "
+                    f"fabric's words 1..{config.word_count}"
+                )
+                continue
+            done_t = rec.t + config.durations[rec.word]
+            if done_t <= last_tick:
+                owed_dones[(done_t, rec.word, rec.episode)] += 1
+    if owed_dones != dones:
+        for key in sorted(owed_dones.keys() | dones.keys()):
+            if owed_dones[key] != dones[key]:
+                t, word, episode = key
+                problems.append(
+                    f"word {word} has {dones[key]} done record(s) at t={t} (episode "
+                    f"{episode}) but its accepted enables owe {owed_dones[key]}"
                 )
 
     # Episode no-repeat: at most one accepted enable per word per episode.

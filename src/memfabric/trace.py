@@ -4,7 +4,9 @@ Every observable action in a run is captured as one :class:`TraceRecord`
 and serialized as a single-line JSON object with a fixed key order
 (``t, ev, word, pair, src, episode, stage``; absent fields omitted).
 All values are integers or short strings, never floats, so identical
-runs produce byte-identical traces.
+runs produce byte-identical traces. :func:`parse_trace` decodes the
+lines written here by one pattern match each and any other JSON object
+per line through :func:`decode_line`, with the same result.
 
 Field usage by record kind::
 
@@ -30,6 +32,8 @@ position (the schema has no boolean field).
 from __future__ import annotations
 
 import json
+import re
+import sys
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -164,21 +168,98 @@ def format_trace(records: Iterable[TraceRecord]) -> str:
     return "".join(rec.to_json_line() + "\n" for rec in records)
 
 
+def decode_line(line: str) -> TraceRecord | None:
+    """The general decoder of one trace line: any JSON object that
+    :func:`record_from_obj` accepts, keys in any order, whitespace and
+    string escapes allowed.
+
+    A blank line gives ``None``. Anything else that is not a valid record
+    raises :class:`MalformedTraceError`, without a line number.
+    """
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        # ValueError: a JSONDecodeError, or an integer with more digits than
+        # the interpreter converts; RecursionError: nesting too deep to decode
+        raise MalformedTraceError(f"not valid JSON: {exc}") from exc
+    return record_from_obj(obj)
+
+
+# -- the fast path: lines exactly as ``to_json_line`` writes them ---------
+
+# int() of this many digits never raises, whatever limit
+# sys.set_int_max_str_digits has set (no lower nonzero limit is allowed);
+# a longer number takes the general path, which applies the limit.
+_MAX_DIGITS = sys.int_info.str_digits_check_threshold
+# least value -> the JSON integers >= it: no sign, exponent or leading zero
+_INT_PATTERN = {
+    0: f"(0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}})",
+    1: f"([1-9][0-9]{{0,{_MAX_DIGITS - 1}}})",
+}
+# the keys after t and ev, in to_json_line's order
+_OPTIONAL_KEYS = TraceRecord._fields[2:]
+# pair members are at least 1, as record_from_obj requires
+_VALUE_PATTERN = {
+    **{key: _INT_PATTERN[least] for key, least in _INT_FLOORS.items()},
+    "pair": rf"\[{_INT_PATTERN[1]},{_INT_PATTERN[1]}\]",
+    "src": f'"({SRC_CPU}|{SRC_AUTO})"',
+}
+_CANONICAL_LINE = re.compile(
+    rf'\{{"t":{_VALUE_PATTERN["t"]},"ev":"({"|".join(map(re.escape, _FIELDS))})"'
+    + "".join(f'(?:,"{key}":{_VALUE_PATTERN[key]})?' for key in _OPTIONAL_KEYS)
+    + r"\}"
+)
+# (kind, whether each optional key is absent) -> the kind, for every field
+# set the kind allows: its required fields, with and without its optional
+# one (no kind has more than one). A line with any other set takes the
+# general path, which names the fault.
+_CANONICAL_SHAPES = {
+    (ev, *(key not in present for key in _OPTIONAL_KEYS)): ev
+    for ev, (required, optional) in _FIELDS.items()
+    for present in ({*required}, {*required, *optional})
+}
+
+
 def parse_trace(text: str) -> list[TraceRecord]:
+    """Decode a JSON Lines trace into records; blank lines are skipped.
+
+    A line exactly as :meth:`TraceRecord.to_json_line` writes it is
+    decoded by one pattern match and a check of its field set; every
+    other line by :func:`decode_line`. Both give the same record for a
+    line, and a line that is not a valid record raises the same
+    :class:`MalformedTraceError`, prefixed with its line number.
+    """
     records = []
+    match = _CANONICAL_LINE.fullmatch
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+        m = match(line)
+        if m is not None:
+            t, ev, word, i, j, src, episode, stage = m.groups()
+            shape = (ev, word is None, i is None, src is None, episode is None, stage is None)
+            ev = _CANONICAL_SHAPES.get(shape)
+            if ev is not None:
+                # an absent field's group is None, a present one a nonempty string
+                records.append(
+                    TraceRecord(
+                        int(t),
+                        ev,
+                        word and int(word),
+                        i and (int(i), int(j)),
+                        src,
+                        episode and int(episode),
+                        stage and int(stage),
+                    )
+                )
+                continue
         try:
-            obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            # RecursionError: arrays or objects nested too deep to decode
-            raise MalformedTraceError(f"line {lineno}: not valid JSON: {exc}") from exc
-        try:
-            records.append(record_from_obj(obj))
+            rec = decode_line(line)
         except MalformedTraceError as exc:
             raise MalformedTraceError(f"line {lineno}: {exc}") from exc
+        if rec is not None:
+            records.append(rec)
     return records
 
 

@@ -5,10 +5,13 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from memfabric.cli import main
+
+WORKED_EXAMPLE = Path(__file__).resolve().parent.parent / "scenarios" / "worked_example.scn"
 
 
 @pytest.fixture
@@ -110,6 +113,37 @@ def test_verify_flags_a_shifted_auto_enable(scenario_file, capsys):
     assert "51" in capsys.readouterr().err
 
 
+DONE_OF_2 = '{"t":16,"ev":"done","word":2,"episode":1}'
+DONE_OF_1 = '{"t":4,"ev":"done","word":1,"episode":1}'
+
+
+@pytest.mark.parametrize(
+    "line,replacement",
+    [
+        (DONE_OF_2, []),
+        (DONE_OF_1, [DONE_OF_1, DONE_OF_1]),
+        (
+            '{"t":36,"ev":"enable","word":1,"src":"cpu","episode":2}',
+            ['{"t":37,"ev":"enable","word":1,"src":"cpu","episode":2}'],
+        ),
+        (DONE_OF_2, ['{"t":17,"ev":"done","word":2,"episode":1}']),
+    ],
+    ids=["deleted-done", "duplicated-done", "shifted-enable", "shifted-done"],
+)
+def test_verify_pairs_each_enable_with_its_done(tmp_path, capsys, line, replacement):
+    # Each mutant keeps tick order and every other rule holds for it.
+    trace = tmp_path / "worked.trace.jsonl"
+    report = tmp_path / "worked.report.json"
+    assert main(["run", str(WORKED_EXAMPLE), "--trace", str(trace), "--report", str(report)]) == 0
+    lines = trace.read_text().splitlines()
+    index = lines.index(line)
+    assert index < len(lines) - 1
+    lines[index : index + 1] = replacement
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(WORKED_EXAMPLE), str(trace)]) == 4
+    assert "but its accepted enables owe" in capsys.readouterr().err
+
+
 GOOD_ENABLE = '{"t":0,"ev":"enable","word":1,"src":"cpu","episode":0}'
 
 
@@ -138,6 +172,7 @@ GOOD_ENABLE = '{"t":0,"ev":"enable","word":1,"src":"cpu","episode":0}'
         ([GOOD_ENABLE, "\udcfe"], 2),
         (["[" * 100_000], 1),
         (['{"t":0,"ev":["enable"],"word":1,"src":"cpu","episode":0}'], 1),
+        (['{"t":' + "1" * 5000 + ',"ev":"done","word":1,"episode":0}'], 1),
     ],
     ids=[
         "unknown-kind",
@@ -156,6 +191,7 @@ GOOD_ENABLE = '{"t":0,"ev":"enable","word":1,"src":"cpu","episode":0}'
         "not-utf8",
         "deep-nesting",
         "list-kind",
+        "integer-past-the-digit-limit",
     ],
 )
 def test_verify_rejects_garbage_trace_as_invalid(scenario_file, tmp_path, capsys, lines, bad_line):

@@ -280,6 +280,14 @@ def test_verify_catches_a_deleted_replay(worked_example_text):
     assert "t=504" in problems[0] and "(1, 3)" in problems[0]
 
 
+def test_verify_flags_an_enable_of_a_word_the_fabric_lacks(worked_example_text):
+    result = run_text(worked_example_text)
+    last = result.records[-1].t
+    forged = [*result.records, TraceRecord(t=last, ev=EV_ENABLE, word=4, src="cpu", episode=11)]
+    problems = verify_run(result.scenario, forged)
+    assert f"enable at t={last} names word 4, outside the fabric's words 1..3" in problems
+
+
 def test_done_before_the_learning_trigger_on_its_tick_owes_no_replay():
     # At t=4 the probe's done of word 1 dispatches before the plan's enable
     # of word 2 that learns (1, 2): the pair is learned on the done's tick,

@@ -1,10 +1,12 @@
-"""Trace codec: the fixed-order line formatter, the record validator, and
-the byte contract of the shipped scenarios."""
+"""Trace codec: the fixed-order line formatter, the record validator, the
+fast decoder of canonical lines against the general one, and the byte
+contract of the shipped scenarios."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,7 @@ from memfabric import (
     parse_trace,
     run_scenario,
 )
-from memfabric.trace import record_from_obj
+from memfabric.trace import _CANONICAL_LINE, decode_line, record_from_obj
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -85,23 +87,34 @@ def reference_line(rec: TraceRecord) -> str:
 # Integers run past 2**63 so that no fixed-width assumption hides.
 _naturals = st.integers(min_value=0, max_value=2**70)
 _words = st.integers(min_value=1, max_value=2**70)
-_FIELD_VALUES = {
-    "word": _words,
-    "pair": st.tuples(_words, _words),
-    "src": st.sampled_from(["cpu", "auto"]),
-    "episode": _naturals,
-    "stage": _naturals,
-}
+
+# The fast decoder converts integers of up to 640 digits itself (int() of
+# that many never raises, whatever sys.set_int_max_str_digits allows) and
+# hands longer ones to the general path; 4300 is the default limit of both.
+FAST_DIGITS = 640
+LIMIT_DIGITS = 4300
+_digit_counts = st.sampled_from([1, FAST_DIGITS, FAST_DIGITS + 1, LIMIT_DIGITS]) | st.integers(
+    min_value=1, max_value=LIMIT_DIGITS
+)
+_long_naturals = _naturals | _digit_counts.flatmap(
+    lambda n: st.integers(min_value=10 ** (n - 1), max_value=10**n - 1)
+)
+_long_words = _long_naturals.filter(lambda value: value >= 1)
 
 
 @st.composite
-def records(draw) -> TraceRecord:
+def records(draw, naturals=_naturals, words=_words) -> TraceRecord:
     ev = draw(st.sampled_from(sorted(SCHEMA)))
     required, optional = SCHEMA[ev]
     present = [*required, *(key for key in optional if draw(st.booleans()))]
-    return TraceRecord(
-        t=draw(_naturals), ev=ev, **{key: draw(_FIELD_VALUES[key]) for key in present}
-    )
+    values = {
+        "word": words,
+        "pair": st.tuples(words, words),
+        "src": st.sampled_from(["cpu", "auto"]),
+        "episode": naturals,
+        "stage": naturals,
+    }
+    return TraceRecord(t=draw(naturals), ev=ev, **{key: draw(values[key]) for key in present})
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.scn")))
@@ -153,3 +166,99 @@ def test_records_are_immutable_hashable_named_tuples():
         rec.t = 4
     assert rec._replace(t=4) == TraceRecord(t=4, ev="done", word=2, episode=0)
     assert rec.t == 3
+
+
+# -- the fast decoder of canonical lines against the general path ---------
+
+
+def assert_decoded_as_by_the_general_path(line: str) -> None:
+    """parse_trace gives decode_line's record for the line, or its error."""
+    try:
+        expected = decode_line(line)
+    except MalformedTraceError as exc:
+        with pytest.raises(MalformedTraceError) as info:
+            parse_trace(line)
+        assert str(info.value) == f"line 1: {exc}"
+    else:
+        assert parse_trace(line) == ([] if expected is None else [expected])
+
+
+@given(records(naturals=_long_naturals, words=_long_words))
+def test_canonical_lines_decode_as_by_the_general_path(rec):
+    line = rec.to_json_line()
+    assert parse_trace(line) == [decode_line(line)] == [rec]
+    digits = max(len(number) for number in re.findall("[0-9]+", line))
+    # the fast path is not dead: every canonical line within its cap matches
+    assert (_CANONICAL_LINE.fullmatch(line) is not None) == (digits <= FAST_DIGITS)
+
+
+# One character that does not end a line: parse_trace splits on those first.
+_chars = st.sampled_from('0123456789-+.eE ,:"{}[]\\tu') | st.characters(
+    blacklist_categories=("Cs",)
+).filter(lambda char: len(f"a{char}b".splitlines()) == 1)
+
+
+@st.composite
+def mutated_lines(draw) -> str:
+    rec = draw(records())
+    line = rec.to_json_line()
+    obj = json.loads(line)
+    mutation = draw(
+        st.sampled_from(
+            [
+                "insert",
+                "delete",
+                "replace",
+                "leading zero",
+                "minus",
+                "long integer",
+                "whitespace",
+                "escaped kind",
+                "reordered keys",
+                "duplicated key",
+                "field set",
+            ]
+        )
+    )
+    where = draw(st.integers(min_value=0, max_value=len(line) - 1))
+    number = draw(st.sampled_from(list(re.finditer("[0-9]+", line))))
+    before, after = line[: number.start()], line[number.end() :]
+    if mutation == "insert":
+        return line[:where] + draw(_chars) + line[where:]
+    if mutation == "delete":
+        return line[:where] + line[where + 1 :]
+    if mutation == "replace":
+        return line[:where] + draw(_chars) + line[where + 1 :]
+    if mutation == "leading zero":
+        return before + "0" + number.group() + after
+    if mutation == "minus":
+        return before + "-" + number.group() + after
+    if mutation == "long integer":
+        return before + "1" * (LIMIT_DIGITS + 1) + after
+    if mutation == "whitespace":
+        space = st.text(" \t", max_size=3)
+        return draw(space) + line + draw(space)
+    if mutation == "escaped kind":
+        index = draw(st.integers(min_value=0, max_value=len(rec.ev) - 1))
+        kind = rec.ev[:index] + f"\\u{ord(rec.ev[index]):04x}" + rec.ev[index + 1 :]
+        return line.replace(f'"ev":"{rec.ev}"', f'"ev":"{kind}"')
+    if mutation == "reordered keys":
+        items = draw(st.permutations(list(obj.items())))
+        return json.dumps(dict(items), separators=(",", ":"))
+    if mutation == "duplicated key":
+        key = draw(st.sampled_from(list(obj)))
+        value = json.dumps(draw(st.sampled_from([obj[key], 0, 7, [1, 2], "cpu", "done"])))
+        return line[:-1] + f',"{key}":{value}' + "}"
+    # A field the kind does not allow, or without one it requires, written
+    # in the canonical key order, so that only the field-set check rejects it.
+    key = draw(st.sampled_from(KEY_ORDER[2:]))
+    if getattr(rec, key) is None:
+        value = {"pair": (1, 2), "src": "cpu"}.get(key, 1)
+    else:
+        value = None
+    return rec._replace(**{key: value}).to_json_line()
+
+
+@given(mutated_lines())
+def test_mutated_lines_decode_or_fail_as_by_the_general_path(line):
+    assert_decoded_as_by_the_general_path(line)
