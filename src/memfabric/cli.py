@@ -10,8 +10,8 @@ Three commands:
                 4 on the first divergence (reported on stderr).
 * ``check``   — parse and validate only; echo the canonical form.
 
-Exit 1 is a parse/validation problem (the message names the line),
-exit 2 an I/O problem. Diagnostics go to stderr; stdout stays silent
+Exit 1 is a usage, parse or validation problem (the message names the
+line), exit 2 an I/O problem. Diagnostics go to stderr; stdout stays silent
 except for ``check``'s canonical echo.
 """
 
@@ -27,6 +27,7 @@ from memfabric.scenario import (
     ParseError,
     ScenarioError,
     canonical_scenario,
+    parse_int,
     parse_scenario,
     write_report,
 )
@@ -37,6 +38,17 @@ EXIT_INVALID = 1
 EXIT_IO = 2
 EXIT_TICK_LIMIT = 3
 EXIT_DIVERGENCE = 4
+
+
+def _max_ticks(text: str) -> int:
+    """The ``--max-ticks`` value, by the rule of the ``maxticks`` directive."""
+    try:
+        value = parse_int(text, "value")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", help="trace output path (default: <scenario>.trace.jsonl)")
     run.add_argument("--report", help="report output path (default: <scenario>.report.json)")
     run.add_argument(
-        "--max-ticks", type=int, help="override the scenario's maxticks directive"
+        "--max-ticks", type=_max_ticks, help="override the scenario's maxticks directive"
     )
     run.set_defaults(func=_cmd_run)
 
@@ -86,9 +98,6 @@ def _load_scenario(path: str):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.max_ticks is not None and args.max_ticks < 1:
-        print("error: --max-ticks must be >= 1", file=sys.stderr)
-        return EXIT_INVALID
     scenario = _load_scenario(args.scenario)
     result = run_scenario(scenario, max_tick=args.max_ticks)
     trace_path = Path(args.trace) if args.trace else Path(args.scenario + ".trace.jsonl")
@@ -122,7 +131,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, which is
+        # invalid input here; its message is already on stderr.
+        return EXIT_INVALID if exc.code else EXIT_OK
     try:
         return args.func(args)
     except ScenarioError as exc:

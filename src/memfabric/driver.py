@@ -1,12 +1,13 @@
 """The scripted CPU (working-memory) model.
 
-The driver is the only creator of episodes. It executes rehearsal
-plans reactively: it issues a CPU enable, waits for the enabled word's
-done signal, and issues the next enable ``gap`` ticks after that done.
-Each repetition of a plan is a fresh episode; repetitions are spaced
-by ``rest`` ticks from the previous repetition's last done. One-shot
-probes issue a single CPU enable in an episode of their own, which is
-what triggers autonomous replay on a trained fabric.
+The driver executes rehearsal plans reactively: it issues a CPU
+enable, waits for the enabled word's done signal, and issues the next
+enable ``gap`` ticks after that done. Each repetition of a plan is a
+fresh episode; repetitions are spaced by ``rest`` ticks from the
+previous repetition's last done. A one-shot :class:`Probe` needs no
+driver: the simulation schedules its single CPU enable in an episode
+of its own, which is what triggers autonomous replay on a trained
+fabric.
 
 Advancement keys on the word id, not on the episode: if the awaited
 word was started autonomously before the CPU got there (so the plan's
@@ -85,10 +86,6 @@ class Driver:
         run = _PlanRun(plan, self._sim.new_episode())
         self._runs.append(run)
         self._sim._schedule_cpu_enable(plan.start, plan.sequence[0], run.episode)
-
-    def probe(self, probe: Probe) -> None:
-        # Checked by the simulation, like a plan's words.
-        self._sim._schedule_cpu_enable(probe.tick, probe.word, self._sim.new_episode())
 
     def unfinished_plans(self) -> int:
         return sum(1 for run in self._runs if not run.finished)

@@ -169,10 +169,10 @@ class Simulation:
         self.driver.add_plan(plan)
 
     def add_probe(self, probe: Probe) -> None:
-        """Hand a probe to the driver once its tick and word are checked."""
+        """Schedule a probe's CPU enable in a new episode once its tick and word are checked."""
         self._check_tick(probe.tick)
         self.config.check_word(probe.word)
-        self.driver.probe(probe)
+        self._schedule_cpu_enable(probe.tick, probe.word, self.new_episode())
 
     # -- dispatch --------------------------------------------------------
 

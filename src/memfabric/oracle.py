@@ -16,9 +16,18 @@ sharing no logic with the event-driven implementation:
 Timelines and episode sub-traces are compared in a canonical order:
 sorted by tick, then a fixed kind rank, then word, then pair.
 
-:func:`verify_run` cross-checks a scenario's trace against these
-recomputations plus the structural trace contracts, returning a list
-of divergence descriptions (empty means full agreement).
+:func:`verify_run` predicts and compares. From the recount, from the
+scenario's override directives, and in one ordered pass over the trace,
+it builds for each derived record kind a multiset of the records the
+definition owes and a multiset of the records the trace holds: learned
+records, latch shifts, the replay outcome each done owes every pair
+learned before it, autonomous arrivals, dones and override switches.
+One loop then reports every key on which the two differ. The rules that
+are not multisets (an enable names a word of the fabric, no word fires
+twice in an episode, an episode starts with a CPU enable, an enable
+carries a pair exactly when it is autonomous, a latch shift sits on its
+filter's fire) are checked in the same pass. The result is a list of divergence descriptions;
+empty means full agreement.
 """
 
 from __future__ import annotations
@@ -47,9 +56,6 @@ from memfabric.trace import (
 )
 
 Pair = tuple[int, int]
-
-# What a done of i records for each learned successor j: exactly one of these.
-REPLAY_OUTCOMES = (EV_AUTO_ENABLE_SCHEDULED, EV_LOOP_SUPPRESSED, EV_OVERRIDE_BLOCKED)
 
 KIND_ORDER = {
     EV_ENABLE: 0,
@@ -229,255 +235,122 @@ def _override_open_at(changes: OverrideChanges, pair: Pair, tick: int) -> bool:
     return index > 0 and states[index - 1]
 
 
+# What a message names for each compared kind's keys.
+_PAIR_AT = "of pair {1} at t={0}"
+_STAGE_AT = "of pair {1} with stage {2} at t={0}"
+_WORD_AT = "of word {1} at t={0} (pair {2}, episode {3})"
+
+# An autonomous arrival: an enable or ignored_enable record with src auto.
+_AUTO_ARRIVAL = "auto enable"
+
+# The compared kinds in report order: the key's wording, and what owes the records.
+_COMPARED = {
+    EV_LEARNED: (_PAIR_AT, "the recounted detections owe"),
+    EV_LATCH_SHIFT: (_STAGE_AT, "the recounted detections owe"),
+    EV_AUTO_ENABLE_SCHEDULED: (_WORD_AT, "the dones of learned pairs owe"),
+    EV_LOOP_SUPPRESSED: (_WORD_AT, "the dones of learned pairs owe"),
+    EV_OVERRIDE_BLOCKED: (_WORD_AT, "the dones of learned pairs owe"),
+    _AUTO_ARRIVAL: (_WORD_AT, "the scheduled replays owe"),
+    EV_DONE: ("of word {1} at t={0} (episode {2})", "its accepted enables owe"),
+    EV_OVERRIDE_SET: (_STAGE_AT, "the scenario's directives owe"),
+}
+
+
 def verify_run(scenario: Scenario, records: list[TraceRecord]) -> list[str]:
     """Cross-check a trace against definition-level recomputation.
 
-    Returns divergence descriptions in check order; an empty list means
-    the trace agrees with the oracle on learning, replay timing, and
-    the structural trace contracts. Raises MalformedTraceError for a
+    Returns divergence descriptions: first every compared kind whose
+    owed and traced records differ, in ``_COMPARED`` order, then each
+    broken structural rule in record order. An empty list means the
+    trace agrees with the oracle. Raises MalformedTraceError for a
     trace that is not even well-formed (``detection_ticks`` checks the
     tick order before anything relies on it).
     """
     config = scenario.config
-    problems: list[str] = []
+    threshold, delay1, durations = config.threshold, config.delay1, config.durations
     last_tick = records[-1].t if records else 0
+    # Per compared kind, the keys of the records owed and of those traced.
+    owed: dict[str, list[tuple]] = {kind: [] for kind in _COMPARED}
+    traced: dict[str, list[tuple]] = {kind: [] for kind in _COMPARED}
+    broken: list[str] = []
 
-    # Learning agreement: learned records vs recounted detections.
-    ticks = detection_ticks(records, config)
-    counts = {pair: len(t) for pair, t in ticks.items()}
-    predicted = predict_learned(counts, config.threshold)
-    traced_learned: dict[Pair, int] = {}
-    for rec in records:
-        if rec.ev == EV_LEARNED:
-            if rec.pair in traced_learned:
-                problems.append(f"pair {rec.pair} has a duplicate learned record at t={rec.t}")
-            else:
-                traced_learned[rec.pair] = rec.t
-    for pair in sorted(predicted - set(traced_learned)):
-        problems.append(
-            f"pair {pair} reaches {counts[pair]} detections (threshold "
-            f"{config.threshold}) but the trace has no learned record for it"
-        )
-    for pair in sorted(set(traced_learned) - predicted):
-        problems.append(
-            f"trace says pair {pair} was learned but the recount finds only "
-            f"{counts.get(pair, 0)} detections (threshold {config.threshold})"
-        )
-    for pair in sorted(predicted & set(traced_learned)):
-        expected_tick = ticks[pair][config.threshold - 1]
-        if traced_learned[pair] != expected_tick:
-            problems.append(
-                f"pair {pair} learned at t={traced_learned[pair]} in the trace "
-                f"but the {config.threshold}th detection is at t={expected_tick}"
-            )
-
-    # Replay scheduling: every scheduled autonomous enable is justified
-    # and pairs up with its arrival exactly delay1 later (arrivals past
-    # the end of a truncated trace are legitimately pending).
-    dones: Counter[tuple[int, int, int]] = Counter()  # (t, word, episode)
-    arrivals: dict[tuple[int, int, Pair, int], int] = {}
-    scheduled: dict[tuple[int, int, Pair, int], int] = {}
-    for rec in records:
-        if rec.ev == EV_DONE:
-            dones[(rec.t, rec.word, rec.episode)] += 1
-        elif rec.ev in (EV_ENABLE, EV_IGNORED_ENABLE) and rec.src == SRC_AUTO:
-            key = (rec.t, rec.word, rec.pair, rec.episode)
-            arrivals[key] = arrivals.get(key, 0) + 1
-        elif rec.ev == EV_AUTO_ENABLE_SCHEDULED:
-            key = (rec.t, rec.word, rec.pair, rec.episode)
-            scheduled[key] = scheduled.get(key, 0) + 1
-
-    overrides = _override_changes(scenario)
-
-    def learned_by(pair: Pair, tick: int) -> bool:
-        t = ticks.get(pair, [])
-        return len(t) >= config.threshold and t[config.threshold - 1] <= tick
-
-    for (t, word, pair, episode), n in sorted(scheduled.items()):
-        if (t, pair[0], episode) not in dones:
-            problems.append(
-                f"auto enable of word {word} scheduled at t={t} (pair {pair}) has "
-                f"no matching done of word {pair[0]} in episode {episode}"
-            )
-        if not learned_by(pair, t):
-            problems.append(
-                f"auto enable scheduled at t={t} for pair {pair} but the pair is "
-                f"not learned by then per the recount"
-            )
-        if _override_open_at(overrides, pair, t):
-            problems.append(
-                f"auto enable scheduled at t={t} for pair {pair} while its override is open"
-            )
-        arrival_t = t + config.delay1
-        have = arrivals.get((arrival_t, word, pair, episode), 0)
-        if have < n and arrival_t <= last_tick:
-            problems.append(
-                f"auto enable of word {word} (pair {pair}, episode {episode}) was "
-                f"scheduled at t={t} but never arrived at t={arrival_t}"
-            )
-    for (t, word, pair, episode), n in sorted(arrivals.items()):
-        if scheduled.get((t - config.delay1, word, pair, episode), 0) < n:
-            problems.append(
-                f"auto enable of word {word} at t={t} (pair {pair}, episode {episode}) "
-                f"was never scheduled at t={t - config.delay1}"
-            )
-
-    # Latch activity: shift counts, stage progression, refractory spacing.
-    shifts: dict[Pair, list[TraceRecord]] = {}
-    fire_ticks: dict[Pair, set[int]] = {}
-    for rec in records:
-        if rec.ev == EV_LATCH_SHIFT:
-            shifts.setdefault(rec.pair, []).append(rec)
-        elif rec.ev == EV_FILTER_FIRE:
-            fire_ticks.setdefault(rec.pair, set()).add(rec.t)
-    for pair in sorted(set(shifts) | set(counts)):
-        recs = shifts.get(pair, [])
-        if len(recs) != counts.get(pair, 0):
-            problems.append(
-                f"pair {pair} has {len(recs)} latch shifts in the trace but the "
-                f"recount finds {counts.get(pair, 0)} detections"
-            )
-            continue
-        for index, rec in enumerate(recs):
-            expected_stage = min(index + 1, config.threshold)
-            if rec.stage != expected_stage:
-                problems.append(
-                    f"latch shift {index + 1} of pair {pair} at t={rec.t} reports "
-                    f"stage {rec.stage}, expected {expected_stage}"
-                )
-            if index > 0 and rec.t - recs[index - 1].t < config.delay2:
-                problems.append(
-                    f"latch shifts of pair {pair} at t={recs[index - 1].t} and "
-                    f"t={rec.t} are closer than delay2={config.delay2}"
-                )
-            if rec.t not in fire_ticks.get(pair, set()):
-                problems.append(
-                    f"latch shift of pair {pair} at t={rec.t} has no filter_fire record"
-                )
-
-    # Suppression and override-block records must each sit on a done of
-    # the pair's predecessor, with the pair learned by then.
-    fired_at: dict[tuple[int, int], int] = {}
-    for rec in records:
-        if rec.ev == EV_ENABLE:
-            fired_at.setdefault((rec.episode, rec.word), rec.t)
-    for rec in records:
-        if rec.ev not in (EV_LOOP_SUPPRESSED, EV_OVERRIDE_BLOCKED):
-            continue
-        where = f"at t={rec.t} (pair {rec.pair}, episode {rec.episode})"
-        if (rec.t, rec.pair[0], rec.episode) not in dones:
-            problems.append(f"{rec.ev} record {where} has no matching done of word {rec.pair[0]}")
-        if not learned_by(rec.pair, rec.t):
-            problems.append(f"{rec.ev} record {where} for a pair not learned by then")
-        if rec.ev == EV_LOOP_SUPPRESSED:
-            enabled = fired_at.get((rec.episode, rec.word))
-            if enabled is None or enabled > rec.t:
-                problems.append(
-                    f"loop_suppressed record {where} but word {rec.word} had not "
-                    f"fired in that episode"
-                )
-        else:
-            if not _override_open_at(overrides, rec.pair, rec.t):
-                problems.append(
-                    f"override_blocked record {where} but the override was not open"
-                )
-
-    # Completeness: a done of i owes exactly one replay outcome for each
-    # pair (i, j) that the recount has learned at an earlier record. A pair
-    # is learned at the trigger record of its threshold-th detection, so a
-    # done on that tick but dispatched before the trigger owes nothing.
-    trigger_kind = EV_ENABLE if config.filter_mode == DONE_ENABLE else EV_DONE
+    # Each detection owes a latch shift, the threshold-th also a learned
+    # record; from that trigger record on, the pair is learned.
     learned_at: dict[tuple[int, int], list[Pair]] = {}  # (trigger word, tick) -> pairs
-    for pair, t in ticks.items():
-        if len(t) >= config.threshold:
-            learned_at.setdefault((pair[1], t[config.threshold - 1]), []).append(pair)
-    successors: dict[int, list[Pair]] = {}
-    owed: list[tuple[int, int, Pair, int]] = []  # (t, word, pair, episode)
-    outcomes: list[tuple[int, int, Pair, int]] = []
-    for rec in records:
-        if rec.ev == EV_DONE and rec.word in successors:
-            owed += [(rec.t, pair[1], pair, rec.episode) for pair in successors[rec.word]]
-        elif rec.ev in REPLAY_OUTCOMES:
-            outcomes.append((rec.t, rec.word, rec.pair, rec.episode))
-        if rec.ev == trigger_kind and (rec.word, rec.t) in learned_at:
-            for pair in learned_at.pop((rec.word, rec.t)):
-                successors.setdefault(pair[0], []).append(pair)
-    owed_count, outcome_count = Counter(owed), Counter(outcomes)
-    if owed_count != outcome_count:
-        for key in sorted(owed_count.keys() | outcome_count.keys()):
-            if owed_count[key] != outcome_count[key]:
-                t, word, pair, episode = key
-                problems.append(
-                    f"done of word {pair[0]} at t={t} (episode {episode}) owes "
-                    f"{owed_count[key]} replay outcome(s) for learned pair {pair} "
-                    f"but the trace has {outcome_count[key]}"
+    for pair, ticks in detection_ticks(records, config).items():
+        owed[EV_LATCH_SHIFT] += [(t, pair, min(k, threshold)) for k, t in enumerate(ticks, 1)]
+        if len(ticks) >= threshold:
+            owed[EV_LEARNED].append((ticks[threshold - 1], pair))
+            learned_at.setdefault((pair[1], ticks[threshold - 1]), []).append(pair)
+    for d in scenario.overrides:
+        if d.tick <= last_tick:
+            owed[EV_OVERRIDE_SET].append((d.tick, (d.i, d.j), int(d.is_open)))
+
+    # One ordered pass. Records owed after the last traced tick are pending.
+    trigger_kind = EV_ENABLE if config.filter_mode == DONE_ENABLE else EV_DONE
+    overrides = _override_changes(scenario)
+    successors: dict[int, list[Pair]] = {}  # first word -> pairs learned so far
+    fired: set[tuple[int, int]] = set()  # (episode, word) of each accepted enable
+    episodes: set[int] = set()
+    fire_tick: dict[Pair, int] = {}  # latest filter_fire of each pair
+    for t, ev, word, pair, src, episode, stage in records:
+        if episode is not None and episode not in episodes:
+            episodes.add(episode)
+            if src != SRC_CPU:
+                broken.append(
+                    f"episode {episode} starts with a {ev} record at t={t} instead of a cpu enable"
                 )
+        if ev == EV_FILTER_FIRE:
+            fire_tick[pair] = t
+        elif ev == EV_LATCH_SHIFT:
+            traced[ev].append((t, pair, stage))
+            if fire_tick.get(pair) != t:
+                broken.append(f"latch shift of pair {pair} at t={t} has no filter_fire record")
+        elif ev == EV_ENABLE or ev == EV_IGNORED_ENABLE:
+            if (src == SRC_AUTO) != (pair is not None):
+                broken.append(f"{src} enable at t={t} has pair {pair}; only auto enables carry one")
+            elif pair is not None:
+                traced[_AUTO_ARRIVAL].append((t, word, pair, episode))
+            if ev == EV_ENABLE:
+                if (episode, word) in fired:
+                    broken.append(f"word {word} has a second enable in episode {episode} at t={t}")
+                fired.add((episode, word))
+                if not 1 <= word <= config.word_count:
+                    broken.append(
+                        f"enable at t={t} names word {word}, outside the "
+                        f"fabric's words 1..{config.word_count}"
+                    )
+                elif t + durations[word] <= last_tick:
+                    owed[EV_DONE].append((t + durations[word], word, episode))
+        elif ev == EV_DONE:
+            traced[ev].append((t, word, episode))
+            for link in successors.get(word, ()):
+                if _override_open_at(overrides, link, t):
+                    outcome = EV_OVERRIDE_BLOCKED
+                elif (episode, link[1]) in fired:
+                    outcome = EV_LOOP_SUPPRESSED
+                else:
+                    outcome = EV_AUTO_ENABLE_SCHEDULED
+                    if t + delay1 <= last_tick:
+                        owed[_AUTO_ARRIVAL].append((t + delay1, link[1], link, episode))
+                owed[outcome].append((t, link[1], link, episode))
+        elif ev == EV_LEARNED:
+            traced[ev].append((t, pair))
+        elif ev == EV_OVERRIDE_SET:
+            traced[ev].append((t, pair, stage))
+        else:  # a replay outcome
+            traced[ev].append((t, word, pair, episode))
+        if ev == trigger_kind and (word, t) in learned_at:
+            for link in learned_at.pop((word, t)):
+                successors.setdefault(link[0], []).append(link)
 
-    # Durations: an accepted enable of word w owes one done of w exactly
-    # durations[w] ticks later in its episode (a done past the end of a
-    # truncated trace is pending), and every done is owed by one.
-    owed_dones: Counter[tuple[int, int, int]] = Counter()
-    for rec in records:
-        if rec.ev == EV_ENABLE:
-            if not 1 <= rec.word <= config.word_count:
-                problems.append(
-                    f"enable at t={rec.t} names word {rec.word}, outside the "
-                    f"fabric's words 1..{config.word_count}"
-                )
-                continue
-            done_t = rec.t + config.durations[rec.word]
-            if done_t <= last_tick:
-                owed_dones[(done_t, rec.word, rec.episode)] += 1
-    if owed_dones != dones:
-        for key in sorted(owed_dones.keys() | dones.keys()):
-            if owed_dones[key] != dones[key]:
-                t, word, episode = key
-                problems.append(
-                    f"word {word} has {dones[key]} done record(s) at t={t} (episode "
-                    f"{episode}) but its accepted enables owe {owed_dones[key]}"
-                )
-
-    # Episode no-repeat: at most one accepted enable per word per episode.
-    seen: set[tuple[int, int]] = set()
-    for rec in records:
-        if rec.ev == EV_ENABLE:
-            key = (rec.episode, rec.word)
-            if key in seen:
-                problems.append(
-                    f"word {rec.word} has a second enable in episode {rec.episode} at t={rec.t}"
-                )
-            seen.add(key)
-
-    # Every episode originates from a cpu enable: the first record carrying
-    # an episode id must be that episode's cpu trigger.
-    first_of_episode: dict[int, TraceRecord] = {}
-    for rec in records:
-        if rec.episode is not None and rec.episode not in first_of_episode:
-            first_of_episode[rec.episode] = rec
-    for episode, rec in sorted(first_of_episode.items()):
-        if rec.src != SRC_CPU or rec.ev not in (EV_ENABLE, EV_IGNORED_ENABLE):
-            problems.append(
-                f"episode {episode} starts with a {rec.ev} record at t={rec.t} "
-                f"instead of a cpu enable"
-            )
-
-    # Override switch records must mirror the scenario directives that
-    # fall within the traced horizon.
-    expected_overrides = sorted(
-        ((d.tick, (d.i, d.j), 1 if d.is_open else 0) for d in scenario.overrides if d.tick <= last_tick)
-    )
-    actual_overrides = sorted(
-        (rec.t, rec.pair, rec.stage) for rec in records if rec.ev == EV_OVERRIDE_SET
-    )
-    if expected_overrides != actual_overrides:
-        problems.append(
-            f"override_set records {actual_overrides} do not match the scenario "
-            f"directives {expected_overrides}"
-        )
-
-    # CPU enables must never carry a source pair.
-    for rec in records:
-        if rec.ev in (EV_ENABLE, EV_IGNORED_ENABLE) and rec.src == SRC_CPU and rec.pair is not None:
-            problems.append(f"cpu enable at t={rec.t} carries a source pair {rec.pair}")
-
-    return problems
+    problems: list[str] = []
+    for kind, (names, owner) in _COMPARED.items():
+        have, want = Counter(traced[kind]), Counter(owed[kind])
+        if have != want:
+            problems += [
+                f"{have[key]} {kind} record(s) {names.format(*key)}, but {owner} {want[key]}"
+                for key in sorted(have.keys() | want.keys())
+                if have[key] != want[key]
+            ]
+    return problems + broken

@@ -79,7 +79,7 @@ class Scenario:
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
 
-def _parse_int(token: str, what: str, line: int) -> int:
+def parse_int(token: str, what: str, line: int | None = None) -> int:
     """ASCII digits with an optional sign (tokens never hold whitespace)."""
     # int() alone would also take "1_0" and non-ASCII digits such as "٣".
     if token.isascii() and "_" not in token:
@@ -139,13 +139,13 @@ def parse_scenario(text: str) -> Scenario:
         elif head == "dur":
             if len(tokens) != 3:
                 raise ParseError("dur takes exactly two arguments: '*' or a word id, and ticks", lineno)
-            value = _parse_int(tokens[2], "duration", lineno)
+            value = parse_int(tokens[2], "duration", lineno)
             if tokens[1] == "*":
                 if default_dur is not None:
                     raise ParseError("duplicate default duration", lineno)
                 default_dur = (value, lineno)
             else:
-                word = _parse_int(tokens[1], "word id", lineno)
+                word = parse_int(tokens[1], "word id", lineno)
                 if word in dur_overrides:
                     raise ParseError(f"duplicate duration for word {word}", lineno)
                 dur_overrides[word] = (value, lineno)
@@ -156,7 +156,7 @@ def parse_scenario(text: str) -> Scenario:
                 if "=" in token:
                     rest_tokens = tokens[idx:]
                     break
-                words.append(_parse_int(token, "word id", lineno))
+                words.append(parse_int(token, "word id", lineno))
             args = _parse_kv(
                 rest_tokens,
                 {"reps": True, "gap": True, "rest": True, "start": True},
@@ -164,23 +164,23 @@ def parse_scenario(text: str) -> Scenario:
                 lineno,
             )
             raw_plans.append(
-                (tuple(words), {k: _parse_int(v, k, lineno) for k, v in args.items()}, lineno)
+                (tuple(words), {k: parse_int(v, k, lineno) for k, v in args.items()}, lineno)
             )
         elif head == "at":
             if len(tokens) < 3:
                 raise ParseError("at directive needs a tick and an action", lineno)
-            tick = _parse_int(tokens[1], "tick", lineno)
+            tick = parse_int(tokens[1], "tick", lineno)
             action = tokens[2]
             if action == "probe":
                 if len(tokens) != 4:
                     raise ParseError("probe takes exactly one word id", lineno)
-                word = _parse_int(tokens[3], "word id", lineno)
+                word = parse_int(tokens[3], "word id", lineno)
                 raw_probes.append((tick, word, lineno))
             elif action == "override":
                 if len(tokens) != 6:
                     raise ParseError("override takes two word ids and open|closed", lineno)
-                i = _parse_int(tokens[3], "word id", lineno)
-                j = _parse_int(tokens[4], "word id", lineno)
+                i = parse_int(tokens[3], "word id", lineno)
+                j = parse_int(tokens[4], "word id", lineno)
                 if tokens[5] not in ("open", "closed"):
                     raise ParseError(f"override state must be open or closed, got {tokens[5]!r}", lineno)
                 raw_overrides.append((tick, i, j, tokens[5] == "open", lineno))
@@ -191,7 +191,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ParseError("duplicate maxticks directive", lineno)
             if len(tokens) != 2:
                 raise ParseError("maxticks takes exactly one value", lineno)
-            max_tick = (_parse_int(tokens[1], "maxticks", lineno), lineno)
+            max_tick = (parse_int(tokens[1], "maxticks", lineno), lineno)
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
 
@@ -203,7 +203,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ValidationError(f"maxticks must be >= 1, got {max_tick[0]}", max_tick[1])
 
     word_count, delay1, delay2, threshold = (
-        _parse_int(fabric_args[key], key, fabric_line)
+        parse_int(fabric_args[key], key, fabric_line)
         for key in ("words", "delay1", "delay2", "threshold")
     )
     durations: dict[int, int] = {}

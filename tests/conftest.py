@@ -4,6 +4,18 @@ import pytest
 
 from memfabric import RunResult, parse_scenario, run_scenario
 
+# Both directions of a 2-word cycle learned; the probe's replay reaches the
+# open override on (2, 1) at t=141.
+OVERRIDE_CYCLE = (
+    "fabric words=2 delay1=5 delay2=1 threshold=2\n"
+    "dur * 3\n"
+    "rehearse 1 2 reps=2 gap=1 rest=10 start=0\n"
+    "rehearse 2 1 reps=2 gap=1 rest=10 start=60\n"
+    "at 120 override 2 1 open\n"
+    "at 130 probe 1\n"
+    "maxticks 2000\n"
+)
+
 
 def run_text(text: str, **kwargs) -> RunResult:
     return run_scenario(parse_scenario(text), **kwargs)

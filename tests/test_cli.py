@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import OVERRIDE_CYCLE
 from memfabric.cli import main
 
-WORKED_EXAMPLE = Path(__file__).resolve().parent.parent / "scenarios" / "worked_example.scn"
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+WORKED_EXAMPLE = SCENARIOS / "worked_example.scn"
 
 
 @pytest.fixture
@@ -144,6 +146,37 @@ def test_verify_pairs_each_enable_with_its_done(tmp_path, capsys, line, replacem
     assert "but its accepted enables owe" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text,line,replacement",
+    [
+        (
+            (SCENARIOS / "cycle.scn").read_text(),
+            '{"t":413,"ev":"loop_suppressed","word":1,"pair":[2,1],"episode":0}',
+            '{"t":413,"ev":"auto_enable_scheduled","word":1,"pair":[2,1],"episode":0}',
+        ),
+        (
+            OVERRIDE_CYCLE,
+            '{"t":141,"ev":"override_blocked","word":1,"pair":[2,1],"episode":0}',
+            '{"t":141,"ev":"loop_suppressed","word":1,"pair":[2,1],"episode":0}',
+        ),
+    ],
+    ids=["cycle-suppressed-as-scheduled", "override-blocked-as-suppressed"],
+)
+def test_verify_requires_the_replay_outcome_the_definition_owes(
+    tmp_path, capsys, text, line, replacement
+):
+    # The traced outcome is one the rules allowed, but not the one owed.
+    scenario = tmp_path / "cycle.scn"
+    scenario.write_text(text)
+    trace = tmp_path / "cycle.trace.jsonl"
+    assert main(["run", str(scenario), "--trace", str(trace)]) == 0
+    lines = trace.read_text().splitlines()
+    lines[lines.index(line)] = replacement
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(scenario), str(trace)]) == 4
+    assert "pair (2, 1)" in capsys.readouterr().err
+
+
 GOOD_ENABLE = '{"t":0,"ev":"enable","word":1,"src":"cpu","episode":0}'
 
 
@@ -237,9 +270,29 @@ def test_check_rejects_spike_wider_than_the_window(tmp_path, capsys):
     assert "must not exceed delay1" in capsys.readouterr().err
 
 
-def test_run_rejects_nonpositive_max_ticks_flag(scenario_file, capsys):
-    assert main(["run", str(scenario_file), "--max-ticks", "0"]) == 1
-    assert "--max-ticks" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["run", "SCN", "--max-ticks", "0"], "argument --max-ticks: must be >= 1, got 0"),
+        (["run", "SCN", "--max-ticks", "abc"], "argument --max-ticks: value is not an integer"),
+        (["run", "SCN", "--max-ticks", "1_0"], "argument --max-ticks: value is not an integer"),
+        (["verify", "SCN"], "the following arguments are required: trace"),
+        (["bogus"], "invalid choice: 'bogus'"),
+    ],
+    ids=["max-ticks-zero", "max-ticks-word", "max-ticks-underscore", "verify-no-trace", "bogus"],
+)
+def test_usage_error_exits_one(scenario_file, capsys, argv, message):
+    argv = [str(scenario_file) if arg == "SCN" else arg for arg in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not (scenario_file.parent / (scenario_file.name + ".trace.jsonl")).exists()
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: memfabric" in capsys.readouterr().out
 
 
 def test_check_warns_on_stderr_for_gap_beyond_delay1(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,6 +26,8 @@ from memfabric.trace import (
     EV_AUTO_ENABLE_SCHEDULED,
     EV_DONE,
     EV_ENABLE,
+    EV_FILTER_FIRE,
+    EV_IGNORED_ENABLE,
     EV_LEARNED,
     EV_LOOP_SUPPRESSED,
     EV_OVERRIDE_BLOCKED,
@@ -32,7 +35,9 @@ from memfabric.trace import (
     SRC_CPU,
     TraceRecord,
 )
-from conftest import run_text
+from conftest import OVERRIDE_CYCLE, run_text
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _cfg(**kw):
@@ -288,6 +293,26 @@ def test_verify_flags_an_enable_of_a_word_the_fabric_lacks(worked_example_text):
     assert f"enable at t={last} names word 4, outside the fabric's words 1..3" in problems
 
 
+@pytest.mark.parametrize(
+    "t,pair,message",
+    [
+        (0, (2, 1), "cpu enable at t=0 has pair (2, 1); only auto enables carry one"),
+        (509, None, "auto enable at t=509 has pair None; only auto enables carry one"),
+    ],
+    ids=["cpu-with-pair", "auto-without-pair"],
+)
+def test_verify_flags_an_enable_whose_pair_does_not_match_its_source(
+    worked_example_text, t, pair, message
+):
+    # An ignored copy of the enable at t, with the other pair field: a pair
+    # of None next to a real one must not break the sorting of arrivals.
+    result = run_text(worked_example_text)
+    records = result.records
+    index = next(i for i, rec in enumerate(records) if rec.ev == EV_ENABLE and rec.t == t)
+    forged = records[: index + 1] + [records[index]._replace(ev=EV_IGNORED_ENABLE, pair=pair)]
+    assert message in verify_run(result.scenario, forged + records[index + 1 :])
+
+
 def test_done_before_the_learning_trigger_on_its_tick_owes_no_replay():
     # At t=4 the probe's done of word 1 dispatches before the plan's enable
     # of word 2 that learns (1, 2): the pair is learned on the done's tick,
@@ -331,6 +356,69 @@ def test_override_sweep_equals_the_definition_at_every_tick(directives):
         open_pairs = _override_state_at(scenario, tick)
         for pair in [(1, 2), (2, 1), (1, 3), (3, 1)]:
             assert _override_open_at(changes, pair, tick) == (pair in open_pairs)
+
+
+# -- mutation analysis -----------------------------------------------------
+
+REPLAY_OUTCOMES = (EV_AUTO_ENABLE_SCHEDULED, EV_LOOP_SUPPRESSED, EV_OVERRIDE_BLOCKED)
+ENABLE_SWAP = {EV_ENABLE: EV_IGNORED_ENABLE, EV_IGNORED_ENABLE: EV_ENABLE}
+FIELD_FLOORS = {"word": 1, "episode": 0, "stage": 0}
+
+
+def _mutants(records, word_count):
+    """Every single-record mutant of a trace, with the record's index and the mutation.
+
+    Deleting the final record and duplicating a filter_fire are left out:
+    those are the two gaps of ``verify_run`` that the README names.
+    """
+    for index, rec in enumerate(records):
+        before, after = records[:index], records[index + 1 :]
+        if after:
+            yield index, "deleted", before + after
+        if rec.ev != EV_FILTER_FIRE:
+            yield index, "duplicated", before + [rec, rec] + after
+        for delta in (-1, 1):
+            if rec.t + delta >= 0:
+                moved = before + [rec._replace(t=rec.t + delta)] + after
+                yield index, f"shifted by {delta}", sorted(moved, key=lambda r: r.t)  # stable
+        changed = []
+        if rec.ev in REPLAY_OUTCOMES:
+            changed += [rec._replace(ev=ev) for ev in REPLAY_OUTCOMES if ev != rec.ev]
+        if rec.ev in ENABLE_SWAP:
+            changed.append(rec._replace(ev=ENABLE_SWAP[rec.ev]))
+        for field, least in FIELD_FLOORS.items():
+            value = getattr(rec, field)
+            if value is not None:
+                changed += [
+                    rec._replace(**{field: value + delta})
+                    for delta in (-1, 1)
+                    if value + delta >= least
+                ]
+        if rec.pair is not None:
+            for member in (0, 1):
+                for word in range(1, word_count + 1):
+                    if word != rec.pair[member]:
+                        pair = list(rec.pair)
+                        pair[member] = word
+                        changed.append(rec._replace(pair=tuple(pair)))
+        for mutant in changed:
+            yield index, f"changed to {mutant}", before + [mutant] + after
+
+
+def test_every_single_record_mutant_is_rejected():
+    texts = {path.name: path.read_text() for path in sorted(SCENARIOS.glob("*.scn"))}
+    texts["override cycle"] = OVERRIDE_CYCLE
+    survivors = []
+    tried = 0
+    for name, text in texts.items():
+        result = run_text(text)
+        assert verify_run(result.scenario, result.records) == [], name
+        for index, mutation, mutant in _mutants(result.records, result.scenario.config.word_count):
+            tried += 1
+            if not verify_run(result.scenario, mutant):
+                survivors.append((name, index, mutation))
+    assert tried > 4000
+    assert survivors == []
 
 
 # -- cross-check at the scale the sparse fabric core targets --------------
