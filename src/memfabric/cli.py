@@ -31,7 +31,7 @@ from memfabric.scenario import (
     parse_scenario,
     write_report,
 )
-from memfabric.trace import MalformedTraceError, parse_trace, write_trace
+from memfabric.trace import MalformedTraceError, parse_trace, split_lines, write_trace
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -86,7 +86,7 @@ def _read_text(path: str, error: type[ValueError]) -> str:
     except UnicodeDecodeError as exc:
         # exc.object holds the file's bytes; all before exc.start decoded.
         before = exc.object[: exc.start].decode("utf-8")
-        line = len((before + "x").splitlines())
+        line = len(split_lines(before))
         raise error(f"line {line}: not UTF-8 text: {exc}") from None
 
 

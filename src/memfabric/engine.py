@@ -2,13 +2,15 @@
 
 Events are totally ordered by ``(tick, seq)`` where ``seq`` is the
 insertion sequence number, so same-tick events dispatch in the order
-they were scheduled. Time is integer ticks and the clock only moves
-forward: the public scheduling methods reject a tick behind the clock
-with a ValueError, and the engine doing so itself is an internal logic
-error that aborts the run. A run ends either quiescent (the queue
-drained) or at the tick limit (the next event lies beyond
-``max_tick``), which is how runaway autonomous activity is surfaced
-rather than looping forever.
+they were scheduled. Each event is its own heap entry, and its payload
+carries its own dispatch: ``payload.fire(sim, tick)`` calls the handler
+of ``sim.fabric`` or ``sim.driver`` that it stands for. Time is integer
+ticks and the clock only moves forward: the public scheduling methods
+reject a tick behind the clock with a ValueError, and the engine doing
+so itself is an internal logic error that aborts the run. A run ends
+either quiescent (the queue drained) or at the tick limit (the next
+event lies beyond ``max_tick``), which is how runaway autonomous
+activity is surfaced rather than looping forever.
 
 A :class:`Simulation` is a self-contained value (engine + fabric +
 scripted CPU driver + trace). It offers no internal parallelism, but
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from memfabric.driver import Driver, Probe, RehearsalPlan
 from memfabric.fabric import Episode, Fabric, FabricConfig
@@ -30,45 +33,55 @@ class SchedulingInPastError(RuntimeError):
     """An event was scheduled behind the clock (internal logic bug)."""
 
 
-@dataclass(frozen=True)
-class CpuEnable:
+class CpuEnable(NamedTuple):
     word: int
     episode: Episode
 
+    def fire(self, sim: Simulation, tick: int) -> None:
+        sim.fabric.on_enable(sim, self.word, tick, source=SRC_CPU, pair=None, episode=self.episode)
 
-@dataclass(frozen=True)
-class AutoEnable:
+
+class AutoEnable(NamedTuple):
     word: int
     pair: tuple[int, int]
     episode: Episode
 
+    def fire(self, sim: Simulation, tick: int) -> None:
+        sim.fabric.on_enable(
+            sim, self.word, tick, source=SRC_AUTO, pair=self.pair, episode=self.episode
+        )
 
-@dataclass(frozen=True)
-class WordDone:
+
+class WordDone(NamedTuple):
     word: int
     episode: Episode
 
+    def fire(self, sim: Simulation, tick: int) -> None:
+        # Fabric reacts before the CPU observes the done.
+        sim.fabric.on_done(sim, self.word, tick, self.episode)
+        sim.driver.on_done(self.word, tick)
 
-@dataclass(frozen=True)
-class OverrideSet:
+
+class OverrideSet(NamedTuple):
     pair: tuple[int, int]
     is_open: bool
 
+    def fire(self, sim: Simulation, tick: int) -> None:
+        sim.fabric.set_override(sim, self.pair[0], self.pair[1], self.is_open, tick)
 
-@dataclass(frozen=True)
-class Event:
+
+class Event(NamedTuple):
     tick: int
     seq: int
-    payload: object
+    payload: CpuEnable | AutoEnable | WordDone | OverrideSet
 
 
 class EventQueue:
     """Pending events, dispatched in ascending (tick, seq) order."""
 
     def __init__(self):
-        self._heap: list[tuple[int, int, object]] = []
-        self._next_seq = 0
-        self.scheduled_total = 0
+        self._heap: list[Event] = []
+        self.scheduled_total = 0  # also the next event's seq
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -76,18 +89,14 @@ class EventQueue:
     def schedule(self, tick: int, payload: object, *, clock: int) -> None:
         if tick < clock:
             raise SchedulingInPastError(f"event at tick {tick} is behind the clock ({clock})")
-        heapq.heappush(self._heap, (tick, self._next_seq, payload))
-        self._next_seq += 1
+        heapq.heappush(self._heap, Event(tick, self.scheduled_total, payload))
         self.scheduled_total += 1
 
     def peek_tick(self) -> int | None:
-        return self._heap[0][0] if self._heap else None
+        return self._heap[0].tick if self._heap else None
 
     def pop(self) -> Event | None:
-        if not self._heap:
-            return None
-        tick, seq, payload = heapq.heappop(self._heap)
-        return Event(tick, seq, payload)
+        return heapq.heappop(self._heap) if self._heap else None
 
 
 QUIESCENT = "quiescent"
@@ -183,7 +192,7 @@ class Simulation:
             return None
         self.clock = event.tick
         self.dispatched_total += 1
-        self._dispatch(event)
+        event.payload.fire(self, event.tick)
         return event
 
     def run_to_quiescence(self, max_tick: int) -> RunOutcome:
@@ -197,32 +206,6 @@ class Simulation:
             if next_tick > max_tick:
                 return RunOutcome(TICK_LIMIT, self.clock)
             self.step()
-
-    def _dispatch(self, event: Event) -> None:
-        payload = event.payload
-        if isinstance(payload, CpuEnable):
-            self.fabric.on_enable(
-                self, payload.word, event.tick, source=SRC_CPU, pair=None, episode=payload.episode
-            )
-        elif isinstance(payload, AutoEnable):
-            self.fabric.on_enable(
-                self,
-                payload.word,
-                event.tick,
-                source=SRC_AUTO,
-                pair=payload.pair,
-                episode=payload.episode,
-            )
-        elif isinstance(payload, WordDone):
-            # Fabric reacts before the CPU observes the done.
-            self.fabric.on_done(self, payload.word, event.tick, payload.episode)
-            self.driver.on_done(payload.word, event.tick)
-        elif isinstance(payload, OverrideSet):
-            self.fabric.set_override(
-                self, payload.pair[0], payload.pair[1], payload.is_open, event.tick
-            )
-        else:
-            raise TypeError(f"unknown event payload: {payload!r}")
 
 
 @dataclass

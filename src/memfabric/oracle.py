@@ -32,7 +32,6 @@ empty means full agreement.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -83,7 +82,8 @@ def detection_ticks(records: list[TraceRecord], config: FabricConfig) -> dict[Pa
     i, and at least delay2 after the previous counted detection of the
     same pair. Windows retrigger: a newer done of i replaces the older
     window. Same-tick cases resolve by record order, matching dispatch
-    order.
+    order. Ticks never decrease, so a window is dropped once a trigger
+    passes its end.
     """
     _check_order(records)
     trigger_kind = EV_ENABLE if config.filter_mode == DONE_ENABLE else EV_DONE
@@ -92,8 +92,12 @@ def detection_ticks(records: list[TraceRecord], config: FabricConfig) -> dict[Pa
     ticks: dict[Pair, list[int]] = {}
     for rec in records:
         if rec.ev == trigger_kind:
+            closed = []
             for src, until in window_until.items():
-                if src == rec.word or rec.t > until:
+                if rec.t > until:
+                    closed.append(src)
+                    continue
+                if src == rec.word:
                     continue
                 pair = (src, rec.word)
                 prev = last_counted.get(pair)
@@ -101,6 +105,8 @@ def detection_ticks(records: list[TraceRecord], config: FabricConfig) -> dict[Pa
                     continue
                 last_counted[pair] = rec.t
                 ticks.setdefault(pair, []).append(rec.t)
+            for src in closed:
+                del window_until[src]
         if rec.ev == EV_DONE:
             window_until[rec.word] = rec.t + config.delay1
     return ticks
@@ -211,30 +217,6 @@ def _override_state_at(scenario: Scenario, tick: int) -> set[Pair]:
     return state
 
 
-OverrideChanges = dict[Pair, tuple[list[int], list[bool]]]
-
-
-def _override_changes(scenario: Scenario) -> OverrideChanges:
-    """Per pair, the directive ticks in application order and the state each sets.
-
-    Built once, by the same ordering as :func:`_override_state_at`, so
-    that :func:`_override_open_at` answers each lookup by bisection.
-    """
-    changes: OverrideChanges = {}
-    for d in sorted(scenario.overrides, key=lambda d: d.tick):
-        ticks, states = changes.setdefault((d.i, d.j), ([], []))
-        ticks.append(d.tick)
-        states.append(d.is_open)
-    return changes
-
-
-def _override_open_at(changes: OverrideChanges, pair: Pair, tick: int) -> bool:
-    ticks, states = changes.get(pair, ((), ()))
-    # The last directive at or before ``tick``; among same-tick ones, the last applied.
-    index = bisect_right(ticks, tick)
-    return index > 0 and states[index - 1]
-
-
 # What a message names for each compared kind's keys.
 _PAIR_AT = "of pair {1} at t={0}"
 _STAGE_AT = "of pair {1} with stage {2} at t={0}"
@@ -288,7 +270,11 @@ def verify_run(scenario: Scenario, records: list[TraceRecord]) -> list[str]:
 
     # One ordered pass. Records owed after the last traced tick are pending.
     trigger_kind = EV_ENABLE if config.filter_mode == DONE_ENABLE else EV_DONE
-    overrides = _override_changes(scenario)
+    # Directives in application order, as _override_state_at applies them;
+    # each done first applies those at or before its tick.
+    directives = sorted(scenario.overrides, key=lambda d: d.tick)
+    applied = 0
+    open_overrides: set[Pair] = set()
     successors: dict[int, list[Pair]] = {}  # first word -> pairs learned so far
     fired: set[tuple[int, int]] = set()  # (episode, word) of each accepted enable
     episodes: set[int] = set()
@@ -324,8 +310,15 @@ def verify_run(scenario: Scenario, records: list[TraceRecord]) -> list[str]:
                     owed[EV_DONE].append((t + durations[word], word, episode))
         elif ev == EV_DONE:
             traced[ev].append((t, word, episode))
+            while applied < len(directives) and directives[applied].tick <= t:
+                d = directives[applied]
+                if d.is_open:
+                    open_overrides.add((d.i, d.j))
+                else:
+                    open_overrides.discard((d.i, d.j))
+                applied += 1
             for link in successors.get(word, ()):
-                if _override_open_at(overrides, link, t):
+                if link in open_overrides:
                     outcome = EV_OVERRIDE_BLOCKED
                 elif (episode, link[1]) in fired:
                     outcome = EV_LOOP_SUPPRESSED

@@ -38,6 +38,7 @@ from memfabric.trace import (
     EV_LEARNED,
     SRC_CPU,
     TraceRecord,
+    split_lines,
 )
 
 
@@ -120,7 +121,7 @@ def parse_scenario(text: str) -> Scenario:
     raw_overrides: list[tuple[int, int, int, bool, int]] = []  # (tick, i, j, open, line)
     max_tick: tuple[int, int] | None = None  # (value, line)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -223,6 +223,14 @@ _CANONICAL_SHAPES = {
 }
 
 
+def split_lines(text: str) -> list[str]:
+    """Lines ended by ``\\n``, ``\\r\\n`` or ``\\r`` only, as universal-newline reading
+    splits them: ``str.splitlines`` also breaks at ``\\f``, ``\\x85`` and the like."""
+    if "\r" in text:  # a scan for it is quicker than a replace that finds none
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def parse_trace(text: str) -> list[TraceRecord]:
     """Decode a JSON Lines trace into records; blank lines are skipped.
 
@@ -234,7 +242,7 @@ def parse_trace(text: str) -> list[TraceRecord]:
     """
     records = []
     match = _CANONICAL_LINE.fullmatch
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         m = match(line)
         if m is not None:
             t, ev, word, i, j, src, episode, stage = m.groups()

@@ -206,6 +206,8 @@ GOOD_ENABLE = '{"t":0,"ev":"enable","word":1,"src":"cpu","episode":0}'
         (["[" * 100_000], 1),
         (['{"t":0,"ev":["enable"],"word":1,"src":"cpu","episode":0}'], 1),
         (['{"t":' + "1" * 5000 + ',"ev":"done","word":1,"episode":0}'], 1),
+        ([GOOD_ENABLE + "\x1c", '{"t":0,"ev":"mystery"}'], 2),
+        ([GOOD_ENABLE + "\u2028", '{"t":0,"ev":"mystery"}'], 2),
     ],
     ids=[
         "unknown-kind",
@@ -225,6 +227,8 @@ GOOD_ENABLE = '{"t":0,"ev":"enable","word":1,"src":"cpu","episode":0}'
         "deep-nesting",
         "list-kind",
         "integer-past-the-digit-limit",
+        "line-ends-in-file-separator",
+        "line-ends-in-line-separator",
     ],
 )
 def test_verify_rejects_garbage_trace_as_invalid(scenario_file, tmp_path, capsys, lines, bad_line):
@@ -245,6 +249,23 @@ def test_non_utf8_scenario_exits_one_naming_the_line(tmp_path, capsys, command):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: line 2: not UTF-8 text")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("char", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+@pytest.mark.parametrize(
+    "bad,message",
+    [(b"bogus", "unknown directive 'bogus'"), (b"# caf\xe9", "not UTF-8 text")],
+    ids=["unknown-directive", "not-utf8"],
+)
+def test_scenario_errors_count_only_newlines_as_line_ends(tmp_path, capsys, char, bad, message):
+    # str.splitlines also breaks at ``char``, and would name line 4.
+    path = tmp_path / "page.scn"
+    first = f"fabric words=2 delay1=5 delay2=1 threshold=1 # page{char}\ndur * 2\n"
+    path.write_bytes(first.encode() + bad + b"\nmaxticks 10\n")
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: line 3: {message}")
     assert captured.out == ""
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from typing import NamedTuple
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,11 +15,13 @@ from memfabric import (
     RehearsalPlan,
     Simulation,
     TICK_LIMIT,
+    build_simulation,
     format_trace,
+    parse_scenario,
 )
 from memfabric.engine import EventQueue, SchedulingInPastError
 from memfabric.fabric import Episode
-from conftest import run_text
+from conftest import OVERRIDE_CYCLE, run_text
 
 
 def test_same_tick_events_dispatch_in_insertion_order():
@@ -89,17 +94,61 @@ def test_scheduling_at_the_clock_is_allowed():
 
 def test_step_pops_least_and_advances_clock():
     sim = Simulation(FabricConfig.uniform(2, delay1=2, delay2=1, threshold=1, duration=1))
-    sim.queue.schedule(5, "a", clock=0)
-    sim.queue.schedule(5, "b", clock=0)
-    sim.queue.schedule(7, "c", clock=0)
-    # bypass fabric dispatch; we only exercise ordering here
-    sim._dispatch = lambda event: None
+    fired = []
+
+    class Mark(NamedTuple):
+        # A payload that only notes when it fires, so no fabric handler runs.
+        name: str
+
+        def fire(self, sim, tick):
+            fired.append((self.name, tick, sim.clock))
+
+    sim.queue.schedule(5, Mark("a"), clock=0)
+    sim.queue.schedule(5, Mark("b"), clock=0)
+    sim.queue.schedule(7, Mark("c"), clock=0)
     event = sim.step()
     assert (event.tick, event.seq) == (5, 0)
     assert sim.clock == 5
     sim.step()
     event = sim.step()
     assert event.tick == 7 and sim.clock == 7
+    assert fired == [("a", 5, 5), ("b", 5, 5), ("c", 7, 7)]
+
+
+def test_stepped_events_name_their_kind_and_call_the_instance_handlers():
+    # A caller that owns the dispatch loop, as the per-layer benchmark does,
+    # classifies each stepped event by its payload's class name and wraps the
+    # handlers of the sim.fabric and sim.driver instances.
+    scenario = parse_scenario(OVERRIDE_CYCLE)
+    sim = build_simulation(scenario)
+    calls = []
+
+    def logged(name, handler):
+        def call(*args, **kwargs):
+            calls.append(name + (f".{kwargs['source']}" if "source" in kwargs else ""))
+            return handler(*args, **kwargs)
+
+        return call
+
+    for name in ("on_enable", "on_done", "set_override"):
+        setattr(sim.fabric, name, logged(f"fabric.{name}", getattr(sim.fabric, name)))
+    sim.driver.on_done = logged("driver.on_done", sim.driver.on_done)
+    kinds = Counter()
+    while sim.queue.peek_tick() is not None:
+        kinds[type(sim.step().payload).__name__] += 1
+    assert set(kinds) == {"CpuEnable", "AutoEnable", "WordDone", "OverrideSet"}
+    assert Counter(calls) == {
+        "fabric.on_enable.cpu": kinds["CpuEnable"],
+        "fabric.on_enable.auto": kinds["AutoEnable"],
+        "fabric.on_done": kinds["WordDone"],
+        "driver.on_done": kinds["WordDone"],
+        "fabric.set_override": kinds["OverrideSet"],
+    }
+    # the fabric sees each done before the driver does
+    assert all(
+        calls[i - 1] == "fabric.on_done" for i, c in enumerate(calls) if c == "driver.on_done"
+    )
+    assert sim.records == run_text(OVERRIDE_CYCLE).records
 
 
 def test_step_on_empty_queue_returns_none_and_keeps_clock():

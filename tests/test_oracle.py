@@ -6,22 +6,21 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from memfabric import (
     FabricConfig,
     MalformedTraceError,
-    OverrideDirective,
-    Scenario,
     TimelineEntry,
     count_detections,
+    detection_ticks,
     episode_subtrace,
     predict_learned,
     predict_timeline,
     shift_entries,
     verify_run,
 )
-from memfabric.oracle import _override_changes, _override_open_at, _override_state_at
+from memfabric.oracle import _override_state_at
 from memfabric.trace import (
     EV_AUTO_ENABLE_SCHEDULED,
     EV_DONE,
@@ -130,6 +129,58 @@ def test_fabric_internal_records_do_not_affect_the_recount(worked_example_text):
         if rec.ev in ("enable", "done", "ignored_enable")
     ]
     assert count_detections(stripped, config) == count_detections(result.records, config)
+
+
+def reference_detection_ticks(records, config):
+    """The recount as first written: every trigger scans every window ever opened."""
+    trigger_kind = EV_ENABLE if config.filter_mode == "done_enable" else EV_DONE
+    window_until = {}
+    last_counted = {}
+    ticks = {}
+    for rec in records:
+        if rec.ev == trigger_kind:
+            for src, until in window_until.items():
+                if src == rec.word or rec.t > until:
+                    continue
+                pair = (src, rec.word)
+                prev = last_counted.get(pair)
+                if prev is not None and rec.t - prev < config.delay2:
+                    continue
+                last_counted[pair] = rec.t
+                ticks.setdefault(pair, []).append(rec.t)
+        if rec.ev == EV_DONE:
+            window_until[rec.word] = rec.t + config.delay1
+    return ticks
+
+
+@st.composite
+def enable_done_traces(draw):
+    """A config and a tick-ordered trace of enables, ignored enables and dones.
+
+    Gaps of 0, delay1 and delay1 + 1 put triggers on a window's opening
+    tick, on its closing tick and just past it.
+    """
+    delay1 = draw(st.integers(min_value=1, max_value=6))
+    config = _cfg(
+        word_count=4,
+        delay1=delay1,
+        delay2=draw(st.integers(min_value=1, max_value=delay1)),
+        filter_mode=draw(st.sampled_from(["done_enable", "done_done"])),
+    )
+    gaps = st.sampled_from([0, 1, delay1, delay1 + 1]) | st.integers(0, 3 * delay1)
+    kinds = st.sampled_from([EV_ENABLE, EV_IGNORED_ENABLE, EV_DONE])
+    steps = st.tuples(gaps, kinds, st.integers(1, 4))
+    records, t = [], 0
+    for gap, ev, word in draw(st.lists(steps, max_size=40)):
+        t += gap
+        records.append(_done(t, word) if ev == EV_DONE else _enable(t, word)._replace(ev=ev))
+    return config, records
+
+
+@given(enable_done_traces())
+def test_recount_equals_the_reference_that_keeps_every_window(trace):
+    config, records = trace
+    assert detection_ticks(records, config) == reference_detection_ticks(records, config)
 
 
 def test_out_of_order_trace_is_malformed():
@@ -333,29 +384,56 @@ def test_done_before_the_learning_trigger_on_its_tick_owes_no_replay():
     assert verify_run(result.scenario, records) == []
 
 
+# Pairs (1, 2), (1, 3) and (2, 3) are learned by t=29; with no override, the
+# probes' dones owe replay outcomes at t=103, 111, 123 and 131.
+REPLAYING_CHAIN = (
+    "fabric words=3 delay1=5 delay2=1 threshold=2\n"
+    "dur * 3\n"
+    "rehearse 1 2 3 reps=2 gap=1 rest=10 start=0\n"
+    "at 100 probe 1\n"
+    "at 110 probe 2\n"
+    "at 120 probe 1\n"
+    "maxticks 1000\n"
+)
+
+
 @given(
     st.lists(
         st.tuples(
-            st.integers(min_value=0, max_value=12),
-            st.sampled_from([(1, 2), (2, 1), (1, 3)]),
+            st.integers(min_value=100, max_value=133),
+            st.sampled_from([(1, 2), (1, 3), (2, 3)]),
             st.booleans(),
         ),
         max_size=12,
     )
 )
-def test_override_sweep_equals_the_definition_at_every_tick(directives):
-    scenario = Scenario(
-        config=_cfg(),
-        plans=(),
-        probes=(),
-        overrides=tuple(OverrideDirective(t, i, j, is_open) for t, (i, j), is_open in directives),
-        max_tick=100,
+@example(
+    [
+        (123, (1, 2), False),
+        (103, (1, 2), True),
+        (111, (2, 3), True),
+        (103, (1, 2), False),
+        (103, (1, 3), True),
+        (111, (2, 3), False),
+        (111, (2, 3), True),
+    ]
+)
+def test_replay_outcomes_follow_the_directives_in_tick_order(directives):
+    # Directives are listed in any order, several on one tick; the run and
+    # verify_run must both apply them as _override_state_at defines.
+    text = REPLAYING_CHAIN + "".join(
+        f"at {t} override {i} {j} {'open' if is_open else 'closed'}\n"
+        for t, (i, j), is_open in directives
     )
-    changes = _override_changes(scenario)
-    for tick in range(-1, 15):
-        open_pairs = _override_state_at(scenario, tick)
-        for pair in [(1, 2), (2, 1), (1, 3), (3, 1)]:
-            assert _override_open_at(changes, pair, tick) == (pair in open_pairs)
+    result = run_text(text)
+    scenario, records = result.scenario, result.records
+    assert any(rec.ev == EV_LEARNED for rec in records)
+    outcomes = [rec for rec in records if rec.ev in REPLAY_OUTCOMES]
+    assert outcomes
+    for rec in outcomes:
+        blocked = rec.pair in _override_state_at(scenario, rec.t)
+        assert (rec.ev == EV_OVERRIDE_BLOCKED) == blocked, rec
+    assert verify_run(scenario, records) == []
 
 
 # -- mutation analysis -----------------------------------------------------

@@ -158,6 +158,16 @@ def test_a_missing_or_foreign_field_is_rejected_by_name(rec, data):
         record_from_obj({**obj, foreign: 1})
 
 
+@pytest.mark.parametrize(
+    "end", ["\n", "\r\n", "\r", "\f\n", "\v\n", "\x1c\n", "\x85\n", "\u2028\n", "\u2029\n"]
+)
+def test_only_newlines_end_a_line_that_an_error_names(end):
+    # The first line is a valid record; only \n, \r\n and \r end it.
+    good = TraceRecord(t=0, ev="done", word=1, episode=0).to_json_line()
+    with pytest.raises(MalformedTraceError, match=r"^line 2: unknown event kind"):
+        parse_trace(good + end + '{"t":0,"ev":"mystery"}\n')
+
+
 def test_records_are_immutable_hashable_named_tuples():
     rec = TraceRecord(t=3, ev="done", word=2, episode=0)
     assert rec == (3, "done", 2, None, None, 0, None)
@@ -194,8 +204,8 @@ def test_canonical_lines_decode_as_by_the_general_path(rec):
 
 # One character that does not end a line: parse_trace splits on those first.
 _chars = st.sampled_from('0123456789-+.eE ,:"{}[]\\tu') | st.characters(
-    blacklist_categories=("Cs",)
-).filter(lambda char: len(f"a{char}b".splitlines()) == 1)
+    blacklist_categories=("Cs",), blacklist_characters="\n\r"
+)
 
 
 @st.composite
