@@ -18,7 +18,10 @@ except for ``check``'s canonical echo.
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
+from itertools import combinations
 from pathlib import Path
 
 from memfabric.engine import run_scenario
@@ -97,11 +100,23 @@ def _load_scenario(path: str):
     return scenario
 
 
+def _same_file(a: Path, b: Path) -> bool:
+    """Whether two paths name one file, existing or still to be written."""
+    if a.exists() and b.exists():
+        return a.samefile(b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.scenario)
-    result = run_scenario(scenario, max_tick=args.max_ticks)
     trace_path = Path(args.trace) if args.trace else Path(args.scenario + ".trace.jsonl")
     report_path = Path(args.report) if args.report else Path(args.scenario + ".report.json")
+    paths = {"scenario": Path(args.scenario), "trace": trace_path, "report": report_path}
+    for (name_a, a), (name_b, b) in combinations(paths.items(), 2):
+        if _same_file(a, b):
+            print(f"error: the {name_a} and the {name_b} are the same file: {b}", file=sys.stderr)
+            return EXIT_INVALID
+    scenario = _load_scenario(args.scenario)
+    result = run_scenario(scenario, max_tick=args.max_ticks)
     write_trace(result.records, trace_path)
     write_report(result.report, report_path)
     if not result.outcome.quiescent:
@@ -137,6 +152,10 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 0 after --help and 2 on a usage error, which is
         # invalid input here; its message is already on stderr.
         return EXIT_INVALID if exc.code else EXIT_OK
+    # A command allocates one acyclic record per trace line, so the cyclic
+    # collector's passes over them find nothing; pause it while it runs.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ScenarioError as exc:
@@ -148,6 +167,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -89,7 +89,8 @@ class EventQueue:
     def schedule(self, tick: int, payload: object, *, clock: int) -> None:
         if tick < clock:
             raise SchedulingInPastError(f"event at tick {tick} is behind the clock ({clock})")
-        heapq.heappush(self._heap, Event(tick, self.scheduled_total, payload))
+        # tuple.__new__ skips the named tuple's Python-level __new__.
+        heapq.heappush(self._heap, tuple.__new__(Event, (tick, self.scheduled_total, payload)))
         self.scheduled_total += 1
 
     def peek_tick(self) -> int | None:
@@ -123,6 +124,8 @@ class Simulation:
         self.fabric = Fabric(config, loop_suppression=loop_suppression)
         self.driver = Driver(self)
         self.records: list[TraceRecord] = []
+        # The fabric's handlers call emit once per trace record.
+        self.emit = self.records.append
         self.dispatched_total = 0
         self._next_episode = 0
 
@@ -135,9 +138,6 @@ class Simulation:
         episode = Episode(self._next_episode)
         self._next_episode += 1
         return episode
-
-    def emit(self, record: TraceRecord) -> None:
-        self.records.append(record)
 
     def _check_tick(self, tick: int) -> None:
         """Reject a tick behind the clock, where no event can be scheduled."""

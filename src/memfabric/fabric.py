@@ -186,7 +186,8 @@ class Fabric:
 
     All mutation happens through the single-threaded dispatch loop of
     the owning simulation, which is passed in so the fabric can emit
-    trace records and schedule its own done/replay events.
+    trace records (built positionally: t, ev, word, pair, src, episode,
+    stage) and schedule its own done/replay events.
 
     ``loop_suppression`` is a test hook: disabling it removes the
     episode no-repeat rule so that learned cycles replay unboundedly
@@ -252,30 +253,12 @@ class Fabric:
         busy = self._busy_until.get(word, 0) > tick
         repeat = self.loop_suppression and word in episode.fired_words
         if busy or repeat:
-            sim.emit(
-                TraceRecord(
-                    t=tick,
-                    ev=EV_IGNORED_ENABLE,
-                    word=word,
-                    pair=pair,
-                    src=source,
-                    episode=episode.episode_id,
-                )
-            )
+            sim.emit(TraceRecord(tick, EV_IGNORED_ENABLE, word, pair, source, episode.episode_id))
             return
         done_tick = self._busy_until[word] = tick + self.config.durations[word]
         sim.schedule_done(done_tick, word, episode)
         episode.fired_words.add(word)
-        sim.emit(
-            TraceRecord(
-                t=tick,
-                ev=EV_ENABLE,
-                word=word,
-                pair=pair,
-                src=source,
-                episode=episode.episode_id,
-            )
-        )
+        sim.emit(TraceRecord(tick, EV_ENABLE, word, pair, source, episode.episode_id))
         if self.config.filter_mode == DONE_ENABLE:
             self._detect_into(sim, word, tick)
 
@@ -293,43 +276,20 @@ class Fabric:
             # A stale done (the word was re-enabled at its exact completion
             # tick) must not clear the newer activation's busy period.
             del self._busy_until[word]
-        sim.emit(TraceRecord(t=tick, ev=EV_DONE, word=word, episode=episode.episode_id))
+        episode_id = episode.episode_id
+        sim.emit(TraceRecord(tick, EV_DONE, word, None, None, episode_id))
         self._window_until[word] = tick + self.config.delay1
         if self.config.filter_mode == DONE_DONE:
             self._detect_into(sim, word, tick)
         for dst in self._successors.get(word, ()):
             link = (word, dst)
             if link in self._override_open:
-                sim.emit(
-                    TraceRecord(
-                        t=tick,
-                        ev=EV_OVERRIDE_BLOCKED,
-                        word=dst,
-                        pair=link,
-                        episode=episode.episode_id,
-                    )
-                )
+                sim.emit(TraceRecord(tick, EV_OVERRIDE_BLOCKED, dst, link, None, episode_id))
             elif self.loop_suppression and dst in episode.fired_words:
-                sim.emit(
-                    TraceRecord(
-                        t=tick,
-                        ev=EV_LOOP_SUPPRESSED,
-                        word=dst,
-                        pair=link,
-                        episode=episode.episode_id,
-                    )
-                )
+                sim.emit(TraceRecord(tick, EV_LOOP_SUPPRESSED, dst, link, None, episode_id))
             else:
                 sim.schedule_auto_enable(tick + self.config.delay1, dst, link, episode)
-                sim.emit(
-                    TraceRecord(
-                        t=tick,
-                        ev=EV_AUTO_ENABLE_SCHEDULED,
-                        word=dst,
-                        pair=link,
-                        episode=episode.episode_id,
-                    )
-                )
+                sim.emit(TraceRecord(tick, EV_AUTO_ENABLE_SCHEDULED, dst, link, None, episode_id))
 
     def set_override(self, sim, i: int, j: int, is_open: bool, tick: int) -> None:
         """Open or close the series switch masking pair (i, j).
@@ -342,9 +302,7 @@ class Fabric:
             self._override_open.add((i, j))
         else:
             self._override_open.discard((i, j))
-        sim.emit(
-            TraceRecord(t=tick, ev=EV_OVERRIDE_SET, pair=(i, j), stage=1 if is_open else 0)
-        )
+        sim.emit(TraceRecord(tick, EV_OVERRIDE_SET, None, (i, j), None, None, 1 if is_open else 0))
 
     def _detect_into(self, sim, dst: int, tick: int) -> None:
         # Trigger signal for word dst observed: fire every filter (src, dst)
@@ -358,7 +316,7 @@ class Fabric:
                 self._fire_filter(sim, (src, dst), tick)
 
     def _fire_filter(self, sim, pair: tuple[int, int], tick: int) -> None:
-        sim.emit(TraceRecord(t=tick, ev=EV_FILTER_FIRE, pair=pair))
+        sim.emit(TraceRecord(tick, EV_FILTER_FIRE, None, pair))
         count, last_shift_tick = self._shifts.get(pair, (0, None))
         if last_shift_tick is not None and tick - last_shift_tick < self.config.delay2:
             # Still inside the previous learning spike: one spike cannot
@@ -367,9 +325,9 @@ class Fabric:
         count += 1
         self._shifts[pair] = (count, tick)
         threshold = self.config.threshold
-        sim.emit(TraceRecord(t=tick, ev=EV_LATCH_SHIFT, pair=pair, stage=min(count, threshold)))
+        sim.emit(TraceRecord(tick, EV_LATCH_SHIFT, None, pair, None, None, min(count, threshold)))
         if count == threshold:
             # The shift that sets the last stage closes the switch.
             self._learned[pair] = tick
             insort(self._successors.setdefault(pair[0], []), pair[1])
-            sim.emit(TraceRecord(t=tick, ev=EV_LEARNED, pair=pair))
+            sim.emit(TraceRecord(tick, EV_LEARNED, None, pair))

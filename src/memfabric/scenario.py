@@ -310,63 +310,80 @@ class Report:
 
 
 def build_report(records: list[TraceRecord], *, outcome: str, final_tick: int) -> Report:
-    """Summarize a run purely from its trace."""
-    learned = sorted(
-        ((rec.pair, rec.t) for rec in records if rec.ev == EV_LEARNED),
-        key=lambda item: item[0],
-    )
-    counts = Counter(rec.pair for rec in records if rec.ev == EV_LATCH_SHIFT)
-    detections = tuple(sorted(counts.items()))
-
-    by_episode: dict[int, list[TraceRecord]] = {}
-    for rec in records:
-        if rec.episode is not None:
-            by_episode.setdefault(rec.episode, []).append(rec)
-    episodes = []
-    for episode_id, recs in by_episode.items():
-        cpu = [r for r in recs if r.src == SRC_CPU and r.ev in (EV_ENABLE, EV_IGNORED_ENABLE)]
-        if not cpu:
+    """Summarize a run purely from its trace, in one pass over the records."""
+    learned: list[tuple[tuple[int, int], int]] = []
+    shifted: list[tuple[int, int]] = []  # the pair of each latch shift
+    # episode -> [first cpu enable's word, its tick, last tick, fired words, cpu enables]
+    summaries: dict[int, list] = {}
+    for t, ev, word, pair, src, episode, _ in records:
+        if ev == EV_LATCH_SHIFT:
+            shifted.append(pair)
+        elif ev == EV_LEARNED:
+            learned.append((pair, t))
+        if episode is None:
             continue
-        fired = sorted({r.word for r in recs if r.ev == EV_ENABLE})
-        episodes.append(
-            EpisodeSummary(
-                episode=episode_id,
-                trigger_word=cpu[0].word,
-                start=cpu[0].t,
-                end=max(r.t for r in recs),
-                fired_words=tuple(fired),
-                cpu_enables_after_trigger=len(cpu) - 1,
-            )
-        )
+        summary = summaries.get(episode)
+        if summary is None:
+            summary = summaries[episode] = [None, None, t, set(), 0]
+        elif t > summary[2]:
+            summary[2] = t
+        if ev == EV_ENABLE or ev == EV_IGNORED_ENABLE:
+            if ev == EV_ENABLE:
+                summary[3].add(word)
+            if src == SRC_CPU:
+                if not summary[4]:
+                    summary[0], summary[1] = word, t
+                summary[4] += 1
+    learned.sort(key=lambda item: item[0])
+    episodes = [
+        EpisodeSummary(episode, trigger, start, end, tuple(sorted(fired)), cpu - 1)
+        for episode, (trigger, start, end, fired, cpu) in summaries.items()
+        if cpu
+    ]
     episodes.sort(key=lambda e: (e.start, e.episode))
     return Report(
         outcome=outcome,
         final_tick=final_tick,
         learned=tuple(learned),
-        detections=detections,
+        detections=tuple(sorted(Counter(shifted).items())),
         episodes=tuple(episodes),
     )
 
 
+def _array(items: list[str], indent: str) -> str:
+    """A JSON array of laid-out items, its bracket closing at ``indent``."""
+    return "[\n" + ",\n".join(items) + f"\n{indent}]" if items else "[]"
+
+
+def _pair_entries(items: tuple[tuple[tuple[int, int], int], ...], key: str) -> list[str]:
+    """Laid-out ``{"pair": [i, j], key: n}`` objects of a report list."""
+    return [
+        f'    {{\n      "pair": [\n        {i},\n        {j}\n      ],\n      "{key}": {n}\n    }}'
+        for (i, j), n in items
+    ]
+
+
 def format_report(report: Report) -> str:
-    obj = {
-        "outcome": report.outcome,
-        "final_tick": report.final_tick,
-        "learned": [{"pair": list(pair), "tick": tick} for pair, tick in report.learned],
-        "detections": [{"pair": list(pair), "count": n} for pair, n in report.detections],
-        "episodes": [
-            {
-                "episode": e.episode,
-                "trigger_word": e.trigger_word,
-                "start": e.start,
-                "end": e.end,
-                "fired_words": list(e.fired_words),
-                "cpu_enables_after_trigger": e.cpu_enables_after_trigger,
-            }
-            for e in report.episodes
-        ],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    """The report in the layout of ``json.dumps(obj, indent=2)``, byte for byte.
+
+    ``json`` encodes with indentation in pure Python, so the layout is
+    written here directly: every value is an int or a list of ints,
+    except ``outcome``, which ``json.dumps`` quotes.
+    """
+    learned = _pair_entries(report.learned, "tick")
+    detections = _pair_entries(report.detections, "count")
+    episodes = [
+        f'    {{\n      "episode": {e.episode},\n      "trigger_word": {e.trigger_word},\n'
+        f'      "start": {e.start},\n      "end": {e.end},\n'
+        f'      "fired_words": {_array([f"        {w}" for w in e.fired_words], "      ")},\n'
+        f'      "cpu_enables_after_trigger": {e.cpu_enables_after_trigger}\n    }}'
+        for e in report.episodes
+    ]
+    return (
+        f'{{\n  "outcome": {json.dumps(report.outcome)},\n  "final_tick": {report.final_tick},\n'
+        f'  "learned": {_array(learned, "  ")},\n  "detections": {_array(detections, "  ")},\n'
+        f'  "episodes": {_array(episodes, "  ")}\n}}\n'
+    )
 
 
 def write_report(report: Report, path: str | Path) -> None:

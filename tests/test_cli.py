@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import memfabric.cli
 from conftest import OVERRIDE_CYCLE
 from memfabric.cli import main
 
@@ -55,6 +57,36 @@ def test_run_on_invalid_scenario_exits_one_naming_the_line(tmp_path, capsys):
     assert main(["run", str(path)]) == 1
     err = capsys.readouterr().err
     assert "line 3" in err and "repeats" in err
+
+
+@pytest.mark.parametrize(
+    "outputs",
+    [
+        ["--trace", "{scenario}"],
+        ["--report", "{scenario}"],
+        ["--trace", "{dir}/out", "--report", "{dir}/out"],
+        ["--report", "{scenario}.trace.jsonl"],
+        ["--trace", "{dir}/link.scn"],
+    ],
+    ids=[
+        "trace-is-scenario",
+        "report-is-scenario",
+        "trace-is-report",
+        "report-is-default-trace",
+        "trace-links-to-scenario",
+    ],
+)
+def test_run_refuses_outputs_that_name_its_input_or_each_other(scenario_file, capsys, outputs):
+    (scenario_file.parent / "link.scn").symlink_to(scenario_file)
+    before = scenario_file.read_bytes()
+    names = sorted(scenario_file.parent.iterdir())
+    argv = [arg.format(scenario=scenario_file, dir=scenario_file.parent) for arg in outputs]
+    assert main(["run", str(scenario_file), *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "same file" in captured.err
+    assert scenario_file.read_bytes() == before
+    assert sorted(scenario_file.parent.iterdir()) == names
 
 
 def test_run_on_missing_file_exits_two(tmp_path, capsys):
@@ -339,3 +371,33 @@ def test_console_entry_point_runs_as_a_module(scenario_file, tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == ""
     assert (scenario_file.parent / (scenario_file.name + ".trace.jsonl")).exists()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+@pytest.mark.parametrize("code", [0, 1, 4])
+def test_main_pauses_gc_and_restores_the_state_it_found(
+    scenario_file, monkeypatch, capsys, enabled, code
+):
+    trace_path = scenario_file.parent / (scenario_file.name + ".trace.jsonl")
+    argv = ["run", str(scenario_file)]
+    if code == 1:
+        scenario_file.write_text("maxticks 10\n")
+    elif code == 4:
+        main(argv)
+        lines = trace_path.read_text().splitlines()
+        trace_path.write_text("".join(f"{line}\n" for line in lines if '"learned"' not in line))
+        argv = ["verify", str(scenario_file), str(trace_path)]
+    # The command reads its scenario first, with the collector paused.
+    during = []
+    parse = memfabric.cli.parse_scenario
+    monkeypatch.setattr(
+        memfabric.cli, "parse_scenario", lambda text: during.append(gc.isenabled()) or parse(text)
+    )
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert during == [False]

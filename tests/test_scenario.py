@@ -3,22 +3,30 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from memfabric import (
+    QUIESCENT,
+    TICK_LIMIT,
+    EpisodeSummary,
     OverrideDirective,
     ParseError,
     Probe,
     RehearsalPlan,
+    Report,
     Scenario,
+    TraceRecord,
     ValidationError,
+    build_report,
     canonical_scenario,
     format_report,
     format_trace,
     parse_scenario,
     parse_trace,
+    run_scenario,
 )
 from memfabric.fabric import FabricConfig
 from conftest import run_text
@@ -304,3 +312,147 @@ def test_identical_runs_yield_identical_report_bytes(worked_example_text):
     a = run_text(worked_example_text)
     b = run_text(worked_example_text)
     assert format_report(a.report) == format_report(b.report)
+
+
+# -- the one-pass report and the fixed-layout writer against the code they replaced
+
+
+def reference_build_report(records, *, outcome: str, final_tick: int) -> Report:
+    """The report as the multi-pass build_report summarized it."""
+    learned = sorted(
+        ((rec.pair, rec.t) for rec in records if rec.ev == "learned"),
+        key=lambda item: item[0],
+    )
+    counts = Counter(rec.pair for rec in records if rec.ev == "latch_shift")
+    detections = tuple(sorted(counts.items()))
+
+    by_episode: dict[int, list[TraceRecord]] = {}
+    for rec in records:
+        if rec.episode is not None:
+            by_episode.setdefault(rec.episode, []).append(rec)
+    episodes = []
+    for episode_id, recs in by_episode.items():
+        cpu = [r for r in recs if r.src == "cpu" and r.ev in ("enable", "ignored_enable")]
+        if not cpu:
+            continue
+        fired = sorted({r.word for r in recs if r.ev == "enable"})
+        episodes.append(
+            EpisodeSummary(
+                episode=episode_id,
+                trigger_word=cpu[0].word,
+                start=cpu[0].t,
+                end=max(r.t for r in recs),
+                fired_words=tuple(fired),
+                cpu_enables_after_trigger=len(cpu) - 1,
+            )
+        )
+    episodes.sort(key=lambda e: (e.start, e.episode))
+    return Report(
+        outcome=outcome,
+        final_tick=final_tick,
+        learned=tuple(learned),
+        detections=detections,
+        episodes=tuple(episodes),
+    )
+
+
+def reference_format_report(report: Report) -> str:
+    """The report as the json.dumps-based writer laid it out."""
+    obj = {
+        "outcome": report.outcome,
+        "final_tick": report.final_tick,
+        "learned": [{"pair": list(pair), "tick": tick} for pair, tick in report.learned],
+        "detections": [{"pair": list(pair), "count": n} for pair, n in report.detections],
+        "episodes": [
+            {
+                "episode": e.episode,
+                "trigger_word": e.trigger_word,
+                "start": e.start,
+                "end": e.end,
+                "fired_words": list(e.fired_words),
+                "cpu_enables_after_trigger": e.cpu_enables_after_trigger,
+            }
+            for e in report.episodes
+        ],
+    }
+    return json.dumps(obj, indent=2) + "\n"
+
+
+# Integers run past 2**63 so that no fixed-width assumption hides.
+_ints = st.integers(min_value=-(2**70), max_value=2**70)
+_pair_counts = st.lists(st.tuples(st.tuples(_ints, _ints), _ints), max_size=4).map(tuple)
+_summaries = st.builds(
+    EpisodeSummary,
+    episode=_ints,
+    trigger_word=_ints,
+    start=_ints,
+    end=_ints,
+    fired_words=st.lists(_ints, max_size=4).map(tuple),
+    cpu_enables_after_trigger=_ints,
+)
+reports = st.builds(
+    Report,
+    outcome=st.sampled_from([QUIESCENT, TICK_LIMIT]) | st.text(),
+    final_tick=_ints,
+    learned=_pair_counts,
+    detections=_pair_counts,
+    episodes=st.lists(_summaries, max_size=4).map(tuple),
+)
+
+
+@given(reports)
+def test_report_layout_equals_the_json_dumps_reference(report):
+    assert format_report(report) == reference_format_report(report)
+
+
+# Records of few words, pairs and episodes, in any tick order, with any
+# source: episodes without a CPU enable, or opening with an autonomous
+# record, come up often.
+report_records = st.lists(
+    st.builds(
+        TraceRecord,
+        t=st.integers(min_value=0, max_value=30),
+        ev=st.sampled_from(
+            "enable ignored_enable done filter_fire latch_shift learned auto_enable_scheduled "
+            "loop_suppressed override_blocked override_set".split()
+        ),
+        word=st.integers(min_value=1, max_value=4),
+        pair=st.tuples(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3)),
+        src=st.sampled_from([None, "cpu", "auto"]),
+        episode=st.none() | st.integers(min_value=0, max_value=3),
+        stage=st.none() | st.integers(min_value=0, max_value=3),
+    ),
+    max_size=40,
+)
+
+
+@given(report_records, st.sampled_from([QUIESCENT, TICK_LIMIT]), st.integers(min_value=0))
+def test_one_pass_report_equals_the_multi_pass_reference(records, outcome, final_tick):
+    report = build_report(records, outcome=outcome, final_tick=final_tick)
+    assert report == reference_build_report(records, outcome=outcome, final_tick=final_tick)
+
+
+def test_report_skips_episodes_without_a_cpu_enable_and_starts_at_the_first():
+    records = [
+        TraceRecord(3, "enable", 2, (1, 2), "auto", 0),
+        TraceRecord(5, "enable", 1, None, "cpu", 0),
+        TraceRecord(6, "ignored_enable", 2, None, "cpu", 0),
+        TraceRecord(9, "done", 1, None, None, 0),
+        TraceRecord(4, "auto_enable_scheduled", 3, (2, 3), None, 1),
+        TraceRecord(8, "enable", 3, (2, 3), "auto", 1),
+    ]
+    report = build_report(records, outcome=QUIESCENT, final_tick=9)
+    assert report == reference_build_report(records, outcome=QUIESCENT, final_tick=9)
+    assert report.episodes == (EpisodeSummary(0, 1, 5, 9, (1, 2), 1),)
+
+
+@settings(max_examples=50, deadline=None)
+@given(scenarios())
+def test_run_reports_equal_the_references(scenario):
+    result = run_scenario(scenario)
+    outcome = result.outcome
+    report = reference_build_report(
+        result.records, outcome=outcome.outcome, final_tick=outcome.final_tick
+    )
+    assert result.report == report
+    assert format_report(result.report) == reference_format_report(report)
