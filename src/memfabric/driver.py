@@ -15,13 +15,16 @@ own enable was ignored as busy), the plan still advances on that
 word's done. A plan only starts waiting once its own enable's tick is
 reached; dones of the awaited word from before that (another plan's
 traffic, say) do not advance it.
+
+The driver holds no simulation: ``add_plan`` and ``on_done`` take the
+one they act on and put each plan step straight on its queue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from memfabric.fabric import Episode
+from memfabric.fabric import CpuEnable, Episode
 
 
 class InvalidPlanError(ValueError):
@@ -76,41 +79,39 @@ class _PlanRun:
 
 
 class Driver:
-    def __init__(self, sim):
-        self._sim = sim
+    def __init__(self):
         self._runs: list[_PlanRun] = []
 
-    def add_plan(self, plan: RehearsalPlan) -> None:
-        # The simulation checked every word of the plan before handing it
-        # over, so neither this enable nor any later step re-checks one.
-        run = _PlanRun(plan, self._sim.new_episode())
+    def add_plan(self, sim, plan: RehearsalPlan) -> None:
+        # The simulation checked the plan; later steps lie gap or rest (>= 0) after a done.
+        run = _PlanRun(plan, sim.new_episode())
         self._runs.append(run)
-        self._sim._schedule_cpu_enable(plan.start, plan.sequence[0], run.episode)
+        sim.queue.schedule(plan.start, CpuEnable(plan.sequence[0], run.episode))
 
     def unfinished_plans(self) -> int:
         return sum(1 for run in self._runs if not run.finished)
 
-    def on_done(self, word: int, tick: int) -> None:
+    def on_done(self, sim, word: int, tick: int) -> None:
         for run in self._runs:
             if (
                 not run.finished
                 and run.plan.sequence[run.pos] == word
                 and tick >= run.enable_tick
             ):
-                self._advance(run, tick)
+                self._advance(sim, run, tick)
 
-    def _advance(self, run: _PlanRun, tick: int) -> None:
+    def _advance(self, sim, run: _PlanRun, tick: int) -> None:
         plan = run.plan
         run.pos += 1
         if run.pos < len(plan.sequence):
             run.enable_tick = tick + plan.gap
-            self._sim._schedule_cpu_enable(run.enable_tick, plan.sequence[run.pos], run.episode)
+            sim.queue.schedule(run.enable_tick, CpuEnable(plan.sequence[run.pos], run.episode))
             return
         run.rep += 1
         if run.rep < plan.reps:
             run.pos = 0
-            run.episode = self._sim.new_episode()
+            run.episode = sim.new_episode()
             run.enable_tick = tick + plan.rest
-            self._sim._schedule_cpu_enable(run.enable_tick, plan.sequence[0], run.episode)
+            sim.queue.schedule(run.enable_tick, CpuEnable(plan.sequence[0], run.episode))
         else:
             run.finished = True

@@ -3,18 +3,20 @@
 Events are totally ordered by ``(tick, seq)`` where ``seq`` is the
 insertion sequence number, so same-tick events dispatch in the order
 they were scheduled. Each event is its own heap entry, and its payload
-carries its own dispatch: ``payload.fire(sim, tick)`` calls the handler
-of ``sim.fabric`` or ``sim.driver`` that it stands for. Time is integer
-ticks and the clock only moves forward: the public scheduling methods
-reject a tick behind the clock with a ValueError, and the engine doing
-so itself is an internal logic error that aborts the run. A run ends
-either quiescent (the queue drained) or at the tick limit (the next
-event lies beyond ``max_tick``), which is how runaway autonomous
-activity is surfaced rather than looping forever.
+(one of the fabric's signals) carries its own dispatch:
+``payload.fire(sim, tick)`` calls the handler of ``sim.fabric`` or
+``sim.driver`` that it stands for. Time is integer ticks and the clock
+only moves forward. Only the public entry points of :class:`Simulation`
+check a tick, rejecting one behind the clock with a ValueError; the
+fabric and the driver queue events at the current tick plus an offset
+their config or plan keeps >= 0. A run ends either quiescent (the queue
+drained) or at the tick limit (the next event lies beyond ``max_tick``),
+which is how runaway autonomous activity is surfaced.
 
 A :class:`Simulation` is a self-contained value (engine + fabric +
-scripted CPU driver + trace). It offers no internal parallelism, but
-independent simulations share no state and may run on separate threads.
+scripted CPU driver + trace) that nothing inside refers back to, so
+reference counting frees a run. Independent simulations share no state
+and may run on separate threads.
 """
 
 from __future__ import annotations
@@ -24,50 +26,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from memfabric.driver import Driver, Probe, RehearsalPlan
-from memfabric.fabric import Episode, Fabric, FabricConfig
+from memfabric.fabric import AutoEnable, CpuEnable, Episode, Fabric, FabricConfig
+from memfabric.fabric import OverrideSet, WordDone
 from memfabric.scenario import Report, Scenario, build_report
-from memfabric.trace import SRC_AUTO, SRC_CPU, TraceRecord
-
-
-class SchedulingInPastError(RuntimeError):
-    """An event was scheduled behind the clock (internal logic bug)."""
-
-
-class CpuEnable(NamedTuple):
-    word: int
-    episode: Episode
-
-    def fire(self, sim: Simulation, tick: int) -> None:
-        sim.fabric.on_enable(sim, self.word, tick, source=SRC_CPU, pair=None, episode=self.episode)
-
-
-class AutoEnable(NamedTuple):
-    word: int
-    pair: tuple[int, int]
-    episode: Episode
-
-    def fire(self, sim: Simulation, tick: int) -> None:
-        sim.fabric.on_enable(
-            sim, self.word, tick, source=SRC_AUTO, pair=self.pair, episode=self.episode
-        )
-
-
-class WordDone(NamedTuple):
-    word: int
-    episode: Episode
-
-    def fire(self, sim: Simulation, tick: int) -> None:
-        # Fabric reacts before the CPU observes the done.
-        sim.fabric.on_done(sim, self.word, tick, self.episode)
-        sim.driver.on_done(self.word, tick)
-
-
-class OverrideSet(NamedTuple):
-    pair: tuple[int, int]
-    is_open: bool
-
-    def fire(self, sim: Simulation, tick: int) -> None:
-        sim.fabric.set_override(sim, self.pair[0], self.pair[1], self.is_open, tick)
+from memfabric.trace import TraceRecord
 
 
 class Event(NamedTuple):
@@ -86,9 +48,7 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, tick: int, payload: object, *, clock: int) -> None:
-        if tick < clock:
-            raise SchedulingInPastError(f"event at tick {tick} is behind the clock ({clock})")
+    def schedule(self, tick: int, payload: object) -> None:
         # tuple.__new__ skips the named tuple's Python-level __new__.
         heapq.heappush(self._heap, tuple.__new__(Event, (tick, self.scheduled_total, payload)))
         self.scheduled_total += 1
@@ -122,7 +82,7 @@ class Simulation:
         self.clock = 0
         self.queue = EventQueue()
         self.fabric = Fabric(config, loop_suppression=loop_suppression)
-        self.driver = Driver(self)
+        self.driver = Driver()
         self.records: list[TraceRecord] = []
         # The fabric's handlers call emit once per trace record.
         self.emit = self.records.append
@@ -148,40 +108,26 @@ class Simulation:
         """Schedule a CPU enable of ``word``, a word of the fabric, at a tick not yet past."""
         self._check_tick(tick)
         self.config.check_word(word)
-        self._schedule_cpu_enable(tick, word, episode)
-
-    def _schedule_cpu_enable(self, tick: int, word: int, episode: Episode) -> None:
-        # For the driver's plan steps, whose words add_plan has checked.
-        self.queue.schedule(tick, CpuEnable(word, episode), clock=self.clock)
-
-    def schedule_auto_enable(
-        self, tick: int, word: int, pair: tuple[int, int], episode: Episode
-    ) -> None:
-        """Schedule a replay enable along a learned pair; nothing is checked."""
-        self.queue.schedule(tick, AutoEnable(word, pair, episode), clock=self.clock)
-
-    def schedule_done(self, tick: int, word: int, episode: Episode) -> None:
-        """Schedule the done of a word the fabric accepted; nothing is checked."""
-        self.queue.schedule(tick, WordDone(word, episode), clock=self.clock)
+        self.queue.schedule(tick, CpuEnable(word, episode))
 
     def schedule_override(self, tick: int, pair: tuple[int, int], is_open: bool) -> None:
         """Schedule an override switch of ``pair``, two distinct words of the fabric."""
         self._check_tick(tick)
         self.config.check_pair(*pair)
-        self.queue.schedule(tick, OverrideSet(pair, is_open), clock=self.clock)
+        self.queue.schedule(tick, OverrideSet(pair, is_open))
 
     def add_plan(self, plan: RehearsalPlan) -> None:
         """Hand a plan to the driver once its start and every word are checked."""
         self._check_tick(plan.start)
         for word in plan.sequence:
             self.config.check_word(word)
-        self.driver.add_plan(plan)
+        self.driver.add_plan(self, plan)
 
     def add_probe(self, probe: Probe) -> None:
         """Schedule a probe's CPU enable in a new episode once its tick and word are checked."""
         self._check_tick(probe.tick)
         self.config.check_word(probe.word)
-        self._schedule_cpu_enable(probe.tick, probe.word, self.new_episode())
+        self.queue.schedule(probe.tick, CpuEnable(probe.word, self.new_episode()))
 
     # -- dispatch --------------------------------------------------------
 

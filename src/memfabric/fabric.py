@@ -25,13 +25,19 @@ always hold the same window. A register of set-once latches whose
 shifts fill stage after stage always holds a prefix of set stages, so
 its whole state is the number of shifts capped at the register depth.
 A pair whose filter never fired is an empty register.
+
+The signals (:class:`CpuEnable`, :class:`AutoEnable`, :class:`WordDone`,
+:class:`OverrideSet`) are the event payloads. The fabric queues its own
+dones and replays on ``sim.queue`` unchecked: a duration or ``delay1``
+(both >= 1) after the current tick is never behind the clock.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from memfabric.trace import (
     EV_AUTO_ENABLE_SCHEDULED,
@@ -44,6 +50,8 @@ from memfabric.trace import (
     EV_LOOP_SUPPRESSED,
     EV_OVERRIDE_BLOCKED,
     EV_OVERRIDE_SET,
+    SRC_AUTO,
+    SRC_CPU,
     TraceRecord,
 )
 
@@ -74,6 +82,8 @@ class FabricConfig:
     minimum spacing between two register shifts of the same filter;
     it may not exceed ``delay1``. ``threshold`` is the register depth:
     the number of qualifying repetitions after which a pair is learned.
+    ``durations`` is kept as a read-only copy, so later edits of the
+    caller's mapping cannot undo its checks.
     """
 
     word_count: int
@@ -84,6 +94,7 @@ class FabricConfig:
     filter_mode: str = DONE_ENABLE
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "durations", MappingProxyType(dict(self.durations)))
         if self.word_count < 2:
             raise InvalidConfigError(f"need at least 2 words, got {self.word_count}")
         if self.delay1 < 1:
@@ -106,6 +117,11 @@ class FabricConfig:
                 raise InvalidConfigError(f"no duration for word {word}")
             if dur < 1:
                 raise InvalidConfigError(f"duration of word {word} must be >= 1, got {dur}")
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle; rebuild from a plain dict.
+        fields = (self.word_count, self.delay1, self.delay2, self.threshold)
+        return type(self), (*fields, dict(self.durations), self.filter_mode)
 
     @classmethod
     def uniform(
@@ -156,6 +172,43 @@ class Episode:
     fired_words: set[int] = field(default_factory=set)
 
 
+class CpuEnable(NamedTuple):
+    word: int
+    episode: Episode
+
+    def fire(self, sim, tick: int) -> None:
+        sim.fabric.on_enable(sim, self.word, tick, source=SRC_CPU, pair=None, episode=self.episode)
+
+
+class AutoEnable(NamedTuple):
+    word: int
+    pair: tuple[int, int]
+    episode: Episode
+
+    def fire(self, sim, tick: int) -> None:
+        sim.fabric.on_enable(
+            sim, self.word, tick, source=SRC_AUTO, pair=self.pair, episode=self.episode
+        )
+
+
+class WordDone(NamedTuple):
+    word: int
+    episode: Episode
+
+    def fire(self, sim, tick: int) -> None:
+        # Fabric reacts before the CPU observes the done.
+        sim.fabric.on_done(sim, self.word, tick, self.episode)
+        sim.driver.on_done(sim, self.word, tick)
+
+
+class OverrideSet(NamedTuple):
+    pair: tuple[int, int]
+    is_open: bool
+
+    def fire(self, sim, tick: int) -> None:
+        sim.fabric.set_override(sim, self.pair[0], self.pair[1], self.is_open, tick)
+
+
 @dataclass(frozen=True)
 class FilterState:
     """Read-only view of one timing filter, as the hardware would hold it.
@@ -187,7 +240,7 @@ class Fabric:
     All mutation happens through the single-threaded dispatch loop of
     the owning simulation, which is passed in so the fabric can emit
     trace records (built positionally: t, ev, word, pair, src, episode,
-    stage) and schedule its own done/replay events.
+    stage) and put its own done and replay events on its queue.
 
     ``loop_suppression`` is a test hook: disabling it removes the
     episode no-repeat rule so that learned cycles replay unboundedly
@@ -256,7 +309,7 @@ class Fabric:
             sim.emit(TraceRecord(tick, EV_IGNORED_ENABLE, word, pair, source, episode.episode_id))
             return
         done_tick = self._busy_until[word] = tick + self.config.durations[word]
-        sim.schedule_done(done_tick, word, episode)
+        sim.queue.schedule(done_tick, WordDone(word, episode))
         episode.fired_words.add(word)
         sim.emit(TraceRecord(tick, EV_ENABLE, word, pair, source, episode.episode_id))
         if self.config.filter_mode == DONE_ENABLE:
@@ -288,7 +341,7 @@ class Fabric:
             elif self.loop_suppression and dst in episode.fired_words:
                 sim.emit(TraceRecord(tick, EV_LOOP_SUPPRESSED, dst, link, None, episode_id))
             else:
-                sim.schedule_auto_enable(tick + self.config.delay1, dst, link, episode)
+                sim.queue.schedule(tick + self.config.delay1, AutoEnable(dst, link, episode))
                 sim.emit(TraceRecord(tick, EV_AUTO_ENABLE_SCHEDULED, dst, link, None, episode_id))
 
     def set_override(self, sim, i: int, j: int, is_open: bool, tick: int) -> None:

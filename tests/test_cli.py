@@ -6,12 +6,14 @@ import gc
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import memfabric.cli
 from conftest import OVERRIDE_CYCLE
+from memfabric import parse_scenario, run_scenario
 from memfabric.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -213,33 +215,36 @@ GOOD_ENABLE = '{"t":0,"ev":"enable","word":1,"src":"cpu","episode":0}'
 
 
 @pytest.mark.parametrize(
-    "lines,bad_line",
+    "lines,bad_line,detail",
     [
-        (['{"t":0,"ev":"mystery"}'], 1),
+        (['{"t":0,"ev":"mystery"}'], 1, "unknown event kind"),
         (
             [
                 '{"t":0,"ev":"enable","word":"x","src":"cpu","episode":true}',
                 '{"t":4,"ev":"done","word":"x","episode":true}',
             ],
             1,
+            "bad word",
         ),
-        ([GOOD_ENABLE, '{"t":4,"ev":"done","word":1,"episode":[1]}'], 2),
-        (['{"t":0,"ev":"enable","word":1,"src":"cpu","episode":true}'], 1),
-        (['{"t":0,"ev":"enable","word":1,"src":"cpu","episode":-1}'], 1),
-        (['{"t":0,"ev":"enable","word":0,"src":"cpu","episode":0}'], 1),
-        (['{"t":0,"ev":"enable","word":null,"src":"cpu","episode":0}'], 1),
-        (['{"t":0,"ev":"enable","word":1.0,"src":"cpu","episode":0}'], 1),
-        (['{"t":0,"ev":"enable","word":1,"src":null,"episode":0}'], 1),
-        ([GOOD_ENABLE, '{"t":3,"ev":"latch_shift","pair":[1,3],"stage":"1"}'], 2),
-        ([GOOD_ENABLE, '{"t":3,"ev":"latch_shift","pair":[1,3],"stage":-1}'], 2),
-        ([GOOD_ENABLE, '{"t":3,"ev":"override_set","pair":[1,3],"stage":false}'], 2),
-        ([GOOD_ENABLE, '{"t":3,"ev":"filter_fire","pair":[0,3]}'], 2),
-        ([GOOD_ENABLE, "\udcfe"], 2),
-        (["[" * 100_000], 1),
-        (['{"t":0,"ev":["enable"],"word":1,"src":"cpu","episode":0}'], 1),
-        (['{"t":' + "1" * 5000 + ',"ev":"done","word":1,"episode":0}'], 1),
-        ([GOOD_ENABLE + "\x1c", '{"t":0,"ev":"mystery"}'], 2),
-        ([GOOD_ENABLE + "\u2028", '{"t":0,"ev":"mystery"}'], 2),
+        ([GOOD_ENABLE, '{"t":4,"ev":"done","word":1,"episode":[1]}'], 2, "bad episode"),
+        (['{"t":0,"ev":"enable","word":1,"src":"cpu","episode":true}'], 1, "bad episode"),
+        (['{"t":0,"ev":"enable","word":1,"src":"cpu","episode":-1}'], 1, "bad episode"),
+        (['{"t":0,"ev":"enable","word":0,"src":"cpu","episode":0}'], 1, "bad word"),
+        (['{"t":0,"ev":"enable","word":null,"src":"cpu","episode":0}'], 1, "bad word"),
+        (['{"t":0,"ev":"enable","word":1.0,"src":"cpu","episode":0}'], 1, "bad word"),
+        (['{"t":0,"ev":"enable","word":1,"src":null,"episode":0}'], 1, "bad src"),
+        ([GOOD_ENABLE, '{"t":3,"ev":"latch_shift","pair":[1,3],"stage":"1"}'], 2, "bad stage"),
+        ([GOOD_ENABLE, '{"t":3,"ev":"latch_shift","pair":[1,3],"stage":-1}'], 2, "bad stage"),
+        ([GOOD_ENABLE, '{"t":3,"ev":"override_set","pair":[1,3],"stage":false}'], 2, "bad stage"),
+        ([GOOD_ENABLE, '{"t":3,"ev":"filter_fire","pair":[0,3]}'], 2, "bad pair"),
+        ([GOOD_ENABLE, "\udcfe"], 2, "not UTF-8 text"),
+        (["[" * 100_000], 1, "not valid JSON"),
+        (['{"t":0,"ev":["enable"],"word":1,"src":"cpu","episode":0}'], 1, "unknown event kind"),
+        (['{"t":' + "1" * 5000 + ',"ev":"done","word":1,"episode":0}'], 1, "not valid JSON"),
+        ([GOOD_ENABLE + "\x1c", '{"t":0,"ev":"mystery"}'], 2, "unknown event kind"),
+        ([GOOD_ENABLE + "\u2028", '{"t":0,"ev":"mystery"}'], 2, "unknown event kind"),
+        ([GOOD_ENABLE, "[1, 2]"], 2, "trace line is not an object"),
+        (["5"], 1, "trace line is not an object"),
     ],
     ids=[
         "unknown-kind",
@@ -261,15 +266,19 @@ GOOD_ENABLE = '{"t":0,"ev":"enable","word":1,"src":"cpu","episode":0}'
         "integer-past-the-digit-limit",
         "line-ends-in-file-separator",
         "line-ends-in-line-separator",
+        "non-object-array",
+        "non-object-number",
     ],
 )
-def test_verify_rejects_garbage_trace_as_invalid(scenario_file, tmp_path, capsys, lines, bad_line):
+def test_verify_rejects_garbage_trace_as_invalid(
+    scenario_file, tmp_path, capsys, lines, bad_line, detail
+):
     bad = tmp_path / "bad.jsonl"
     # surrogateescape turns "\udcfe" into the lone byte 0xfe
     bad.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     assert main(["verify", str(scenario_file), str(bad)]) == 1
     captured = capsys.readouterr()
-    assert f"malformed trace: line {bad_line}:" in captured.err
+    assert f"malformed trace: line {bad_line}: {detail}" in captured.err
     assert captured.out == ""
 
 
@@ -401,3 +410,21 @@ def test_main_pauses_gc_and_restores_the_state_it_found(
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert during == [False]
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in SCENARIOS.glob("*.scn")))
+def test_a_dropped_run_is_freed_without_the_cyclic_collector(name):
+    # Nothing in a run refers back to its simulation, so reference counting
+    # frees it, also while main pauses the collector.
+    scenario = parse_scenario((SCENARIOS / name).read_text())
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        result = run_scenario(scenario)
+        simulation = weakref.ref(result.simulation)
+        del result
+        assert simulation() is None
+        assert gc.collect() == 0
+    finally:
+        (gc.enable if was_enabled else gc.disable)()

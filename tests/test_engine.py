@@ -19,15 +19,15 @@ from memfabric import (
     format_trace,
     parse_scenario,
 )
-from memfabric.engine import EventQueue, SchedulingInPastError
+from memfabric.engine import EventQueue
 from memfabric.fabric import Episode
 from conftest import OVERRIDE_CYCLE, run_text
 
 
 def test_same_tick_events_dispatch_in_insertion_order():
     q = EventQueue()
-    q.schedule(5, "first", clock=0)
-    q.schedule(5, "second", clock=0)
+    q.schedule(5, "first")
+    q.schedule(5, "second")
     a = q.pop()
     b = q.pop()
     assert (a.tick, a.seq, a.payload) == (5, 0, "first")
@@ -36,16 +36,10 @@ def test_same_tick_events_dispatch_in_insertion_order():
 
 def test_earlier_tick_dispatches_first_regardless_of_insertion():
     q = EventQueue()
-    q.schedule(7, "late", clock=0)
-    q.schedule(3, "early", clock=0)
+    q.schedule(7, "late")
+    q.schedule(3, "early")
     assert q.pop().payload == "early"
     assert q.pop().payload == "late"
-
-
-def test_scheduling_behind_the_clock_raises():
-    q = EventQueue()
-    with pytest.raises(SchedulingInPastError):
-        q.schedule(2, "stale", clock=4)
 
 
 def _cpu_enable(sim, tick):
@@ -86,12 +80,6 @@ def test_public_scheduling_behind_the_clock_is_a_value_error(clock, schedule):
     assert sim.queue.scheduled_total == scheduled + 1
 
 
-def test_scheduling_at_the_clock_is_allowed():
-    q = EventQueue()
-    q.schedule(4, "now", clock=4)
-    assert len(q) == 1
-
-
 def test_step_pops_least_and_advances_clock():
     sim = Simulation(FabricConfig.uniform(2, delay1=2, delay2=1, threshold=1, duration=1))
     fired = []
@@ -103,9 +91,9 @@ def test_step_pops_least_and_advances_clock():
         def fire(self, sim, tick):
             fired.append((self.name, tick, sim.clock))
 
-    sim.queue.schedule(5, Mark("a"), clock=0)
-    sim.queue.schedule(5, Mark("b"), clock=0)
-    sim.queue.schedule(7, Mark("c"), clock=0)
+    sim.queue.schedule(5, Mark("a"))
+    sim.queue.schedule(5, Mark("b"))
+    sim.queue.schedule(7, Mark("c"))
     event = sim.step()
     assert (event.tick, event.seq) == (5, 0)
     assert sim.clock == 5
@@ -243,7 +231,7 @@ def test_clock_and_record_ticks_never_decrease(worked_example_text):
 def test_dispatch_order_is_ascending_tick_then_seq(ticks):
     q = EventQueue()
     for index, tick in enumerate(ticks):
-        q.schedule(tick, index, clock=0)
+        q.schedule(tick, index)
     popped = []
     while True:
         event = q.pop()

@@ -85,6 +85,18 @@ def test_missing_duration_is_rejected():
         FabricConfig(word_count=2, delay1=5, delay2=1, threshold=1, durations={1: 4})
 
 
+def test_config_keeps_a_read_only_copy_of_the_durations():
+    durations = {1: 4, 2: 4}
+    cfg = FabricConfig(word_count=2, delay1=5, delay2=1, threshold=1, durations=durations)
+    durations[1] = -3  # checked at construction, so the caller's edit must not reach it
+    assert cfg.durations == {1: 4, 2: 4}
+    with pytest.raises(TypeError):
+        cfg.durations[1] = -3
+    sim = Simulation(cfg)
+    sim.add_probe(Probe(tick=0, word=1))
+    assert sim.run_to_quiescence(100).final_tick == 4
+
+
 def test_unknown_filter_mode_is_rejected():
     with pytest.raises(InvalidConfigError):
         _config(filter_mode="both_edges")

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 from collections import Counter
 
 import pytest
@@ -59,26 +61,39 @@ def test_comments_and_blank_lines_are_skipped():
 
 
 @pytest.mark.parametrize(
-    "line,error,fragment",
+    "line,lineno,error,fragment",
     [
-        ("frobnicate 1 2", ParseError, "unknown directive"),
-        ("fabric words=2 delay1=5 delay2=1 threshold=1 bogus=7", ParseError, "unknown argument"),
-        ("fabric words=2 delay1=5 delay2=1", ParseError, "missing argument"),
-        ("at 5 poke 1", ParseError, "unknown action"),
-        ("dur two 4", ParseError, "not an integer"),
-        ("at 5 override 1 2 ajar", ParseError, "open or closed"),
-        ("rehearse 1 2 reps=1_0 gap=0 rest=0 start=0", ParseError, "not an integer"),
-        ("fabric words=\u0663 delay1=5 delay2=1 threshold=1", ParseError, "not an integer"),
+        ("frobnicate 1 2", 3, ParseError, "unknown directive"),
+        ("fabric words=2 delay1=5 delay2=1 threshold=1 bogus=7", 1, ParseError, "unknown argument"),
+        ("fabric words=2 delay1=5 delay2=1", 1, ParseError, "missing argument"),
+        ("at 5 poke 1", 3, ParseError, "unknown action"),
+        ("dur two 4", 3, ParseError, "not an integer"),
+        ("at 5 override 1 2 ajar", 3, ParseError, "open or closed"),
+        ("rehearse 1 2 reps=1_0 gap=0 rest=0 start=0", 3, ParseError, "not an integer"),
+        ("fabric words=\u0663 delay1=5 delay2=1 threshold=1", 1, ParseError, "not an integer"),
+        ("fabric words=2 delay1=5 delay2=1 threshold=1 mode", 1, ParseError, "expected key=value"),
+        ("rehearse 1 2 reps=1 gap=0 rest=0 start=0 reps=2", 3, ParseError, "duplicate argument"),
+        ("rehearse 1 2 reps= gap=0 rest=0 start=0", 3, ParseError, "empty value"),
+        ("dur 1", 3, ParseError, "dur takes exactly two arguments"),
+        ("dur * 5", 3, ParseError, "duplicate default duration"),
+        ("dur 1 5\ndur 1 6", 4, ParseError, "duplicate duration for word 1"),
+        ("at 5", 3, ParseError, "at directive needs a tick and an action"),
+        ("at 5 probe 1 2", 3, ParseError, "probe takes exactly one word id"),
+        ("at 5 override 1 2", 3, ParseError, "override takes two word ids"),
+        ("maxticks 50", 4, ParseError, "duplicate maxticks directive"),
+        ("maxticks 50 60", 3, ParseError, "maxticks takes exactly one value"),
+        ("at -1 probe 1", 3, ValidationError, "probe tick must be >= 0"),
+        ("at -1 override 1 2 open", 3, ValidationError, "override tick must be >= 0"),
     ],
 )
-def test_syntax_errors_name_the_line(line, error, fragment):
+def test_syntax_errors_name_the_line(line, lineno, error, fragment):
     text = f"fabric words=2 delay1=5 delay2=1 threshold=1\ndur * 4\n{line}\nmaxticks 100\n"
     if line.startswith("fabric"):
         text = f"{line}\ndur * 4\nmaxticks 100\n"
     with pytest.raises(error) as info:
         parse_scenario(text)
     assert fragment in str(info.value)
-    assert "line" in str(info.value)
+    assert str(info.value).startswith(f"line {lineno}: ")
 
 
 def test_duplicate_fabric_directive_is_an_error():
@@ -162,6 +177,25 @@ def test_per_word_duration_overrides_the_default():
     )
     scenario = parse_scenario(text)
     assert scenario.config.durations == {1: 4, 2: 9, 3: 4}
+
+
+def test_parsed_scenario_survives_pickle_and_deepcopy():
+    text = (
+        "fabric words=3 delay1=5 delay2=1 threshold=2 mode=done_done\n"
+        "dur * 4\n"
+        "dur 2 9\n"
+        "rehearse 1 2 reps=2 gap=1 rest=10 start=0\n"
+        "at 40 probe 1\n"
+        "at 30 override 1 2 open\n"
+        "maxticks 100\n"
+    )
+    scenario = parse_scenario(text)
+    for copied in (pickle.loads(pickle.dumps(scenario)), copy.deepcopy(scenario)):
+        assert copied == scenario
+        assert copied.config.durations == {1: 4, 2: 9, 3: 4}
+        with pytest.raises(TypeError):
+            copied.config.durations[1] = 5
+        assert run_scenario(copied).records == run_scenario(scenario).records
 
 
 def test_canonical_round_trip_on_worked_example(worked_example_text):
