@@ -17,7 +17,8 @@ reached; dones of the awaited word from before that (another plan's
 traffic, say) do not advance it.
 
 The driver holds no simulation: ``add_plan`` and ``on_done`` take the
-one they act on and put each plan step straight on its queue.
+one they act on and put each plan step straight on its queue. A plan
+leaves the driver when the last done of its last repetition arrives.
 """
 
 from __future__ import annotations
@@ -75,12 +76,11 @@ class _PlanRun:
         self.pos = 0  # index of the word whose done we are waiting on
         self.enable_tick = plan.start  # tick of the current cpu enable
         self.rep = 0
-        self.finished = False
 
 
 class Driver:
     def __init__(self):
-        self._runs: list[_PlanRun] = []
+        self._runs: list[_PlanRun] = []  # the plans still running, in add order
 
     def add_plan(self, sim, plan: RehearsalPlan) -> None:
         # The simulation checked the plan; later steps lie gap or rest (>= 0) after a done.
@@ -89,15 +89,11 @@ class Driver:
         sim.queue.schedule(plan.start, CpuEnable(plan.sequence[0], run.episode))
 
     def unfinished_plans(self) -> int:
-        return sum(1 for run in self._runs if not run.finished)
+        return len(self._runs)
 
     def on_done(self, sim, word: int, tick: int) -> None:
-        for run in self._runs:
-            if (
-                not run.finished
-                and run.plan.sequence[run.pos] == word
-                and tick >= run.enable_tick
-            ):
+        for run in self._runs.copy():  # a run that finishes leaves _runs
+            if run.plan.sequence[run.pos] == word and tick >= run.enable_tick:
                 self._advance(sim, run, tick)
 
     def _advance(self, sim, run: _PlanRun, tick: int) -> None:
@@ -114,4 +110,4 @@ class Driver:
             run.enable_tick = tick + plan.rest
             sim.queue.schedule(run.enable_tick, CpuEnable(plan.sequence[0], run.episode))
         else:
-            run.finished = True
+            self._runs.remove(run)

@@ -9,9 +9,11 @@ they were scheduled. Each event is its own heap entry, and its payload
 only moves forward. Only the public entry points of :class:`Simulation`
 check a tick, rejecting one behind the clock with a ValueError; the
 fabric and the driver queue events at the current tick plus an offset
-their config or plan keeps >= 0. A run ends either quiescent (the queue
-drained) or at the tick limit (the next event lies beyond ``max_tick``),
-which is how runaway autonomous activity is surfaced.
+their config or plan keeps >= 0. Episodes come only from
+:meth:`Simulation.new_episode`, one per probe and per plan repetition.
+A run ends either quiescent (the queue drained) or at the tick limit
+(the next event lies beyond ``max_tick``), which is how runaway
+autonomous activity is surfaced.
 
 A :class:`Simulation` is a self-contained value (engine + fabric +
 scripted CPU driver + trace) that nothing inside refers back to, so
@@ -103,12 +105,6 @@ class Simulation:
         """Reject a tick behind the clock, where no event can be scheduled."""
         if tick < self.clock:
             raise ValueError(f"tick {tick} is behind the clock ({self.clock})")
-
-    def schedule_cpu_enable(self, tick: int, word: int, episode: Episode) -> None:
-        """Schedule a CPU enable of ``word``, a word of the fabric, at a tick not yet past."""
-        self._check_tick(tick)
-        self.config.check_word(word)
-        self.queue.schedule(tick, CpuEnable(word, episode))
 
     def schedule_override(self, tick: int, pair: tuple[int, int], is_open: bool) -> None:
         """Schedule an override switch of ``pair``, two distinct words of the fabric."""

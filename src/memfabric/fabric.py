@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from memfabric.trace import (
@@ -58,6 +57,18 @@ from memfabric.trace import (
 DONE_ENABLE = "done_enable"
 DONE_DONE = "done_done"
 FILTER_MODES = (DONE_ENABLE, DONE_DONE)
+
+
+class ReadOnlyDict(dict):
+    """A dict that refuses every change; it pickles, copies and goes through ``asdict``."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
 
 
 class InvalidConfigError(ValueError):
@@ -94,7 +105,7 @@ class FabricConfig:
     filter_mode: str = DONE_ENABLE
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "durations", MappingProxyType(dict(self.durations)))
+        object.__setattr__(self, "durations", ReadOnlyDict(self.durations))
         if self.word_count < 2:
             raise InvalidConfigError(f"need at least 2 words, got {self.word_count}")
         if self.delay1 < 1:
@@ -115,13 +126,7 @@ class FabricConfig:
             dur = self.durations.get(word)
             if dur is None:
                 raise InvalidConfigError(f"no duration for word {word}")
-            if dur < 1:
-                raise InvalidConfigError(f"duration of word {word} must be >= 1, got {dur}")
-
-    def __reduce__(self):
-        # A mapping proxy does not pickle; rebuild from a plain dict.
-        fields = (self.word_count, self.delay1, self.delay2, self.threshold)
-        return type(self), (*fields, dict(self.durations), self.filter_mode)
+            self.check_duration(word, dur)
 
     @classmethod
     def uniform(
@@ -146,6 +151,12 @@ class FabricConfig:
             for j in self.word_ids():
                 if i != j:
                     yield (i, j)
+
+    @staticmethod
+    def check_duration(word: int, dur: int) -> None:
+        """The duration rule: a word runs for at least one tick."""
+        if dur < 1:
+            raise InvalidConfigError(f"duration of word {word} must be >= 1, got {dur}")
 
     def check_word(self, word: int) -> None:
         """The word-range rule: word ids run from 1 to ``word_count``."""
@@ -250,7 +261,7 @@ class Fabric:
     def __init__(self, config: FabricConfig, *, loop_suppression: bool = True):
         self.config = config
         self.loop_suppression = loop_suppression
-        self._busy_until: dict[int, int] = {}
+        self._busy_until: dict[int, int] = {}  # word -> end of its last run; a past end is idle
         # Source word -> closing tick of its hold window. A closed window
         # stays closed (the clock never moves back), so stale entries are
         # dropped whenever a trigger scans the windows.
@@ -325,10 +336,6 @@ class Fabric:
         autonomous enable scheduled delay1 ticks out, carrying the same
         episode.
         """
-        if self._busy_until.get(word) == tick:
-            # A stale done (the word was re-enabled at its exact completion
-            # tick) must not clear the newer activation's busy period.
-            del self._busy_until[word]
         episode_id = episode.episode_id
         sim.emit(TraceRecord(tick, EV_DONE, word, None, None, episode_id))
         self._window_until[word] = tick + self.config.delay1

@@ -65,14 +65,6 @@ KIND_ORDER = {
 }
 
 
-def _check_order(records: list[TraceRecord]) -> None:
-    last = 0
-    for rec in records:
-        if rec.t < last:
-            raise MalformedTraceError(f"out-of-order tick {rec.t} after {last}")
-        last = rec.t
-
-
 def detection_ticks(records: list[TraceRecord], config: FabricConfig) -> dict[Pair, list[int]]:
     """Ticks of the qualifying detections per ordered pair.
 
@@ -82,33 +74,36 @@ def detection_ticks(records: list[TraceRecord], config: FabricConfig) -> dict[Pa
     i, and at least delay2 after the previous counted detection of the
     same pair. Windows retrigger: a newer done of i replaces the older
     window. Same-tick cases resolve by record order, matching dispatch
-    order. Ticks never decrease, so a window is dropped once a trigger
-    passes its end.
+    order. Ticks never decrease (a tick below the one before it raises
+    MalformedTraceError), so a window is dropped once a trigger passes it.
     """
-    _check_order(records)
     trigger_kind = EV_ENABLE if config.filter_mode == DONE_ENABLE else EV_DONE
     window_until: dict[int, int] = {}
     last_counted: dict[Pair, int] = {}
     ticks: dict[Pair, list[int]] = {}
-    for rec in records:
-        if rec.ev == trigger_kind:
+    last = 0
+    for t, ev, word, _, _, _, _ in records:
+        if t < last:
+            raise MalformedTraceError(f"out-of-order tick {t} after {last}")
+        last = t
+        if ev == trigger_kind:
             closed = []
             for src, until in window_until.items():
-                if rec.t > until:
+                if t > until:
                     closed.append(src)
                     continue
-                if src == rec.word:
+                if src == word:
                     continue
-                pair = (src, rec.word)
+                pair = (src, word)
                 prev = last_counted.get(pair)
-                if prev is not None and rec.t - prev < config.delay2:
+                if prev is not None and t - prev < config.delay2:
                     continue
-                last_counted[pair] = rec.t
-                ticks.setdefault(pair, []).append(rec.t)
+                last_counted[pair] = t
+                ticks.setdefault(pair, []).append(t)
             for src in closed:
                 del window_until[src]
-        if rec.ev == EV_DONE:
-            window_until[rec.word] = rec.t + config.delay1
+        if ev == EV_DONE:
+            window_until[word] = t + config.delay1
     return ticks
 
 
@@ -245,8 +240,8 @@ def verify_run(scenario: Scenario, records: list[TraceRecord]) -> list[str]:
     owed and traced records differ, in ``_COMPARED`` order, then each
     broken structural rule in record order. An empty list means the
     trace agrees with the oracle. Raises MalformedTraceError for a
-    trace that is not even well-formed (``detection_ticks`` checks the
-    tick order before anything relies on it).
+    trace that is not even well-formed (``detection_ticks``, which runs
+    first, checks the tick order before anything relies on it).
     """
     config = scenario.config
     threshold, delay1, durations = config.threshold, config.delay1, config.durations

@@ -207,12 +207,6 @@ def parse_scenario(text: str) -> Scenario:
         parse_int(fabric_args[key], key, fabric_line)
         for key in ("words", "delay1", "delay2", "threshold")
     )
-    durations: dict[int, int] = {}
-    for word in range(1, max(word_count, 1) + 1):
-        if word in dur_overrides:
-            durations[word] = dur_overrides[word][0]
-        elif default_dur is not None:
-            durations[word] = default_dur[0]
 
     # The fabric and every directive are built and checked by the owners
     # of the rules (FabricConfig, RehearsalPlan, Probe, OverrideDirective).
@@ -222,8 +216,13 @@ def parse_scenario(text: str) -> Scenario:
     plans: list[RehearsalPlan] = []
     probes: list[Probe] = []
     overrides: list[OverrideDirective] = []
-    line = fabric_line
     try:
+        durations: dict[int, int] = {}
+        for word in range(1, word_count + 1):
+            if (entry := dur_overrides.get(word, default_dur)) is not None:
+                durations[word], line = entry
+                FabricConfig.check_duration(word, durations[word])
+        line = fabric_line
         config = FabricConfig(
             word_count, delay1, delay2, threshold, durations, fabric_args.get("mode", DONE_ENABLE)
         )

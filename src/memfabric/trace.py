@@ -238,36 +238,42 @@ def parse_trace(text: str) -> list[TraceRecord]:
     decoded by one pattern match and a check of its field set; every
     other line by :func:`decode_line`. Both give the same record for a
     line, and a line that is not a valid record raises the same
-    :class:`MalformedTraceError`, prefixed with its line number.
+    :class:`MalformedTraceError`, prefixed with its line number. Ticks
+    never decrease: the first record whose tick is below the previous
+    record's raises one too, at its line.
     """
     records = []
     match = _CANONICAL_LINE.fullmatch
+    last = 0
     for lineno, line in enumerate(split_lines(text), start=1):
         m = match(line)
+        rec = None
         if m is not None:
             t, ev, word, i, j, src, episode, stage = m.groups()
             shape = (ev, word is None, i is None, src is None, episode is None, stage is None)
             ev = _CANONICAL_SHAPES.get(shape)
             if ev is not None:
                 # an absent field's group is None, a present one a nonempty string
-                records.append(
-                    TraceRecord(
-                        int(t),
-                        ev,
-                        word and int(word),
-                        i and (int(i), int(j)),
-                        src,
-                        episode and int(episode),
-                        stage and int(stage),
-                    )
+                rec = TraceRecord(
+                    int(t),
+                    ev,
+                    word and int(word),
+                    i and (int(i), int(j)),
+                    src,
+                    episode and int(episode),
+                    stage and int(stage),
                 )
+        if rec is None:
+            try:
+                rec = decode_line(line)
+            except MalformedTraceError as exc:
+                raise MalformedTraceError(f"line {lineno}: {exc}") from exc
+            if rec is None:
                 continue
-        try:
-            rec = decode_line(line)
-        except MalformedTraceError as exc:
-            raise MalformedTraceError(f"line {lineno}: {exc}") from exc
-        if rec is not None:
-            records.append(rec)
+        if rec.t < last:
+            raise MalformedTraceError(f"line {lineno}: out-of-order tick {rec.t} after {last}")
+        last = rec.t
+        records.append(rec)
     return records
 
 

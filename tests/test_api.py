@@ -49,6 +49,7 @@ def test_demo_runs_to_exit_zero(demo):
         [sys.executable, str(ROOT / "demos" / demo)],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         env=env,
         cwd=ROOT,
         timeout=60,

@@ -23,7 +23,7 @@ WORKED_EXAMPLE = SCENARIOS / "worked_example.scn"
 @pytest.fixture
 def scenario_file(tmp_path, worked_example_text):
     path = tmp_path / "worked.scn"
-    path.write_text(worked_example_text)
+    path.write_text(worked_example_text, encoding="utf-8")
     return path
 
 
@@ -35,7 +35,7 @@ def test_run_writes_trace_and_report_and_exits_zero(scenario_file, capsys):
     trace_path = scenario_file.parent / (scenario_file.name + ".trace.jsonl")
     report_path = scenario_file.parent / (scenario_file.name + ".report.json")
     assert trace_path.exists() and report_path.exists()
-    report = json.loads(report_path.read_text())
+    report = json.loads(report_path.read_text(encoding="utf-8"))
     assert [entry["pair"] for entry in report["learned"]] == [[1, 3], [3, 2]]
     assert report["outcome"] == "quiescent"
 
@@ -54,7 +54,8 @@ def test_run_on_invalid_scenario_exits_one_naming_the_line(tmp_path, capsys):
         "fabric words=3 delay1=5 delay2=1 threshold=10\n"
         "dur * 4\n"
         "rehearse 1 3 1 2 reps=1 gap=2 rest=0 start=0\n"
-        "maxticks 100\n"
+        "maxticks 100\n",
+        encoding="utf-8",
     )
     assert main(["run", str(path)]) == 1
     err = capsys.readouterr().err
@@ -111,12 +112,12 @@ def test_run_then_verify_is_self_consistent(scenario_file, capsys):
 def test_override_directives_listed_out_of_tick_order_run_and_verify(scenario_file, capsys):
     # The engine applies them by tick (open at 400, closed at 450), so the
     # probe at 500 replays; verify must apply them the same way.
-    with scenario_file.open("a") as out:
+    with scenario_file.open("a", encoding="utf-8") as out:
         out.write("at 450 override 1 3 closed\nat 400 override 1 3 open\n")
     assert main(["run", str(scenario_file)]) == 0
     trace_path = scenario_file.parent / (scenario_file.name + ".trace.jsonl")
     replay = '{"t":504,"ev":"auto_enable_scheduled","word":3,"pair":[1,3],"episode":0}'
-    assert replay in trace_path.read_text().splitlines()
+    assert replay in trace_path.read_text(encoding="utf-8").splitlines()
     assert main(["verify", str(scenario_file), str(trace_path)]) == 0
     assert capsys.readouterr().err == ""
 
@@ -124,10 +125,10 @@ def test_override_directives_listed_out_of_tick_order_run_and_verify(scenario_fi
 def test_verify_flags_a_tampered_trace(scenario_file, capsys):
     main(["run", str(scenario_file)])
     trace_path = scenario_file.parent / (scenario_file.name + ".trace.jsonl")
-    lines = trace_path.read_text().splitlines()
+    lines = trace_path.read_text(encoding="utf-8").splitlines()
     kept = [line for line in lines if '"ev":"learned"' not in line or '"pair":[1,3]' not in line]
     assert len(kept) == len(lines) - 1
-    trace_path.write_text("\n".join(kept) + "\n")
+    trace_path.write_text("\n".join(kept) + "\n", encoding="utf-8")
     assert main(["verify", str(scenario_file), str(trace_path)]) == 4
     err = capsys.readouterr().err
     assert "divergence" in err and "(1, 3)" in err
@@ -136,7 +137,7 @@ def test_verify_flags_a_tampered_trace(scenario_file, capsys):
 def test_verify_flags_a_shifted_auto_enable(scenario_file, capsys):
     main(["run", str(scenario_file)])
     trace_path = scenario_file.parent / (scenario_file.name + ".trace.jsonl")
-    lines = trace_path.read_text().splitlines()
+    lines = trace_path.read_text(encoding="utf-8").splitlines()
     out = []
     for line in lines:
         obj = json.loads(line)
@@ -144,7 +145,7 @@ def test_verify_flags_a_shifted_auto_enable(scenario_file, capsys):
             obj["t"] = 519
         out.append(obj)
     out.sort(key=lambda o: o["t"])
-    trace_path.write_text("\n".join(json.dumps(o) for o in out) + "\n")
+    trace_path.write_text("\n".join(json.dumps(o) for o in out) + "\n", encoding="utf-8")
     assert main(["verify", str(scenario_file), str(trace_path)]) == 4
     assert "51" in capsys.readouterr().err
 
@@ -171,11 +172,11 @@ def test_verify_pairs_each_enable_with_its_done(tmp_path, capsys, line, replacem
     trace = tmp_path / "worked.trace.jsonl"
     report = tmp_path / "worked.report.json"
     assert main(["run", str(WORKED_EXAMPLE), "--trace", str(trace), "--report", str(report)]) == 0
-    lines = trace.read_text().splitlines()
+    lines = trace.read_text(encoding="utf-8").splitlines()
     index = lines.index(line)
     assert index < len(lines) - 1
     lines[index : index + 1] = replacement
-    trace.write_text("\n".join(lines) + "\n")
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["verify", str(WORKED_EXAMPLE), str(trace)]) == 4
     assert "but its accepted enables owe" in capsys.readouterr().err
 
@@ -184,7 +185,7 @@ def test_verify_pairs_each_enable_with_its_done(tmp_path, capsys, line, replacem
     "text,line,replacement",
     [
         (
-            (SCENARIOS / "cycle.scn").read_text(),
+            (SCENARIOS / "cycle.scn").read_text(encoding="utf-8"),
             '{"t":413,"ev":"loop_suppressed","word":1,"pair":[2,1],"episode":0}',
             '{"t":413,"ev":"auto_enable_scheduled","word":1,"pair":[2,1],"episode":0}',
         ),
@@ -201,12 +202,12 @@ def test_verify_requires_the_replay_outcome_the_definition_owes(
 ):
     # The traced outcome is one the rules allowed, but not the one owed.
     scenario = tmp_path / "cycle.scn"
-    scenario.write_text(text)
+    scenario.write_text(text, encoding="utf-8")
     trace = tmp_path / "cycle.trace.jsonl"
     assert main(["run", str(scenario), "--trace", str(trace)]) == 0
-    lines = trace.read_text().splitlines()
+    lines = trace.read_text(encoding="utf-8").splitlines()
     lines[lines.index(line)] = replacement
-    trace.write_text("\n".join(lines) + "\n")
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["verify", str(scenario), str(trace)]) == 4
     assert "pair (2, 1)" in capsys.readouterr().err
 
@@ -245,6 +246,19 @@ GOOD_ENABLE = '{"t":0,"ev":"enable","word":1,"src":"cpu","episode":0}'
         ([GOOD_ENABLE + "\u2028", '{"t":0,"ev":"mystery"}'], 2, "unknown event kind"),
         ([GOOD_ENABLE, "[1, 2]"], 2, "trace line is not an object"),
         (["5"], 1, "trace line is not an object"),
+        (
+            [GOOD_ENABLE, '{"t":5,"ev":"done","word":1,"episode":0}', "", GOOD_ENABLE],
+            4,
+            "out-of-order tick 0 after 5",
+        ),
+        (
+            [
+                '{"t": 5, "ev": "done", "word": 1, "episode": 0}',
+                '{"ev":"done","t":4,"word":2,"episode":1}',
+            ],
+            2,
+            "out-of-order tick 4 after 5",
+        ),
     ],
     ids=[
         "unknown-kind",
@@ -268,6 +282,8 @@ GOOD_ENABLE = '{"t":0,"ev":"enable","word":1,"src":"cpu","episode":0}'
         "line-ends-in-line-separator",
         "non-object-array",
         "non-object-number",
+        "out-of-order-after-a-blank-line",
+        "out-of-order-general-path",
     ],
 )
 def test_verify_rejects_garbage_trace_as_invalid(
@@ -320,14 +336,16 @@ def test_check_echoes_the_canonical_form(scenario_file, capsys):
 
 def test_check_rejects_unknown_directive(tmp_path, capsys):
     path = tmp_path / "bad.scn"
-    path.write_text("sprocket 12\n")
+    path.write_text("sprocket 12\n", encoding="utf-8")
     assert main(["check", str(path)]) == 1
     assert "line 1" in capsys.readouterr().err
 
 
 def test_check_rejects_spike_wider_than_the_window(tmp_path, capsys):
     path = tmp_path / "bad.scn"
-    path.write_text("fabric words=2 delay1=3 delay2=4 threshold=1\ndur * 2\nmaxticks 10\n")
+    path.write_text(
+        "fabric words=2 delay1=3 delay2=4 threshold=1\ndur * 2\nmaxticks 10\n", encoding="utf-8"
+    )
     assert main(["check", str(path)]) == 1
     assert "must not exceed delay1" in capsys.readouterr().err
 
@@ -363,7 +381,8 @@ def test_check_warns_on_stderr_for_gap_beyond_delay1(tmp_path, capsys):
         "fabric words=2 delay1=5 delay2=1 threshold=3\n"
         "dur * 4\n"
         "rehearse 1 2 reps=5 gap=6 rest=6 start=0\n"
-        "maxticks 1000\n"
+        "maxticks 1000\n",
+        encoding="utf-8",
     )
     assert main(["check", str(path)]) == 0
     captured = capsys.readouterr()
@@ -376,6 +395,7 @@ def test_console_entry_point_runs_as_a_module(scenario_file, tmp_path):
         [sys.executable, "-m", "memfabric.cli", "run", str(scenario_file)],
         capture_output=True,
         text=True,
+        encoding="utf-8",
     )
     assert proc.returncode == 0
     assert proc.stdout == ""
@@ -390,11 +410,12 @@ def test_main_pauses_gc_and_restores_the_state_it_found(
     trace_path = scenario_file.parent / (scenario_file.name + ".trace.jsonl")
     argv = ["run", str(scenario_file)]
     if code == 1:
-        scenario_file.write_text("maxticks 10\n")
+        scenario_file.write_text("maxticks 10\n", encoding="utf-8")
     elif code == 4:
         main(argv)
-        lines = trace_path.read_text().splitlines()
-        trace_path.write_text("".join(f"{line}\n" for line in lines if '"learned"' not in line))
+        lines = trace_path.read_text(encoding="utf-8").splitlines()
+        kept = "".join(f"{line}\n" for line in lines if '"learned"' not in line)
+        trace_path.write_text(kept, encoding="utf-8")
         argv = ["verify", str(scenario_file), str(trace_path)]
     # The command reads its scenario first, with the collector paused.
     during = []
@@ -416,7 +437,7 @@ def test_main_pauses_gc_and_restores_the_state_it_found(
 def test_a_dropped_run_is_freed_without_the_cyclic_collector(name):
     # Nothing in a run refers back to its simulation, so reference counting
     # frees it, also while main pauses the collector.
-    scenario = parse_scenario((SCENARIOS / name).read_text())
+    scenario = parse_scenario((SCENARIOS / name).read_text(encoding="utf-8"))
     was_enabled = gc.isenabled()
     gc.disable()
     try:

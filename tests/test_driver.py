@@ -183,3 +183,20 @@ def test_driver_never_schedules_two_simultaneous_cpu_enables_per_plan():
     cpu = [r for r in result.records if r.src == SRC_CPU and r.ev in (EV_ENABLE, EV_IGNORED_ENABLE)]
     ticks = [r.t for r in cpu]
     assert len(ticks) == len(set(ticks))
+
+
+def test_a_plan_leaves_the_driver_when_its_last_repetition_ends():
+    # Durations 4, gap 1, rest 10. The short plan ends with word 2's done at
+    # 9; the long one's first repetition ends at 9 too, its second at 28.
+    sim = Simulation(FabricConfig.uniform(3, delay1=5, delay2=1, threshold=10, duration=4))
+    sim.add_plan(RehearsalPlan(sequence=(1, 2), reps=1, gap=1, rest=10, start=0))
+    sim.add_plan(RehearsalPlan(sequence=(3, 1), reps=2, gap=1, rest=10, start=0))
+    assert sim.driver.unfinished_plans() == 2
+    sim.run_to_quiescence(6)  # inside both plans' first repetition
+    assert sim.driver.unfinished_plans() == 2
+    sim.run_to_quiescence(20)  # the short plan is done; the long one is in its second repetition
+    assert sim.driver.unfinished_plans() == 1
+    assert sim.run_to_quiescence(1000).quiescent
+    assert sim.driver.unfinished_plans() == 0
+    cpu = [(r.t, r.word) for r in sim.records if r.ev == EV_ENABLE and r.src == SRC_CPU]
+    assert cpu == [(0, 1), (0, 3), (5, 2), (5, 1), (19, 3), (24, 1)]

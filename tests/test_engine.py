@@ -20,7 +20,6 @@ from memfabric import (
     parse_scenario,
 )
 from memfabric.engine import EventQueue
-from memfabric.fabric import Episode
 from conftest import OVERRIDE_CYCLE, run_text
 
 
@@ -42,10 +41,6 @@ def test_earlier_tick_dispatches_first_regardless_of_insertion():
     assert q.pop().payload == "late"
 
 
-def _cpu_enable(sim, tick):
-    sim.schedule_cpu_enable(tick, 1, Episode(0))
-
-
 def _override(sim, tick):
     sim.schedule_override(tick, (1, 2), True)
 
@@ -60,8 +55,8 @@ def _plan(sim, tick):
 
 @pytest.mark.parametrize(
     "clock, schedule",
-    [(0, _cpu_enable), (0, _override), (9, _cpu_enable), (9, _override), (9, _probe), (9, _plan)],
-    ids=["cpu-enable-at-0", "override-at-0", "cpu-enable", "override", "probe", "plan"],
+    [(0, _override), (9, _override), (9, _probe), (9, _plan)],
+    ids=["override-at-0", "override", "probe", "plan"],
 )
 def test_public_scheduling_behind_the_clock_is_a_value_error(clock, schedule):
     # Caller input, not an engine bug: a ValueError naming the caller's

@@ -19,7 +19,6 @@ from memfabric import (
     predict_timeline,
     shift_entries,
 )
-from memfabric.fabric import Episode
 from memfabric.trace import (
     EV_AUTO_ENABLE_SCHEDULED,
     EV_DONE,
@@ -92,6 +91,19 @@ def test_config_keeps_a_read_only_copy_of_the_durations():
     assert cfg.durations == {1: 4, 2: 4}
     with pytest.raises(TypeError):
         cfg.durations[1] = -3
+    edits = [
+        lambda d: d.__delitem__(1),
+        lambda d: d.__ior__({1: -3}),
+        lambda d: d.clear(),
+        lambda d: d.pop(1),
+        lambda d: d.popitem(),
+        lambda d: d.setdefault(3, -3),
+        lambda d: d.update({1: -3}),
+    ]
+    for edit in edits:
+        with pytest.raises(TypeError):
+            edit(cfg.durations)
+    assert cfg.durations == {1: 4, 2: 4}
     sim = Simulation(cfg)
     sim.add_probe(Probe(tick=0, word=1))
     assert sim.run_to_quiescence(100).final_tick == 4
@@ -125,7 +137,7 @@ def test_busy_word_ignores_enable():
 def test_unknown_word_enable_raises():
     sim = Simulation(_config())
     with pytest.raises(UnknownWordError):
-        sim.schedule_cpu_enable(0, 7, Episode(0))
+        sim.add_probe(Probe(tick=0, word=7))
     assert len(sim.queue) == 0
 
 

@@ -484,7 +484,9 @@ def _mutants(records, word_count):
 
 
 def test_every_single_record_mutant_is_rejected():
-    texts = {path.name: path.read_text() for path in sorted(SCENARIOS.glob("*.scn"))}
+    texts = {
+        path.name: path.read_text(encoding="utf-8") for path in sorted(SCENARIOS.glob("*.scn"))
+    }
     texts["override cycle"] = OVERRIDE_CYCLE
     survivors = []
     tried = 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import pickle
 from collections import Counter
@@ -107,53 +108,77 @@ def test_duplicate_fabric_directive_is_an_error():
 
 
 @pytest.mark.parametrize(
-    "text,fragment",
+    "text,line,fragment",
     [
-        ("dur * 4\nmaxticks 10\n", "missing fabric"),
-        ("fabric words=2 delay1=5 delay2=1 threshold=1\ndur * 4\n", "missing maxticks"),
+        ("dur * 4\nmaxticks 10\n", None, "missing fabric"),
+        ("fabric words=2 delay1=5 delay2=1 threshold=1\ndur * 4\n", None, "missing maxticks"),
         (
             "fabric words=1 delay1=5 delay2=1 threshold=1\ndur * 4\nmaxticks 10\n",
+            1,
             "at least 2 words",
         ),
         (
             "fabric words=2 delay1=5 delay2=6 threshold=1\ndur * 4\nmaxticks 10\n",
+            1,
             "must not exceed delay1",
         ),
-        ("fabric words=2 delay1=5 delay2=1 threshold=1\nmaxticks 10\n", "no duration"),
+        ("fabric words=2 delay1=5 delay2=1 threshold=1\nmaxticks 10\n", 1, "no duration"),
         (
             "fabric words=2 delay1=5 delay2=1 threshold=1\ndur 1 4\nmaxticks 10\n",
+            1,
             "no duration for word 2",
+        ),
+        (
+            "fabric words=3 delay1=5 delay2=1 threshold=1\ndur * 4\nmaxticks 10\ndur 2 -1\n",
+            4,
+            "duration of word 2 must be >= 1, got -1",
+        ),
+        (
+            "fabric words=2 delay1=5 delay2=1 threshold=1\ndur * 0\nmaxticks 10\n",
+            2,
+            "duration of word 1 must be >= 1, got 0",
         ),
         (
             "fabric words=2 delay1=5 delay2=1 threshold=1\ndur * 4\n"
             "rehearse 1 3 1 2 reps=1 gap=0 rest=0 start=0\nmaxticks 10\n",
+            3,
             "word 1 repeats",
         ),
         (
             "fabric words=2 delay1=5 delay2=1 threshold=1\ndur * 4\n"
             "rehearse 1 5 reps=1 gap=0 rest=0 start=0\nmaxticks 10\n",
+            3,
             "outside 1..2",
         ),
         (
             "fabric words=2 delay1=5 delay2=1 threshold=1\ndur * 4\n"
             "at 5 probe 9\nmaxticks 10\n",
+            3,
             "outside 1..2",
         ),
         (
             "fabric words=2 delay1=5 delay2=1 threshold=1\ndur * 4\n"
             "at 5 override 1 1 open\nmaxticks 10\n",
+            3,
             "self pair",
         ),
         (
             "fabric words=2 delay1=5 delay2=1 threshold=1\ndur * 4\nmaxticks 0\n",
+            3,
             "maxticks must be >= 1",
         ),
     ],
 )
-def test_semantic_errors_are_rejected(text, fragment):
+def test_semantic_errors_are_rejected(text, line, fragment):
     with pytest.raises(ValidationError) as info:
         parse_scenario(text)
-    assert fragment in str(info.value)
+    message = str(info.value)
+    assert info.value.line == line
+    if line is None:
+        assert not message.startswith("line ")
+    else:
+        assert message.startswith(f"line {line}: ")
+    assert fragment in message
 
 
 def test_gap_beyond_delay1_warns_but_parses():
@@ -196,6 +221,7 @@ def test_parsed_scenario_survives_pickle_and_deepcopy():
         with pytest.raises(TypeError):
             copied.config.durations[1] = 5
         assert run_scenario(copied).records == run_scenario(scenario).records
+    assert dataclasses.asdict(scenario)["config"]["durations"] == {1: 4, 2: 9, 3: 4}
 
 
 def test_canonical_round_trip_on_worked_example(worked_example_text):

@@ -10,7 +10,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from memfabric import (
     MalformedTraceError,
@@ -133,9 +133,21 @@ def test_line_equals_the_json_dumps_reference(rec):
     assert keys == [key for key in KEY_ORDER if key in keys]
 
 
-@given(st.lists(records(), max_size=20))
+# Valid traces never go back in time, so the draw is sorted by tick.
+@given(st.lists(records(), max_size=20).map(lambda recs: sorted(recs, key=lambda rec: rec.t)))
 def test_parse_inverts_format(recs):
     assert parse_trace(format_trace(recs)) == recs
+
+
+@given(st.lists(records(), min_size=2, max_size=20))
+def test_a_tick_below_the_previous_records_is_rejected_at_its_line(recs):
+    recs.sort(key=lambda rec: rec.t)
+    assume(recs[0].t < recs[-1].t)
+    # The latest record moved to the front: the next line goes back in time.
+    text = format_trace([recs[-1], *recs[:-1]])
+    error = f"line 2: out-of-order tick {recs[0].t} after {recs[-1].t}"
+    with pytest.raises(MalformedTraceError, match=f"^{re.escape(error)}$"):
+        parse_trace(text)
 
 
 @given(records(), st.randoms(use_true_random=False))
