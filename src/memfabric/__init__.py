@@ -26,7 +26,6 @@ from memfabric.fabric import (
     DONE_ENABLE,
     Fabric,
     FabricConfig,
-    FilterState,
     InvalidConfigError,
     SelfPairError,
     UnknownWordError,
@@ -71,7 +70,6 @@ __all__ = [
     "EpisodeSummary",
     "Fabric",
     "FabricConfig",
-    "FilterState",
     "InvalidConfigError",
     "InvalidPlanError",
     "MalformedTraceError",

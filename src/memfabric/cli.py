@@ -30,6 +30,7 @@ from memfabric.scenario import (
     ParseError,
     ScenarioError,
     canonical_scenario,
+    check_max_tick,
     parse_int,
     parse_scenario,
     write_report,
@@ -47,10 +48,9 @@ def _max_ticks(text: str) -> int:
     """The ``--max-ticks`` value, by the rule of the ``maxticks`` directive."""
     try:
         value = parse_int(text, "value")
-    except ParseError as exc:
+        check_max_tick(value)
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 

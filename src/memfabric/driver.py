@@ -47,8 +47,6 @@ class RehearsalPlan:
         if len(set(self.sequence)) != len(self.sequence):
             dup = next(w for i, w in enumerate(self.sequence) if w in self.sequence[:i])
             raise InvalidPlanError(f"word {dup} repeats in the sequence; states must be distinct")
-        if any(w < 1 for w in self.sequence):
-            raise InvalidPlanError("word ids start at 1")
         if self.reps < 1:
             raise InvalidPlanError(f"reps must be >= 1, got {self.reps}")
         if self.gap < 0:

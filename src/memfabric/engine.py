@@ -30,7 +30,7 @@ from typing import NamedTuple
 from memfabric.driver import Driver, Probe, RehearsalPlan
 from memfabric.fabric import AutoEnable, CpuEnable, Episode, Fabric, FabricConfig
 from memfabric.fabric import OverrideSet, WordDone
-from memfabric.scenario import Report, Scenario, build_report
+from memfabric.scenario import Report, Scenario, build_report, check_max_tick
 from memfabric.trace import TraceRecord
 
 
@@ -139,8 +139,7 @@ class Simulation:
 
     def run_to_quiescence(self, max_tick: int) -> RunOutcome:
         """Dispatch until the queue drains or an event would pass max_tick."""
-        if max_tick <= 0:
-            raise ValueError(f"max_tick must be positive, got {max_tick}")
+        check_max_tick(max_tick)
         while True:
             next_tick = self.queue.peek_tick()
             if next_tick is None:

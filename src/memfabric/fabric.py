@@ -146,12 +146,6 @@ class FabricConfig:
     def word_ids(self) -> range:
         return range(1, self.word_count + 1)
 
-    def ordered_pairs(self):
-        for i in self.word_ids():
-            for j in self.word_ids():
-                if i != j:
-                    yield (i, j)
-
     @staticmethod
     def check_duration(word: int, dur: int) -> None:
         """The duration rule: a word runs for at least one tick."""
@@ -220,21 +214,6 @@ class OverrideSet(NamedTuple):
         sim.fabric.set_override(sim, self.pair[0], self.pair[1], self.is_open, tick)
 
 
-@dataclass(frozen=True)
-class FilterState:
-    """Read-only view of one timing filter, as the hardware would hold it.
-
-    ``window_open_until`` is the closing tick of the source word's most
-    recent hold window (a tick behind the clock means it has closed),
-    or None if no window is on record. ``set_count`` is the number of
-    latched register stages.
-    """
-
-    pair: tuple[int, int]
-    window_open_until: int | None
-    set_count: int
-
-
 class Fabric:
     """Word block, K(K-1) timing filters, and the learned switch matrix.
 
@@ -242,11 +221,10 @@ class Fabric:
     a ``(shift_count, last_shift_tick)`` entry per pair whose filter has
     fired; the latched stage count is ``min(shift_count, threshold)``.
     Both are exact for the reasons given in the module docstring. Each
-    word also keeps its learned successors in ascending order. A done or
-    an enable therefore costs its open windows and learned out-degree,
-    not a scan of all K words, and a fresh fabric allocates nothing per
-    word or per pair; :attr:`filters` rebuilds the per-pair view on
-    demand.
+    word also keeps its learned successors in ascending order, the one
+    record of the closed switches. A done or an enable therefore costs
+    its open windows and learned out-degree, not a scan of all K words,
+    and a fresh fabric allocates nothing per word or per pair.
 
     All mutation happens through the single-threaded dispatch loop of
     the owning simulation, which is passed in so the fabric can emit
@@ -267,7 +245,6 @@ class Fabric:
         # dropped whenever a trigger scans the windows.
         self._window_until: dict[int, int] = {}
         self._shifts: dict[tuple[int, int], tuple[int, int]] = {}
-        self._learned: dict[tuple[int, int], int] = {}
         self._successors: dict[int, list[int]] = {}
         self._override_open: set[tuple[int, int]] = set()
 
@@ -275,30 +252,11 @@ class Fabric:
     def filter_count(self) -> int:
         return self.config.word_count * (self.config.word_count - 1)
 
-    @property
-    def filters(self) -> dict[tuple[int, int], FilterState]:
-        """Snapshot of every filter, built on demand in O(K^2) for inspection."""
-        counts = self.detection_counts()
-        threshold = self.config.threshold
-        return {
-            pair: FilterState(
-                pair, self._window_until.get(pair[0]), min(counts.get(pair, 0), threshold)
-            )
-            for pair in self.config.ordered_pairs()
-        }
-
     def learned_set(self) -> set[tuple[int, int]]:
-        return set(self._learned)
-
-    def learned_ticks(self) -> dict[tuple[int, int], int]:
-        return dict(self._learned)
+        return {(src, dst) for src, dsts in self._successors.items() for dst in dsts}
 
     def override_is_open(self, pair: tuple[int, int]) -> bool:
         return pair in self._override_open
-
-    def detection_counts(self) -> dict[tuple[int, int], int]:
-        """Per-pair count of register shifts (refractory-respecting detections)."""
-        return {pair: count for pair, (count, _) in self._shifts.items()}
 
     def on_enable(self, sim, word: int, tick: int, *, source: str, pair, episode: Episode) -> None:
         """Apply an enable signal to a word.
@@ -388,6 +346,5 @@ class Fabric:
         sim.emit(TraceRecord(tick, EV_LATCH_SHIFT, None, pair, None, None, min(count, threshold)))
         if count == threshold:
             # The shift that sets the last stage closes the switch.
-            self._learned[pair] = tick
             insort(self._successors.setdefault(pair[0], []), pair[1])
             sim.emit(TraceRecord(tick, EV_LEARNED, None, pair))

@@ -80,6 +80,12 @@ class Scenario:
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
 
+def check_max_tick(value: int) -> None:
+    """The tick-limit rule of ``maxticks``, ``--max-ticks`` and ``run_to_quiescence``."""
+    if value < 1:
+        raise ValueError(f"maxticks must be >= 1, got {value}")
+
+
 def parse_int(token: str, what: str, line: int | None = None) -> int:
     """ASCII digits with an optional sign (tokens never hold whitespace)."""
     # int() alone would also take "1_0" and non-ASCII digits such as "٣".
@@ -200,8 +206,6 @@ def parse_scenario(text: str) -> Scenario:
         raise ValidationError("missing fabric directive")
     if max_tick is None:
         raise ValidationError("missing maxticks directive")
-    if max_tick[0] < 1:
-        raise ValidationError(f"maxticks must be >= 1, got {max_tick[0]}", max_tick[1])
 
     word_count, delay1, delay2, threshold = (
         parse_int(fabric_args[key], key, fabric_line)
@@ -217,6 +221,8 @@ def parse_scenario(text: str) -> Scenario:
     probes: list[Probe] = []
     overrides: list[OverrideDirective] = []
     try:
+        line = max_tick[1]
+        check_max_tick(max_tick[0])
         durations: dict[int, int] = {}
         for word in range(1, word_count + 1):
             if (entry := dur_overrides.get(word, default_dur)) is not None:

@@ -13,8 +13,6 @@ import random
 from contextlib import contextmanager
 
 from memfabric import (
-    Fabric,
-    FabricConfig,
     count_detections,
     detection_ticks,
     episode_subtrace,
@@ -161,12 +159,17 @@ def test_criterion_02_threshold_sharpness():
 def test_criterion_03_structural_scaling():
     with criterion(3, "a fabric over K words holds exactly K(K-1) filters"):
         for word_count in (2, 3, 5, 10):
-            config = FabricConfig.uniform(
-                word_count, delay1=5, delay2=1, threshold=3, duration=4
+            words = range(1, word_count + 1)
+            # Every word finishes at tick 4 and holds its window to tick 9;
+            # the second probes land inside all of them, so every filter fires.
+            probes = "".join(f"at {tick} probe {word}\n" for tick in (0, 5) for word in words)
+            result = run_text(
+                f"fabric words={word_count} delay1=5 delay2=1 threshold=3\n"
+                f"dur * 4\n{probes}maxticks 100\n"
             )
-            fabric = Fabric(config)
-            assert fabric.filter_count == word_count * (word_count - 1)
-            assert len({f.pair for f in fabric.filters.values()}) == fabric.filter_count
+            ordered_pairs = {(i, j) for i in words for j in words if i != j}
+            assert {r.pair for r in result.records if r.ev == EV_FILTER_FIRE} == ordered_pairs
+            assert result.simulation.fabric.filter_count == word_count * (word_count - 1)
 
 
 def test_criterion_04_override_blocks_and_restores_replay():
@@ -407,5 +410,5 @@ def test_criterion_10_spike_width_refractory():
         shifts = [r for r in result.records if r.ev == EV_LATCH_SHIFT and r.pair == (1, 2)]
         assert len(fires) == 2  # both coincidences reach the detector
         assert len(shifts) == 1  # but the spike is still high for the second
-        assert result.simulation.fabric.detection_counts() == {(1, 2): 1}
+        assert dict(result.report.detections) == {(1, 2): 1}
         assert count_detections(result.records, config) == {(1, 2): 1}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -23,7 +24,7 @@ SUPPORTED = {
     "Simulation", "build_simulation", "run_scenario",
     "RunResult", "RunOutcome", "QUIESCENT", "TICK_LIMIT",
     # fabric model
-    "Fabric", "FabricConfig", "FilterState", "DONE_ENABLE", "DONE_DONE",
+    "Fabric", "FabricConfig", "DONE_ENABLE", "DONE_DONE",
     # trace
     "TraceRecord", "format_trace", "parse_trace", "write_trace",
     # oracle
@@ -40,6 +41,23 @@ def test_all_lists_exactly_the_supported_names():
     assert set(memfabric.__all__) == SUPPORTED
     for name in memfabric.__all__:
         assert getattr(memfabric, name) is not None, name
+
+
+def test_package_imports_only_the_standard_library():
+    # pyproject.toml declares no dependencies; every import must be stdlib.
+    allowed = {"memfabric", "__future__"} | sys.stdlib_module_names
+    sources = sorted((ROOT / "src" / "memfabric").glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] in allowed, f"{path.name}:{node.lineno} {module}"
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

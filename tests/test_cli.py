@@ -353,7 +353,7 @@ def test_check_rejects_spike_wider_than_the_window(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["run", "SCN", "--max-ticks", "0"], "argument --max-ticks: must be >= 1, got 0"),
+        (["run", "SCN", "--max-ticks", "0"], "argument --max-ticks: maxticks must be >= 1, got 0"),
         (["run", "SCN", "--max-ticks", "abc"], "argument --max-ticks: value is not an integer"),
         (["run", "SCN", "--max-ticks", "1_0"], "argument --max-ticks: value is not an integer"),
         (["verify", "SCN"], "the following arguments are required: trace"),

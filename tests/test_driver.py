@@ -52,7 +52,6 @@ def test_plan_with_repeated_word_is_rejected():
         dict(sequence=(1, 2), reps=1, gap=-1, rest=0, start=0),
         dict(sequence=(1, 2), reps=1, gap=0, rest=-1, start=0),
         dict(sequence=(1, 2), reps=1, gap=0, rest=0, start=-2),
-        dict(sequence=(0, 1), reps=1, gap=0, rest=0, start=0),
     ],
 )
 def test_structurally_bad_plans_are_rejected(kwargs):
@@ -64,6 +63,8 @@ def test_plan_word_outside_fabric_is_rejected():
     sim = Simulation(FabricConfig.uniform(2, delay1=5, delay2=1, threshold=1, duration=4))
     with pytest.raises(UnknownWordError, match="outside 1..2"):
         sim.add_plan(RehearsalPlan(sequence=(1, 5), reps=1, gap=0, rest=0, start=0))
+    with pytest.raises(UnknownWordError, match="^word 0 outside 1..2$"):
+        sim.add_plan(RehearsalPlan(sequence=(0, 1), reps=1, gap=0, rest=0, start=0))
     assert len(sim.queue) == 0
 
 

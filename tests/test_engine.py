@@ -157,7 +157,7 @@ def test_single_enabled_word_quiesces_at_its_done():
 
 def test_max_tick_must_be_positive():
     sim = Simulation(FabricConfig.uniform(2, delay1=2, delay2=1, threshold=1, duration=1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^maxticks must be >= 1, got 0$"):
         sim.run_to_quiescence(0)
 
 

@@ -501,6 +501,61 @@ def test_every_single_record_mutant_is_rejected():
     assert survivors == []
 
 
+# -- survivor ratchet: mutant classes verify_run does not yet catch --------
+
+# Per shipped scenario: (surviving swaps, swaps tried). A swap exchanges two
+# adjacent records that share a tick and differ.
+SWAP_SURVIVORS = {
+    "concurrent": (18, 28),
+    "cycle": (14, 21),
+    "negative_control": (0, 0),
+    "override": (27, 49),
+    "worked_example": (26, 48),
+}
+# (trace of, verified against) for shipped scenarios whose trace passes as another's.
+CROSS_SCENARIO_SURVIVORS = {
+    ("cycle", "concurrent"),
+    ("cycle", "negative_control"),
+    ("negative_control", "concurrent"),
+    ("negative_control", "cycle"),
+    ("negative_control", "worked_example"),
+}
+
+
+def _passes(scenario, records) -> bool:
+    try:
+        return verify_run(scenario, records) == []
+    except MalformedTraceError:
+        return False
+
+
+def test_surviving_mutants_of_the_shipped_scenarios_are_counted():
+    # A ratchet: these counts must equal the committed ones, so a change
+    # that makes verify catch more commits the lower figures.
+    runs = {
+        path.stem: run_text(path.read_text(encoding="utf-8"))
+        for path in sorted(SCENARIOS.glob("*.scn"))
+    }
+    swaps = {}
+    for name, result in runs.items():
+        records = result.records
+        tried = survived = 0
+        for index, (first, second) in enumerate(zip(records, records[1:])):
+            if first.t == second.t and first != second:
+                tried += 1
+                mutant = records[:index] + [second, first] + records[index + 2 :]
+                survived += _passes(result.scenario, mutant)
+        swaps[name] = (survived, tried)
+    assert swaps == SWAP_SURVIVORS
+    cross = {
+        (name, other)
+        for name, result in runs.items()
+        for other, against in runs.items()
+        if other != name and _passes(against.scenario, result.records)
+    }
+    assert cross == CROSS_SCENARIO_SURVIVORS
+
+
 # -- cross-check at the scale the sparse fabric core targets --------------
 
 

@@ -32,6 +32,7 @@ from memfabric import (
     run_scenario,
 )
 from memfabric.fabric import FabricConfig
+from memfabric.trace import EV_LEARNED
 from conftest import run_text
 
 
@@ -157,6 +158,12 @@ def test_duplicate_fabric_directive_is_an_error():
             "outside 1..2",
         ),
         (
+            "fabric words=3 delay1=5 delay2=1 threshold=1\ndur * 4\n"
+            "rehearse 0 1 reps=1 gap=0 rest=0 start=0\nmaxticks 10\n",
+            3,
+            "line 3: word 0 outside 1..3",
+        ),
+        (
             "fabric words=2 delay1=5 delay2=1 threshold=1\ndur * 4\n"
             "at 5 override 1 1 open\nmaxticks 10\n",
             3,
@@ -165,7 +172,7 @@ def test_duplicate_fabric_directive_is_an_error():
         (
             "fabric words=2 delay1=5 delay2=1 threshold=1\ndur * 4\nmaxticks 0\n",
             3,
-            "maxticks must be >= 1",
+            "line 3: maxticks must be >= 1, got 0",
         ),
     ],
 )
@@ -330,7 +337,7 @@ def test_report_lists_learned_pairs_sorted_with_ticks(worked_example_text):
     result = run_text(worked_example_text)
     report = result.report
     assert [pair for pair, _ in report.learned] == [(1, 3), (3, 2)]
-    learned_ticks = result.simulation.fabric.learned_ticks()
+    learned_ticks = {r.pair: r.t for r in result.records if r.ev == EV_LEARNED}
     assert dict(report.learned) == learned_ticks
     assert dict(report.detections) == {(1, 3): 11, (3, 2): 11}
     assert report.outcome == "quiescent"
