@@ -4,9 +4,9 @@ Every observable action in a run is captured as one :class:`TraceRecord`
 and serialized as a single-line JSON object with a fixed key order
 (``t, ev, word, pair, src, episode, stage``; absent fields omitted).
 All values are integers or short strings, never floats, so identical
-runs produce byte-identical traces. :func:`parse_trace` decodes the
-lines written here by one pattern match each and any other JSON object
-per line through :func:`decode_line`, with the same result.
+runs produce byte-identical traces. :func:`parse_trace` decodes a trace
+written here by one regex scan of the whole text, and any other trace
+line by line through :func:`decode_line`, with the same records and errors.
 
 Field usage by record kind::
 
@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -188,29 +189,33 @@ def decode_line(line: str) -> TraceRecord | None:
     return record_from_obj(obj)
 
 
-# -- the fast path: lines exactly as ``to_json_line`` writes them ---------
+# -- the scan: a trace exactly as ``format_trace`` writes it ---------------
 
 # int() of this many digits never raises, whatever limit
 # sys.set_int_max_str_digits has set (no lower nonzero limit is allowed);
 # a longer number takes the general path, which applies the limit.
 _MAX_DIGITS = sys.int_info.str_digits_check_threshold
 # least value -> the JSON integers >= it: no sign, exponent or leading zero
-_INT_PATTERN = {
-    0: f"(0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}})",
-    1: f"([1-9][0-9]{{0,{_MAX_DIGITS - 1}}})",
+_NATURAL = {
+    0: f"0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}",
+    1: f"[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}",
 }
 # the keys after t and ev, in to_json_line's order
 _OPTIONAL_KEYS = TraceRecord._fields[2:]
-# pair members are at least 1, as record_from_obj requires
+# pair members are at least 1, as record_from_obj requires; one group holds
+# both, "i,j", so that equal pairs decode to one shared tuple
 _VALUE_PATTERN = {
-    **{key: _INT_PATTERN[least] for key, least in _INT_FLOORS.items()},
-    "pair": rf"\[{_INT_PATTERN[1]},{_INT_PATTERN[1]}\]",
+    **{key: f"({_NATURAL[least]})" for key, least in _INT_FLOORS.items()},
+    "pair": rf"\[({_NATURAL[1]},{_NATURAL[1]})\]",
     "src": f'"({SRC_CPU}|{SRC_AUTO})"',
 }
+# one canonical line; anchored at line ends, so a scan of a whole text
+# matches each line that is canonical, all of it, and nothing else
 _CANONICAL_LINE = re.compile(
-    rf'\{{"t":{_VALUE_PATTERN["t"]},"ev":"({"|".join(map(re.escape, _FIELDS))})"'
+    rf'^\{{"t":{_VALUE_PATTERN["t"]},"ev":"({"|".join(map(re.escape, _FIELDS))})"'
     + "".join(f'(?:,"{key}":{_VALUE_PATTERN[key]})?' for key in _OPTIONAL_KEYS)
-    + r"\}"
+    + r"\}$",
+    re.M,
 )
 # (kind, whether each optional key is absent) -> the kind, for every field
 # set the kind allows: its required fields, with and without its optional
@@ -223,53 +228,76 @@ _CANONICAL_SHAPES = {
 }
 
 
+class _Values(dict):
+    """The values of a scan's groups, each decoded once: an absent field's
+    ``""`` to ``None``, digits to an int, a pair's ``"i,j"`` to ``(i, j)``."""
+
+    def __missing__(self, key: str) -> int | tuple[int, ...] | None:
+        if "," in key:
+            value = tuple(map(int, key.split(",")))
+        else:
+            value = int(key) if key else None
+        self[key] = value
+        return value
+
+
+def _scan(text: str) -> list[TraceRecord] | None:
+    """The records of a text whose every line is canonical and whose ticks
+    never decrease, by one scan of it; ``None`` for any other text."""
+    values = _Values()
+    shapes = _CANONICAL_SHAPES
+    new = tuple.__new__  # skips the named tuple's Python-level __new__
+    records = []
+    append = records.append
+    last = 0
+    groups = map(re.Match.groups, _CANONICAL_LINE.finditer(text), repeat(""))
+    for t, ev, word, pair, src, episode, stage in groups:
+        ev = shapes.get((ev, not word, not pair, not src, not episode, not stage))
+        t = values[t]
+        if ev is None or t < last:
+            return None
+        last = t
+        rec = (t, ev, values[word], values[pair], src or None, values[episode], values[stage])
+        append(new(TraceRecord, rec))
+    # each line holds at most one match, so a line it missed is a record short
+    return records if len(records) == text.count("\n") + (not text.endswith("\n")) else None
+
+
+def _unify_newlines(text: str) -> str:
+    if "\r" in text:  # a scan for it is quicker than a replace that finds none
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def split_lines(text: str) -> list[str]:
     """Lines ended by ``\\n``, ``\\r\\n`` or ``\\r`` only, as universal-newline reading
     splits them: ``str.splitlines`` also breaks at ``\\f``, ``\\x85`` and the like."""
-    if "\r" in text:  # a scan for it is quicker than a replace that finds none
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
+    return _unify_newlines(text).split("\n")
 
 
 def parse_trace(text: str) -> list[TraceRecord]:
     """Decode a JSON Lines trace into records; blank lines are skipped.
 
-    A line exactly as :meth:`TraceRecord.to_json_line` writes it is
-    decoded by one pattern match and a check of its field set; every
-    other line by :func:`decode_line`. Both give the same record for a
-    line, and a line that is not a valid record raises the same
-    :class:`MalformedTraceError`, prefixed with its line number. Ticks
-    never decrease: the first record whose tick is below the previous
-    record's raises one too, at its line.
+    A trace exactly as :func:`format_trace` writes it is decoded by one
+    regex scan of the whole text; any other text, or one whose ticks go
+    down, line by line through :func:`decode_line`, to the same records.
+    The first line that is not a valid record, or whose tick is below the
+    previous record's, raises :class:`MalformedTraceError` prefixed with
+    its line number.
     """
+    text = _unify_newlines(text)
+    records = _scan(text)
+    if records is not None:
+        return records
     records = []
-    match = _CANONICAL_LINE.fullmatch
     last = 0
-    for lineno, line in enumerate(split_lines(text), start=1):
-        m = match(line)
-        rec = None
-        if m is not None:
-            t, ev, word, i, j, src, episode, stage = m.groups()
-            shape = (ev, word is None, i is None, src is None, episode is None, stage is None)
-            ev = _CANONICAL_SHAPES.get(shape)
-            if ev is not None:
-                # an absent field's group is None, a present one a nonempty string
-                rec = TraceRecord(
-                    int(t),
-                    ev,
-                    word and int(word),
-                    i and (int(i), int(j)),
-                    src,
-                    episode and int(episode),
-                    stage and int(stage),
-                )
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        try:
+            rec = decode_line(line)
+        except MalformedTraceError as exc:
+            raise MalformedTraceError(f"line {lineno}: {exc}") from exc
         if rec is None:
-            try:
-                rec = decode_line(line)
-            except MalformedTraceError as exc:
-                raise MalformedTraceError(f"line {lineno}: {exc}") from exc
-            if rec is None:
-                continue
+            continue
         if rec.t < last:
             raise MalformedTraceError(f"line {lineno}: out-of-order tick {rec.t} after {last}")
         last = rec.t

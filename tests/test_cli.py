@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import subprocess
 import sys
 import weakref
@@ -16,7 +17,8 @@ from conftest import OVERRIDE_CYCLE
 from memfabric import parse_scenario, run_scenario
 from memfabric.cli import main
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 WORKED_EXAMPLE = SCENARIOS / "worked_example.scn"
 
 
@@ -400,6 +402,40 @@ def test_console_entry_point_runs_as_a_module(scenario_file, tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == ""
     assert (scenario_file.parent / (scenario_file.name + ".trace.jsonl")).exists()
+
+
+def _commands_under_hash_seed(seed: int, workdir: Path) -> list:
+    """Exit code, stdout and stderr of run, verify, and verify against the next
+    scenario, and the trace and report bytes, for every shipped scenario."""
+    workdir.mkdir()
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    scenarios = sorted(SCENARIOS.glob("*.scn"))
+    seen = []
+    for scenario, other in zip(scenarios, scenarios[1:] + scenarios[:1]):
+        trace, report = f"{scenario.stem}.trace.jsonl", f"{scenario.stem}.report.json"
+        for argv in (
+            ["run", str(scenario), "--trace", trace, "--report", report],
+            ["verify", str(scenario), trace],
+            ["verify", str(other), trace],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "memfabric.cli", *argv],
+                cwd=workdir,
+                env=env,
+                capture_output=True,
+            )
+            seen.append((argv, proc.returncode, proc.stdout, proc.stderr))
+        seen.append(((workdir / trace).read_bytes(), (workdir / report).read_bytes()))
+    return seen
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # String hashes change with PYTHONHASHSEED; no set or dict keyed by
+    # strings may reach the order of anything a command writes.
+    seen = _commands_under_hash_seed(0, tmp_path / "0")
+    assert [entry[1] for entry in seen[:2]] == [0, 0]
+    assert seen == _commands_under_hash_seed(1, tmp_path / "1")
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])

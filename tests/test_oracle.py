@@ -520,6 +520,25 @@ CROSS_SCENARIO_SURVIVORS = {
     ("negative_control", "cycle"),
     ("negative_control", "worked_example"),
 }
+# Per shipped scenario: (surviving deletions, episodes). A deletion removes
+# every record that carries one episode id.
+EPISODE_DELETION_SURVIVORS = {
+    "concurrent": (0, 8),
+    "cycle": (0, 7),
+    "negative_control": (50, 50),
+    "override": (1, 12),
+    "worked_example": (0, 11),
+}
+# Per shipped scenario: (surviving insertions, words). An insertion appends,
+# for one word, a CPU enable one tick after the last record and its done one
+# duration later, in a new episode numbered one past the highest.
+EPISODE_INSERTION_SURVIVORS = {
+    "concurrent": (0, 4),
+    "cycle": (0, 2),
+    "negative_control": (1, 2),
+    "override": (1, 3),
+    "worked_example": (1, 3),
+}
 
 
 def _passes(scenario, records) -> bool:
@@ -547,6 +566,30 @@ def test_surviving_mutants_of_the_shipped_scenarios_are_counted():
                 survived += _passes(result.scenario, mutant)
         swaps[name] = (survived, tried)
     assert swaps == SWAP_SURVIVORS
+    deletions = {}
+    insertions = {}
+    for name, result in runs.items():
+        records = result.records
+        episodes = sorted({rec.episode for rec in records if rec.episode is not None})
+        deletions[name] = (
+            sum(
+                _passes(result.scenario, [rec for rec in records if rec.episode != episode])
+                for episode in episodes
+            ),
+            len(episodes),
+        )
+        config = result.scenario.config
+        tick, episode = records[-1].t + 1, episodes[-1] + 1
+        inserted = [
+            [_enable(tick, word, episode), _done(tick + config.durations[word], word, episode)]
+            for word in config.word_ids()
+        ]
+        insertions[name] = (
+            sum(_passes(result.scenario, records + pair) for pair in inserted),
+            len(inserted),
+        )
+    assert deletions == EPISODE_DELETION_SURVIVORS
+    assert insertions == EPISODE_INSERTION_SURVIVORS
     cross = {
         (name, other)
         for name, result in runs.items()

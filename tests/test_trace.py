@@ -1,6 +1,6 @@
 """Trace codec: the fixed-order line formatter, the record validator, the
-fast decoder of canonical lines against the general one, and the byte
-contract of the shipped scenarios."""
+whole-text scan of written traces against the line-by-line decoder, and
+the byte contract of the shipped scenarios."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import memfabric.trace
 from memfabric import (
     MalformedTraceError,
     TraceRecord,
@@ -21,7 +22,13 @@ from memfabric import (
     parse_trace,
     run_scenario,
 )
-from memfabric.trace import _CANONICAL_LINE, decode_line, record_from_obj
+from memfabric.trace import (
+    _CANONICAL_LINE,
+    _CANONICAL_SHAPES,
+    decode_line,
+    record_from_obj,
+    split_lines,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -88,12 +95,12 @@ def reference_line(rec: TraceRecord) -> str:
 _naturals = st.integers(min_value=0, max_value=2**70)
 _words = st.integers(min_value=1, max_value=2**70)
 
-# The fast decoder converts integers of up to 640 digits itself (int() of
+# The scan converts integers of up to 640 digits itself (int() of
 # that many never raises, whatever sys.set_int_max_str_digits allows) and
 # hands longer ones to the general path; 4300 is the default limit of both.
-FAST_DIGITS = 640
+SCAN_DIGITS = 640
 LIMIT_DIGITS = 4300
-_digit_counts = st.sampled_from([1, FAST_DIGITS, FAST_DIGITS + 1, LIMIT_DIGITS]) | st.integers(
+_digit_counts = st.sampled_from([1, SCAN_DIGITS, SCAN_DIGITS + 1, LIMIT_DIGITS]) | st.integers(
     min_value=1, max_value=LIMIT_DIGITS
 )
 _long_naturals = _naturals | _digit_counts.flatmap(
@@ -123,6 +130,28 @@ def test_scenario_trace_and_report_bytes_are_pinned(name):
     trace = hashlib.sha256(format_trace(result.records).encode("utf-8")).hexdigest()
     report = hashlib.sha256(format_report(result.report).encode("utf-8")).hexdigest()
     assert (trace, report) == OUTPUT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.scn")))
+def test_a_written_trace_is_decoded_by_the_scan(name, monkeypatch):
+    records = run_scenario(parse_scenario((SCENARIOS / name).read_text(encoding="utf-8"))).records
+    lines = format_trace(records).split("\n")
+
+    def general_path(line):
+        raise AssertionError(f"decode_line called on {line!r}")
+
+    monkeypatch.setattr(memfabric.trace, "decode_line", general_path)
+    assert parse_trace("\n".join(lines)) == records
+    # One line with its keys reversed is not canonical: the whole trace takes
+    # the general path, and decodes to the same records.
+    middle = len(records) // 2
+    lines[middle] = json.dumps(dict(reversed(json.loads(lines[middle]).items())))
+    decoded = []
+    monkeypatch.setattr(
+        memfabric.trace, "decode_line", lambda line: decoded.append(line) or decode_line(line)
+    )
+    assert parse_trace("\n".join(lines)) == records
+    assert decoded == lines
 
 
 @given(records())
@@ -190,7 +219,45 @@ def test_records_are_immutable_hashable_named_tuples():
     assert rec.t == 3
 
 
-# -- the fast decoder of canonical lines against the general path ---------
+# -- the whole-text scan against the line-by-line decoder ------------------
+
+
+def reference_parse_trace(text: str) -> list[TraceRecord]:
+    """parse_trace as it was before the whole-text scan: each line matched
+    alone, a canonical one decoded from its groups, any other by decode_line."""
+    records = []
+    match = _CANONICAL_LINE.fullmatch
+    last = 0
+    for lineno, line in enumerate(split_lines(text), start=1):
+        m = match(line)
+        rec = None
+        if m is not None:
+            t, ev, word, pair, src, episode, stage = m.groups()
+            shape = (ev, word is None, pair is None, src is None, episode is None, stage is None)
+            ev = _CANONICAL_SHAPES.get(shape)
+            if ev is not None:
+                # an absent field's group is None, a present one a nonempty string
+                rec = TraceRecord(
+                    int(t),
+                    ev,
+                    word and int(word),
+                    pair and tuple(map(int, pair.split(","))),
+                    src,
+                    episode and int(episode),
+                    stage and int(stage),
+                )
+        if rec is None:
+            try:
+                rec = decode_line(line)
+            except MalformedTraceError as exc:
+                raise MalformedTraceError(f"line {lineno}: {exc}") from exc
+            if rec is None:
+                continue
+        if rec.t < last:
+            raise MalformedTraceError(f"line {lineno}: out-of-order tick {rec.t} after {last}")
+        last = rec.t
+        records.append(rec)
+    return records
 
 
 def assert_decoded_as_by_the_general_path(line: str) -> None:
@@ -210,8 +277,8 @@ def test_canonical_lines_decode_as_by_the_general_path(rec):
     line = rec.to_json_line()
     assert parse_trace(line) == [decode_line(line)] == [rec]
     digits = max(len(number) for number in re.findall("[0-9]+", line))
-    # the fast path is not dead: every canonical line within its cap matches
-    assert (_CANONICAL_LINE.fullmatch(line) is not None) == (digits <= FAST_DIGITS)
+    # the scan is not dead: every canonical line within its cap matches
+    assert (_CANONICAL_LINE.fullmatch(line) is not None) == (digits <= SCAN_DIGITS)
 
 
 # One character that does not end a line: parse_trace splits on those first.
@@ -284,3 +351,49 @@ def mutated_lines(draw) -> str:
 @given(mutated_lines())
 def test_mutated_lines_decode_or_fail_as_by_the_general_path(line):
     assert_decoded_as_by_the_general_path(line)
+
+
+@st.composite
+def traces(draw) -> str:
+    """Canonical lines, mostly in tick order, with mutated and blank lines
+    put in and a mix of line ends."""
+    recs = draw(st.lists(records(), max_size=12))
+    if draw(st.integers(min_value=0, max_value=3)):
+        recs.sort(key=lambda rec: rec.t)
+    lines = [rec.to_json_line() for rec in recs]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        where = draw(st.integers(min_value=0, max_value=len(lines)))
+        lines.insert(where, draw(mutated_lines() | st.sampled_from(["", " ", "\t"])))
+    ends = draw(
+        st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines))
+    )
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[: -len(ends[-1])] if ends and draw(st.booleans()) else text
+
+
+@given(traces())
+def test_traces_decode_or_fail_as_by_the_reference(text):
+    try:
+        expected = reference_parse_trace(text)
+    except MalformedTraceError as exc:
+        with pytest.raises(MalformedTraceError) as info:
+            parse_trace(text)
+        assert str(info.value) == str(exc)
+    else:
+        records = parse_trace(text)
+        assert records == expected
+        assert all(type(rec) is TraceRecord for rec in records)
+        assert all(type(rec.pair) is tuple for rec in records if rec.pair is not None)
+
+
+def test_a_malformed_line_is_named_before_a_later_tick_that_goes_down():
+    # The pattern does not match line 2, so a scan that raised by itself
+    # would name line 3, whose tick goes down.
+    text = (
+        '{"t":5,"ev":"done","word":1,"episode":0}\n'
+        '{"t":6,"ev":"mystery"}\n'
+        '{"t":1,"ev":"done","word":1,"episode":0}\n'
+    )
+    error = "line 2: unknown event kind: 'mystery'"
+    with pytest.raises(MalformedTraceError, match=f"^{re.escape(error)}$"):
+        parse_trace(text)
