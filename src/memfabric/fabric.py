@@ -29,13 +29,16 @@ A pair whose filter never fired is an empty register.
 The signals (:class:`CpuEnable`, :class:`AutoEnable`, :class:`WordDone`,
 :class:`OverrideSet`) are the event payloads. The fabric queues its own
 dones and replays on ``sim.queue`` unchecked: a duration or ``delay1``
-(both >= 1) after the current tick is never behind the clock.
+(both >= 1) after the current tick is never behind the clock. Each trace
+record it emits is built whole, all seven fields in order, by one helper
+that skips the named tuple's Python-level ``__new__``.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, NamedTuple
 
 from memfabric.trace import (
@@ -53,6 +56,10 @@ from memfabric.trace import (
     SRC_CPU,
     TraceRecord,
 )
+
+# A trace record from a tuple of all seven fields (t, ev, word, pair, src,
+# episode, stage); tuple.__new__ checks neither their count nor their types.
+_record = partial(tuple.__new__, TraceRecord)
 
 DONE_ENABLE = "done_enable"
 DONE_DONE = "done_done"
@@ -228,8 +235,8 @@ class Fabric:
 
     All mutation happens through the single-threaded dispatch loop of
     the owning simulation, which is passed in so the fabric can emit
-    trace records (built positionally: t, ev, word, pair, src, episode,
-    stage) and put its own done and replay events on its queue.
+    trace records (each built whole, from all seven fields in order) and
+    put its own done and replay events on its queue.
 
     ``loop_suppression`` is a test hook: disabling it removes the
     episode no-repeat rule so that learned cycles replay unboundedly
@@ -274,13 +281,14 @@ class Fabric:
         """
         busy = self._busy_until.get(word, 0) > tick
         repeat = self.loop_suppression and word in episode.fired_words
+        episode_id = episode.episode_id
         if busy or repeat:
-            sim.emit(TraceRecord(tick, EV_IGNORED_ENABLE, word, pair, source, episode.episode_id))
+            sim.emit(_record((tick, EV_IGNORED_ENABLE, word, pair, source, episode_id, None)))
             return
         done_tick = self._busy_until[word] = tick + self.config.durations[word]
         sim.queue.schedule(done_tick, WordDone(word, episode))
         episode.fired_words.add(word)
-        sim.emit(TraceRecord(tick, EV_ENABLE, word, pair, source, episode.episode_id))
+        sim.emit(_record((tick, EV_ENABLE, word, pair, source, episode_id, None)))
         if self.config.filter_mode == DONE_ENABLE:
             self._detect_into(sim, word, tick)
 
@@ -295,19 +303,21 @@ class Fabric:
         episode.
         """
         episode_id = episode.episode_id
-        sim.emit(TraceRecord(tick, EV_DONE, word, None, None, episode_id))
+        sim.emit(_record((tick, EV_DONE, word, None, None, episode_id, None)))
         self._window_until[word] = tick + self.config.delay1
         if self.config.filter_mode == DONE_DONE:
             self._detect_into(sim, word, tick)
         for dst in self._successors.get(word, ()):
             link = (word, dst)
             if link in self._override_open:
-                sim.emit(TraceRecord(tick, EV_OVERRIDE_BLOCKED, dst, link, None, episode_id))
+                sim.emit(_record((tick, EV_OVERRIDE_BLOCKED, dst, link, None, episode_id, None)))
             elif self.loop_suppression and dst in episode.fired_words:
-                sim.emit(TraceRecord(tick, EV_LOOP_SUPPRESSED, dst, link, None, episode_id))
+                sim.emit(_record((tick, EV_LOOP_SUPPRESSED, dst, link, None, episode_id, None)))
             else:
                 sim.queue.schedule(tick + self.config.delay1, AutoEnable(dst, link, episode))
-                sim.emit(TraceRecord(tick, EV_AUTO_ENABLE_SCHEDULED, dst, link, None, episode_id))
+                sim.emit(
+                    _record((tick, EV_AUTO_ENABLE_SCHEDULED, dst, link, None, episode_id, None))
+                )
 
     def set_override(self, sim, i: int, j: int, is_open: bool, tick: int) -> None:
         """Open or close the series switch masking pair (i, j).
@@ -320,7 +330,7 @@ class Fabric:
             self._override_open.add((i, j))
         else:
             self._override_open.discard((i, j))
-        sim.emit(TraceRecord(tick, EV_OVERRIDE_SET, None, (i, j), None, None, 1 if is_open else 0))
+        sim.emit(_record((tick, EV_OVERRIDE_SET, None, (i, j), None, None, 1 if is_open else 0)))
 
     def _detect_into(self, sim, dst: int, tick: int) -> None:
         # Trigger signal for word dst observed: fire every filter (src, dst)
@@ -334,7 +344,7 @@ class Fabric:
                 self._fire_filter(sim, (src, dst), tick)
 
     def _fire_filter(self, sim, pair: tuple[int, int], tick: int) -> None:
-        sim.emit(TraceRecord(tick, EV_FILTER_FIRE, None, pair))
+        sim.emit(_record((tick, EV_FILTER_FIRE, None, pair, None, None, None)))
         count, last_shift_tick = self._shifts.get(pair, (0, None))
         if last_shift_tick is not None and tick - last_shift_tick < self.config.delay2:
             # Still inside the previous learning spike: one spike cannot
@@ -343,8 +353,8 @@ class Fabric:
         count += 1
         self._shifts[pair] = (count, tick)
         threshold = self.config.threshold
-        sim.emit(TraceRecord(tick, EV_LATCH_SHIFT, None, pair, None, None, min(count, threshold)))
+        sim.emit(_record((tick, EV_LATCH_SHIFT, None, pair, None, None, min(count, threshold))))
         if count == threshold:
             # The shift that sets the last stage closes the switch.
             insort(self._successors.setdefault(pair[0], []), pair[1])
-            sim.emit(TraceRecord(tick, EV_LEARNED, None, pair))
+            sim.emit(_record((tick, EV_LEARNED, None, pair, None, None, None)))

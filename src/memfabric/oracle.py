@@ -25,9 +25,10 @@ learned before it, autonomous arrivals, dones and override switches.
 One loop then reports every key on which the two differ. The rules that
 are not multisets (an enable names a word of the fabric, no word fires
 twice in an episode, an episode starts with a CPU enable, an enable
-carries a pair exactly when it is autonomous, a latch shift sits on its
-filter's fire) are checked in the same pass. The result is a list of divergence descriptions;
-empty means full agreement.
+carries a pair exactly when it is autonomous, a filter fires at most once
+per tick, a latch shift sits on its filter's fire) are checked in the same
+pass. The result is a list of divergence descriptions; empty means full
+agreement.
 """
 
 from __future__ import annotations
@@ -282,6 +283,8 @@ def verify_run(scenario: Scenario, records: list[TraceRecord]) -> list[str]:
                     f"episode {episode} starts with a {ev} record at t={t} instead of a cpu enable"
                 )
         if ev == EV_FILTER_FIRE:
+            if fire_tick.get(pair) == t:
+                broken.append(f"second filter_fire of pair {pair} at t={t}")
             fire_tick[pair] = t
         elif ev == EV_LATCH_SHIFT:
             traced[ev].append((t, pair, stage))

@@ -4,9 +4,12 @@ Every observable action in a run is captured as one :class:`TraceRecord`
 and serialized as a single-line JSON object with a fixed key order
 (``t, ev, word, pair, src, episode, stage``; absent fields omitted).
 All values are integers or short strings, never floats, so identical
-runs produce byte-identical traces. :func:`parse_trace` decodes a trace
-written here by one regex scan of the whole text, and any other trace
-line by line through :func:`decode_line`, with the same records and errors.
+runs produce byte-identical traces. :func:`format_trace` writes the
+field sets the fabric emits by one f-string each, and any other through
+:meth:`TraceRecord.to_json_line`, to the same bytes. :func:`parse_trace`
+decodes a trace written here by one regex scan of the whole text, and
+any other trace line by line through :func:`decode_line`, with the same
+records and errors.
 
 Field usage by record kind::
 
@@ -165,8 +168,47 @@ def record_from_obj(obj: dict) -> TraceRecord:
 
 
 def format_trace(records: Iterable[TraceRecord]) -> str:
-    """Serialize records to the JSON Lines trace body (empty run, empty body)."""
-    return "".join(rec.to_json_line() + "\n" for rec in records)
+    """Serialize records to the JSON Lines trace body (empty run, empty body).
+
+    Each line is ``rec.to_json_line()`` and a newline. The field sets the
+    fabric emits are written here by one f-string each, picked by which
+    fields are ``None``; any other set goes through ``to_json_line``.
+    """
+    lines = []
+    append = lines.append
+    for rec in records:
+        t, ev, word, pair, src, episode, stage = rec
+        if word is None:
+            if src is None and episode is None and pair is not None:
+                if stage is None:  # filter_fire, learned
+                    append(f'{{"t":{t},"ev":"{ev}","pair":[{pair[0]},{pair[1]}]}}\n')
+                else:  # latch_shift, override_set
+                    append(
+                        f'{{"t":{t},"ev":"{ev}","pair":[{pair[0]},{pair[1]}],"stage":{stage}}}\n'
+                    )
+                continue
+        elif episode is not None and stage is None:
+            if pair is None:
+                if src is None:  # done
+                    append(f'{{"t":{t},"ev":"{ev}","word":{word},"episode":{episode}}}\n')
+                else:  # a cpu (ignored) enable
+                    append(
+                        f'{{"t":{t},"ev":"{ev}","word":{word},"src":"{src}",'
+                        f'"episode":{episode}}}\n'
+                    )
+            elif src is None:  # a replay outcome
+                append(
+                    f'{{"t":{t},"ev":"{ev}","word":{word},"pair":[{pair[0]},{pair[1]}],'
+                    f'"episode":{episode}}}\n'
+                )
+            else:  # an auto (ignored) enable
+                append(
+                    f'{{"t":{t},"ev":"{ev}","word":{word},"pair":[{pair[0]},{pair[1]}],'
+                    f'"src":"{src}","episode":{episode}}}\n'
+                )
+            continue
+        append(rec.to_json_line() + "\n")
+    return "".join(lines)
 
 
 def decode_line(line: str) -> TraceRecord | None:

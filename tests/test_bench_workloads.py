@@ -1,0 +1,53 @@
+"""The benchmark workloads' outputs, pinned in tier-1.
+
+Each workload of ``perfbench/workloads.py`` is generated at its default
+seed and run in process; its trace and report bytes and its simulated
+statistics must equal those that ``perfbench/expected.json`` records.
+Both files are only read here. The workloads reach fabric sizes and
+override traffic that the shipped scenarios do not.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from memfabric import format_report, format_trace, parse_scenario, run_scenario
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+EXPECTED = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_outputs_equal_the_recorded_ones(name):
+    seed = workloads.WORKLOADS[name][1]
+    expected = EXPECTED[name]
+    assert expected["seed"] == seed
+    result = run_scenario(parse_scenario(workloads.generate(name, seed)))
+    assert result.outcome.quiescent
+    assert {
+        "trace_sha256": _sha256(format_trace(result.records)),
+        "report_sha256": _sha256(format_report(result.report)),
+        "sim.final_tick": result.report.final_tick,
+        "sim.events": result.simulation.dispatched_total,
+        "sim.records": len(result.records),
+        "sim.learned_pairs": len(result.report.learned),
+    } == {key: value for key, value in expected.items() if key != "seed"}

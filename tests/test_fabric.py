@@ -5,7 +5,7 @@ from __future__ import annotations
 from bisect import insort
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from memfabric import (
     Fabric,
@@ -14,11 +14,13 @@ from memfabric import (
     Probe,
     SelfPairError,
     Simulation,
+    TraceRecord,
     UnknownWordError,
     episode_subtrace,
     predict_timeline,
     shift_entries,
 )
+from memfabric.fabric import FILTER_MODES
 from memfabric.trace import (
     EV_AUTO_ENABLE_SCHEDULED,
     EV_DONE,
@@ -30,7 +32,7 @@ from memfabric.trace import (
     EV_LOOP_SUPPRESSED,
     EV_OVERRIDE_BLOCKED,
 )
-from conftest import records_of, run_text
+from conftest import OVERRIDE_CYCLE, records_of, run_text
 
 
 def _config(word_count=2, delay1=5, delay2=1, threshold=10, duration=4, **kw):
@@ -440,3 +442,39 @@ def test_termination_bound_for_loop_free_learned_graph():
     assert outcome.quiescent
     chain_bound = sum(sim.config.durations[w] + sim.config.delay1 for w in (1, 2, 3, 4))
     assert outcome.final_tick <= chain_bound
+
+
+@st.composite
+def scenario_texts(draw):
+    """A small scenario in either filter mode: rehearsals that learn, then
+    probes, each behind an override switch of some pair."""
+    word_count = draw(st.integers(min_value=2, max_value=4))
+    threshold = draw(st.integers(min_value=1, max_value=3))
+    words = st.integers(min_value=1, max_value=word_count)
+    lines = [
+        f"fabric words={word_count} delay1=5 delay2={draw(st.integers(1, 5))} "
+        f"threshold={threshold} mode={draw(st.sampled_from(FILTER_MODES))}",
+        f"dur * {draw(st.integers(min_value=1, max_value=4))}",
+    ]
+    for start in draw(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=2)):
+        sequence = draw(st.permutations(range(1, word_count + 1)))
+        length = draw(st.integers(min_value=2, max_value=word_count))
+        lines.append(
+            f"rehearse {' '.join(map(str, sequence[:length]))} reps={threshold + 1} "
+            f"gap={draw(st.integers(0, 6))} rest=10 start={start}"
+        )
+    probes = st.tuples(words, words, st.booleans(), words)
+    for n, (i, j, is_open, word) in enumerate(draw(st.lists(probes, max_size=3))):
+        if i != j:
+            lines.append(f"at {299 + 100 * n} override {i} {j} {'open' if is_open else 'closed'}")
+        lines.append(f"at {300 + 100 * n} probe {word}")
+    return "\n".join(lines) + "\nmaxticks 2000\n"
+
+
+@given(scenario_texts())
+@example(OVERRIDE_CYCLE)
+def test_every_record_the_fabric_emits_is_a_whole_trace_record(text):
+    # The fabric builds records with tuple.__new__, which checks no length:
+    # a short tuple would only fail later, in format_trace's unpacking.
+    for rec in run_text(text).records:
+        assert type(rec) is TraceRecord and len(rec) == 7

@@ -344,6 +344,17 @@ def test_verify_flags_an_enable_of_a_word_the_fabric_lacks(worked_example_text):
     assert f"enable at t={last} names word 4, outside the fabric's words 1..3" in problems
 
 
+def test_verify_flags_a_second_filter_fire_of_a_pair_in_one_tick(worked_example_text):
+    # A pair fires at most once per tick: a copy of a fire is the only fault.
+    result = run_text(worked_example_text)
+    records = result.records
+    index = next(i for i, rec in enumerate(records) if rec.ev == EV_FILTER_FIRE)
+    fire = records[index]
+    forged = records[: index + 1] + [fire] + records[index + 1 :]
+    problems = verify_run(result.scenario, forged)
+    assert problems == [f"second filter_fire of pair {fire.pair} at t={fire.t}"]
+
+
 @pytest.mark.parametrize(
     "t,pair,message",
     [
@@ -446,15 +457,14 @@ FIELD_FLOORS = {"word": 1, "episode": 0, "stage": 0}
 def _mutants(records, word_count):
     """Every single-record mutant of a trace, with the record's index and the mutation.
 
-    Deleting the final record and duplicating a filter_fire are left out:
-    those are the two gaps of ``verify_run`` that the README names.
+    Deleting the final record is left out: that is the gap of ``verify_run``
+    that the README names.
     """
     for index, rec in enumerate(records):
         before, after = records[:index], records[index + 1 :]
         if after:
             yield index, "deleted", before + after
-        if rec.ev != EV_FILTER_FIRE:
-            yield index, "duplicated", before + [rec, rec] + after
+        yield index, "duplicated", before + [rec, rec] + after
         for delta in (-1, 1):
             if rec.t + delta >= 0:
                 moved = before + [rec._replace(t=rec.t + delta)] + after

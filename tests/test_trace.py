@@ -5,6 +5,7 @@ the byte contract of the shipped scenarios."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import re
 from pathlib import Path
@@ -160,6 +161,38 @@ def test_line_equals_the_json_dumps_reference(rec):
     assert line == reference_line(rec)
     keys = list(json.loads(line))
     assert keys == [key for key in KEY_ORDER if key in keys]
+
+
+def lines_of(recs) -> str:
+    return "".join(rec.to_json_line() + "\n" for rec in recs)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"t": 8, "word": 3, "pair": (4, 5), "src": "auto", "episode": 6, "stage": 7},
+        {"t": 0, "word": 0, "pair": (0, 0), "src": "cpu", "episode": 0, "stage": 0},
+    ],
+    ids=["nonzero", "zero"],
+)
+def test_format_trace_writes_every_field_set_as_to_json_line(values):
+    # Every present/absent combination of the five optional fields: the sets
+    # the fabric emits take format_trace's own f-strings, the rest
+    # to_json_line. A zero is present, not absent.
+    optional = TraceRecord._fields[2:]
+    recs = [
+        TraceRecord(values["t"], "enable", *(values[key] if on else None for key, on in shape))
+        for shape in (
+            zip(optional, mask) for mask in itertools.product((False, True), repeat=len(optional))
+        )
+    ]
+    assert len(set(recs)) == 32
+    assert format_trace(recs) == lines_of(recs)
+
+
+@given(st.lists(records(), max_size=20))
+def test_format_trace_joins_the_lines_of_to_json_line(recs):
+    assert format_trace(recs) == lines_of(recs)
 
 
 # Valid traces never go back in time, so the draw is sorted by tick.
