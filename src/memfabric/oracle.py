@@ -16,25 +16,29 @@ sharing no logic with the event-driven implementation:
 Timelines and episode sub-traces are compared in a canonical order:
 sorted by tick, then a fixed kind rank, then word, then pair.
 
-:func:`verify_run` predicts and compares. From the recount, from the
-scenario's override directives, and in one ordered pass over the trace,
-it builds for each derived record kind a multiset of the records the
-definition owes and a multiset of the records the trace holds: learned
-records, latch shifts, the replay outcome each done owes every pair
-learned before it, autonomous arrivals, dones and override switches.
-One loop then reports every key on which the two differ. The rules that
-are not multisets (an enable names a word of the fabric, no word fires
-twice in an episode, an episode starts with a CPU enable, an enable
-carries a pair exactly when it is autonomous, a filter fires at most once
-per tick, a latch shift sits on its filter's fire) are checked in the same
-pass. The result is a list of divergence descriptions; empty means full
-agreement.
+:func:`verify_run` compares a trace, record by record, with the run the
+definition owes. It reads the trace as a sequence of heads, the first
+record of each dispatched event (an arrival, a done, an override
+switch), each followed by the records the definition derives from it:
+the filter fires of a trigger with their latch shifts and learned
+records, and a done's replay outcomes. Every record except a CPU
+arrival must equal the one record owed at its point. The owed heads are
+the scenario's override switches, which lead their tick, and the dones
+and autonomous arrivals owed so far, in the order the definition
+schedules them; an owed head at or before the last traced tick that
+the trace lacks is a divergence. CPU arrivals are owed by nothing yet:
+each needs a word of the fabric, no pair, and no owed head before its
+tick. The result is at most one divergence description; empty means
+full agreement.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import insort
+from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import count
 
 from memfabric.fabric import DONE_ENABLE, FabricConfig
 from memfabric.scenario import Scenario
@@ -197,153 +201,121 @@ def predict_timeline(
 # -- whole-run verification ---------------------------------------------
 
 
-def _override_state_at(scenario: Scenario, tick: int) -> set[Pair]:
-    """Open override pairs in effect at ``tick``, by definition.
-
-    Directives apply at their tick, in tick order; directives sharing a
-    tick apply in file order, as the simulation schedules them.
-    """
-    state: set[Pair] = set()
-    for d in sorted(scenario.overrides, key=lambda d: d.tick):
-        if d.tick <= tick:
-            if d.is_open:
-                state.add((d.i, d.j))
-            else:
-                state.discard((d.i, d.j))
-    return state
-
-
-# What a message names for each compared kind's keys.
-_PAIR_AT = "of pair {1} at t={0}"
-_STAGE_AT = "of pair {1} with stage {2} at t={0}"
-_WORD_AT = "of word {1} at t={0} (pair {2}, episode {3})"
-
-# An autonomous arrival: an enable or ignored_enable record with src auto.
-_AUTO_ARRIVAL = "auto enable"
-
-# The compared kinds in report order: the key's wording, and what owes the records.
-_COMPARED = {
-    EV_LEARNED: (_PAIR_AT, "the recounted detections owe"),
-    EV_LATCH_SHIFT: (_STAGE_AT, "the recounted detections owe"),
-    EV_AUTO_ENABLE_SCHEDULED: (_WORD_AT, "the dones of learned pairs owe"),
-    EV_LOOP_SUPPRESSED: (_WORD_AT, "the dones of learned pairs owe"),
-    EV_OVERRIDE_BLOCKED: (_WORD_AT, "the dones of learned pairs owe"),
-    _AUTO_ARRIVAL: (_WORD_AT, "the scheduled replays owe"),
-    EV_DONE: ("of word {1} at t={0} (episode {2})", "its accepted enables owe"),
-    EV_OVERRIDE_SET: (_STAGE_AT, "the scenario's directives owe"),
-}
+def _diverge(n: int, have: str, want: tuple | None) -> list[str]:
+    owes = f"the run owes {TraceRecord(*want).to_json_line()}" if want else "nothing owes it"
+    return [f"record {n}: the trace has {have}, but {owes}"]
 
 
 def verify_run(scenario: Scenario, records: list[TraceRecord]) -> list[str]:
-    """Cross-check a trace against definition-level recomputation.
+    """Compare a trace, record by record, with the records the run owes.
 
-    Returns divergence descriptions: first every compared kind whose
-    owed and traced records differ, in ``_COMPARED`` order, then each
-    broken structural rule in record order. An empty list means the
-    trace agrees with the oracle. Raises MalformedTraceError for a
-    trace that is not even well-formed (``detection_ticks``, which runs
-    first, checks the tick order before anything relies on it).
+    Returns at most one divergence, ``record N: the trace has X, but the
+    run owes Y`` (N counts from 1; X and Y are JSON lines), by the rule
+    the module docstring states. An empty list means the trace agrees
+    with the definition. Raises MalformedTraceError for a trace whose
+    ticks go down (``detection_ticks``, which runs first, checks them).
     """
     config = scenario.config
     threshold, delay1, durations = config.threshold, config.delay1, config.durations
-    last_tick = records[-1].t if records else 0
-    # Per compared kind, the keys of the records owed and of those traced.
-    owed: dict[str, list[tuple]] = {kind: [] for kind in _COMPARED}
-    traced: dict[str, list[tuple]] = {kind: [] for kind in _COMPARED}
-    broken: list[str] = []
-
-    # Each detection owes a latch shift, the threshold-th also a learned
-    # record; from that trigger record on, the pair is learned.
-    learned_at: dict[tuple[int, int], list[Pair]] = {}  # (trigger word, tick) -> pairs
-    for pair, ticks in detection_ticks(records, config).items():
-        owed[EV_LATCH_SHIFT] += [(t, pair, min(k, threshold)) for k, t in enumerate(ticks, 1)]
-        if len(ticks) >= threshold:
-            owed[EV_LEARNED].append((ticks[threshold - 1], pair))
-            learned_at.setdefault((pair[1], ticks[threshold - 1]), []).append(pair)
-    for d in scenario.overrides:
-        if d.tick <= last_tick:
-            owed[EV_OVERRIDE_SET].append((d.tick, (d.i, d.j), int(d.is_open)))
-
-    # One ordered pass. Records owed after the last traced tick are pending.
     trigger_kind = EV_ENABLE if config.filter_mode == DONE_ENABLE else EV_DONE
-    # Directives in application order, as _override_state_at applies them;
-    # each done first applies those at or before its tick.
-    directives = sorted(scenario.overrides, key=lambda d: d.tick)
-    applied = 0
-    open_overrides: set[Pair] = set()
-    successors: dict[int, list[Pair]] = {}  # first word -> pairs learned so far
+    # (pair, tick) -> k at the pair's k-th detection, the one that shifts its register.
+    shift_at = {
+        (pair, t): k
+        for pair, ticks in detection_ticks(records, config).items()
+        for k, t in enumerate(ticks, 1)
+    }
+    switches = deque(
+        (d.tick, EV_OVERRIDE_SET, None, (d.i, d.j), None, None, int(d.is_open))
+        for d in sorted(scenario.overrides, key=lambda d: d.tick)
+    )
+    seq = count()  # the order in which the definition schedules the owed heads
+    heads: list[tuple] = []  # heap of owed (tick, seq, word, pair, episode); a done has no pair
+    due: deque[tuple] = deque()  # the records derived from the last head, still owed
+    busy_until: dict[int, int] = {}
     fired: set[tuple[int, int]] = set()  # (episode, word) of each accepted enable
-    episodes: set[int] = set()
-    fire_tick: dict[Pair, int] = {}  # latest filter_fire of each pair
-    for t, ev, word, pair, src, episode, stage in records:
-        if episode is not None and episode not in episodes:
-            episodes.add(episode)
-            if src != SRC_CPU:
-                broken.append(
-                    f"episode {episode} starts with a {ev} record at t={t} instead of a cpu enable"
-                )
-        if ev == EV_FILTER_FIRE:
-            if fire_tick.get(pair) == t:
-                broken.append(f"second filter_fire of pair {pair} at t={t}")
-            fire_tick[pair] = t
-        elif ev == EV_LATCH_SHIFT:
-            traced[ev].append((t, pair, stage))
-            if fire_tick.get(pair) != t:
-                broken.append(f"latch shift of pair {pair} at t={t} has no filter_fire record")
-        elif ev == EV_ENABLE or ev == EV_IGNORED_ENABLE:
-            if (src == SRC_AUTO) != (pair is not None):
-                broken.append(f"{src} enable at t={t} has pair {pair}; only auto enables carry one")
-            elif pair is not None:
-                traced[_AUTO_ARRIVAL].append((t, word, pair, episode))
-            if ev == EV_ENABLE:
-                if (episode, word) in fired:
-                    broken.append(f"word {word} has a second enable in episode {episode} at t={t}")
-                fired.add((episode, word))
-                if not 1 <= word <= config.word_count:
-                    broken.append(
-                        f"enable at t={t} names word {word}, outside the "
-                        f"fabric's words 1..{config.word_count}"
-                    )
-                elif t + durations[word] <= last_tick:
-                    owed[EV_DONE].append((t + durations[word], word, episode))
-        elif ev == EV_DONE:
-            traced[ev].append((t, word, episode))
-            while applied < len(directives) and directives[applied].tick <= t:
-                d = directives[applied]
-                if d.is_open:
-                    open_overrides.add((d.i, d.j))
-                else:
-                    open_overrides.discard((d.i, d.j))
-                applied += 1
-            for link in successors.get(word, ()):
-                if link in open_overrides:
-                    outcome = EV_OVERRIDE_BLOCKED
-                elif (episode, link[1]) in fired:
-                    outcome = EV_LOOP_SUPPRESSED
-                else:
-                    outcome = EV_AUTO_ENABLE_SCHEDULED
-                    if t + delay1 <= last_tick:
-                        owed[_AUTO_ARRIVAL].append((t + delay1, link[1], link, episode))
-                owed[outcome].append((t, link[1], link, episode))
-        elif ev == EV_LEARNED:
-            traced[ev].append((t, pair))
-        elif ev == EV_OVERRIDE_SET:
-            traced[ev].append((t, pair, stage))
-        else:  # a replay outcome
-            traced[ev].append((t, word, pair, episode))
-        if ev == trigger_kind and (word, t) in learned_at:
-            for link in learned_at.pop((word, t)):
-                successors.setdefault(link[0], []).append(link)
+    window_until: dict[int, int] = {}  # source word -> closing tick of its hold window
+    successors: dict[int, list[int]] = {}  # word -> its learned successors, ascending
+    override_stage: dict[Pair, int] = {}  # pair -> its last switch: 1 open, 0 closed
 
-    problems: list[str] = []
-    for kind, (names, owner) in _COMPARED.items():
-        have, want = Counter(traced[kind]), Counter(owed[kind])
-        # Counter.__eq__ loops in Python over every key; Counters built from
-        # iterables hold no zero counts, so plain dict equality agrees.
-        if not dict.__eq__(have, want):
-            problems += [
-                f"{have[key]} {kind} record(s) {names.format(*key)}, but {owner} {want[key]}"
-                for key in sorted(have.keys() | want.keys())
-                if have[key] != want[key]
-            ]
-    return problems + broken
+    def arrival(t: int, word: int, episode: int) -> str:
+        # A busy word, or one that already fired in the episode, ignores an arrival.
+        ignored = busy_until.get(word, 0) > t or (episode, word) in fired
+        return EV_IGNORED_ENABLE if ignored else EV_ENABLE
+
+    def next_head() -> tuple | None:
+        if switches and (not heads or switches[0][0] <= heads[0][0]):
+            return switches[0]
+        if not heads:
+            return None
+        t, _, word, pair, episode = heads[0]
+        if pair is None:
+            return (t, EV_DONE, word, None, None, episode, None)
+        return (t, arrival(t, word, episode), word, pair, SRC_AUTO, episode, None)
+
+    def trigger(word: int, t: int) -> None:
+        for src in sorted(window_until):
+            if window_until[src] < t:
+                del window_until[src]  # closed for good: the clock never moves back
+                continue
+            if src == word:
+                continue
+            link = (src, word)
+            due.append((t, EV_FILTER_FIRE, None, link, None, None, None))
+            k = shift_at.pop((link, t), None)
+            if k is not None:
+                due.append((t, EV_LATCH_SHIFT, None, link, None, None, min(k, threshold)))
+                if k == threshold:
+                    due.append((t, EV_LEARNED, None, link, None, None, None))
+                    insort(successors.setdefault(src, []), word)
+
+    for n, rec in enumerate(records, 1):
+        if due:
+            want = due.popleft()
+            if rec != want:
+                return _diverge(n, rec.to_json_line(), want)
+            continue
+        t, ev, word, pair, src, episode, stage = rec
+        if src == SRC_CPU and (ev == EV_ENABLE or ev == EV_IGNORED_ENABLE):
+            # Owed heads before its tick, and the switches of its tick, come first.
+            if switches and switches[0][0] <= t or heads and heads[0][0] < t:
+                return _diverge(n, rec.to_json_line(), next_head())
+            if pair is not None or not 1 <= word <= config.word_count:
+                return [
+                    f"record {n}: the trace has {rec.to_json_line()}, but a cpu "
+                    f"enable names a word in 1..{config.word_count} and no pair"
+                ]
+            if ev != (owed := arrival(t, word, episode)):
+                return _diverge(n, rec.to_json_line(), rec._replace(ev=owed))
+        elif rec != (want := next_head()):
+            return _diverge(n, rec.to_json_line(), want)
+        elif ev == EV_OVERRIDE_SET:
+            switches.popleft()
+        else:
+            heappop(heads)
+        if ev == EV_OVERRIDE_SET:
+            override_stage[pair] = stage
+        elif ev == EV_ENABLE:
+            fired.add((episode, word))
+            busy_until[word] = t + durations[word]
+            heappush(heads, (t + durations[word], next(seq), word, None, episode))
+            if trigger_kind == EV_ENABLE:
+                trigger(word, t)
+        elif ev == EV_DONE:
+            window_until[word] = t + delay1
+            if trigger_kind == EV_DONE:
+                trigger(word, t)
+            for dst in successors.get(word, ()):
+                link = (word, dst)
+                if override_stage.get(link):
+                    due.append((t, EV_OVERRIDE_BLOCKED, dst, link, None, episode, None))
+                elif (episode, dst) in fired:
+                    due.append((t, EV_LOOP_SUPPRESSED, dst, link, None, episode, None))
+                else:
+                    due.append((t, EV_AUTO_ENABLE_SCHEDULED, dst, link, None, episode, None))
+                    heappush(heads, (t + delay1, next(seq), dst, link, episode))
+    # The trace ends: derived records are still owed, and so is every head
+    # up to the last traced tick; later heads are pending.
+    want = due[0] if due else next_head()
+    if want and (due or want[0] <= (records[-1].t if records else 0)):
+        return _diverge(len(records) + 1, "no more records", want)
+    return []

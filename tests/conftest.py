@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from memfabric import RunResult, parse_scenario, run_scenario
@@ -15,6 +17,26 @@ OVERRIDE_CYCLE = (
     "at 130 probe 1\n"
     "maxticks 2000\n"
 )
+
+# Probes of word 2 at t=3 and t=5 both land in word 1's window; with delay2=5
+# the second fire of (1, 2) falls inside the refractory and shifts nothing.
+REFRACTORY_FIRE = (
+    "fabric words=3 delay1=5 delay2=5 threshold=3\n"
+    "dur * 2\n"
+    "at 0 probe 1\n"
+    "at 3 probe 2\n"
+    "at 5 probe 2\n"
+    "maxticks 500\n"
+)
+
+
+def python_command() -> list[str]:
+    """This interpreter with its own -X and -W options, to start a child under
+    the flags the suite runs with (CI's -X dev -X warn_default_encoding -W error)."""
+    command = [sys.executable]
+    for key, value in sys._xoptions.items():
+        command += ["-X", key if value is True else f"{key}={value}"]
+    return command + [f"-W{option}" for option in sys.warnoptions]
 
 
 def run_text(text: str, **kwargs) -> RunResult:

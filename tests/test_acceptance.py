@@ -24,7 +24,7 @@ from memfabric import (
     shift_entries,
     verify_run,
 )
-from memfabric.oracle import _override_state_at, entry_sort_key
+from memfabric.oracle import entry_sort_key
 from memfabric.trace import (
     EV_DONE,
     EV_ENABLE,
@@ -33,6 +33,7 @@ from memfabric.trace import (
     EV_LEARNED,
     EV_OVERRIDE_BLOCKED,
 )
+from reference_verify import override_state_at
 
 RANDOM_SEED = 20260808
 RANDOM_SCENARIOS = 1000
@@ -338,7 +339,7 @@ def _check_random_scenario(text: str) -> tuple[int, int, bool]:
         trigger = next(e for e in sub if e.kind == EV_ENABLE)
         assert trigger.tick == probe.tick and trigger.word == probe.word, text
         learned_at = {pair for t, pair in learned_events if t <= probe.tick}
-        overrides_at = _override_state_at(scenario, probe.tick)
+        overrides_at = override_state_at(scenario, probe.tick)
         predicted = shift_entries(
             predict_timeline(learned_at, overrides_at, probe.word, scenario.config),
             probe.tick,

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import memfabric
+from conftest import python_command
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -64,7 +65,7 @@ def test_package_imports_only_the_standard_library():
 def test_demo_runs_to_exit_zero(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        [*python_command(), str(ROOT / "demos" / demo)],
         capture_output=True,
         text=True,
         encoding="utf-8",
@@ -73,3 +74,15 @@ def test_demo_runs_to_exit_zero(demo):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_children_run_under_the_interpreter_flags_of_the_suite():
+    # The demos and CLI subprocesses start through python_command, so CI's
+    # -X and -W options (and any others) reach them.
+    proc = subprocess.run(
+        [*python_command(), "-c", "import sys; print(sys._xoptions, sys.warnoptions)"],
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+    )
+    assert proc.stdout == f"{sys._xoptions} {sys.warnoptions}\n"

@@ -6,14 +6,13 @@ import gc
 import json
 import os
 import subprocess
-import sys
 import weakref
 from pathlib import Path
 
 import pytest
 
 import memfabric.cli
-from conftest import OVERRIDE_CYCLE
+from conftest import OVERRIDE_CYCLE, python_command
 from memfabric import parse_scenario, run_scenario
 from memfabric.cli import main
 
@@ -133,7 +132,8 @@ def test_verify_flags_a_tampered_trace(scenario_file, capsys):
     trace_path.write_text("\n".join(kept) + "\n", encoding="utf-8")
     assert main(["verify", str(scenario_file), str(trace_path)]) == 4
     err = capsys.readouterr().err
-    assert "divergence" in err and "(1, 3)" in err
+    assert err.startswith("divergence: record 96: ")
+    assert 'but the run owes {"t":330,"ev":"learned","pair":[1,3]}' in err
 
 
 def test_verify_flags_a_shifted_auto_enable(scenario_file, capsys):
@@ -149,7 +149,8 @@ def test_verify_flags_a_shifted_auto_enable(scenario_file, capsys):
     out.sort(key=lambda o: o["t"])
     trace_path.write_text("\n".join(json.dumps(o) for o in out) + "\n", encoding="utf-8")
     assert main(["verify", str(scenario_file), str(trace_path)]) == 4
-    assert "51" in capsys.readouterr().err
+    owed = '{"t":518,"ev":"enable","word":2,"pair":[3,2],"src":"auto","episode":0}'
+    assert capsys.readouterr().err.endswith(f", but the run owes {owed}\n")
 
 
 DONE_OF_2 = '{"t":16,"ev":"done","word":2,"episode":1}'
@@ -157,20 +158,21 @@ DONE_OF_1 = '{"t":4,"ev":"done","word":1,"episode":1}'
 
 
 @pytest.mark.parametrize(
-    "line,replacement",
+    "line,replacement,reason",
     [
-        (DONE_OF_2, []),
-        (DONE_OF_1, [DONE_OF_1, DONE_OF_1]),
+        (DONE_OF_2, [], f"the run owes {DONE_OF_2}"),
+        (DONE_OF_1, [DONE_OF_1, DONE_OF_1], "nothing owes it"),
         (
             '{"t":36,"ev":"enable","word":1,"src":"cpu","episode":2}',
             ['{"t":37,"ev":"enable","word":1,"src":"cpu","episode":2}'],
+            'the run owes {"t":41,"ev":"done","word":1,"episode":2}',
         ),
-        (DONE_OF_2, ['{"t":17,"ev":"done","word":2,"episode":1}']),
+        (DONE_OF_2, ['{"t":17,"ev":"done","word":2,"episode":1}'], f"the run owes {DONE_OF_2}"),
     ],
     ids=["deleted-done", "duplicated-done", "shifted-enable", "shifted-done"],
 )
-def test_verify_pairs_each_enable_with_its_done(tmp_path, capsys, line, replacement):
-    # Each mutant keeps tick order and every other rule holds for it.
+def test_verify_pairs_each_enable_with_its_done(tmp_path, capsys, line, replacement, reason):
+    # Each mutant keeps tick order; the first record out of step names the done.
     trace = tmp_path / "worked.trace.jsonl"
     report = tmp_path / "worked.report.json"
     assert main(["run", str(WORKED_EXAMPLE), "--trace", str(trace), "--report", str(report)]) == 0
@@ -180,7 +182,7 @@ def test_verify_pairs_each_enable_with_its_done(tmp_path, capsys, line, replacem
     lines[index : index + 1] = replacement
     trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["verify", str(WORKED_EXAMPLE), str(trace)]) == 4
-    assert "but its accepted enables owe" in capsys.readouterr().err
+    assert f"but {reason}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -211,7 +213,7 @@ def test_verify_requires_the_replay_outcome_the_definition_owes(
     lines[lines.index(line)] = replacement
     trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["verify", str(scenario), str(trace)]) == 4
-    assert "pair (2, 1)" in capsys.readouterr().err
+    assert f"the trace has {replacement}, but the run owes {line}\n" in capsys.readouterr().err
 
 
 GOOD_ENABLE = '{"t":0,"ev":"enable","word":1,"src":"cpu","episode":0}'
@@ -394,7 +396,7 @@ def test_check_warns_on_stderr_for_gap_beyond_delay1(tmp_path, capsys):
 
 def test_console_entry_point_runs_as_a_module(scenario_file, tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-m", "memfabric.cli", "run", str(scenario_file)],
+        [*python_command(), "-m", "memfabric.cli", "run", str(scenario_file)],
         capture_output=True,
         text=True,
         encoding="utf-8",
@@ -420,7 +422,7 @@ def _commands_under_hash_seed(seed: int, workdir: Path) -> list:
             ["verify", str(other), trace],
         ):
             proc = subprocess.run(
-                [sys.executable, "-m", "memfabric.cli", *argv],
+                [*python_command(), "-m", "memfabric.cli", *argv],
                 cwd=workdir,
                 env=env,
                 capture_output=True,

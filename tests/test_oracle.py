@@ -6,7 +6,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from memfabric import (
     FabricConfig,
@@ -20,13 +20,13 @@ from memfabric import (
     shift_entries,
     verify_run,
 )
-from memfabric.oracle import _override_state_at
 from memfabric.trace import (
     EV_AUTO_ENABLE_SCHEDULED,
     EV_DONE,
     EV_ENABLE,
     EV_FILTER_FIRE,
     EV_IGNORED_ENABLE,
+    EV_LATCH_SHIFT,
     EV_LEARNED,
     EV_LOOP_SUPPRESSED,
     EV_OVERRIDE_BLOCKED,
@@ -34,7 +34,8 @@ from memfabric.trace import (
     SRC_CPU,
     TraceRecord,
 )
-from conftest import OVERRIDE_CYCLE, run_text
+from conftest import OVERRIDE_CYCLE, REFRACTORY_FIRE, run_text
+from reference_verify import override_state_at, reference_verify_run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -263,14 +264,11 @@ def test_verify_accepts_a_genuine_run(worked_example_text):
 
 def test_verify_catches_a_deleted_learned_record(worked_example_text):
     result = run_text(worked_example_text)
-    tampered = [
-        rec
-        for rec in result.records
-        if not (rec.ev == EV_LEARNED and rec.pair == (1, 3))
-    ]
+    learned = next(rec for rec in result.records if rec.ev == EV_LEARNED and rec.pair == (1, 3))
+    tampered = [rec for rec in result.records if rec != learned]
     problems = verify_run(result.scenario, tampered)
-    assert problems
-    assert "(1, 3)" in problems[0]
+    assert len(problems) == 1
+    assert problems[0].endswith(f", but the run owes {learned.to_json_line()}")
 
 
 def test_verify_catches_an_auto_enable_tick_off_by_one(worked_example_text):
@@ -278,12 +276,13 @@ def test_verify_catches_an_auto_enable_tick_off_by_one(worked_example_text):
     tampered = []
     for rec in result.records:
         if rec.ev == EV_ENABLE and rec.src == SRC_AUTO and rec.t == 509:
+            moved = rec
             rec = rec._replace(t=510)
         tampered.append(rec)
     tampered.sort(key=lambda rec: rec.t)  # stable: restores tick order only
     problems = verify_run(result.scenario, tampered)
-    assert problems
-    assert any("509" in p or "510" in p for p in problems)
+    assert len(problems) == 1
+    assert problems[0].endswith(f", but the run owes {moved.to_json_line()}")
 
 
 def test_verify_catches_a_forged_extra_learned_record(worked_example_text):
@@ -291,8 +290,9 @@ def test_verify_catches_a_forged_extra_learned_record(worked_example_text):
     forged = list(result.records)
     forged.append(TraceRecord(t=forged[-1].t, ev=EV_LEARNED, pair=(2, 1)))
     problems = verify_run(result.scenario, forged)
-    assert problems
-    assert "(2, 1)" in problems[0]
+    assert problems == [
+        f"record {len(forged)}: the trace has {forged[-1].to_json_line()}, but nothing owes it"
+    ]
 
 
 def test_verify_accepts_a_tick_limited_run(worked_example_text):
@@ -331,9 +331,13 @@ def test_verify_catches_a_deleted_replay(worked_example_text):
         if rec.ev == EV_DONE and rec.episode == 0
     )
     assert records[trigger_done].t == 504 and records[-1].t == 522
+    replay = records[trigger_done + 1]
+    assert (replay.t, replay.ev, replay.pair) == (504, EV_AUTO_ENABLE_SCHEDULED, (1, 3))
     problems = verify_run(result.scenario, records[: trigger_done + 1])
-    assert problems
-    assert "t=504" in problems[0] and "(1, 3)" in problems[0]
+    assert problems == [
+        f"record {trigger_done + 2}: the trace has no more records, "
+        f"but the run owes {replay.to_json_line()}"
+    ]
 
 
 def test_verify_flags_an_enable_of_a_word_the_fabric_lacks(worked_example_text):
@@ -341,38 +345,47 @@ def test_verify_flags_an_enable_of_a_word_the_fabric_lacks(worked_example_text):
     last = result.records[-1].t
     forged = [*result.records, TraceRecord(t=last, ev=EV_ENABLE, word=4, src="cpu", episode=11)]
     problems = verify_run(result.scenario, forged)
-    assert f"enable at t={last} names word 4, outside the fabric's words 1..3" in problems
+    assert problems == [
+        f"record {len(forged)}: the trace has {forged[-1].to_json_line()}, "
+        "but a cpu enable names a word in 1..3 and no pair"
+    ]
 
 
 def test_verify_flags_a_second_filter_fire_of_a_pair_in_one_tick(worked_example_text):
-    # A pair fires at most once per tick: a copy of a fire is the only fault.
+    # A pair fires at most once per tick: the copy stands where its latch shift is owed.
     result = run_text(worked_example_text)
     records = result.records
     index = next(i for i, rec in enumerate(records) if rec.ev == EV_FILTER_FIRE)
     fire = records[index]
     forged = records[: index + 1] + [fire] + records[index + 1 :]
     problems = verify_run(result.scenario, forged)
-    assert problems == [f"second filter_fire of pair {fire.pair} at t={fire.t}"]
+    assert problems == [
+        f"record {index + 2}: the trace has {fire.to_json_line()}, "
+        f"but the run owes {records[index + 1].to_json_line()}"
+    ]
 
 
 @pytest.mark.parametrize(
-    "t,pair,message",
+    "t,pair,reason",
     [
-        (0, (2, 1), "cpu enable at t=0 has pair (2, 1); only auto enables carry one"),
-        (509, None, "auto enable at t=509 has pair None; only auto enables carry one"),
+        (0, (2, 1), "a cpu enable names a word in 1..3 and no pair"),
+        # Nothing owes an autonomous arrival here: the enable's filter fire is owed.
+        (509, None, 'the run owes {"t":509,"ev":"filter_fire","pair":[1,3]}'),
     ],
     ids=["cpu-with-pair", "auto-without-pair"],
 )
 def test_verify_flags_an_enable_whose_pair_does_not_match_its_source(
-    worked_example_text, t, pair, message
+    worked_example_text, t, pair, reason
 ):
-    # An ignored copy of the enable at t, with the other pair field: a pair
-    # of None next to a real one must not break the sorting of arrivals.
+    # An ignored copy of the enable at t, with the other pair field.
     result = run_text(worked_example_text)
     records = result.records
     index = next(i for i, rec in enumerate(records) if rec.ev == EV_ENABLE and rec.t == t)
-    forged = records[: index + 1] + [records[index]._replace(ev=EV_IGNORED_ENABLE, pair=pair)]
-    assert message in verify_run(result.scenario, forged + records[index + 1 :])
+    copy = records[index]._replace(ev=EV_IGNORED_ENABLE, pair=pair)
+    forged = records[: index + 1] + [copy] + records[index + 1 :]
+    assert verify_run(result.scenario, forged) == [
+        f"record {index + 2}: the trace has {copy.to_json_line()}, but {reason}"
+    ]
 
 
 def test_done_before_the_learning_trigger_on_its_tick_owes_no_replay():
@@ -431,7 +444,7 @@ REPLAYING_CHAIN = (
 )
 def test_replay_outcomes_follow_the_directives_in_tick_order(directives):
     # Directives are listed in any order, several on one tick; the run and
-    # verify_run must both apply them as _override_state_at defines.
+    # verify_run must both apply them as override_state_at defines.
     text = REPLAYING_CHAIN + "".join(
         f"at {t} override {i} {j} {'open' if is_open else 'closed'}\n"
         for t, (i, j), is_open in directives
@@ -442,7 +455,7 @@ def test_replay_outcomes_follow_the_directives_in_tick_order(directives):
     outcomes = [rec for rec in records if rec.ev in REPLAY_OUTCOMES]
     assert outcomes
     for rec in outcomes:
-        blocked = rec.pair in _override_state_at(scenario, rec.t)
+        blocked = rec.pair in override_state_at(scenario, rec.t)
         assert (rec.ev == EV_OVERRIDE_BLOCKED) == blocked, rec
     assert verify_run(scenario, records) == []
 
@@ -493,35 +506,70 @@ def _mutants(records, word_count):
             yield index, f"changed to {mutant}", before + [mutant] + after
 
 
+def _swaps(records):
+    """Every swap of two adjacent records that share a tick and differ."""
+    for index, (first, second) in enumerate(zip(records, records[1:])):
+        if first.t == second.t and first != second:
+            yield records[:index] + [second, first] + records[index + 2 :]
+
+
+def _episode_deletions(records):
+    """For each episode, the trace without every record that carries its id."""
+    for episode in sorted({rec.episode for rec in records if rec.episode is not None}):
+        yield [rec for rec in records if rec.episode != episode]
+
+
+def _episode_insertions(records, config):
+    """For each word, the trace with a CPU enable of it appended one tick after
+    the last record and its done one duration later, in a new episode numbered
+    one past the highest."""
+    tick = records[-1].t + 1
+    episode = 1 + max(rec.episode for rec in records if rec.episode is not None)
+    for word in config.word_ids():
+        yield records + [
+            _enable(tick, word, episode),
+            _done(tick + config.durations[word], word, episode),
+        ]
+
+
 def test_every_single_record_mutant_is_rejected():
     texts = {
         path.name: path.read_text(encoding="utf-8") for path in sorted(SCENARIOS.glob("*.scn"))
     }
     texts["override cycle"] = OVERRIDE_CYCLE
+    texts["refractory fire"] = REFRACTORY_FIRE
     survivors = []
-    tried = 0
+    tried = unshifted = 0
     for name, text in texts.items():
         result = run_text(text)
-        assert verify_run(result.scenario, result.records) == [], name
-        for index, mutation, mutant in _mutants(result.records, result.scenario.config.word_count):
+        records = result.records
+        assert verify_run(result.scenario, records) == [], name
+        shifts = {(rec.t, rec.pair) for rec in records if rec.ev == EV_LATCH_SHIFT}
+        unshifted += sum(
+            rec.ev == EV_FILTER_FIRE and (rec.t, rec.pair) not in shifts for rec in records
+        )
+        for index, mutation, mutant in _mutants(records, result.scenario.config.word_count):
             tried += 1
             if not verify_run(result.scenario, mutant):
                 survivors.append((name, index, mutation))
     assert tried > 4000
+    assert unshifted > 0  # a fire inside the refractory is among the mutated records
     assert survivors == []
 
 
 # -- survivor ratchet: mutant classes verify_run does not yet catch --------
 
-# Per shipped scenario: (surviving swaps, swaps tried). A swap exchanges two
-# adjacent records that share a tick and differ.
+# Per shipped scenario: (surviving swaps, swaps tried).
 SWAP_SURVIVORS = {
-    "concurrent": (18, 28),
-    "cycle": (14, 21),
+    "concurrent": (0, 28),
+    "cycle": (0, 21),
     "negative_control": (0, 0),
-    "override": (27, 49),
-    "worked_example": (26, 48),
+    "override": (0, 49),
+    "worked_example": (0, 48),
 }
+# Shipped scenarios whose trace passes with a filter_fire of pair (1, 2)
+# inserted right after its first record, at that record's tick.
+INVENTED_FIRE_SURVIVORS = set()
 # (trace of, verified against) for shipped scenarios whose trace passes as another's.
 CROSS_SCENARIO_SURVIVORS = {
     ("cycle", "concurrent"),
@@ -530,8 +578,7 @@ CROSS_SCENARIO_SURVIVORS = {
     ("negative_control", "cycle"),
     ("negative_control", "worked_example"),
 }
-# Per shipped scenario: (surviving deletions, episodes). A deletion removes
-# every record that carries one episode id.
+# Per shipped scenario: (surviving deletions, episodes).
 EPISODE_DELETION_SURVIVORS = {
     "concurrent": (0, 8),
     "cycle": (0, 7),
@@ -539,9 +586,7 @@ EPISODE_DELETION_SURVIVORS = {
     "override": (1, 12),
     "worked_example": (0, 11),
 }
-# Per shipped scenario: (surviving insertions, words). An insertion appends,
-# for one word, a CPU enable one tick after the last record and its done one
-# duration later, in a new episode numbered one past the highest.
+# Per shipped scenario: (surviving insertions, words).
 EPISODE_INSERTION_SURVIVORS = {
     "concurrent": (0, 4),
     "cycle": (0, 2),
@@ -551,11 +596,17 @@ EPISODE_INSERTION_SURVIVORS = {
 }
 
 
-def _passes(scenario, records) -> bool:
+def _passes(verify, scenario, records) -> bool:
     try:
-        return verify_run(scenario, records) == []
+        return verify(scenario, records) == []
     except MalformedTraceError:
         return False
+
+
+def _survivors(scenario, mutants) -> tuple[int, int]:
+    """(mutants that verify, mutants tried)."""
+    mutants = list(mutants)
+    return sum(_passes(verify_run, scenario, mutant) for mutant in mutants), len(mutants)
 
 
 def test_surviving_mutants_of_the_shipped_scenarios_are_counted():
@@ -565,48 +616,81 @@ def test_surviving_mutants_of_the_shipped_scenarios_are_counted():
         path.stem: run_text(path.read_text(encoding="utf-8"))
         for path in sorted(SCENARIOS.glob("*.scn"))
     }
-    swaps = {}
+    swaps, deletions, insertions, invented = {}, {}, {}, set()
     for name, result in runs.items():
-        records = result.records
-        tried = survived = 0
-        for index, (first, second) in enumerate(zip(records, records[1:])):
-            if first.t == second.t and first != second:
-                tried += 1
-                mutant = records[:index] + [second, first] + records[index + 2 :]
-                survived += _passes(result.scenario, mutant)
-        swaps[name] = (survived, tried)
+        scenario, records = result.scenario, result.records
+        swaps[name] = _survivors(scenario, _swaps(records))
+        deletions[name] = _survivors(scenario, _episode_deletions(records))
+        insertions[name] = _survivors(scenario, _episode_insertions(records, scenario.config))
+        fire = TraceRecord(t=records[0].t, ev=EV_FILTER_FIRE, pair=(1, 2))
+        if _passes(verify_run, scenario, records[:1] + [fire] + records[1:]):
+            invented.add(name)
     assert swaps == SWAP_SURVIVORS
-    deletions = {}
-    insertions = {}
-    for name, result in runs.items():
-        records = result.records
-        episodes = sorted({rec.episode for rec in records if rec.episode is not None})
-        deletions[name] = (
-            sum(
-                _passes(result.scenario, [rec for rec in records if rec.episode != episode])
-                for episode in episodes
-            ),
-            len(episodes),
-        )
-        config = result.scenario.config
-        tick, episode = records[-1].t + 1, episodes[-1] + 1
-        inserted = [
-            [_enable(tick, word, episode), _done(tick + config.durations[word], word, episode)]
-            for word in config.word_ids()
-        ]
-        insertions[name] = (
-            sum(_passes(result.scenario, records + pair) for pair in inserted),
-            len(inserted),
-        )
+    assert invented == INVENTED_FIRE_SURVIVORS
     assert deletions == EPISODE_DELETION_SURVIVORS
     assert insertions == EPISODE_INSERTION_SURVIVORS
     cross = {
         (name, other)
         for name, result in runs.items()
         for other, against in runs.items()
-        if other != name and _passes(against.scenario, result.records)
+        if other != name and _passes(verify_run, against.scenario, result.records)
     }
     assert cross == CROSS_SCENARIO_SURVIVORS
+
+
+# -- never weaker than the multiset verifier it replaced -------------------
+
+
+@st.composite
+def small_scenarios(draw):
+    """A small scenario in either filter mode: overlapping rehearsals that
+    learn, probes that replay, override switches, and a tick limit that may
+    cut the run."""
+    word_count = draw(st.integers(min_value=2, max_value=4))
+    delay1 = draw(st.integers(min_value=1, max_value=6))
+    threshold = draw(st.integers(min_value=1, max_value=3))
+    words = st.integers(min_value=1, max_value=word_count)
+    ticks = st.integers(min_value=0, max_value=120)
+    lines = [
+        f"fabric words={word_count} delay1={delay1} delay2={draw(st.integers(1, delay1))} "
+        f"threshold={threshold} mode={draw(st.sampled_from(['done_enable', 'done_done']))}",
+        *(f"dur {word} {draw(st.integers(1, 4))}" for word in range(1, word_count + 1)),
+    ]
+    rehearsed = []  # the pairs the plans rehearse, which the overrides switch
+    for start in draw(st.lists(st.integers(0, 20), min_size=1, max_size=2)):
+        length = draw(st.integers(2, word_count))
+        sequence = draw(st.permutations(range(1, word_count + 1)))[:length]
+        rehearsed += zip(sequence, sequence[1:])
+        lines.append(
+            f"rehearse {' '.join(map(str, sequence))} reps={threshold + draw(st.integers(0, 1))} "
+            f"gap={draw(st.integers(0, delay1))} rest={draw(st.integers(0, 8))} start={start}"
+        )
+    switches = st.tuples(st.sampled_from(rehearsed), st.booleans(), ticks)
+    for (i, j), is_open, tick in draw(st.lists(switches, max_size=4)):
+        lines.append(f"at {tick} override {i} {j} {'open' if is_open else 'closed'}")
+    for word, tick in draw(st.lists(st.tuples(words, ticks), max_size=4)):
+        lines.append(f"at {tick} probe {word}")
+    # A limit of 40 cuts about one run in three; 1000 lets the rest go quiescent.
+    lines.append(f"maxticks {draw(st.sampled_from([40, 1000, 1000]))}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_scenarios())
+@example(OVERRIDE_CYCLE)
+@example(REFRACTORY_FIRE)
+def test_verify_rejects_every_trace_the_reference_rejects(text):
+    # Single-record mutants, same-tick swaps, and whole-episode deletions and
+    # insertions: whatever the multiset verifier rejects, verify_run rejects.
+    result = run_text(text)
+    scenario, records = result.scenario, result.records
+    assert verify_run(scenario, records) == [] == reference_verify_run(scenario, records)
+    mutants = [mutant for _, _, mutant in _mutants(records, scenario.config.word_count)]
+    mutants += [*_swaps(records), *_episode_deletions(records)]
+    mutants += _episode_insertions(records, scenario.config)
+    for mutant in mutants:
+        if not _passes(reference_verify_run, scenario, mutant):
+            assert not _passes(verify_run, scenario, mutant), (text, mutant)
 
 
 # -- cross-check at the scale the sparse fabric core targets --------------
