@@ -12,8 +12,9 @@ fabric and the driver queue events at the current tick plus an offset
 their config or plan keeps >= 0. Episodes come only from
 :meth:`Simulation.new_episode`, one per probe and per plan repetition.
 A run ends either quiescent (the queue drained) or at the tick limit
-(the next event lies beyond ``max_tick``), which is how runaway
-autonomous activity is surfaced.
+(the next event lies beyond ``max_tick``). The fabric's no-repeat rule,
+which has no switch, gives every episode at most one enable per word,
+so every run drains; the limit only cuts one whose events reach past it.
 
 A :class:`Simulation` is a self-contained value (engine + fabric +
 scripted CPU driver + trace) that nothing inside refers back to, so
@@ -79,11 +80,11 @@ class RunOutcome:
 class Simulation:
     """One complete run: fabric, driver, queue, clock, and trace."""
 
-    def __init__(self, config: FabricConfig, *, loop_suppression: bool = True):
+    def __init__(self, config: FabricConfig):
         self.config = config
         self.clock = 0
         self.queue = EventQueue()
-        self.fabric = Fabric(config, loop_suppression=loop_suppression)
+        self.fabric = Fabric(config)
         self.driver = Driver()
         self.records: list[TraceRecord] = []
         # The fabric's handlers call emit once per trace record.
@@ -159,7 +160,11 @@ class RunResult:
 
 
 def build_simulation(scenario: Scenario, *, loop_suppression: bool = True) -> Simulation:
-    sim = Simulation(scenario.config, loop_suppression=loop_suppression)
+    # The no-repeat rule has no switch. The keyword stays only because the
+    # benchmark harness passes True; ROADMAP item 1 deletes it.
+    if loop_suppression is not True:
+        raise ValueError(f"loop_suppression must be True, got {loop_suppression!r}")
+    sim = Simulation(scenario.config)
     for d in scenario.overrides:
         sim.schedule_override(d.tick, (d.i, d.j), d.is_open)
     for probe in scenario.probes:
@@ -169,11 +174,9 @@ def build_simulation(scenario: Scenario, *, loop_suppression: bool = True) -> Si
     return sim
 
 
-def run_scenario(
-    scenario: Scenario, *, max_tick: int | None = None, loop_suppression: bool = True
-) -> RunResult:
+def run_scenario(scenario: Scenario, *, max_tick: int | None = None) -> RunResult:
     """Build, run, and summarize one scenario."""
-    sim = build_simulation(scenario, loop_suppression=loop_suppression)
+    sim = build_simulation(scenario)
     outcome = sim.run_to_quiescence(max_tick if max_tick is not None else scenario.max_tick)
     report = build_report(sim.records, outcome=outcome.outcome, final_tick=outcome.final_tick)
     return RunResult(

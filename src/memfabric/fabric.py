@@ -16,7 +16,8 @@ Learning is never erased. A per-pair override acts as a series switch
 that masks a learned connection without clearing it. Within a single
 episode (the activation chain rooted at one CPU enable) each word may
 fire at most once; repeat attempts are suppressed, so learned cycles
-cannot loop on their own.
+cannot loop on their own. The rule is part of the model and has no
+switch.
 
 The K(K-1) filters are represented as one window per source word plus
 a capped shift count per touched pair, and this is exact. The filters
@@ -237,15 +238,10 @@ class Fabric:
     the owning simulation, which is passed in so the fabric can emit
     trace records (each built whole, from all seven fields in order) and
     put its own done and replay events on its queue.
-
-    ``loop_suppression`` is a test hook: disabling it removes the
-    episode no-repeat rule so that learned cycles replay unboundedly
-    (surfacing as a tick-limit outcome).
     """
 
-    def __init__(self, config: FabricConfig, *, loop_suppression: bool = True):
+    def __init__(self, config: FabricConfig):
         self.config = config
-        self.loop_suppression = loop_suppression
         self._busy_until: dict[int, int] = {}  # word -> end of its last run; a past end is idle
         # Source word -> closing tick of its hold window. A closed window
         # stays closed (the clock never moves back), so stale entries are
@@ -280,7 +276,7 @@ class Fabric:
         pairs of words the fabric already accepted.
         """
         busy = self._busy_until.get(word, 0) > tick
-        repeat = self.loop_suppression and word in episode.fired_words
+        repeat = word in episode.fired_words
         episode_id = episode.episode_id
         if busy or repeat:
             sim.emit(_record((tick, EV_IGNORED_ENABLE, word, pair, source, episode_id, None)))
@@ -311,7 +307,7 @@ class Fabric:
             link = (word, dst)
             if link in self._override_open:
                 sim.emit(_record((tick, EV_OVERRIDE_BLOCKED, dst, link, None, episode_id, None)))
-            elif self.loop_suppression and dst in episode.fired_words:
+            elif dst in episode.fired_words:
                 sim.emit(_record((tick, EV_LOOP_SUPPRESSED, dst, link, None, episode_id, None)))
             else:
                 sim.queue.schedule(tick + self.config.delay1, AutoEnable(dst, link, episode))
@@ -337,10 +333,10 @@ class Fabric:
         # whose window is holding, in ascending src order. The closed
         # interval lets a trigger exactly delay1 after the done still count.
         windows = self._window_until
-        for src in [src for src, until in windows.items() if until < tick]:
-            del windows[src]
         for src in sorted(windows):
-            if src != dst:
+            if windows[src] < tick:
+                del windows[src]
+            elif src != dst:
                 self._fire_filter(sim, (src, dst), tick)
 
     def _fire_filter(self, sim, pair: tuple[int, int], tick: int) -> None:

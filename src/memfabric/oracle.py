@@ -21,15 +21,16 @@ definition owes. It reads the trace as a sequence of heads, the first
 record of each dispatched event (an arrival, a done, an override
 switch), each followed by the records the definition derives from it:
 the filter fires of a trigger with their latch shifts and learned
-records, and a done's replay outcomes. Every record except a CPU
-arrival must equal the one record owed at its point. The owed heads are
-the scenario's override switches, which lead their tick, and the dones
-and autonomous arrivals owed so far, in the order the definition
-schedules them; an owed head at or before the last traced tick that
-the trace lacks is a divergence. CPU arrivals are owed by nothing yet:
-each needs a word of the fabric, no pair, and no owed head before its
-tick. The result is at most one divergence description; empty means
-full agreement.
+records, and a done's replay outcomes. Every record must equal the one
+record owed at its point. The owed heads are the scenario's override
+switches, which lead their tick, and the dones and autonomous arrivals
+owed so far, in the order the definition schedules them; an owed head
+at or before the last traced tick that the trace lacks is a divergence.
+A CPU arrival is owed by no head yet. Once no owed head comes before
+its tick, it is owed in place: an enable or an ignored enable (as the
+busy and no-repeat rules decide) of its word in its episode, with no
+pair. Nothing owes a CPU arrival of a word outside the fabric. The
+result is at most one divergence; empty means full agreement.
 """
 
 from __future__ import annotations
@@ -210,10 +211,11 @@ def verify_run(scenario: Scenario, records: list[TraceRecord]) -> list[str]:
     """Compare a trace, record by record, with the records the run owes.
 
     Returns at most one divergence, ``record N: the trace has X, but the
-    run owes Y`` (N counts from 1; X and Y are JSON lines), by the rule
-    the module docstring states. An empty list means the trace agrees
-    with the definition. Raises MalformedTraceError for a trace whose
-    ticks go down (``detection_ticks``, which runs first, checks them).
+    run owes Y`` or ``record N: the trace has X, but nothing owes it``
+    (N counts from 1; X and Y are JSON lines), by the rule the module
+    docstring states. An empty list means the trace agrees with the
+    definition. Raises MalformedTraceError for a trace whose ticks go
+    down (``detection_ticks``, which runs first, checks them).
     """
     config = scenario.config
     threshold, delay1, durations = config.threshold, config.delay1, config.durations
@@ -279,13 +281,11 @@ def verify_run(scenario: Scenario, records: list[TraceRecord]) -> list[str]:
             # Owed heads before its tick, and the switches of its tick, come first.
             if switches and switches[0][0] <= t or heads and heads[0][0] < t:
                 return _diverge(n, rec.to_json_line(), next_head())
-            if pair is not None or not 1 <= word <= config.word_count:
-                return [
-                    f"record {n}: the trace has {rec.to_json_line()}, but a cpu "
-                    f"enable names a word in 1..{config.word_count} and no pair"
-                ]
-            if ev != (owed := arrival(t, word, episode)):
-                return _diverge(n, rec.to_json_line(), rec._replace(ev=owed))
+            if not 1 <= word <= config.word_count:
+                return _diverge(n, rec.to_json_line(), None)
+            want = (t, arrival(t, word, episode), word, None, SRC_CPU, episode, None)
+            if rec != want:
+                return _diverge(n, rec.to_json_line(), want)
         elif rec != (want := next_head()):
             return _diverge(n, rec.to_json_line(), want)
         elif ev == EV_OVERRIDE_SET:

@@ -4,12 +4,11 @@ Every observable action in a run is captured as one :class:`TraceRecord`
 and serialized as a single-line JSON object with a fixed key order
 (``t, ev, word, pair, src, episode, stage``; absent fields omitted).
 All values are integers or short strings, never floats, so identical
-runs produce byte-identical traces. :func:`format_trace` writes the
-field sets the fabric emits by one f-string each, and any other through
-:meth:`TraceRecord.to_json_line`, to the same bytes. :func:`parse_trace`
-decodes a trace written here by one regex scan of the whole text, and
-any other trace line by line through :func:`decode_line`, with the same
-records and errors.
+runs produce byte-identical traces. :func:`format_trace` is the one
+writer of a line, and :meth:`TraceRecord.to_json_line` is the line it
+writes for one record. :func:`parse_trace` decodes a trace written
+here by one regex scan of the whole text, and any other trace line by
+line through :func:`decode_line`, with the same records and errors.
 
 Field usage by record kind::
 
@@ -100,26 +99,9 @@ class TraceRecord(NamedTuple):
     stage: int | None = None
 
     def to_json_line(self) -> str:
-        """The record as one compact JSON object, keys in the fixed order.
-
-        Byte-identical to ``json.dumps`` of the present fields with
-        ``separators=(",", ":")``: every value is an int, a pair of ints
-        or a schema string (an event kind or a source) that needs no
-        escaping.
-        """
-        t, ev, word, pair, src, episode, stage = self
-        line = f'{{"t":{t},"ev":"{ev}"'
-        if word is not None:
-            line += f',"word":{word}'
-        if pair is not None:
-            line += f',"pair":[{pair[0]},{pair[1]}]'
-        if src is not None:
-            line += f',"src":"{src}"'
-        if episode is not None:
-            line += f',"episode":{episode}'
-        if stage is not None:
-            line += f',"stage":{stage}'
-        return line + "}"
+        """The record as one compact JSON object, keys in the fixed order:
+        the line :func:`format_trace` writes for it, without the newline."""
+        return format_trace((self,))[:-1]
 
 
 def record_from_obj(obj: dict) -> TraceRecord:
@@ -170,9 +152,12 @@ def record_from_obj(obj: dict) -> TraceRecord:
 def format_trace(records: Iterable[TraceRecord]) -> str:
     """Serialize records to the JSON Lines trace body (empty run, empty body).
 
-    Each line is ``rec.to_json_line()`` and a newline. The field sets the
-    fabric emits are written here by one f-string each, picked by which
-    fields are ``None``; any other set goes through ``to_json_line``.
+    Each line is one compact JSON object, keys in the fixed order, and a
+    newline: byte-identical to ``json.dumps`` of the present fields with
+    ``separators=(",", ":")``, since every value is an int, a pair of ints
+    or a schema string (an event kind or a source) that needs no escaping.
+    The field sets the schema allows are written by one f-string each,
+    picked by which fields are ``None``; any other set field by field.
     """
     lines = []
     append = lines.append
@@ -207,7 +192,18 @@ def format_trace(records: Iterable[TraceRecord]) -> str:
                     f'"src":"{src}","episode":{episode}}}\n'
                 )
             continue
-        append(rec.to_json_line() + "\n")
+        line = f'{{"t":{t},"ev":"{ev}"'
+        if word is not None:
+            line += f',"word":{word}'
+        if pair is not None:
+            line += f',"pair":[{pair[0]},{pair[1]}]'
+        if src is not None:
+            line += f',"src":"{src}"'
+        if episode is not None:
+            line += f',"episode":{episode}'
+        if stage is not None:
+            line += f',"stage":{stage}'
+        append(line + "}\n")
     return "".join(lines)
 
 
@@ -242,7 +238,7 @@ _NATURAL = {
     0: f"0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}",
     1: f"[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}",
 }
-# the keys after t and ev, in to_json_line's order
+# the keys after t and ev, in the order format_trace writes them
 _OPTIONAL_KEYS = TraceRecord._fields[2:]
 # pair members are at least 1, as record_from_obj requires; one group holds
 # both, "i,j", so that equal pairs decode to one shared tuple

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from memfabric import (
+    Fabric,
     FabricConfig,
     Probe,
     QUIESCENT,
@@ -161,22 +162,21 @@ def test_max_tick_must_be_positive():
         sim.run_to_quiescence(0)
 
 
-def test_learned_cycle_with_suppression_disabled_hits_tick_limit():
-    text = (
-        "fabric words=2 delay1=5 delay2=1 threshold=2\n"
-        "dur * 3\n"
-        "rehearse 1 2 reps=2 gap=1 rest=10 start=0\n"
-        "rehearse 2 1 reps=2 gap=1 rest=10 start=100\n"
-        "at 300 probe 1\n"
-        "maxticks 1000\n"
-    )
-    result = run_text(text, loop_suppression=False)
-    assert result.outcome.outcome == TICK_LIMIT
-    assert result.outcome.final_tick <= 1000
-    assert len(result.simulation.queue) > 0
-    # the same scenario with suppression on terminates well before the limit
-    suppressed = run_text(text)
-    assert suppressed.outcome.quiescent
+def test_the_no_repeat_rule_has_no_switch():
+    # build_simulation keeps its keyword for the benchmark harness, which
+    # passes True; every other entry point has none.
+    scenario = parse_scenario(OVERRIDE_CYCLE)
+    with pytest.raises(ValueError, match="^loop_suppression must be True, got False$"):
+        build_simulation(scenario, loop_suppression=False)
+    sim = build_simulation(scenario, loop_suppression=True)
+    sim.run_to_quiescence(scenario.max_tick)
+    assert sim.records == run_text(OVERRIDE_CYCLE).records
+    with pytest.raises(TypeError):
+        run_text(OVERRIDE_CYCLE, loop_suppression=True)
+    with pytest.raises(TypeError):
+        Simulation(scenario.config, loop_suppression=True)
+    with pytest.raises(TypeError):
+        Fabric(scenario.config, loop_suppression=True)
 
 
 def test_conservation_every_event_dispatched_or_pending():

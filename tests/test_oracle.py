@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from memfabric import (
     episode_subtrace,
     predict_learned,
     predict_timeline,
+    run_scenario,
     shift_entries,
     verify_run,
 )
@@ -346,8 +348,7 @@ def test_verify_flags_an_enable_of_a_word_the_fabric_lacks(worked_example_text):
     forged = [*result.records, TraceRecord(t=last, ev=EV_ENABLE, word=4, src="cpu", episode=11)]
     problems = verify_run(result.scenario, forged)
     assert problems == [
-        f"record {len(forged)}: the trace has {forged[-1].to_json_line()}, "
-        "but a cpu enable names a word in 1..3 and no pair"
+        f"record {len(forged)}: the trace has {forged[-1].to_json_line()}, but nothing owes it"
     ]
 
 
@@ -368,7 +369,8 @@ def test_verify_flags_a_second_filter_fire_of_a_pair_in_one_tick(worked_example_
 @pytest.mark.parametrize(
     "t,pair,reason",
     [
-        (0, (2, 1), "a cpu enable names a word in 1..3 and no pair"),
+        # The run owes the same arrival without its pair.
+        (0, (2, 1), 'the run owes {"t":0,"ev":"ignored_enable","word":1,"src":"cpu","episode":1}'),
         # Nothing owes an autonomous arrival here: the enable's filter fire is owed.
         (509, None, 'the run owes {"t":509,"ev":"filter_fire","pair":[1,3]}'),
     ],
@@ -594,6 +596,15 @@ EPISODE_INSERTION_SURVIVORS = {
     "override": (1, 3),
     "worked_example": (1, 3),
 }
+# Per shipped scenario: (traces of one-value variants that verify against
+# the unchanged scenario, variants).
+ONE_VALUE_SURVIVORS = {
+    "concurrent": (19, 19),
+    "cycle": (17, 17),
+    "negative_control": (7, 7),
+    "override": (11, 11),
+    "worked_example": (9, 9),
+}
 
 
 def _passes(verify, scenario, records) -> bool:
@@ -609,6 +620,22 @@ def _survivors(scenario, mutants) -> tuple[int, int]:
     return sum(_passes(verify_run, scenario, mutant) for mutant in mutants), len(mutants)
 
 
+def _one_value_variants(scenario):
+    """The scenario with one plan's gap, rest, start or reps, or one probe's
+    tick, moved by one; a value the plan or probe rejects is skipped."""
+    for group, names in (("plans", ("gap", "rest", "start", "reps")), ("probes", ("tick",))):
+        items = getattr(scenario, group)
+        for index, item in enumerate(items):
+            for name in names:
+                for delta in (-1, 1):
+                    try:
+                        moved = dataclasses.replace(item, **{name: getattr(item, name) + delta})
+                    except ValueError:
+                        continue
+                    changed = (*items[:index], moved, *items[index + 1 :])
+                    yield dataclasses.replace(scenario, **{group: changed})
+
+
 def test_surviving_mutants_of_the_shipped_scenarios_are_counted():
     # A ratchet: these counts must equal the committed ones, so a change
     # that makes verify catch more commits the lower figures.
@@ -616,12 +643,14 @@ def test_surviving_mutants_of_the_shipped_scenarios_are_counted():
         path.stem: run_text(path.read_text(encoding="utf-8"))
         for path in sorted(SCENARIOS.glob("*.scn"))
     }
-    swaps, deletions, insertions, invented = {}, {}, {}, set()
+    swaps, deletions, insertions, one_value, invented = {}, {}, {}, {}, set()
     for name, result in runs.items():
         scenario, records = result.scenario, result.records
         swaps[name] = _survivors(scenario, _swaps(records))
         deletions[name] = _survivors(scenario, _episode_deletions(records))
         insertions[name] = _survivors(scenario, _episode_insertions(records, scenario.config))
+        variants = _one_value_variants(scenario)
+        one_value[name] = _survivors(scenario, (run_scenario(v).records for v in variants))
         fire = TraceRecord(t=records[0].t, ev=EV_FILTER_FIRE, pair=(1, 2))
         if _passes(verify_run, scenario, records[:1] + [fire] + records[1:]):
             invented.add(name)
@@ -629,6 +658,7 @@ def test_surviving_mutants_of_the_shipped_scenarios_are_counted():
     assert invented == INVENTED_FIRE_SURVIVORS
     assert deletions == EPISODE_DELETION_SURVIVORS
     assert insertions == EPISODE_INSERTION_SURVIVORS
+    assert one_value == ONE_VALUE_SURVIVORS
     cross = {
         (name, other)
         for name, result in runs.items()
@@ -641,42 +671,39 @@ def test_surviving_mutants_of_the_shipped_scenarios_are_counted():
 # -- never weaker than the multiset verifier it replaced -------------------
 
 
-@st.composite
-def small_scenarios(draw):
+def small_scenario_text(rng: random.Random) -> str:
     """A small scenario in either filter mode: overlapping rehearsals that
     learn, probes that replay, override switches, and a tick limit that may
     cut the run."""
-    word_count = draw(st.integers(min_value=2, max_value=4))
-    delay1 = draw(st.integers(min_value=1, max_value=6))
-    threshold = draw(st.integers(min_value=1, max_value=3))
-    words = st.integers(min_value=1, max_value=word_count)
-    ticks = st.integers(min_value=0, max_value=120)
+    word_count = rng.randint(2, 4)
+    delay1 = rng.randint(1, 6)
+    threshold = rng.randint(1, 3)
     lines = [
-        f"fabric words={word_count} delay1={delay1} delay2={draw(st.integers(1, delay1))} "
-        f"threshold={threshold} mode={draw(st.sampled_from(['done_enable', 'done_done']))}",
-        *(f"dur {word} {draw(st.integers(1, 4))}" for word in range(1, word_count + 1)),
+        f"fabric words={word_count} delay1={delay1} delay2={rng.randint(1, delay1)} "
+        f"threshold={threshold} mode={rng.choice(['done_enable', 'done_done'])}",
+        *(f"dur {word} {rng.randint(1, 4)}" for word in range(1, word_count + 1)),
     ]
     rehearsed = []  # the pairs the plans rehearse, which the overrides switch
-    for start in draw(st.lists(st.integers(0, 20), min_size=1, max_size=2)):
-        length = draw(st.integers(2, word_count))
-        sequence = draw(st.permutations(range(1, word_count + 1)))[:length]
+    for _ in range(rng.randint(1, 2)):
+        start = rng.randint(0, 20)
+        sequence = rng.sample(range(1, word_count + 1), rng.randint(2, word_count))
         rehearsed += zip(sequence, sequence[1:])
         lines.append(
-            f"rehearse {' '.join(map(str, sequence))} reps={threshold + draw(st.integers(0, 1))} "
-            f"gap={draw(st.integers(0, delay1))} rest={draw(st.integers(0, 8))} start={start}"
+            f"rehearse {' '.join(map(str, sequence))} reps={threshold + rng.randint(0, 1)} "
+            f"gap={rng.randint(0, delay1)} rest={rng.randint(0, 8)} start={start}"
         )
-    switches = st.tuples(st.sampled_from(rehearsed), st.booleans(), ticks)
-    for (i, j), is_open, tick in draw(st.lists(switches, max_size=4)):
+    for _ in range(rng.randint(0, 4)):
+        (i, j), is_open, tick = rng.choice(rehearsed), rng.random() < 0.5, rng.randint(0, 120)
         lines.append(f"at {tick} override {i} {j} {'open' if is_open else 'closed'}")
-    for word, tick in draw(st.lists(st.tuples(words, ticks), max_size=4)):
-        lines.append(f"at {tick} probe {word}")
+    for _ in range(rng.randint(0, 4)):
+        lines.append(f"at {rng.randint(0, 120)} probe {rng.randint(1, word_count)}")
     # A limit of 40 cuts about one run in three; 1000 lets the rest go quiescent.
-    lines.append(f"maxticks {draw(st.sampled_from([40, 1000, 1000]))}")
+    lines.append(f"maxticks {rng.choice([40, 1000, 1000])}")
     return "\n".join(lines) + "\n"
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_scenarios())
+@given(st.randoms(use_true_random=False).map(small_scenario_text))
 @example(OVERRIDE_CYCLE)
 @example(REFRACTORY_FIRE)
 def test_verify_rejects_every_trace_the_reference_rejects(text):
@@ -691,6 +718,38 @@ def test_verify_rejects_every_trace_the_reference_rejects(text):
     for mutant in mutants:
         if not _passes(reference_verify_run, scenario, mutant):
             assert not _passes(verify_run, scenario, mutant), (text, mutant)
+
+
+# (surviving mutants, mutants tried) per class, over GENERATED_SCENARIOS
+# scenarios that small_scenario_text draws from random.Random(0).
+GENERATED_SCENARIOS = 20
+GENERATED_SURVIVORS = {
+    "single record": (111, 9705),
+    "same-tick swap": (17, 615),
+    "episode deletion": (20, 101),
+    "episode insertion": (13, 61),
+}
+
+
+def test_surviving_mutants_of_generated_scenarios_are_counted():
+    # A ratchet like the one over the shipped scenarios, on the kind of
+    # scenario the comparison with the reference draws.
+    rng = random.Random(0)
+    survivors = dict.fromkeys(GENERATED_SURVIVORS, (0, 0))
+    for _ in range(GENERATED_SCENARIOS):
+        result = run_text(small_scenario_text(rng))
+        scenario, records = result.scenario, result.records
+        assert verify_run(scenario, records) == []
+        classes = {
+            "single record": (m for _, _, m in _mutants(records, scenario.config.word_count)),
+            "same-tick swap": _swaps(records),
+            "episode deletion": _episode_deletions(records),
+            "episode insertion": _episode_insertions(records, scenario.config),
+        }
+        for name, mutants in classes.items():
+            passed, tried = _survivors(scenario, mutants)
+            survivors[name] = (survivors[name][0] + passed, survivors[name][1] + tried)
+    assert survivors == GENERATED_SURVIVORS
 
 
 # -- cross-check at the scale the sparse fabric core targets --------------

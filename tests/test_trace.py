@@ -164,7 +164,8 @@ def test_line_equals_the_json_dumps_reference(rec):
 
 
 def lines_of(recs) -> str:
-    return "".join(rec.to_json_line() + "\n" for rec in recs)
+    # to_json_line is format_trace's own line, so the reference is json.dumps.
+    return "".join(reference_line(rec) + "\n" for rec in recs)
 
 
 @pytest.mark.parametrize(
@@ -177,8 +178,8 @@ def lines_of(recs) -> str:
 )
 def test_format_trace_writes_every_field_set_as_to_json_line(values):
     # Every present/absent combination of the five optional fields: the sets
-    # the fabric emits take format_trace's own f-strings, the rest
-    # to_json_line. A zero is present, not absent.
+    # the schema allows take format_trace's f-strings, the rest its field by
+    # field fallback. A zero is present, not absent.
     optional = TraceRecord._fields[2:]
     recs = [
         TraceRecord(values["t"], "enable", *(values[key] if on else None for key, on in shape))
@@ -188,6 +189,7 @@ def test_format_trace_writes_every_field_set_as_to_json_line(values):
     ]
     assert len(set(recs)) == 32
     assert format_trace(recs) == lines_of(recs)
+    assert format_trace(recs).split("\n")[:-1] == [rec.to_json_line() for rec in recs]
 
 
 @given(st.lists(records(), max_size=20))
