@@ -6,9 +6,9 @@ and serialized as a single-line JSON object with a fixed key order
 All values are integers or short strings, never floats, so identical
 runs produce byte-identical traces. :func:`format_trace` is the one
 writer of a line, and :meth:`TraceRecord.to_json_line` is the line it
-writes for one record. :func:`parse_trace` decodes a trace written
-here by one regex scan of the whole text, and any other trace line by
-line through :func:`decode_line`, with the same records and errors.
+writes for one record. :func:`parse_trace` matches each line once in
+one regex scan of the whole text: a line written here decodes from the
+match, any other line alone through :func:`decode_line`.
 
 Field usage by record kind::
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from itertools import repeat
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -247,12 +247,14 @@ _VALUE_PATTERN = {
     "pair": rf"\[({_NATURAL[1]},{_NATURAL[1]})\]",
     "src": f'"({SRC_CPU}|{SRC_AUTO})"',
 }
-# one canonical line; anchored at line ends, so a scan of a whole text
-# matches each line that is canonical, all of it, and nothing else
-_CANONICAL_LINE = re.compile(
-    rf'^\{{"t":{_VALUE_PATTERN["t"]},"ev":"({"|".join(map(re.escape, _FIELDS))})"'
-    + "".join(f'(?:,"{key}":{_VALUE_PATTERN[key]})?' for key in _OPTIONAL_KEYS)
-    + r"\}$",
+# a line, anchored at line ends, so that a scan of a text matches each line
+# once: one as format_trace writes it in the first branch, any other (blank
+# too) whole in the last group. An absent field is an empty alternative,
+# whose group is None: cheaper for the engine than a (?:...)? repeat.
+_LINE = re.compile(
+    rf'^(?:\{{"t":{_VALUE_PATTERN["t"]},"ev":"({"|".join(map(re.escape, _FIELDS))})"'
+    + "".join(f'(?:,"{key}":{_VALUE_PATTERN[key]}|)' for key in _OPTIONAL_KEYS)
+    + r"\}|(.*))$",
     re.M,
 )
 # (kind, whether each optional key is absent) -> the kind, for every field
@@ -267,38 +269,14 @@ _CANONICAL_SHAPES = {
 
 
 class _Values(dict):
-    """The values of a scan's groups, each decoded once: an absent field's
-    ``""`` to ``None``, digits to an int, a pair's ``"i,j"`` to ``(i, j)``."""
+    """The values of a scan's groups, each decoded once, so that records share
+    them: digits to an int, a pair's ``"i,j"`` to ``(i, j)``; an absent
+    field's ``None`` and a source, put in when it is made, to themselves."""
 
-    def __missing__(self, key: str) -> int | tuple[int, ...] | None:
-        if "," in key:
-            value = tuple(map(int, key.split(",")))
-        else:
-            value = int(key) if key else None
+    def __missing__(self, key: str) -> int | tuple[int, ...]:
+        value = tuple(map(int, key.split(","))) if "," in key else int(key)
         self[key] = value
         return value
-
-
-def _scan(text: str) -> list[TraceRecord] | None:
-    """The records of a text whose every line is canonical and whose ticks
-    never decrease, by one scan of it; ``None`` for any other text."""
-    values = _Values()
-    shapes = _CANONICAL_SHAPES
-    new = tuple.__new__  # skips the named tuple's Python-level __new__
-    records = []
-    append = records.append
-    last = 0
-    groups = map(re.Match.groups, _CANONICAL_LINE.finditer(text), repeat(""))
-    for t, ev, word, pair, src, episode, stage in groups:
-        ev = shapes.get((ev, not word, not pair, not src, not episode, not stage))
-        t = values[t]
-        if ev is None or t < last:
-            return None
-        last = t
-        rec = (t, ev, values[word], values[pair], src or None, values[episode], values[stage])
-        append(new(TraceRecord, rec))
-    # each line holds at most one match, so a line it missed is a record short
-    return records if len(records) == text.count("\n") + (not text.endswith("\n")) else None
 
 
 def _unify_newlines(text: str) -> str:
@@ -316,32 +294,51 @@ def split_lines(text: str) -> list[str]:
 def parse_trace(text: str) -> list[TraceRecord]:
     """Decode a JSON Lines trace into records; blank lines are skipped.
 
-    A trace exactly as :func:`format_trace` writes it is decoded by one
-    regex scan of the whole text; any other text, or one whose ticks go
-    down, line by line through :func:`decode_line`, to the same records.
+    One regex scan of the whole text matches each line once. A line as
+    :func:`format_trace` writes it is decoded from the match's groups, and
+    any other line, alone, through :func:`decode_line`, to the same record.
     The first line that is not a valid record, or whose tick is below the
     previous record's, raises :class:`MalformedTraceError` prefixed with
     its line number.
     """
-    text = _unify_newlines(text)
-    records = _scan(text)
-    if records is not None:
-        return records
+    values = _Values({None: None, SRC_CPU: SRC_CPU, SRC_AUTO: SRC_AUTO})
+    shapes = _CANONICAL_SHAPES
+    new = tuple.__new__  # skips the named tuple's Python-level __new__
     records = []
+    append = records.append
     last = 0
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        try:
-            rec = decode_line(line)
-        except MalformedTraceError as exc:
-            raise MalformedTraceError(f"line {lineno}: {exc}") from exc
-        if rec is None:
+    for lineno, match in enumerate(_LINE.finditer(_unify_newlines(text)), start=1):
+        t, ev, word, pair, src, episode, stage, line = match.groups()
+        # the table's copy of the kind, which records share; None for the last
+        # branch or for a field set the kind does not allow
+        ev = shapes.get((ev, not word, not pair, not src, not episode, not stage))
+        if ev is not None:
+            t = values[t]
+            rec = (t, ev, values[word], values[pair], values[src], values[episode], values[stage])
+            rec = new(TraceRecord, rec)
+        elif line == "":
             continue
-        if rec.t < last:
-            raise MalformedTraceError(f"line {lineno}: out-of-order tick {rec.t} after {last}")
-        last = rec.t
-        records.append(rec)
+        else:  # not canonical, or canonical with a field set its kind does not allow
+            try:
+                rec = decode_line(match[0])
+            except MalformedTraceError as exc:
+                raise MalformedTraceError(f"line {lineno}: {exc}") from exc
+            if rec is None:
+                continue
+            t = rec.t
+        if t < last:
+            raise MalformedTraceError(f"line {lineno}: out-of-order tick {t} after {last}")
+        last = t
+        append(rec)
     return records
 
 
+_WRITE_BATCH = 65536  # records formatted, and held as text, at a time
+
+
 def write_trace(records: Iterable[TraceRecord], path: str | Path) -> None:
-    Path(path).write_text(format_trace(records), encoding="utf-8")
+    """Write the trace :func:`format_trace` gives for the records, a batch at a time."""
+    records = iter(records)
+    with Path(path).open("w", encoding="utf-8") as file:
+        while text := format_trace(islice(records, _WRITE_BATCH)):
+            file.write(text)

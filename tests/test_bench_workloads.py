@@ -9,6 +9,7 @@ override traffic that the shipped scenarios do not.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.util
 import json
@@ -16,7 +17,16 @@ from pathlib import Path
 
 import pytest
 
-from memfabric import format_report, format_trace, parse_scenario, run_scenario
+import memfabric.trace
+from memfabric import (
+    format_report,
+    format_trace,
+    parse_scenario,
+    parse_trace,
+    run_scenario,
+    verify_run,
+    write_trace,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 EXPECTED = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
@@ -36,12 +46,18 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+@functools.cache
+def _run(name: str):
+    """The workload's scenario at its default seed, and the run of it."""
+    scenario = parse_scenario(workloads.generate(name, workloads.WORKLOADS[name][1]))
+    return scenario, run_scenario(scenario)
+
+
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_outputs_equal_the_recorded_ones(name):
-    seed = workloads.WORKLOADS[name][1]
     expected = EXPECTED[name]
-    assert expected["seed"] == seed
-    result = run_scenario(parse_scenario(workloads.generate(name, seed)))
+    assert expected["seed"] == workloads.WORKLOADS[name][1]
+    result = _run(name)[1]
     assert result.outcome.quiescent
     assert {
         "trace_sha256": _sha256(format_trace(result.records)),
@@ -51,3 +67,20 @@ def test_workload_outputs_equal_the_recorded_ones(name):
         "sim.records": len(result.records),
         "sim.learned_pairs": len(result.report.learned),
     } == {key: value for key, value in expected.items() if key != "seed"}
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_traces_decode_on_the_scan_alone(name, tmp_path, monkeypatch):
+    # Every line run writes is canonical, so no bench trace reaches the
+    # line-by-line general path.
+    scenario, result = _run(name)
+    path = tmp_path / "out.trace.jsonl"
+    write_trace(result.records, path)
+
+    def general_path(line):
+        raise AssertionError(f"decode_line called on {line!r}")
+
+    monkeypatch.setattr(memfabric.trace, "decode_line", general_path)
+    records = parse_trace(path.read_text(encoding="utf-8"))
+    assert records == result.records
+    assert verify_run(scenario, records) == []

@@ -1,6 +1,6 @@
-"""Trace codec: the fixed-order line formatter, the record validator, the
-whole-text scan of written traces against the line-by-line decoder, and
-the byte contract of the shipped scenarios."""
+"""Trace codec: the fixed-order line formatter and the batched writer, the
+record validator, the one-scan decoder against a line-by-line reference,
+and the byte contract of the shipped scenarios."""
 
 from __future__ import annotations
 
@@ -24,11 +24,12 @@ from memfabric import (
     run_scenario,
 )
 from memfabric.trace import (
-    _CANONICAL_LINE,
     _CANONICAL_SHAPES,
+    _LINE,
     decode_line,
     record_from_obj,
     split_lines,
+    write_trace,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -133,26 +134,87 @@ def test_scenario_trace_and_report_bytes_are_pinned(name):
     assert (trace, report) == OUTPUT_SHA256[name]
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.scn")))
-def test_a_written_trace_is_decoded_by_the_scan(name, monkeypatch):
-    records = run_scenario(parse_scenario((SCENARIOS / name).read_text(encoding="utf-8"))).records
-    lines = format_trace(records).split("\n")
+def scenario_records(name: str) -> list[TraceRecord]:
+    return run_scenario(parse_scenario((SCENARIOS / name).read_text(encoding="utf-8"))).records
 
-    def general_path(line):
-        raise AssertionError(f"decode_line called on {line!r}")
 
-    monkeypatch.setattr(memfabric.trace, "decode_line", general_path)
-    assert parse_trace("\n".join(lines)) == records
-    # One line with its keys reversed is not canonical: the whole trace takes
-    # the general path, and decodes to the same records.
-    middle = len(records) // 2
-    lines[middle] = json.dumps(dict(reversed(json.loads(lines[middle]).items())))
+def logging_decode_line(monkeypatch) -> list[str]:
+    """Route parse_trace's general path through a wrapper; the lines it got."""
     decoded = []
     monkeypatch.setattr(
         memfabric.trace, "decode_line", lambda line: decoded.append(line) or decode_line(line)
     )
+    return decoded
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.scn")))
+def test_a_written_trace_is_decoded_by_the_scan(name, monkeypatch):
+    records = scenario_records(name)
+    text = format_trace(records)
+    decoded = logging_decode_line(monkeypatch)
+    # Written as run writes it, with \r\n line ends, or with a blank line
+    # after the last: every line is canonical or blank, and none is decoded.
+    assert parse_trace(text) == records
+    assert parse_trace(text.replace("\n", "\r\n")) == records
+    assert parse_trace(text + "\n") == records
+    assert decoded == []
+    # The records share one string per kind and per source, not one a line.
+    for strings in zip(*((rec.ev, rec.src) for rec in parse_trace(text))):
+        assert len(set(map(id, strings))) == len(set(strings))
+    # One line with its keys reversed is not canonical: that line alone takes
+    # the general path, and decodes to the same record.
+    lines = text.split("\n")
+    middle = len(records) // 2
+    lines[middle] = json.dumps(dict(reversed(json.loads(lines[middle]).items())))
     assert parse_trace("\n".join(lines)) == records
-    assert decoded == lines
+    assert decoded == [lines[middle]]
+
+
+def test_a_canonical_line_with_a_foreign_field_set_fails_at_its_line(monkeypatch):
+    # The line has the canonical form, but a done needs an episode: only the
+    # general path decodes it, and its error is decode_line's.
+    bad = '{"t":1,"ev":"done","word":2}'
+    with pytest.raises(MalformedTraceError) as info:
+        decode_line(bad)
+    lines = format_trace(scenario_records("worked_example.scn")).split("\n")
+    middle = len(lines) // 2
+    lines.insert(middle, bad)
+    decoded = logging_decode_line(monkeypatch)
+    error = f"line {middle + 1}: {info.value}"
+    with pytest.raises(MalformedTraceError, match=f"^{re.escape(error)}$"):
+        parse_trace("\n".join(lines))
+    assert decoded == [bad]
+
+
+def test_a_tick_that_goes_down_after_a_general_path_line_fails_at_its_line():
+    text = (
+        '{"t":5,"ev":"done","word":1,"episode":0}\n'
+        '{"episode":0,"word":1,"ev":"done","t":6}\n'
+        '{"t":2,"ev":"done","word":1,"episode":0}\n'
+    )
+    with pytest.raises(MalformedTraceError, match=r"^line 3: out-of-order tick 2 after 6$"):
+        parse_trace(text)
+
+
+# An empty run, one record, one and two full batches of 7, and all of a run.
+@pytest.mark.parametrize("count", [0, 1, 7, 14, None])
+def test_write_trace_writes_format_trace_a_batch_at_a_time(count, tmp_path, monkeypatch):
+    records = scenario_records("worked_example.scn")[:count]
+    assert count is not None or len(records) > 2 * 7
+    batches = []
+
+    def format_batch(recs):
+        batches.append(list(recs))
+        return format_trace(batches[-1])
+
+    monkeypatch.setattr(memfabric.trace, "_WRITE_BATCH", 7)
+    monkeypatch.setattr(memfabric.trace, "format_trace", format_batch)
+    path = tmp_path / "out.trace.jsonl"
+    write_trace(records, path)
+    assert path.read_bytes() == format_trace(records).encode("utf-8")
+    # every batch went through the module's format_trace, none over the size
+    assert [rec for batch in batches for rec in batch] == records
+    assert all(len(batch) <= 7 for batch in batches)
 
 
 @given(records())
@@ -254,23 +316,21 @@ def test_records_are_immutable_hashable_named_tuples():
     assert rec.t == 3
 
 
-# -- the whole-text scan against the line-by-line decoder ------------------
+# -- the one-scan decoder against a line-by-line reference -----------------
 
 
 def reference_parse_trace(text: str) -> list[TraceRecord]:
     """parse_trace as it was before the whole-text scan: each line matched
     alone, a canonical one decoded from its groups, any other by decode_line."""
     records = []
-    match = _CANONICAL_LINE.fullmatch
+    match = _LINE.fullmatch
     last = 0
     for lineno, line in enumerate(split_lines(text), start=1):
-        m = match(line)
+        t, ev, word, pair, src, episode, stage, other = match(line).groups()
         rec = None
-        if m is not None:
-            t, ev, word, pair, src, episode, stage = m.groups()
+        if other is None:
             shape = (ev, word is None, pair is None, src is None, episode is None, stage is None)
-            ev = _CANONICAL_SHAPES.get(shape)
-            if ev is not None:
+            if shape in _CANONICAL_SHAPES:
                 # an absent field's group is None, a present one a nonempty string
                 rec = TraceRecord(
                     int(t),
@@ -313,7 +373,7 @@ def test_canonical_lines_decode_as_by_the_general_path(rec):
     assert parse_trace(line) == [decode_line(line)] == [rec]
     digits = max(len(number) for number in re.findall("[0-9]+", line))
     # the scan is not dead: every canonical line within its cap matches
-    assert (_CANONICAL_LINE.fullmatch(line) is not None) == (digits <= SCAN_DIGITS)
+    assert (_LINE.fullmatch(line).groups()[-1] is None) == (digits <= SCAN_DIGITS)
 
 
 # One character that does not end a line: parse_trace splits on those first.
@@ -422,8 +482,8 @@ def test_traces_decode_or_fail_as_by_the_reference(text):
 
 
 def test_a_malformed_line_is_named_before_a_later_tick_that_goes_down():
-    # The pattern does not match line 2, so a scan that raised by itself
-    # would name line 3, whose tick goes down.
+    # Line 2 takes the general path and fails there, before line 3's tick,
+    # which goes down, is checked.
     text = (
         '{"t":5,"ev":"done","word":1,"episode":0}\n'
         '{"t":6,"ev":"mystery"}\n'
