@@ -8,7 +8,8 @@ runs produce byte-identical traces. :func:`format_trace` is the one
 writer of a line, and :meth:`TraceRecord.to_json_line` is the line it
 writes for one record. :func:`parse_trace` matches each line once in
 one regex scan of the whole text: a line written here decodes from the
-match, any other line alone through :func:`decode_line`.
+match, any other line alone through :func:`decode_line`. Records decoded
+either way share the schema's one string per kind and per source.
 
 Field usage by record kind::
 
@@ -67,17 +68,17 @@ _FIELDS = {
     EV_OVERRIDE_BLOCKED: (("word", "pair", "episode"), ()),
     EV_OVERRIDE_SET: (("pair", "stage"), ()),
 }
-
-_REQUIRED = {ev: frozenset(("t", *req)) for ev, (req, _) in _FIELDS.items()}
-_ALLOWED = {ev: frozenset(("t", "ev", *req, *opt)) for ev, (req, opt) in _FIELDS.items()}
-
 # integer field -> least legal value (bools are rejected: type(True) is bool)
 _INT_FLOORS = {"t": 0, "word": 1, "episode": 0, "stage": 0}
-# kind -> the (field, least value) pairs of the integer fields it allows
-_FLOORS = {
-    ev: tuple((key, least) for key, least in _INT_FLOORS.items() if key in allowed)
-    for ev, allowed in _ALLOWED.items()
+# kind -> (the kind, which decoded records share; its required fields, in the
+# order a missing one is named; its allowed fields; its integer fields' floors)
+_SCHEMA = {
+    ev: (ev, ("t", *req), allowed, tuple(kv for kv in _INT_FLOORS.items() if kv[0] in allowed))
+    for ev, (req, opt) in _FIELDS.items()
+    for allowed in [frozenset(("t", "ev", *req, *opt))]
 }
+# source -> itself, which decoded records share
+_SOURCES = {SRC_CPU: SRC_CPU, SRC_AUTO: SRC_AUTO}
 
 
 class MalformedTraceError(ValueError):
@@ -115,20 +116,21 @@ def record_from_obj(obj: dict) -> TraceRecord:
         raise MalformedTraceError(f"trace line is not an object: {obj!r}")
     ev = obj.get("ev")
     # type check first: an unhashable kind such as a list cannot be looked up
-    allowed = _ALLOWED.get(ev) if type(ev) is str else None
-    if allowed is None:
+    schema = _SCHEMA.get(ev) if type(ev) is str else None
+    if schema is None:
         raise MalformedTraceError(f"unknown event kind: {ev!r}")
+    ev, required, allowed, floors = schema  # ev: the table's copy, which records share
     keys = obj.keys()
     if not keys <= allowed:
         key = next(key for key in obj if key not in allowed)
         raise MalformedTraceError(f"field {key!r} not allowed on {ev!r} record")
-    for key, least in _FLOORS[ev]:
+    for key, least in floors:
         value = obj.get(key, least)  # an absent field is reported as missing below
         if type(value) is not int or value < least:
             raise MalformedTraceError(f"bad {key} in record: {obj!r}")
-    if not keys >= _REQUIRED[ev]:
-        key = next(key for key in ("t", *_FIELDS[ev][0]) if key not in obj)
-        raise MalformedTraceError(f"{ev!r} record is missing field {key!r}")
+    for key in required:
+        if key not in keys:
+            raise MalformedTraceError(f"{ev!r} record is missing field {key!r}")
     pair = obj.get("pair")
     if "pair" in keys:
         if not (
@@ -142,22 +144,27 @@ def record_from_obj(obj: dict) -> TraceRecord:
             raise MalformedTraceError(f"bad pair in record: {obj!r}")
         pair = (pair[0], pair[1])
     src = obj.get("src")
-    if "src" in keys and src not in (SRC_CPU, SRC_AUTO):
+    src = _SOURCES.get(src) if type(src) is str else None  # the table's copy, as for ev
+    if src is None and "src" in keys:
         raise MalformedTraceError(f"bad src in record: {obj!r}")
     return TraceRecord(
         obj["t"], ev, obj.get("word"), pair, src, obj.get("episode"), obj.get("stage")
     )
 
 
+# the keys after t and ev, in the order format_trace writes them
+_OPTIONAL_KEYS = TraceRecord._fields[2:]
+
+
 def format_trace(records: Iterable[TraceRecord]) -> str:
     """Serialize records to the JSON Lines trace body (empty run, empty body).
 
     Each line is one compact JSON object, keys in the fixed order, and a
-    newline: byte-identical to ``json.dumps`` of the present fields with
-    ``separators=(",", ":")``, since every value is an int, a pair of ints
-    or a schema string (an event kind or a source) that needs no escaping.
-    The field sets the schema allows are written by one f-string each,
-    picked by which fields are ``None``; any other set field by field.
+    newline: ``json.dumps`` of the present fields with ``separators=(",",
+    ":")``. The field sets the schema allows are written by one f-string
+    each, picked by which fields are ``None``: the same bytes, as every
+    value is an int, a pair of ints or a schema string (an event kind or a
+    source) that needs no escaping. Any other set is written by that call.
     """
     lines = []
     append = lines.append
@@ -192,19 +199,23 @@ def format_trace(records: Iterable[TraceRecord]) -> str:
                     f'"src":"{src}","episode":{episode}}}\n'
                 )
             continue
-        line = f'{{"t":{t},"ev":"{ev}"'
-        if word is not None:
-            line += f',"word":{word}'
-        if pair is not None:
-            line += f',"pair":[{pair[0]},{pair[1]}]'
-        if src is not None:
-            line += f',"src":"{src}"'
-        if episode is not None:
-            line += f',"episode":{episode}'
-        if stage is not None:
-            line += f',"stage":{stage}'
-        append(line + "}\n")
+        present = {key: value for key, value in zip(_OPTIONAL_KEYS, rec[2:]) if value is not None}
+        append(json.dumps({"t": t, "ev": ev, **present}, separators=(",", ":")) + "\n")
     return "".join(lines)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object, whose keys must differ."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise MalformedTraceError(f"field {key!r} repeated")
+    return obj
+
+
+# one decoder: json.loads makes a new one on each call that passes a hook
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def decode_line(line: str) -> TraceRecord | None:
@@ -212,14 +223,17 @@ def decode_line(line: str) -> TraceRecord | None:
     :func:`record_from_obj` accepts, keys in any order, whitespace and
     string escapes allowed.
 
-    A blank line gives ``None``. Anything else that is not a valid record
-    raises :class:`MalformedTraceError`, without a line number.
+    A blank line gives ``None``. Anything else that is not a valid record,
+    or that repeats a key, raises :class:`MalformedTraceError`, without a
+    line number.
     """
     line = line.strip()
     if not line:
         return None
     try:
-        obj = json.loads(line)
+        obj = _DECODER.decode(line)
+    except MalformedTraceError:
+        raise
     except (ValueError, RecursionError) as exc:
         # ValueError: a JSONDecodeError, or an integer with more digits than
         # the interpreter converts; RecursionError: nesting too deep to decode
@@ -238,14 +252,12 @@ _NATURAL = {
     0: f"0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}",
     1: f"[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}",
 }
-# the keys after t and ev, in the order format_trace writes them
-_OPTIONAL_KEYS = TraceRecord._fields[2:]
 # pair members are at least 1, as record_from_obj requires; one group holds
 # both, "i,j", so that equal pairs decode to one shared tuple
 _VALUE_PATTERN = {
     **{key: f"({_NATURAL[least]})" for key, least in _INT_FLOORS.items()},
     "pair": rf"\[({_NATURAL[1]},{_NATURAL[1]})\]",
-    "src": f'"({SRC_CPU}|{SRC_AUTO})"',
+    "src": f'"({"|".join(map(re.escape, _SOURCES))})"',
 }
 # a line, anchored at line ends, so that a scan of a text matches each line
 # once: one as format_trace writes it in the first branch, any other (blank
@@ -301,7 +313,7 @@ def parse_trace(text: str) -> list[TraceRecord]:
     previous record's, raises :class:`MalformedTraceError` prefixed with
     its line number.
     """
-    values = _Values({None: None, SRC_CPU: SRC_CPU, SRC_AUTO: SRC_AUTO})
+    values = _Values({None: None, **_SOURCES})
     shapes = _CANONICAL_SHAPES
     new = tuple.__new__  # skips the named tuple's Python-level __new__
     records = []

@@ -13,6 +13,7 @@ import functools
 import hashlib
 import importlib.util
 import json
+import types
 from pathlib import Path
 
 import pytest
@@ -84,3 +85,14 @@ def test_workload_traces_decode_on_the_scan_alone(name, tmp_path, monkeypatch):
     records = parse_trace(path.read_text(encoding="utf-8"))
     assert records == result.records
     assert verify_run(scenario, records) == []
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_traces_are_written_by_the_f_strings_alone(name, monkeypatch):
+    # Every record run writes has a field set of its kind, so no bench trace
+    # reaches format_trace's json.dumps branch for any other field set.
+    def dumps(obj, **kwargs):
+        raise AssertionError(f"json.dumps called on {obj!r}")
+
+    monkeypatch.setattr(memfabric.trace, "json", types.SimpleNamespace(dumps=dumps))
+    assert _sha256(format_trace(_run(name)[1].records)) == EXPECTED[name]["trace_sha256"]

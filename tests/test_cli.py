@@ -302,6 +302,22 @@ def test_verify_rejects_garbage_trace_as_invalid(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("tick", [4, 9])
+def test_verify_rejects_a_repeated_key(scenario_file, capsys, tick):
+    # With the same tick repeated, the run's own trace would verify if the
+    # last value silently won; with another, it would be another record.
+    main(["run", str(scenario_file)])
+    trace_path = scenario_file.parent / (scenario_file.name + ".trace.jsonl")
+    lines = trace_path.read_text(encoding="utf-8").splitlines()
+    assert lines[1] == '{"t":4,"ev":"done","word":1,"episode":1}'
+    lines[1] = lines[1][:-1] + f',"t":{tick}}}'
+    trace_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["verify", str(scenario_file), str(trace_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: malformed trace: line 2: field 't' repeated\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["run", "check", "verify"])
 def test_non_utf8_scenario_exits_one_naming_the_line(tmp_path, capsys, command):
     path = tmp_path / "latin1.scn"

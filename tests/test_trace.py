@@ -158,9 +158,15 @@ def test_a_written_trace_is_decoded_by_the_scan(name, monkeypatch):
     assert parse_trace(text.replace("\n", "\r\n")) == records
     assert parse_trace(text + "\n") == records
     assert decoded == []
-    # The records share one string per kind and per source, not one a line.
-    for strings in zip(*((rec.ev, rec.src) for rec in parse_trace(text))):
+    # The records share one string per kind and per source, not one a line,
+    # with each other and with those of the same trace written with
+    # json.dumps's default separators, whose every line takes the general path.
+    spaced = "".join(json.dumps(json.loads(line)) + "\n" for line in text.splitlines())
+    both = [*parse_trace(text), *parse_trace(spaced)]
+    assert both == records + records
+    for strings in zip(*((rec.ev, rec.src) for rec in both)):
         assert len(set(map(id, strings))) == len(set(strings))
+    decoded.clear()
     # One line with its keys reversed is not canonical: that line alone takes
     # the general path, and decodes to the same record.
     lines = text.split("\n")
@@ -240,8 +246,8 @@ def lines_of(recs) -> str:
 )
 def test_format_trace_writes_every_field_set_as_to_json_line(values):
     # Every present/absent combination of the five optional fields: the sets
-    # the schema allows take format_trace's f-strings, the rest its field by
-    # field fallback. A zero is present, not absent.
+    # the schema allows take format_trace's f-strings, the rest its json.dumps
+    # branch. A zero is present, not absent.
     optional = TraceRecord._fields[2:]
     recs = [
         TraceRecord(values["t"], "enable", *(values[key] if on else None for key, on in shape))
@@ -252,6 +258,26 @@ def test_format_trace_writes_every_field_set_as_to_json_line(values):
     assert len(set(recs)) == 32
     assert format_trace(recs) == lines_of(recs)
     assert format_trace(recs).split("\n")[:-1] == [rec.to_json_line() for rec in recs]
+
+
+def test_format_trace_writes_a_field_set_no_kind_has_as_json_dumps():
+    # Values no run makes, which json.dumps writes as JSON and an f-string
+    # would not: bools, and a source that needs escaping.
+    values = {"word": True, "pair": (1, True), "src": 'c"p\\u', "episode": False, "stage": True}
+    kinds = {frozenset(fields) for req, opt in SCHEMA.values() for fields in (req, req + opt)}
+    optional = TraceRecord._fields[2:]
+    field_sets = [
+        fields
+        for mask in itertools.product((False, True), repeat=len(optional))
+        if (fields := frozenset(key for key, on in zip(optional, mask) if on)) not in kinds
+    ]
+    assert len(field_sets) == 26
+    for fields in field_sets:
+        present = {key: values[key] for key in optional if key in fields}
+        obj = {"t": 3, "ev": "enable", **present}
+        line = format_trace([TraceRecord(**obj)])
+        assert line == json.dumps(obj, separators=(",", ":")) + "\n"
+        assert json.loads(line) == json.loads(json.dumps(obj))
 
 
 @given(st.lists(records(), max_size=20))
@@ -294,6 +320,22 @@ def test_a_missing_or_foreign_field_is_rejected_by_name(rec, data):
     foreign = data.draw(st.sampled_from([k for k in (*KEY_ORDER, "x") if k not in allowed]))
     with pytest.raises(MalformedTraceError, match=f"field '{foreign}' not allowed"):
         record_from_obj({**obj, foreign: 1})
+
+
+@pytest.mark.parametrize("repeat", ['"t":4', '"t":9', '"ev":"done"', '"episode":1'])
+def test_a_repeated_key_is_rejected_by_name(repeat):
+    # json.loads alone keeps the last value: with "t":4 the record would pass
+    # unchanged, with "t":9 it would silently become another record.
+    line = '{"t":4,"ev":"done","word":1,"episode":1,' + repeat + "}"
+    key = json.loads("{" + repeat + "}").popitem()[0]
+    error = f"field {key!r} repeated"
+    with pytest.raises(MalformedTraceError, match=f"^{re.escape(error)}$"):
+        decode_line(line)
+    lines = format_trace(scenario_records("worked_example.scn")).split("\n")
+    assert lines[1] == '{"t":4,"ev":"done","word":1,"episode":1}'
+    lines[1] = line
+    with pytest.raises(MalformedTraceError, match=f"^line 2: {re.escape(error)}$"):
+        parse_trace("\n".join(lines))
 
 
 @pytest.mark.parametrize(
