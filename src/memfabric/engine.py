@@ -4,12 +4,15 @@ Events are totally ordered by ``(tick, seq)`` where ``seq`` is the
 insertion sequence number, so same-tick events dispatch in the order
 they were scheduled. Each event is its own heap entry, and its payload
 (one of the fabric's signals) carries its own dispatch:
-``payload.fire(sim, tick)`` calls the handler of ``sim.fabric`` or
-``sim.driver`` that it stands for. Time is integer ticks and the clock
-only moves forward. Only the public entry points of :class:`Simulation`
-check a tick, rejecting one behind the clock with a ValueError; the
-fabric and the driver queue events at the current tick plus an offset
-their config or plan keeps >= 0. Episodes come only from
+``payload.fire(sim, tick)`` looks up the handler of ``sim.fabric`` or
+``sim.driver`` that it stands for at each event and calls it.
+:meth:`Simulation.run_to_quiescence` pops and fires in a loop of its
+own, with no ``step()`` call per event; :meth:`Simulation.step` is the
+one-event form, for a caller that owns the loop. Time is integer ticks
+and the clock only moves forward. Only the public entry points of
+:class:`Simulation` check a tick, rejecting one behind the clock with a
+ValueError; the fabric and the driver queue events at the current tick
+plus an offset their config or plan keeps >= 0. Episodes come only from
 :meth:`Simulation.new_episode`, one per probe and per plan repetition.
 A run ends either quiescent (the queue drained) or at the tick limit
 (the next event lies beyond ``max_tick``). The fabric's no-repeat rule,
@@ -24,8 +27,8 @@ and may run on separate threads.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 from memfabric.driver import Driver, Probe, RehearsalPlan
@@ -53,14 +56,14 @@ class EventQueue:
 
     def schedule(self, tick: int, payload: object) -> None:
         # tuple.__new__ skips the named tuple's Python-level __new__.
-        heapq.heappush(self._heap, tuple.__new__(Event, (tick, self.scheduled_total, payload)))
+        heappush(self._heap, tuple.__new__(Event, (tick, self.scheduled_total, payload)))
         self.scheduled_total += 1
 
     def peek_tick(self) -> int | None:
         return self._heap[0].tick if self._heap else None
 
     def pop(self) -> Event | None:
-        return heapq.heappop(self._heap) if self._heap else None
+        return heappop(self._heap) if self._heap else None
 
 
 QUIESCENT = "quiescent"
@@ -89,7 +92,6 @@ class Simulation:
         self.records: list[TraceRecord] = []
         # The fabric's handlers call emit once per trace record.
         self.emit = self.records.append
-        self.dispatched_total = 0
         self._next_episode = 0
 
     # -- setup and scheduling -------------------------------------------
@@ -111,7 +113,7 @@ class Simulation:
         """Schedule an override switch of ``pair``, two distinct words of the fabric."""
         self._check_tick(tick)
         self.config.check_pair(*pair)
-        self.queue.schedule(tick, OverrideSet(pair, is_open))
+        self.queue.schedule(tick, tuple.__new__(OverrideSet, (pair, is_open)))
 
     def add_plan(self, plan: RehearsalPlan) -> None:
         """Hand a plan to the driver once its start and every word are checked."""
@@ -124,9 +126,14 @@ class Simulation:
         """Schedule a probe's CPU enable in a new episode once its tick and word are checked."""
         self._check_tick(probe.tick)
         self.config.check_word(probe.word)
-        self.queue.schedule(probe.tick, CpuEnable(probe.word, self.new_episode()))
+        self.queue.schedule(probe.tick, tuple.__new__(CpuEnable, (probe.word, self.new_episode())))
 
     # -- dispatch --------------------------------------------------------
+
+    @property
+    def dispatched_total(self) -> int:
+        """Events dispatched so far: every scheduled event that is no longer pending."""
+        return self.queue.scheduled_total - len(self.queue)
 
     def step(self) -> Event | None:
         """Dispatch the least pending event, advancing the clock to it."""
@@ -134,20 +141,17 @@ class Simulation:
         if event is None:
             return None
         self.clock = event.tick
-        self.dispatched_total += 1
         event.payload.fire(self, event.tick)
         return event
 
     def run_to_quiescence(self, max_tick: int) -> RunOutcome:
         """Dispatch until the queue drains or an event would pass max_tick."""
         check_max_tick(max_tick)
-        while True:
-            next_tick = self.queue.peek_tick()
-            if next_tick is None:
-                return RunOutcome(QUIESCENT, self.clock)
-            if next_tick > max_tick:
-                return RunOutcome(TICK_LIMIT, self.clock)
-            self.step()
+        heap = self.queue._heap
+        while heap and heap[0][0] <= max_tick:
+            self.clock, _, payload = heappop(heap)
+            payload.fire(self, self.clock)
+        return RunOutcome(TICK_LIMIT if heap else QUIESCENT, self.clock)
 
 
 @dataclass

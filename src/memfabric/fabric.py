@@ -30,9 +30,9 @@ A pair whose filter never fired is an empty register.
 The signals (:class:`CpuEnable`, :class:`AutoEnable`, :class:`WordDone`,
 :class:`OverrideSet`) are the event payloads. The fabric queues its own
 dones and replays on ``sim.queue`` unchecked: a duration or ``delay1``
-(both >= 1) after the current tick is never behind the clock. Each trace
-record it emits is built whole, all seven fields in order, by one helper
-that skips the named tuple's Python-level ``__new__``.
+(both >= 1) after the current tick is never behind the clock. It builds
+each payload and each trace record (all seven fields, in order) whole
+through ``tuple.__new__``, which skips the named tuple's Python ``__new__``.
 """
 
 from __future__ import annotations
@@ -236,12 +236,16 @@ class Fabric:
 
     All mutation happens through the single-threaded dispatch loop of
     the owning simulation, which is passed in so the fabric can emit
-    trace records (each built whole, from all seven fields in order) and
-    put its own done and replay events on its queue.
+    trace records and put its own done and replay events on its queue.
+    A trigger fires its filters inline, and the handlers read the frozen
+    config's fields from attributes bound once, at construction.
     """
 
     def __init__(self, config: FabricConfig):
         self.config = config
+        self._durations, self._threshold = config.durations, config.threshold
+        self._delay1, self._delay2 = config.delay1, config.delay2
+        self._done_enable = config.filter_mode == DONE_ENABLE
         self._busy_until: dict[int, int] = {}  # word -> end of its last run; a past end is idle
         # Source word -> closing tick of its hold window. A closed window
         # stays closed (the clock never moves back), so stale entries are
@@ -275,17 +279,15 @@ class Fabric:
         simulation scheduled them, and autonomous enables follow learned
         pairs of words the fabric already accepted.
         """
-        busy = self._busy_until.get(word, 0) > tick
-        repeat = word in episode.fired_words
         episode_id = episode.episode_id
-        if busy or repeat:
+        if self._busy_until.get(word, 0) > tick or word in episode.fired_words:
             sim.emit(_record((tick, EV_IGNORED_ENABLE, word, pair, source, episode_id, None)))
             return
-        done_tick = self._busy_until[word] = tick + self.config.durations[word]
-        sim.queue.schedule(done_tick, WordDone(word, episode))
+        done_tick = self._busy_until[word] = tick + self._durations[word]
+        sim.queue.schedule(done_tick, tuple.__new__(WordDone, (word, episode)))
         episode.fired_words.add(word)
         sim.emit(_record((tick, EV_ENABLE, word, pair, source, episode_id, None)))
-        if self.config.filter_mode == DONE_ENABLE:
+        if self._done_enable:
             self._detect_into(sim, word, tick)
 
     def on_done(self, sim, word: int, tick: int, episode: Episode) -> None:
@@ -298,22 +300,24 @@ class Fabric:
         autonomous enable scheduled delay1 ticks out, carrying the same
         episode.
         """
-        episode_id = episode.episode_id
-        sim.emit(_record((tick, EV_DONE, word, None, None, episode_id, None)))
-        self._window_until[word] = tick + self.config.delay1
-        if self.config.filter_mode == DONE_DONE:
+        episode_id, emit = episode.episode_id, sim.emit
+        emit(_record((tick, EV_DONE, word, None, None, episode_id, None)))
+        self._window_until[word] = replay_tick = tick + self._delay1
+        if not self._done_enable:
             self._detect_into(sim, word, tick)
-        for dst in self._successors.get(word, ()):
+        successors = self._successors.get(word)
+        if not successors:
+            return
+        schedule, masked, fired = sim.queue.schedule, self._override_open, episode.fired_words
+        for dst in successors:
             link = (word, dst)
-            if link in self._override_open:
-                sim.emit(_record((tick, EV_OVERRIDE_BLOCKED, dst, link, None, episode_id, None)))
-            elif dst in episode.fired_words:
-                sim.emit(_record((tick, EV_LOOP_SUPPRESSED, dst, link, None, episode_id, None)))
+            if link in masked:
+                emit(_record((tick, EV_OVERRIDE_BLOCKED, dst, link, None, episode_id, None)))
+            elif dst in fired:
+                emit(_record((tick, EV_LOOP_SUPPRESSED, dst, link, None, episode_id, None)))
             else:
-                sim.queue.schedule(tick + self.config.delay1, AutoEnable(dst, link, episode))
-                sim.emit(
-                    _record((tick, EV_AUTO_ENABLE_SCHEDULED, dst, link, None, episode_id, None))
-                )
+                schedule(replay_tick, tuple.__new__(AutoEnable, (dst, link, episode)))
+                emit(_record((tick, EV_AUTO_ENABLE_SCHEDULED, dst, link, None, episode_id, None)))
 
     def set_override(self, sim, i: int, j: int, is_open: bool, tick: int) -> None:
         """Open or close the series switch masking pair (i, j).
@@ -332,25 +336,24 @@ class Fabric:
         # Trigger signal for word dst observed: fire every filter (src, dst)
         # whose window is holding, in ascending src order. The closed
         # interval lets a trigger exactly delay1 after the done still count.
-        windows = self._window_until
+        windows, shifts, emit, record = self._window_until, self._shifts, sim.emit, _record
+        delay2, threshold = self._delay2, self._threshold
         for src in sorted(windows):
             if windows[src] < tick:
                 del windows[src]
             elif src != dst:
-                self._fire_filter(sim, (src, dst), tick)
-
-    def _fire_filter(self, sim, pair: tuple[int, int], tick: int) -> None:
-        sim.emit(_record((tick, EV_FILTER_FIRE, None, pair, None, None, None)))
-        count, last_shift_tick = self._shifts.get(pair, (0, None))
-        if last_shift_tick is not None and tick - last_shift_tick < self.config.delay2:
-            # Still inside the previous learning spike: one spike cannot
-            # double-shift the register. The refractory does not restart.
-            return
-        count += 1
-        self._shifts[pair] = (count, tick)
-        threshold = self.config.threshold
-        sim.emit(_record((tick, EV_LATCH_SHIFT, None, pair, None, None, min(count, threshold))))
-        if count == threshold:
-            # The shift that sets the last stage closes the switch.
-            insort(self._successors.setdefault(pair[0], []), pair[1])
-            sim.emit(_record((tick, EV_LEARNED, None, pair, None, None, None)))
+                pair = (src, dst)
+                emit(record((tick, EV_FILTER_FIRE, None, pair, None, None, None)))
+                count, last_shift_tick = shifts.get(pair, (0, None))
+                if last_shift_tick is not None and tick - last_shift_tick < delay2:
+                    # Still inside the previous learning spike: one spike cannot
+                    # double-shift the register. The refractory does not restart.
+                    continue
+                count += 1
+                shifts[pair] = (count, tick)
+                stage = count if count < threshold else threshold  # min() is a call per shift
+                emit(record((tick, EV_LATCH_SHIFT, None, pair, None, None, stage)))
+                if count == threshold:
+                    # The shift that sets the last stage closes the switch.
+                    insort(self._successors.setdefault(src, []), dst)
+                    emit(record((tick, EV_LEARNED, None, pair, None, None, None)))

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from memfabric import RunResult, parse_scenario, run_scenario
+from memfabric import QUIESCENT, TICK_LIMIT, RunOutcome, RunResult, parse_scenario, run_scenario
 
 # Both directions of a 2-word cycle learned; the probe's replay reaches the
 # open override on (2, 1) at t=141.
@@ -41,6 +41,15 @@ def python_command() -> list[str]:
 
 def run_text(text: str, **kwargs) -> RunResult:
     return run_scenario(parse_scenario(text), **kwargs)
+
+
+def step_until(sim, max_tick: int) -> tuple[RunOutcome, int]:
+    """Dispatch with a loop of the caller's own over ``Simulation.step()``, as the
+    per-layer benchmark does; return the outcome and the number of events stepped."""
+    steps = 0
+    while (tick := sim.queue.peek_tick()) is not None and tick <= max_tick:
+        steps += sim.step() is not None
+    return RunOutcome(QUIESCENT if tick is None else TICK_LIMIT, sim.clock), steps
 
 
 def records_of(result: RunResult, ev: str):

@@ -2,7 +2,8 @@
 
 Each workload of ``perfbench/workloads.py`` is generated at its default
 seed and run in process; its trace and report bytes and its simulated
-statistics must equal those that ``perfbench/expected.json`` records.
+statistics must equal those that ``perfbench/expected.json`` records,
+whether ``run_to_quiescence`` or a loop over ``step()`` dispatches it.
 Both files are only read here. The workloads reach fabric sizes and
 override traffic that the shipped scenarios do not.
 """
@@ -20,6 +21,7 @@ import pytest
 
 import memfabric.trace
 from memfabric import (
+    build_simulation,
     format_report,
     format_trace,
     parse_scenario,
@@ -28,6 +30,7 @@ from memfabric import (
     verify_run,
     write_trace,
 )
+from conftest import step_until
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 EXPECTED = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
@@ -68,6 +71,22 @@ def test_workload_outputs_equal_the_recorded_ones(name):
         "sim.records": len(result.records),
         "sim.learned_pairs": len(result.report.learned),
     } == {key: value for key, value in expected.items() if key != "seed"}
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_stepped_runs_equal_the_recorded_ones(name):
+    # The per-layer benchmark dispatches each workload with a loop of its own
+    # over Simulation.step(), not with run_to_quiescence; that form must give
+    # the recorded trace and event count too.
+    scenario = _run(name)[0]
+    sim = build_simulation(scenario)
+    outcome, steps = step_until(sim, scenario.max_tick)
+    assert outcome.quiescent
+    assert (_sha256(format_trace(sim.records)), steps, sim.dispatched_total) == (
+        EXPECTED[name]["trace_sha256"],
+        EXPECTED[name]["sim.events"],
+        EXPECTED[name]["sim.events"],
+    )
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

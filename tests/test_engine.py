@@ -6,7 +6,7 @@ from collections import Counter
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from memfabric import (
     Fabric,
@@ -19,9 +19,11 @@ from memfabric import (
     build_simulation,
     format_trace,
     parse_scenario,
+    run_scenario,
 )
 from memfabric.engine import EventQueue
-from conftest import OVERRIDE_CYCLE, run_text
+from conftest import OVERRIDE_CYCLE, run_text, step_until
+from test_scenario import scenarios
 
 
 def test_same_tick_events_dispatch_in_insertion_order():
@@ -99,12 +101,8 @@ def test_step_pops_least_and_advances_clock():
     assert fired == [("a", 5, 5), ("b", 5, 5), ("c", 7, 7)]
 
 
-def test_stepped_events_name_their_kind_and_call_the_instance_handlers():
-    # A caller that owns the dispatch loop, as the per-layer benchmark does,
-    # classifies each stepped event by its payload's class name and wraps the
-    # handlers of the sim.fabric and sim.driver instances.
-    scenario = parse_scenario(OVERRIDE_CYCLE)
-    sim = build_simulation(scenario)
+def _log_handler_calls(sim):
+    """Wrap the handlers of the sim.fabric and sim.driver instances; return their call log."""
     calls = []
 
     def logged(name, handler):
@@ -117,6 +115,17 @@ def test_stepped_events_name_their_kind_and_call_the_instance_handlers():
     for name in ("on_enable", "on_done", "set_override"):
         setattr(sim.fabric, name, logged(f"fabric.{name}", getattr(sim.fabric, name)))
     sim.driver.on_done = logged("driver.on_done", sim.driver.on_done)
+    return calls
+
+
+def test_stepped_events_name_their_kind_and_call_the_instance_handlers():
+    # A caller that owns the dispatch loop, as the per-layer benchmark does,
+    # classifies each stepped event by its payload's class name and wraps the
+    # handlers of the sim.fabric and sim.driver instances. run_to_quiescence's
+    # own loop must call the replaced handlers just as often.
+    scenario = parse_scenario(OVERRIDE_CYCLE)
+    sim = build_simulation(scenario)
+    calls = _log_handler_calls(sim)
     kinds = Counter()
     while sim.queue.peek_tick() is not None:
         kinds[type(sim.step().payload).__name__] += 1
@@ -133,6 +142,30 @@ def test_stepped_events_name_their_kind_and_call_the_instance_handlers():
         calls[i - 1] == "fabric.on_done" for i, c in enumerate(calls) if c == "driver.on_done"
     )
     assert sim.records == run_text(OVERRIDE_CYCLE).records
+
+    looped = build_simulation(scenario)
+    looped_calls = _log_handler_calls(looped)
+    assert looped.run_to_quiescence(scenario.max_tick).quiescent
+    assert looped_calls == calls
+    assert looped.records == sim.records
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios(), st.data())
+def test_the_stepped_loop_and_run_to_quiescence_agree(scenario, data):
+    # The per-layer benchmark dispatches with its own loop over step(); every
+    # other caller uses run_to_quiescence's loop. Some draws cut the run at a
+    # tick limit that falls before it ends.
+    max_tick = data.draw(st.one_of(st.just(scenario.max_tick), st.integers(1, 120)))
+    stepped = build_simulation(scenario)
+    outcome, steps = step_until(stepped, max_tick)
+    looped = build_simulation(scenario)
+    assert looped.run_to_quiescence(max_tick) == outcome
+    assert looped.records == stepped.records
+    assert looped.clock == stepped.clock == outcome.final_tick
+    assert looped.dispatched_total == stepped.dispatched_total == steps
+    assert len(looped.queue) == len(stepped.queue)
+    assert (len(looped.queue) == 0) == outcome.quiescent
 
 
 def test_step_on_empty_queue_returns_none_and_keeps_clock():
@@ -180,23 +213,23 @@ def test_the_no_repeat_rule_has_no_switch():
 
 
 def test_conservation_every_event_dispatched_or_pending():
-    text = (
+    # dispatched_total is derived from the queue; it must equal the number of
+    # events that step() actually dispatched, in a drained and in a cut run.
+    scenario = parse_scenario(
         "fabric words=3 delay1=5 delay2=1 threshold=3\n"
         "dur * 4\n"
         "rehearse 1 3 2 reps=4 gap=2 rest=20 start=0\n"
         "at 300 probe 1\n"
         "maxticks 5000\n"
     )
-    result = run_text(text)
-    sim = result.simulation
-    assert sim.queue.scheduled_total == sim.dispatched_total + len(sim.queue)
-    assert len(sim.queue) == 0  # quiescent
-
-    truncated = run_text(text, max_tick=20)
-    sim = truncated.simulation
-    assert truncated.outcome.outcome == TICK_LIMIT
-    assert sim.queue.scheduled_total == sim.dispatched_total + len(sim.queue)
-    assert len(sim.queue) > 0
+    for max_tick, expected in ((scenario.max_tick, QUIESCENT), (20, TICK_LIMIT)):
+        sim = build_simulation(scenario)
+        outcome, steps = step_until(sim, max_tick)
+        assert outcome.outcome == expected
+        assert steps > 0 and sim.dispatched_total == steps
+        assert sim.queue.scheduled_total == steps + len(sim.queue)
+        assert (len(sim.queue) > 0) == (expected == TICK_LIMIT)
+        assert run_scenario(scenario, max_tick=max_tick).simulation.dispatched_total == steps
 
 
 def test_trace_is_byte_identical_across_runs(worked_example_text):
