@@ -22,21 +22,21 @@ record of each dispatched event (an arrival, a done, an override
 switch), each followed by the records the definition derives from it:
 the filter fires of a trigger with their latch shifts and learned
 records, and a done's replay outcomes. Every record must equal the one
-record owed at its point. The owed heads are the scenario's override
-switches, which lead their tick, and the dones and autonomous arrivals
-owed so far, in the order the definition schedules them; an owed head
-at or before the last traced tick that the trace lacks is a divergence.
-A CPU arrival is owed by no head yet. Once no owed head comes before
-its tick, it is owed in place: an enable or an ignored enable (as the
-busy and no-repeat rules decide) of its word in its episode, with no
-pair. Nothing owes a CPU arrival of a word outside the fabric. The
-result is at most one divergence; empty means full agreement.
+record owed at its point. The owed heads form one schedule in the
+definition's ``(tick, seq)`` order: setup owes the override switches,
+the probes' CPU arrivals and the plans' first enables; an accepted
+enable owes its done, a scheduled replay its autonomous arrival, and a
+done, after its replay outcomes, the next CPU enable of each plan that
+awaits its word. An owed head at or before the last traced tick that
+the trace lacks is a divergence. The result is at most one divergence;
+empty means full agreement.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from collections import deque
+from collections.abc import Generator
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
@@ -226,12 +226,39 @@ def verify_run(scenario: Scenario, records: list[TraceRecord]) -> list[str]:
         for pair, ticks in detection_ticks(records, config).items()
         for k, t in enumerate(ticks, 1)
     }
-    switches = deque(
+    episodes = count()  # numbered as README "Record order" states
+
+    def rehearsal(plan) -> Generator[tuple | None, int, None]:
+        # A plan's CPU model: sent the tick of each done it awaits, it yields its
+        # next enable, gap ticks later, or rest ticks later in a new episode.
+        t = plan.start
+        for _ in range(plan.reps):
+            episode = next(episodes)
+            for word in plan.sequence:
+                done = yield (t, EV_ENABLE, word, None, SRC_CPU, episode, None)
+                t = done + plan.gap
+            t = done + plan.rest
+        yield None  # finished
+
+    # Setup owes the override switches, then each probe's arrival, then each
+    # plan's first enable. An arrival is owed as an enable: whether it is
+    # ignored is decided when it is the next head.
+    owed = [
         (d.tick, EV_OVERRIDE_SET, None, (d.i, d.j), None, None, int(d.is_open))
-        for d in sorted(scenario.overrides, key=lambda d: d.tick)
-    )
+        for d in scenario.overrides
+    ]
+    owed += [
+        (p.tick, EV_ENABLE, p.word, None, SRC_CPU, next(episodes), None) for p in scenario.probes
+    ]
+    plans = [rehearsal(plan) for plan in scenario.plans]
+    enables = [next(plan) for plan in plans]  # each plan's last owed enable
+    awaiting: dict[int, list[int]] = {}  # word -> the plans that await its done, in add order
+    for k, enable in enumerate(enables):
+        awaiting.setdefault(enable[2], []).append(k)
+    owed += enables
     seq = count()  # the order in which the definition schedules the owed heads
-    heads: list[tuple] = []  # heap of owed (tick, seq, word, pair, episode); a done has no pair
+    setup = deque(sorted((rec[0], next(seq), rec) for rec in owed))
+    heads = [setup.popleft()] if setup else []  # heap of owed (tick, seq, record)
     due: deque[tuple] = deque()  # the records derived from the last head, still owed
     busy_until: dict[int, int] = {}
     fired: set[tuple[int, int]] = set()  # (episode, word) of each accepted enable
@@ -239,20 +266,14 @@ def verify_run(scenario: Scenario, records: list[TraceRecord]) -> list[str]:
     successors: dict[int, list[int]] = {}  # word -> its learned successors, ascending
     override_stage: dict[Pair, int] = {}  # pair -> its last switch: 1 open, 0 closed
 
-    def arrival(t: int, word: int, episode: int) -> str:
-        # A busy word, or one that already fired in the episode, ignores an arrival.
-        ignored = busy_until.get(word, 0) > t or (episode, word) in fired
-        return EV_IGNORED_ENABLE if ignored else EV_ENABLE
-
     def next_head() -> tuple | None:
-        if switches and (not heads or switches[0][0] <= heads[0][0]):
-            return switches[0]
         if not heads:
             return None
-        t, _, word, pair, episode = heads[0]
-        if pair is None:
-            return (t, EV_DONE, word, None, None, episode, None)
-        return (t, arrival(t, word, episode), word, pair, SRC_AUTO, episode, None)
+        t, ev, word, pair, src, episode, _ = rec = heads[0][2]
+        # A busy word, or one that already fired in the episode, ignores an arrival.
+        if ev == EV_ENABLE and (busy_until.get(word, 0) > t or (episode, word) in fired):
+            return (t, EV_IGNORED_ENABLE, word, pair, src, episode, None)
+        return rec
 
     def trigger(word: int, t: int) -> None:
         for src in sorted(window_until):
@@ -276,28 +297,18 @@ def verify_run(scenario: Scenario, records: list[TraceRecord]) -> list[str]:
             if rec != want:
                 return _diverge(n, rec.to_json_line(), want)
             continue
-        t, ev, word, pair, src, episode, stage = rec
-        if src == SRC_CPU and (ev == EV_ENABLE or ev == EV_IGNORED_ENABLE):
-            # Owed heads before its tick, and the switches of its tick, come first.
-            if switches and switches[0][0] <= t or heads and heads[0][0] < t:
-                return _diverge(n, rec.to_json_line(), next_head())
-            if not 1 <= word <= config.word_count:
-                return _diverge(n, rec.to_json_line(), None)
-            want = (t, arrival(t, word, episode), word, None, SRC_CPU, episode, None)
-            if rec != want:
-                return _diverge(n, rec.to_json_line(), want)
-        elif rec != (want := next_head()):
+        if rec != (want := next_head()):
             return _diverge(n, rec.to_json_line(), want)
-        elif ev == EV_OVERRIDE_SET:
-            switches.popleft()
-        else:
-            heappop(heads)
+        if heappop(heads)[1] < len(owed) and setup:  # setup feeds the heap one head at a time
+            heappush(heads, setup.popleft())
+        t, ev, word, pair, src, episode, stage = rec
         if ev == EV_OVERRIDE_SET:
             override_stage[pair] = stage
         elif ev == EV_ENABLE:
             fired.add((episode, word))
             busy_until[word] = t + durations[word]
-            heappush(heads, (t + durations[word], next(seq), word, None, episode))
+            done = (t + durations[word], EV_DONE, word, None, None, episode, None)
+            heappush(heads, (done[0], next(seq), done))
             if trigger_kind == EV_ENABLE:
                 trigger(word, t)
         elif ev == EV_DONE:
@@ -312,7 +323,16 @@ def verify_run(scenario: Scenario, records: list[TraceRecord]) -> list[str]:
                     due.append((t, EV_LOOP_SUPPRESSED, dst, link, None, episode, None))
                 else:
                     due.append((t, EV_AUTO_ENABLE_SCHEDULED, dst, link, None, episode, None))
-                    heappush(heads, (t + delay1, next(seq), dst, link, episode))
+                    arrival = (t + delay1, EV_ENABLE, dst, link, SRC_AUTO, episode, None)
+                    heappush(heads, (arrival[0], next(seq), arrival))
+            # Then each plan awaiting the word since its own enable's tick advances.
+            for k in awaiting.pop(word, ()):
+                if enables[k][0] > t:
+                    awaiting.setdefault(word, []).append(k)
+                elif enable := plans[k].send(t):
+                    enables[k] = enable
+                    insort(awaiting.setdefault(enable[2], []), k)
+                    heappush(heads, (enable[0], next(seq), enable))
     # The trace ends: derived records are still owed, and so is every head
     # up to the last traced tick; later heads are pending.
     want = due[0] if due else next_head()

@@ -61,6 +61,21 @@ def test_package_imports_only_the_standard_library():
                 assert module.split(".")[0] in allowed, f"{path.name}:{node.lineno} {module}"
 
 
+def test_oracle_imports_nothing_from_the_code_it_checks():
+    # verify_run's CPU model is written from the definition, not from the driver.
+    path = ROOT / "src" / "memfabric" / "oracle.py"
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ("memfabric." if node.level else "") + (node.module or "")
+            modules = [module, *(f"{module.rstrip('.')}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        checked = {"memfabric.driver", "memfabric.engine"}
+        assert checked.isdisjoint(modules), f"oracle.py:{node.lineno} {modules}"
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs_to_exit_zero(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -161,18 +161,22 @@ DONE_OF_1 = '{"t":4,"ev":"done","word":1,"episode":1}'
     "line,replacement,reason",
     [
         (DONE_OF_2, [], f"the run owes {DONE_OF_2}"),
-        (DONE_OF_1, [DONE_OF_1, DONE_OF_1], "nothing owes it"),
+        (
+            DONE_OF_1,
+            [DONE_OF_1, DONE_OF_1],
+            'the run owes {"t":6,"ev":"enable","word":3,"src":"cpu","episode":1}',
+        ),
         (
             '{"t":36,"ev":"enable","word":1,"src":"cpu","episode":2}',
             ['{"t":37,"ev":"enable","word":1,"src":"cpu","episode":2}'],
-            'the run owes {"t":41,"ev":"done","word":1,"episode":2}',
+            'the run owes {"t":36,"ev":"enable","word":1,"src":"cpu","episode":2}',
         ),
         (DONE_OF_2, ['{"t":17,"ev":"done","word":2,"episode":1}'], f"the run owes {DONE_OF_2}"),
     ],
     ids=["deleted-done", "duplicated-done", "shifted-enable", "shifted-done"],
 )
 def test_verify_pairs_each_enable_with_its_done(tmp_path, capsys, line, replacement, reason):
-    # Each mutant keeps tick order; the first record out of step names the done.
+    # Each mutant keeps tick order; the first record out of step names the head owed there.
     trace = tmp_path / "worked.trace.jsonl"
     report = tmp_path / "worked.report.json"
     assert main(["run", str(WORKED_EXAMPLE), "--trace", str(trace), "--report", str(report)]) == 0
@@ -214,6 +218,41 @@ def test_verify_requires_the_replay_outcome_the_definition_owes(
     trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["verify", str(scenario), str(trace)]) == 4
     assert f"the trace has {replacement}, but the run owes {line}\n" in capsys.readouterr().err
+
+
+WORKED_TEXT = WORKED_EXAMPLE.read_text(encoding="utf-8")
+# Word 1 runs from t=0 to t=4, so the probe's enable at t=2 is ignored.
+BUSY_PROBE = WORKED_TEXT + "at 2 probe 1\n"
+
+
+@pytest.mark.parametrize(
+    "ran,against,dropped",
+    [
+        ((SCENARIOS / "negative_control.scn").read_text(encoding="utf-8"), "cycle.scn", None),
+        (WORKED_TEXT.replace("gap=2", "gap=3"), "worked_example.scn", None),
+        (WORKED_TEXT.replace("start=0", "start=7"), "worked_example.scn", None),
+        (BUSY_PROBE, BUSY_PROBE, '{"t":2,"ev":"ignored_enable","word":1,"src":"cpu","episode":1}'),
+    ],
+    ids=["negative-control-as-cycle", "gap-3", "start-7", "deleted-ignored-cpu-enable"],
+)
+def test_verify_owes_the_cpu_arrivals_of_its_scenario(tmp_path, capsys, ran, against, dropped):
+    # The scenario's plans and probes owe each CPU arrival: a run of another
+    # scenario, or a trace without one ignored CPU enable, diverges.
+    scenario = tmp_path / "ran.scn"
+    scenario.write_text(ran, encoding="utf-8")
+    trace = tmp_path / "ran.trace.jsonl"
+    assert main(["run", str(scenario), "--trace", str(trace)]) == 0
+    if dropped:
+        lines = trace.read_text(encoding="utf-8").splitlines()
+        lines.remove(dropped)
+        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if against.endswith(".scn"):
+        against = (SCENARIOS / against).read_text(encoding="utf-8")
+    verified = tmp_path / "against.scn"
+    verified.write_text(against, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(verified), str(trace)]) == 4
+    assert capsys.readouterr().err.startswith("divergence: record ")
 
 
 GOOD_ENABLE = '{"t":0,"ev":"enable","word":1,"src":"cpu","episode":0}'

@@ -369,8 +369,8 @@ def test_verify_flags_a_second_filter_fire_of_a_pair_in_one_tick(worked_example_
 @pytest.mark.parametrize(
     "t,pair,reason",
     [
-        # The run owes the same arrival without its pair.
-        (0, (2, 1), 'the run owes {"t":0,"ev":"ignored_enable","word":1,"src":"cpu","episode":1}'),
+        # Nothing owes a second arrival here: the enable's done at t=4 is owed.
+        (0, (2, 1), 'the run owes {"t":4,"ev":"done","word":1,"episode":1}'),
         # Nothing owes an autonomous arrival here: the enable's filter fire is owed.
         (509, None, 'the run owes {"t":509,"ev":"filter_fire","pair":[1,3]}'),
     ],
@@ -573,37 +573,35 @@ SWAP_SURVIVORS = {
 # inserted right after its first record, at that record's tick.
 INVENTED_FIRE_SURVIVORS = set()
 # (trace of, verified against) for shipped scenarios whose trace passes as another's.
-CROSS_SCENARIO_SURVIVORS = {
-    ("cycle", "concurrent"),
-    ("cycle", "negative_control"),
-    ("negative_control", "concurrent"),
-    ("negative_control", "cycle"),
-    ("negative_control", "worked_example"),
-}
-# Per shipped scenario: (surviving deletions, episodes).
+CROSS_SCENARIO_SURVIVORS = set()
+# Per shipped scenario: (surviving deletions, episodes). The survivor deletes
+# negative_control's last episode: the trace is cut short at a tick boundary,
+# and with no horizon the heads after its last tick read as pending.
 EPISODE_DELETION_SURVIVORS = {
     "concurrent": (0, 8),
     "cycle": (0, 7),
-    "negative_control": (50, 50),
-    "override": (1, 12),
+    "negative_control": (1, 50),
+    "override": (0, 12),
     "worked_example": (0, 11),
 }
 # Per shipped scenario: (surviving insertions, words).
 EPISODE_INSERTION_SURVIVORS = {
     "concurrent": (0, 4),
     "cycle": (0, 2),
-    "negative_control": (1, 2),
-    "override": (1, 3),
-    "worked_example": (1, 3),
+    "negative_control": (0, 2),
+    "override": (0, 3),
+    "worked_example": (0, 3),
 }
 # Per shipped scenario: (traces of one-value variants that verify against
-# the unchanged scenario, variants).
+# the unchanged scenario, variants). The survivor is negative_control with
+# reps=49: its trace is the first 196 of the 200 records, cut short at a tick
+# boundary, which only a horizon would reject.
 ONE_VALUE_SURVIVORS = {
-    "concurrent": (19, 19),
-    "cycle": (17, 17),
-    "negative_control": (7, 7),
-    "override": (11, 11),
-    "worked_example": (9, 9),
+    "concurrent": (0, 19),
+    "cycle": (0, 17),
+    "negative_control": (1, 7),
+    "override": (0, 11),
+    "worked_example": (0, 9),
 }
 
 
@@ -720,14 +718,38 @@ def test_verify_rejects_every_trace_the_reference_rejects(text):
             assert not _passes(verify_run, scenario, mutant), (text, mutant)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.randoms(use_true_random=False).map(small_scenario_text),
+    st.randoms(use_true_random=False).map(small_scenario_text),
+)
+def test_every_trace_verify_accepts_is_a_prefix_of_the_full_run(text, other):
+    # Complete up to the horizon: whatever verify_run accepts, mutant, variant's
+    # run or another draw's run, is a prefix of the run the scenario owes.
+    result = run_text(text)
+    scenario, records = result.scenario, result.records
+    full = run_scenario(scenario, max_tick=10**9).records
+    traces = [records, run_text(other).records]
+    traces += [mutant for _, _, mutant in _mutants(records, scenario.config.word_count)]
+    traces += [*_swaps(records), *_episode_deletions(records)]
+    traces += _episode_insertions(records, scenario.config)
+    traces += [run_scenario(variant).records for variant in _one_value_variants(scenario)]
+    assert verify_run(scenario, records) == []
+    for trace in traces:
+        if _passes(verify_run, scenario, trace):
+            assert trace == full[: len(trace)], (text, trace)
+
+
 # (surviving mutants, mutants tried) per class, over GENERATED_SCENARIOS
-# scenarios that small_scenario_text draws from random.Random(0).
+# scenarios that small_scenario_text draws from random.Random(0). Each
+# surviving deletion removes the episode whose records end the trace, which
+# cuts the trace short at a tick boundary; only a horizon would reject it.
 GENERATED_SCENARIOS = 20
 GENERATED_SURVIVORS = {
-    "single record": (111, 9705),
-    "same-tick swap": (17, 615),
-    "episode deletion": (20, 101),
-    "episode insertion": (13, 61),
+    "single record": (0, 9705),
+    "same-tick swap": (0, 615),
+    "episode deletion": (4, 101),
+    "episode insertion": (0, 61),
 }
 
 
