@@ -6,7 +6,8 @@ Three commands:
                 JSON report next to the input (or to explicit paths).
                 Exit 0 on quiescence, 3 on hitting the tick limit.
 * ``verify``  — recompute learning and replay from a trace with the
-                brute-force oracle and compare. Exit 0 on agreement,
+                brute-force oracle and compare, up to the scenario's
+                tick limit or ``--max-ticks``. Exit 0 on agreement,
                 4 on the first divergence (reported on stderr).
 * ``check``   — parse and validate only; echo the canonical form.
 
@@ -73,6 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="cross-check a trace with the oracle")
     verify.add_argument("scenario", help="scenario file")
     verify.add_argument("trace", help="trace file produced by run")
+    verify.add_argument(
+        "--max-ticks", type=_max_ticks, help="the tick limit the run had, if not maxticks"
+    )
     verify.set_defaults(func=_cmd_verify)
 
     check = sub.add_parser("check", help="parse and validate; echo the canonical form")
@@ -132,7 +136,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
     records = parse_trace(_read_text(args.trace, MalformedTraceError))
-    problems = verify_run(scenario, records)
+    problems = verify_run(scenario, records, max_tick=args.max_ticks)
     if problems:
         print(f"divergence: {problems[0]}", file=sys.stderr)
         return EXIT_DIVERGENCE

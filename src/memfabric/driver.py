@@ -17,13 +17,18 @@ reached; dones of the awaited word from before that (another plan's
 traffic, say) do not advance it.
 
 The driver holds no simulation: ``add_plan`` and ``on_done`` take the
-one they act on and put each plan step straight on its queue. A plan
-leaves the driver when the last done of its last repetition arrives.
+one they act on and put each plan step straight on its queue. It keeps
+each unfinished plan under the word whose done it awaits, in add order,
+so a done reads only the plans awaiting its word; those advance in add
+order. A plan leaves the driver when the last done of its last
+repetition arrives.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from operator import attrgetter
 
 from memfabric.fabric import CpuEnable, Episode
 
@@ -68,30 +73,44 @@ class Probe:
 
 
 class _PlanRun:
-    def __init__(self, plan: RehearsalPlan, episode: Episode):
+    def __init__(self, plan: RehearsalPlan, episode: Episode, order: int):
         self.plan = plan
         self.episode = episode
+        self.order = order  # the plan's place in add order
         self.pos = 0  # index of the word whose done we are waiting on
         self.enable_tick = plan.start  # tick of the current cpu enable
         self.rep = 0
 
 
+_add_order = attrgetter("order")
+
+
 class Driver:
     def __init__(self):
-        self._runs: list[_PlanRun] = []  # the plans still running, in add order
+        # Awaited word -> the unfinished plans that await its done, in add order.
+        self._awaiting: dict[int, list[_PlanRun]] = {}
+        self._added = 0
 
     def add_plan(self, sim, plan: RehearsalPlan) -> None:
         # The simulation checked the plan; later steps lie gap or rest (>= 0) after a done.
-        run = _PlanRun(plan, sim.new_episode())
-        self._runs.append(run)
+        run = _PlanRun(plan, sim.new_episode(), self._added)
+        self._added += 1
+        self._awaiting.setdefault(plan.sequence[0], []).append(run)  # last in add order
         sim.queue.schedule(plan.start, CpuEnable(plan.sequence[0], run.episode))
 
     def unfinished_plans(self) -> int:
-        return len(self._runs)
+        return sum(map(len, self._awaiting.values()))
 
     def on_done(self, sim, word: int, tick: int) -> None:
-        for run in self._runs.copy():  # a run that finishes leaves _runs
-            if run.plan.sequence[run.pos] == word and tick >= run.enable_tick:
+        runs = self._awaiting.pop(word, None)
+        if runs is None:
+            return
+        # An advancing plan next awaits another word (a plan's words are
+        # distinct), so only the plans kept waiting come back under this one.
+        for run in runs:
+            if tick < run.enable_tick:  # its own enable is still ahead
+                self._awaiting.setdefault(word, []).append(run)
+            else:
                 self._advance(sim, run, tick)
 
     def _advance(self, sim, run: _PlanRun, tick: int) -> None:
@@ -99,13 +118,13 @@ class Driver:
         run.pos += 1
         if run.pos < len(plan.sequence):
             run.enable_tick = tick + plan.gap
-            sim.queue.schedule(run.enable_tick, CpuEnable(plan.sequence[run.pos], run.episode))
-            return
-        run.rep += 1
-        if run.rep < plan.reps:
+        else:
+            run.rep += 1
+            if run.rep == plan.reps:
+                return  # finished: it awaits no word
             run.pos = 0
             run.episode = sim.new_episode()
             run.enable_tick = tick + plan.rest
-            sim.queue.schedule(run.enable_tick, CpuEnable(plan.sequence[0], run.episode))
-        else:
-            self._runs.remove(run)
+        word = plan.sequence[run.pos]
+        insort(self._awaiting.setdefault(word, []), run, key=_add_order)
+        sim.queue.schedule(run.enable_tick, CpuEnable(word, run.episode))

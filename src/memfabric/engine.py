@@ -2,14 +2,19 @@
 
 Events are totally ordered by ``(tick, seq)`` where ``seq`` is the
 insertion sequence number, so same-tick events dispatch in the order
-they were scheduled. Each event is its own heap entry, and its payload
-(one of the fabric's signals) carries its own dispatch:
-``payload.fire(sim, tick)`` looks up the handler of ``sim.fabric`` or
-``sim.driver`` that it stands for at each event and calls it.
-:meth:`Simulation.run_to_quiescence` pops and fires in a loop of its
-own, with no ``step()`` call per event; :meth:`Simulation.step` is the
-one-event form, for a caller that owns the loop. Time is integer ticks
-and the clock only moves forward. Only the public entry points of
+they were scheduled. The events scheduled before the first dispatch (a
+run's setup: override switches, probe arrivals, the plans' first
+enables) wait in one run, sorted once when dispatch begins, that feeds
+the heap one event at a time. The heap thus holds the least pending
+setup event plus the events in flight (dones, replays, plan steps), and
+a push or pop there never sifts past a probe hundreds of ticks ahead.
+Each event's payload (one of the fabric's signals) carries its own
+dispatch: ``payload.fire(sim, tick)`` looks up the handler of
+``sim.fabric`` or ``sim.driver`` that it stands for at each event and
+calls it. :meth:`Simulation.run_to_quiescence` pops and fires in a loop
+of its own, with no ``step()`` call per event; :meth:`Simulation.step`
+is the one-event form, for a caller that owns the loop. Time is integer
+ticks and the clock only moves forward. Only the public entry points of
 :class:`Simulation` check a tick, rejecting one behind the clock with a
 ValueError; the fabric and the driver queue events at the current tick
 plus an offset their config or plan keeps >= 0. Episodes come only from
@@ -28,7 +33,7 @@ and may run on separate threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import NamedTuple
 
 from memfabric.driver import Driver, Probe, RehearsalPlan
@@ -45,25 +50,53 @@ class Event(NamedTuple):
 
 
 class EventQueue:
-    """Pending events, dispatched in ascending (tick, seq) order."""
+    """Pending events, dispatched in ascending (tick, seq) order.
+
+    Until the first ``peek_tick`` or ``pop`` (or a run's loop), ``schedule``
+    appends to the setup run; that first call sorts the run and puts its
+    least event on the heap. From then on ``schedule`` pushes onto the
+    heap, and taking a setup event off it puts the next one on.
+    ``len`` counts both.
+    """
 
     def __init__(self):
         self._heap: list[Event] = []
+        self._setup: list[Event] = []  # the setup run; once sorted, latest first
+        self._setup_end: int | None = None  # seqs below it are setup; None before the sort
         self.scheduled_total = 0  # also the next event's seq
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + len(self._setup)
 
     def schedule(self, tick: int, payload: object) -> None:
         # tuple.__new__ skips the named tuple's Python-level __new__.
-        heappush(self._heap, tuple.__new__(Event, (tick, self.scheduled_total, payload)))
+        event = tuple.__new__(Event, (tick, self.scheduled_total, payload))
+        if self._setup_end is None:
+            self._setup.append(event)
+        else:
+            heappush(self._heap, event)
         self.scheduled_total += 1
 
+    def _begin(self) -> tuple[list[Event], list[Event], int]:
+        """Sort the setup run once; return the heap, the run and its seq bound."""
+        if self._setup_end is None:
+            self._setup_end = self.scheduled_total
+            self._setup.sort(reverse=True)  # seqs are unique, so payloads never compare
+            if self._setup:
+                heappush(self._heap, self._setup.pop())
+        return self._heap, self._setup, self._setup_end
+
     def peek_tick(self) -> int | None:
-        return self._heap[0].tick if self._heap else None
+        heap = self._begin()[0]
+        return heap[0].tick if heap else None
 
     def pop(self) -> Event | None:
-        return heappop(self._heap) if self._heap else None
+        heap, setup, setup_end = self._begin()
+        if not heap:
+            return None
+        if heap[0].seq < setup_end and setup:  # a setup event leaves: the next one enters
+            return heapreplace(heap, setup.pop())
+        return heappop(heap)
 
 
 QUIESCENT = "quiescent"
@@ -147,9 +180,13 @@ class Simulation:
     def run_to_quiescence(self, max_tick: int) -> RunOutcome:
         """Dispatch until the queue drains or an event would pass max_tick."""
         check_max_tick(max_tick)
-        heap = self.queue._heap
+        heap, setup, setup_end = self.queue._begin()
+        # pop()'s rule, inlined: the heap holds the least pending setup event.
         while heap and heap[0][0] <= max_tick:
-            self.clock, _, payload = heappop(heap)
+            if heap[0][1] < setup_end and setup:
+                self.clock, _, payload = heapreplace(heap, setup.pop())
+            else:
+                self.clock, _, payload = heappop(heap)
             payload.fire(self, self.clock)
         return RunOutcome(TICK_LIMIT if heap else QUIESCENT, self.clock)
 

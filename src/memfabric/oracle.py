@@ -27,9 +27,11 @@ definition's ``(tick, seq)`` order: setup owes the override switches,
 the probes' CPU arrivals and the plans' first enables; an accepted
 enable owes its done, a scheduled replay its autonomous arrival, and a
 done, after its replay outcomes, the next CPU enable of each plan that
-awaits its word. An owed head at or before the last traced tick that
-the trace lacks is a divergence. The result is at most one divergence;
-empty means full agreement.
+awaits its word. The schedule runs to the horizon, the run's tick
+limit (the scenario's ``maxticks`` unless the caller passes another):
+an owed head at or before it that the trace lacks is a divergence, and
+a head past it is owed by nothing. The result is at most one
+divergence; empty means full agreement.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from heapq import heappop, heappush
 from itertools import count
 
 from memfabric.fabric import DONE_ENABLE, FabricConfig
-from memfabric.scenario import Scenario
+from memfabric.scenario import Scenario, check_max_tick
 from memfabric.trace import (
     EV_AUTO_ENABLE_SCHEDULED,
     EV_DONE,
@@ -207,16 +209,23 @@ def _diverge(n: int, have: str, want: tuple | None) -> list[str]:
     return [f"record {n}: the trace has {have}, but {owes}"]
 
 
-def verify_run(scenario: Scenario, records: list[TraceRecord]) -> list[str]:
+def verify_run(
+    scenario: Scenario, records: list[TraceRecord], *, max_tick: int | None = None
+) -> list[str]:
     """Compare a trace, record by record, with the records the run owes.
 
-    Returns at most one divergence, ``record N: the trace has X, but the
-    run owes Y`` or ``record N: the trace has X, but nothing owes it``
-    (N counts from 1; X and Y are JSON lines), by the rule the module
-    docstring states. An empty list means the trace agrees with the
-    definition. Raises MalformedTraceError for a trace whose ticks go
-    down (``detection_ticks``, which runs first, checks them).
+    ``max_tick`` is the horizon, the tick limit of the run that wrote the
+    trace; it defaults to ``scenario.max_tick``. Returns at most one
+    divergence, ``record N: the trace has X, but the run owes Y`` or
+    ``record N: the trace has X, but nothing owes it`` (N counts from 1;
+    X and Y are JSON lines), by the rule the module docstring states. An
+    empty list means the trace agrees with the definition. Raises
+    MalformedTraceError for a trace whose ticks go down
+    (``detection_ticks``, which runs first, checks them), and ValueError
+    for a ``max_tick`` below 1.
     """
+    horizon = scenario.max_tick if max_tick is None else max_tick
+    check_max_tick(horizon)
     config = scenario.config
     threshold, delay1, durations = config.threshold, config.delay1, config.durations
     trigger_kind = EV_ENABLE if config.filter_mode == DONE_ENABLE else EV_DONE
@@ -270,6 +279,8 @@ def verify_run(scenario: Scenario, records: list[TraceRecord]) -> list[str]:
         if not heads:
             return None
         t, ev, word, pair, src, episode, _ = rec = heads[0][2]
+        if t > horizon:
+            return None  # the run stops before it
         # A busy word, or one that already fired in the episode, ignores an arrival.
         if ev == EV_ENABLE and (busy_until.get(word, 0) > t or (episode, word) in fired):
             return (t, EV_IGNORED_ENABLE, word, pair, src, episode, None)
@@ -334,8 +345,8 @@ def verify_run(scenario: Scenario, records: list[TraceRecord]) -> list[str]:
                     insort(awaiting.setdefault(enable[2], []), k)
                     heappush(heads, (enable[0], next(seq), enable))
     # The trace ends: derived records are still owed, and so is every head
-    # up to the last traced tick; later heads are pending.
+    # up to the horizon.
     want = due[0] if due else next_head()
-    if want and (due or want[0] <= (records[-1].t if records else 0)):
+    if want:
         return _diverge(len(records) + 1, "no more records", want)
     return []

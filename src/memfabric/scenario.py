@@ -81,7 +81,7 @@ class Scenario:
 
 
 def check_max_tick(value: int) -> None:
-    """The tick-limit rule of ``maxticks``, ``--max-ticks`` and ``run_to_quiescence``."""
+    """The tick-limit rule of ``maxticks``, ``--max-ticks``, the run loop and ``verify_run``."""
     if value < 1:
         raise ValueError(f"maxticks must be >= 1, got {value}")
 

@@ -103,6 +103,32 @@ def test_max_ticks_flag_overrides_the_directive(scenario_file, capsys):
     assert "tick limit" in capsys.readouterr().err
 
 
+def test_verify_owes_the_run_up_to_its_tick_limit(scenario_file, capsys):
+    # A run cut at 50 verifies at the limit it had, not at the scenario's own.
+    trace_path = scenario_file.parent / (scenario_file.name + ".trace.jsonl")
+    assert main(["run", str(scenario_file), "--max-ticks", "50"]) == 3
+    capsys.readouterr()
+    assert main(["verify", str(scenario_file), str(trace_path)]) == 4
+    assert "the trace has no more records, but the run owes" in capsys.readouterr().err
+    assert main(["verify", str(scenario_file), str(trace_path), "--max-ticks", "50"]) == 0
+    # Below the trace's last tick, its last records are owed by nothing.
+    last = json.loads(trace_path.read_text(encoding="utf-8").splitlines()[-1])["t"]
+    assert main(["verify", str(scenario_file), str(trace_path), "--max-ticks", str(last - 1)]) == 4
+    assert "but nothing owes it" in capsys.readouterr().err
+
+
+def test_verify_flags_a_trace_without_its_final_tick(scenario_file, capsys):
+    assert main(["run", str(scenario_file)]) == 0
+    trace_path = scenario_file.parent / (scenario_file.name + ".trace.jsonl")
+    lines = trace_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    last = json.loads(lines[-1])["t"]
+    kept = [line for line in lines if json.loads(line)["t"] != last]
+    assert 0 < len(kept) < len(lines)
+    trace_path.write_text("".join(kept), encoding="utf-8")
+    assert main(["verify", str(scenario_file), str(trace_path)]) == 4
+    assert "the trace has no more records, but the run owes" in capsys.readouterr().err
+
+
 def test_run_then_verify_is_self_consistent(scenario_file, capsys):
     assert main(["run", str(scenario_file)]) == 0
     trace_path = scenario_file.parent / (scenario_file.name + ".trace.jsonl")
@@ -416,9 +442,20 @@ def test_check_rejects_spike_wider_than_the_window(tmp_path, capsys):
         (["run", "SCN", "--max-ticks", "abc"], "argument --max-ticks: value is not an integer"),
         (["run", "SCN", "--max-ticks", "1_0"], "argument --max-ticks: value is not an integer"),
         (["verify", "SCN"], "the following arguments are required: trace"),
+        (
+            ["verify", "SCN", "T", "--max-ticks", "0"],
+            "argument --max-ticks: maxticks must be >= 1, got 0",
+        ),
         (["bogus"], "invalid choice: 'bogus'"),
     ],
-    ids=["max-ticks-zero", "max-ticks-word", "max-ticks-underscore", "verify-no-trace", "bogus"],
+    ids=[
+        "max-ticks-zero",
+        "max-ticks-word",
+        "max-ticks-underscore",
+        "verify-no-trace",
+        "verify-max-ticks-zero",
+        "bogus",
+    ],
 )
 def test_usage_error_exits_one(scenario_file, capsys, argv, message):
     argv = [str(scenario_file) if arg == "SCN" else arg for arg in argv]

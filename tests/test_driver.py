@@ -201,3 +201,47 @@ def test_a_plan_leaves_the_driver_when_its_last_repetition_ends():
     assert sim.driver.unfinished_plans() == 0
     cpu = [(r.t, r.word) for r in sim.records if r.ev == EV_ENABLE and r.src == SRC_CPU]
     assert cpu == [(0, 1), (0, 3), (5, 2), (5, 1), (19, 3), (24, 1)]
+
+
+def _cpu_enables(text: str) -> list[tuple[int, int]]:
+    result = run_text(text)
+    assert result.simulation.driver.unfinished_plans() == 0
+    return [(r.t, r.word) for r in result.records if r.ev == EV_ENABLE and r.src == SRC_CPU]
+
+
+def test_plans_awaiting_one_word_advance_in_add_order():
+    # Both plans await word 1's done at 4 (the second's own enable was
+    # ignored as busy); each enables its next word at 4, in add order.
+    assert _cpu_enables(
+        "fabric words=3 delay1=5 delay2=1 threshold=10\n"
+        "dur * 4\n"
+        "rehearse 1 2 reps=1 gap=0 rest=0 start=0\n"
+        "rehearse 1 3 reps=1 gap=0 rest=0 start=0\n"
+        "maxticks 100\n"
+    ) == [(0, 1), (4, 2), (4, 3)]
+
+
+def test_a_plan_that_starts_awaiting_a_word_later_still_advances_in_add_order():
+    # The second plan awaits word 3 from tick 2 (after word 2's done), the
+    # first from tick 4, where its enable of 3 is ignored as busy. Word 3's
+    # done at 6 advances both, the first-added plan first.
+    assert _cpu_enables(
+        "fabric words=5 delay1=5 delay2=1 threshold=10\n"
+        "dur * 4\n"
+        "dur 2 2\n"
+        "rehearse 1 3 4 reps=1 gap=0 rest=0 start=0\n"
+        "rehearse 2 3 5 reps=1 gap=0 rest=0 start=0\n"
+        "maxticks 100\n"
+    ) == [(0, 1), (0, 2), (2, 3), (6, 4), (6, 5)]
+
+
+def test_a_done_before_a_plans_own_enable_does_not_advance_it():
+    # Word 1's done at 4 (the first plan's) precedes the second plan's own
+    # enable of word 1 at 5, so that plan advances only on the done at 9.
+    assert _cpu_enables(
+        "fabric words=3 delay1=5 delay2=1 threshold=10\n"
+        "dur * 4\n"
+        "rehearse 1 2 reps=1 gap=0 rest=0 start=0\n"
+        "rehearse 1 3 reps=1 gap=0 rest=0 start=5\n"
+        "maxticks 100\n"
+    ) == [(0, 1), (4, 2), (5, 1), (9, 3)]

@@ -14,6 +14,7 @@ from memfabric import (
     Probe,
     QUIESCENT,
     RehearsalPlan,
+    RunOutcome,
     Simulation,
     TICK_LIMIT,
     build_simulation,
@@ -42,6 +43,69 @@ def test_earlier_tick_dispatches_first_regardless_of_insertion():
     q.schedule(3, "early")
     assert q.pop().payload == "early"
     assert q.pop().payload == "late"
+
+
+# A queue operation: ("schedule", tick or offset), ("pop", None) or ("peek", None).
+_queue_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), st.integers(0, 30)),
+        st.tuples(st.sampled_from(["pop", "peek"]), st.none()),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_queue_ops)
+def test_the_queue_agrees_with_a_list_sorted_by_tick_and_seq(ops):
+    # Before the first pop or peek a schedule may take any tick (it joins the
+    # setup run); after it, a tick at or after the last pop (it joins the heap).
+    queue, model = EventQueue(), []  # model: pending (tick, seq, payload), sorted
+    begun, last_popped, scheduled = False, 0, 0
+    for op, value in ops:
+        if op == "schedule":
+            tick = last_popped + value if begun else value
+            queue.schedule(tick, f"e{scheduled}")
+            model = sorted([*model, (tick, scheduled, f"e{scheduled}")])  # seqs are unique
+            scheduled += 1
+        elif op == "pop":
+            begun = True
+            event = queue.pop()
+            assert event == (model.pop(0) if model else None)
+            last_popped = event.tick if event else last_popped
+        else:
+            begun = True
+            assert queue.peek_tick() == (model[0][0] if model else None)
+        assert len(queue) == len(model)
+        assert queue.scheduled_total == scheduled
+    drained = []
+    while (event := queue.pop()) is not None:
+        drained.append(event)
+    assert drained == model
+    assert len(queue) == 0 and queue.peek_tick() is None
+
+
+def test_a_run_cut_with_only_setup_events_pending_resumes_like_an_unlimited_run():
+    # The limit falls after the first probe's done, so only the later probes,
+    # still in the setup run, are pending; a probe added after the cut joins
+    # the heap and dispatches before them.
+    def simulation():
+        sim = Simulation(FabricConfig.uniform(3, delay1=2, delay2=1, threshold=1, duration=4))
+        for tick in (200, 10, 100):
+            sim.add_probe(Probe(tick=tick, word=1))
+        return sim
+
+    cut = simulation()
+    assert cut.run_to_quiescence(50) == RunOutcome(TICK_LIMIT, 14)
+    assert (len(cut.queue), cut.dispatched_total) == (2, 2)
+    cut.add_probe(Probe(tick=60, word=2))
+    assert cut.run_to_quiescence(10**6) == RunOutcome(QUIESCENT, 204)
+    whole = simulation()
+    whole.add_probe(Probe(tick=60, word=2))
+    assert whole.run_to_quiescence(10**6) == RunOutcome(QUIESCENT, 204)
+    assert cut.records == whole.records
+    arrivals = [(r.t, r.word) for r in whole.records if r.ev == "enable"]
+    assert arrivals == [(10, 1), (60, 2), (100, 1), (200, 1)]
 
 
 def _override(sim, tick):

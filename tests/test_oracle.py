@@ -300,7 +300,21 @@ def test_verify_catches_a_forged_extra_learned_record(worked_example_text):
 def test_verify_accepts_a_tick_limited_run(worked_example_text):
     result = run_text(worked_example_text, max_tick=50)
     assert result.outcome.outcome == "tick_limit"
-    assert verify_run(result.scenario, result.records) == []
+    assert verify_run(result.scenario, result.records, max_tick=50) == []
+    # Up to the scenario's own horizon the run owes more: word 2's done at 52.
+    assert verify_run(result.scenario, result.records) == [
+        f"record {len(result.records) + 1}: the trace has no more records, but the run owes "
+        '{"t":52,"ev":"done","word":2,"episode":2}'
+    ]
+    # A record past the horizon is owed by nothing.
+    longer = run_text(worked_example_text, max_tick=52).records
+    assert longer[: len(result.records)] == result.records
+    assert verify_run(result.scenario, longer, max_tick=50) == [
+        f"record {len(result.records) + 1}: the trace has "
+        f"{longer[len(result.records)].to_json_line()}, but nothing owes it"
+    ]
+    with pytest.raises(ValueError, match="^maxticks must be >= 1, got 0$"):
+        verify_run(result.scenario, result.records, max_tick=0)
 
 
 def test_verify_accepts_runs_with_overrides_and_suppression():
@@ -559,7 +573,7 @@ def test_every_single_record_mutant_is_rejected():
     assert survivors == []
 
 
-# -- survivor ratchet: mutant classes verify_run does not yet catch --------
+# -- survivor ratchet: mutant classes verify_run does not catch ------------
 
 # Per shipped scenario: (surviving swaps, swaps tried).
 SWAP_SURVIVORS = {
@@ -574,13 +588,12 @@ SWAP_SURVIVORS = {
 INVENTED_FIRE_SURVIVORS = set()
 # (trace of, verified against) for shipped scenarios whose trace passes as another's.
 CROSS_SCENARIO_SURVIVORS = set()
-# Per shipped scenario: (surviving deletions, episodes). The survivor deletes
-# negative_control's last episode: the trace is cut short at a tick boundary,
-# and with no horizon the heads after its last tick read as pending.
+# Per shipped scenario: (surviving deletions, episodes). Deleting the last
+# episode cuts the trace short at a tick boundary; the horizon rejects it.
 EPISODE_DELETION_SURVIVORS = {
     "concurrent": (0, 8),
     "cycle": (0, 7),
-    "negative_control": (1, 50),
+    "negative_control": (0, 50),
     "override": (0, 12),
     "worked_example": (0, 11),
 }
@@ -593,13 +606,12 @@ EPISODE_INSERTION_SURVIVORS = {
     "worked_example": (0, 3),
 }
 # Per shipped scenario: (traces of one-value variants that verify against
-# the unchanged scenario, variants). The survivor is negative_control with
-# reps=49: its trace is the first 196 of the 200 records, cut short at a tick
-# boundary, which only a horizon would reject.
+# the unchanged scenario, variants). negative_control with reps=49 writes the
+# first 196 of the 200 records, which the horizon rejects.
 ONE_VALUE_SURVIVORS = {
     "concurrent": (0, 19),
     "cycle": (0, 17),
-    "negative_control": (1, 7),
+    "negative_control": (0, 7),
     "override": (0, 11),
     "worked_example": (0, 9),
 }
@@ -741,14 +753,12 @@ def test_every_trace_verify_accepts_is_a_prefix_of_the_full_run(text, other):
 
 
 # (surviving mutants, mutants tried) per class, over GENERATED_SCENARIOS
-# scenarios that small_scenario_text draws from random.Random(0). Each
-# surviving deletion removes the episode whose records end the trace, which
-# cuts the trace short at a tick boundary; only a horizon would reject it.
+# scenarios that small_scenario_text draws from random.Random(0).
 GENERATED_SCENARIOS = 20
 GENERATED_SURVIVORS = {
     "single record": (0, 9705),
     "same-tick swap": (0, 615),
-    "episode deletion": (4, 101),
+    "episode deletion": (0, 101),
     "episode insertion": (0, 61),
 }
 
