@@ -96,7 +96,7 @@ class Driver:
         run = _PlanRun(plan, sim.new_episode(), self._added)
         self._added += 1
         self._awaiting.setdefault(plan.sequence[0], []).append(run)  # last in add order
-        sim.queue.schedule(plan.start, CpuEnable(plan.sequence[0], run.episode))
+        sim.queue.schedule(plan.start, tuple.__new__(CpuEnable, (plan.sequence[0], run.episode)))
 
     def unfinished_plans(self) -> int:
         return sum(map(len, self._awaiting.values()))
@@ -127,4 +127,4 @@ class Driver:
             run.enable_tick = tick + plan.rest
         word = plan.sequence[run.pos]
         insort(self._awaiting.setdefault(word, []), run, key=_add_order)
-        sim.queue.schedule(run.enable_tick, CpuEnable(word, run.episode))
+        sim.queue.schedule(run.enable_tick, tuple.__new__(CpuEnable, (word, run.episode)))

@@ -12,7 +12,11 @@ blank lines are skipped)::
     maxticks T
 
 ``fabric`` and ``maxticks`` are required and may appear once. Unknown
-directives and unknown arguments are errors. A ``gap`` larger than
+directives and unknown arguments are errors. Every error names its line,
+except a missing ``fabric`` or ``maxticks``. Each line is checked as it
+is read, so its own faults are reported first, in file order; the rules
+that need the whole file (durations, the fabric's config, word ranges
+and pairs) are checked after the last line. A ``gap`` larger than
 ``delay1`` parses with a warning: it is a legitimate negative control
 (the rehearsed pairs fall outside every coincidence window).
 
@@ -86,7 +90,7 @@ def check_max_tick(value: int) -> None:
         raise ValueError(f"maxticks must be >= 1, got {value}")
 
 
-def parse_int(token: str, what: str, line: int | None = None) -> int:
+def parse_int(token: str, what: str) -> int:
     """ASCII digits with an optional sign (tokens never hold whitespace)."""
     # int() alone would also take "1_0" and non-ASCII digits such as "٣".
     if token.isascii() and "_" not in token:
@@ -94,172 +98,143 @@ def parse_int(token: str, what: str, line: int | None = None) -> int:
             return int(token, 10)
         except ValueError:
             pass
-    raise ParseError(f"{what} is not an integer: {token!r}", line)
+    raise ParseError(f"{what} is not an integer: {token!r}")
 
 
-def _parse_kv(tokens: list[str], allowed: dict[str, bool], what: str, line: int) -> dict[str, str]:
+def _parse_kv(tokens: list[str], allowed: dict[str, bool], what: str) -> dict[str, str]:
     """Parse key=value tokens; ``allowed`` maps key -> required."""
     out: dict[str, str] = {}
     for token in tokens:
         if "=" not in token:
-            raise ParseError(f"expected key=value argument in {what}, got {token!r}", line)
+            raise ParseError(f"expected key=value argument in {what}, got {token!r}")
         key, value = token.split("=", 1)
         if key not in allowed:
-            raise ParseError(f"unknown argument {key!r} in {what}", line)
+            raise ParseError(f"unknown argument {key!r} in {what}")
         if key in out:
-            raise ParseError(f"duplicate argument {key!r} in {what}", line)
+            raise ParseError(f"duplicate argument {key!r} in {what}")
         if not value:
-            raise ParseError(f"empty value for {key!r} in {what}", line)
+            raise ParseError(f"empty value for {key!r} in {what}")
         out[key] = value
     for key, required in allowed.items():
         if required and key not in out:
-            raise ParseError(f"{what} is missing argument {key!r}", line)
+            raise ParseError(f"{what} is missing argument {key!r}")
     return out
 
 
+_FABRIC_ARGS = {"words": True, "delay1": True, "delay2": True, "threshold": True, "mode": False}
+_PLAN_ARGS = {"reps": True, "gap": True, "rest": True, "start": True}
+
+
 def parse_scenario(text: str) -> Scenario:
-    fabric_args: dict[str, str] | None = None
-    fabric_line = 0
+    fabric: tuple[int, list[int], str] | None = None  # (line, [words, delays, threshold], mode)
     default_dur: tuple[int, int] | None = None  # (value, line)
     dur_overrides: dict[int, tuple[int, int]] = {}  # word -> (value, line)
-    raw_plans: list[tuple[tuple[int, ...], dict[str, int], int]] = []  # (words, args, line)
-    raw_probes: list[tuple[int, int, int]] = []  # (tick, word, line)
-    raw_overrides: list[tuple[int, int, int, bool, int]] = []  # (tick, i, j, open, line)
-    max_tick: tuple[int, int] | None = None  # (value, line)
-
-    for lineno, raw in enumerate(split_lines(text), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        head = tokens[0]
-        if head == "fabric":
-            if fabric_args is not None:
-                raise ParseError("duplicate fabric directive", lineno)
-            fabric_args = _parse_kv(
-                tokens[1:],
-                {"words": True, "delay1": True, "delay2": True, "threshold": True, "mode": False},
-                "fabric",
-                lineno,
-            )
-            fabric_line = lineno
-        elif head == "dur":
-            if len(tokens) != 3:
-                raise ParseError("dur takes exactly two arguments: '*' or a word id, and ticks", lineno)
-            value = parse_int(tokens[2], "duration", lineno)
-            if tokens[1] == "*":
-                if default_dur is not None:
-                    raise ParseError("duplicate default duration", lineno)
-                default_dur = (value, lineno)
-            else:
-                word = parse_int(tokens[1], "word id", lineno)
-                if word in dur_overrides:
-                    raise ParseError(f"duplicate duration for word {word}", lineno)
-                dur_overrides[word] = (value, lineno)
-        elif head == "rehearse":
-            words: list[int] = []
-            rest_tokens: list[str] = []
-            for idx, token in enumerate(tokens[1:], start=1):
-                if "=" in token:
-                    rest_tokens = tokens[idx:]
-                    break
-                words.append(parse_int(token, "word id", lineno))
-            args = _parse_kv(
-                rest_tokens,
-                {"reps": True, "gap": True, "rest": True, "start": True},
-                "rehearse",
-                lineno,
-            )
-            raw_plans.append(
-                (tuple(words), {k: parse_int(v, k, lineno) for k, v in args.items()}, lineno)
-            )
-        elif head == "at":
-            if len(tokens) < 3:
-                raise ParseError("at directive needs a tick and an action", lineno)
-            tick = parse_int(tokens[1], "tick", lineno)
-            action = tokens[2]
-            if action == "probe":
-                if len(tokens) != 4:
-                    raise ParseError("probe takes exactly one word id", lineno)
-                word = parse_int(tokens[3], "word id", lineno)
-                raw_probes.append((tick, word, lineno))
-            elif action == "override":
-                if len(tokens) != 6:
-                    raise ParseError("override takes two word ids and open|closed", lineno)
-                i = parse_int(tokens[3], "word id", lineno)
-                j = parse_int(tokens[4], "word id", lineno)
-                if tokens[5] not in ("open", "closed"):
-                    raise ParseError(f"override state must be open or closed, got {tokens[5]!r}", lineno)
-                raw_overrides.append((tick, i, j, tokens[5] == "open", lineno))
-            else:
-                raise ParseError(f"unknown action {action!r} after 'at'", lineno)
-        elif head == "maxticks":
-            if max_tick is not None:
-                raise ParseError("duplicate maxticks directive", lineno)
-            if len(tokens) != 2:
-                raise ParseError("maxticks takes exactly one value", lineno)
-            max_tick = (parse_int(tokens[1], "maxticks", lineno), lineno)
-        else:
-            raise ParseError(f"unknown directive {head!r}", lineno)
-
-    if fabric_args is None:
-        raise ValidationError("missing fabric directive")
-    if max_tick is None:
-        raise ValidationError("missing maxticks directive")
-
-    word_count, delay1, delay2, threshold = (
-        parse_int(fabric_args[key], key, fabric_line)
-        for key in ("words", "delay1", "delay2", "threshold")
-    )
-
-    # The fabric and every directive are built and checked by the owners
-    # of the rules (FabricConfig, RehearsalPlan, Probe, OverrideDirective).
-    # ``line`` always holds the line being checked, so a broken rule is
-    # reported there.
-    warnings: list[str] = []
-    plans: list[RehearsalPlan] = []
-    probes: list[Probe] = []
-    overrides: list[OverrideDirective] = []
+    plans: dict[int, RehearsalPlan] = {}  # line -> directive, in file order
+    probes: dict[int, Probe] = {}
+    overrides: dict[int, OverrideDirective] = {}
+    max_tick: int | None = None
+    # ``line`` always holds the line being checked: the one being read, then the
+    # directive's line of each whole-file rule. Every error is located below.
+    line: int | None = None
     try:
-        line = max_tick[1]
-        check_max_tick(max_tick[0])
+        for line, raw in enumerate(split_lines(text), start=1):
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
+                continue
+            head = tokens[0]
+            if head == "fabric":
+                if fabric is not None:
+                    raise ParseError("duplicate fabric directive")
+                args = _parse_kv(tokens[1:], _FABRIC_ARGS, "fabric")
+                ints = [parse_int(args[key], key) for key in ("words", "delay1", "delay2", "threshold")]
+                fabric = (line, ints, args.get("mode", DONE_ENABLE))
+            elif head == "dur":
+                if len(tokens) != 3:
+                    raise ParseError("dur takes exactly two arguments: '*' or a word id, and ticks")
+                value = parse_int(tokens[2], "duration")
+                if tokens[1] == "*":
+                    if default_dur is not None:
+                        raise ParseError("duplicate default duration")
+                    default_dur = (value, line)
+                else:
+                    word = parse_int(tokens[1], "word id")
+                    if word in dur_overrides:
+                        raise ParseError(f"duplicate duration for word {word}")
+                    dur_overrides[word] = (value, line)
+            elif head == "rehearse":
+                kv = 1  # the first key=value token
+                while kv < len(tokens) and "=" not in tokens[kv]:
+                    kv += 1
+                words = [parse_int(token, "word id") for token in tokens[1:kv]]
+                args = _parse_kv(tokens[kv:], _PLAN_ARGS, "rehearse")
+                plans[line] = RehearsalPlan(words, **{k: parse_int(v, k) for k, v in args.items()})
+            elif head == "at":
+                if len(tokens) < 3:
+                    raise ParseError("at directive needs a tick and an action")
+                tick = parse_int(tokens[1], "tick")
+                if tokens[2] == "probe":
+                    if len(tokens) != 4:
+                        raise ParseError("probe takes exactly one word id")
+                    probes[line] = Probe(tick, parse_int(tokens[3], "word id"))
+                elif tokens[2] == "override":
+                    if len(tokens) != 6:
+                        raise ParseError("override takes two word ids and open|closed")
+                    i, j = parse_int(tokens[3], "word id"), parse_int(tokens[4], "word id")
+                    if tokens[5] not in ("open", "closed"):
+                        raise ParseError(f"override state must be open or closed, got {tokens[5]!r}")
+                    overrides[line] = OverrideDirective(tick, i, j, tokens[5] == "open")
+                else:
+                    raise ParseError(f"unknown action {tokens[2]!r} after 'at'")
+            elif head == "maxticks":
+                if max_tick is not None:
+                    raise ParseError("duplicate maxticks directive")
+                if len(tokens) != 2:
+                    raise ParseError("maxticks takes exactly one value")
+                max_tick = parse_int(tokens[1], "maxticks")
+                check_max_tick(max_tick)
+            else:
+                raise ParseError(f"unknown directive {head!r}")
+
+        line = None
+        if fabric is None:
+            raise ValidationError("missing fabric directive")
+        if max_tick is None:
+            raise ValidationError("missing maxticks directive")
+        fabric_line, (word_count, delay1, delay2, threshold), mode = fabric
         durations: dict[int, int] = {}
         for word in range(1, word_count + 1):
             if (entry := dur_overrides.get(word, default_dur)) is not None:
                 durations[word], line = entry
                 FabricConfig.check_duration(word, durations[word])
         line = fabric_line
-        config = FabricConfig(
-            word_count, delay1, delay2, threshold, durations, fabric_args.get("mode", DONE_ENABLE)
-        )
+        config = FabricConfig(word_count, delay1, delay2, threshold, durations, mode)
         for word, (_, line) in dur_overrides.items():
             config.check_word(word)
-        for words, args, line in raw_plans:
-            plan = RehearsalPlan(words, **args)
+        warnings: list[str] = []
+        for line, plan in plans.items():
             for word in plan.sequence:
                 config.check_word(word)
-            if plan.gap > config.delay1:
+            if plan.gap > delay1:
                 warnings.append(
-                    f"line {line}: gap={plan.gap} exceeds delay1={config.delay1}; "
+                    f"line {line}: gap={plan.gap} exceeds delay1={delay1}; "
                     "rehearsed pairs will fall outside every coincidence window"
                 )
-            plans.append(plan)
-        for tick, word, line in raw_probes:
-            probes.append(Probe(tick, word))
-            config.check_word(word)
-        for tick, i, j, is_open, line in raw_overrides:
-            overrides.append(OverrideDirective(tick, i, j, is_open))
-            config.check_pair(i, j)
-    except ValueError as exc:
+        for line, probe in probes.items():
+            config.check_word(probe.word)
+        for line, directive in overrides.items():
+            config.check_pair(directive.i, directive.j)
+    except ScenarioError as exc:  # raised here, without its line
+        raise type(exc)(str(exc), line) from None
+    except ValueError as exc:  # a rule broken, raised by the rule's owner
         raise ValidationError(str(exc), line) from exc
 
     return Scenario(
-        config=config,
-        plans=tuple(plans),
-        probes=tuple(probes),
-        overrides=tuple(overrides),
-        max_tick=max_tick[0],
-        warnings=tuple(warnings),
+        config,
+        tuple(plans.values()),
+        tuple(probes.values()),
+        tuple(overrides.values()),
+        max_tick,
+        tuple(warnings),
     )
 
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 import pickle
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,7 @@ from memfabric import (
     RehearsalPlan,
     Report,
     Scenario,
+    ScenarioError,
     TraceRecord,
     ValidationError,
     build_report,
@@ -31,8 +35,9 @@ from memfabric import (
     parse_trace,
     run_scenario,
 )
+from memfabric.cli import main
 from memfabric.fabric import FabricConfig
-from memfabric.trace import EV_LEARNED
+from memfabric.trace import EV_LEARNED, split_lines
 from conftest import run_text
 
 
@@ -174,6 +179,20 @@ def test_duplicate_fabric_directive_is_an_error():
             3,
             "line 3: maxticks must be >= 1, got 0",
         ),
+        # A line's own faults are reported first, in file order, and before
+        # the rules that need the whole file (here word 1's missing duration).
+        (
+            "fabric words=2 delay1=5 delay2=1 threshold=1\ndur * 4\n"
+            "rehearse 1 2 1 reps=1 gap=0 rest=0 start=0\nmaxticks 10\nfrobnicate\n",
+            3,
+            "line 3: word 1 repeats",
+        ),
+        (
+            "fabric words=2 delay1=5 delay2=1 threshold=1\ndur 2 4\nmaxticks 10\n"
+            "rehearse 1 reps=1 gap=0 rest=0 start=0\n",
+            4,
+            "line 4: a plan needs at least 2 words",
+        ),
     ],
 )
 def test_semantic_errors_are_rejected(text, line, fragment):
@@ -186,6 +205,61 @@ def test_semantic_errors_are_rejected(text, line, fragment):
     else:
         assert message.startswith(f"line {line}: ")
     assert fragment in message
+
+
+SHIPPED_SCENARIOS = [
+    path.read_text(encoding="utf-8")
+    for path in sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))
+]
+EDIT_TOKENS = [
+    "-1", "0", "*", "=", "x=1", "reps=0", "start=", "\u0663", "1_0",
+    "fabric", "dur", "rehearse", "at", "maxticks", "probe", "override", "open", "closed",
+]
+
+
+@st.composite
+def edited_scenarios(draw):
+    """A shipped scenario, comments dropped, after one or two token replacements,
+    insertions or deletions, or line copies."""
+    text = draw(st.sampled_from(SHIPPED_SCENARIOS))
+    lines = [line.split("#", 1)[0].split() for line in text.splitlines()]
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        kind = draw(st.sampled_from(["replace", "insert", "delete", "copy"]))
+        tokens = lines[draw(st.integers(min_value=0, max_value=len(lines) - 1))]
+        if kind == "copy":
+            lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), list(tokens))
+        elif kind == "insert":
+            at = draw(st.integers(min_value=0, max_value=len(tokens)))
+            tokens.insert(at, draw(st.sampled_from(EDIT_TOKENS)))
+        elif tokens:
+            at = draw(st.integers(min_value=0, max_value=len(tokens) - 1))
+            if kind == "replace":
+                tokens[at] = draw(st.sampled_from(EDIT_TOKENS))
+            else:
+                del tokens[at]
+    return "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_scenarios())
+def test_edited_scenarios_parse_or_fail_with_a_located_message(tmp_path_factory, text):
+    """Malformed input ends in a located error and exit 1, never a traceback."""
+    try:
+        scenario = parse_scenario(text)
+    except ScenarioError as exc:
+        scenario = None
+        message = str(exc)
+        if exc.line is None:
+            assert message in ("missing fabric directive", "missing maxticks directive")
+        else:
+            assert 1 <= exc.line <= len(split_lines(text))
+            assert message.startswith(f"line {exc.line}: ")
+    else:
+        assert parse_scenario(canonical_scenario(scenario)) == scenario
+    path = tmp_path_factory.getbasetemp() / "edited.scn"
+    path.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["check", str(path)]) == (1 if scenario is None else 0)
 
 
 def test_gap_beyond_delay1_warns_but_parses():
