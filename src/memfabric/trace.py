@@ -6,10 +6,13 @@ and serialized as a single-line JSON object with a fixed key order
 All values are integers or short strings, never floats, so identical
 runs produce byte-identical traces. :func:`format_trace` is the one
 writer of a line, and :meth:`TraceRecord.to_json_line` is the line it
-writes for one record. :func:`parse_trace` matches each line once in
-one regex scan of the whole text: a line written here decodes from the
-match, any other line alone through :func:`decode_line`. Records decoded
-either way share the schema's one string per kind and per source.
+writes for one record. :func:`write_trace` formats and writes
+:data:`_WRITE_BATCH` records at a time. :func:`parse_trace` matches each
+line once in one regex scan of the text, or of each block of it that
+:func:`read_trace` reads from a file: a line written here decodes from
+the match, any other line alone through :func:`decode_line`. Records
+decoded either way share the schema's one string per kind and per
+source.
 
 Field usage by record kind::
 
@@ -39,7 +42,7 @@ import re
 import sys
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 EV_ENABLE = "enable"
 EV_IGNORED_ENABLE = "ignored_enable"
@@ -303,15 +306,17 @@ def split_lines(text: str) -> list[str]:
     return _unify_newlines(text).split("\n")
 
 
-def parse_trace(text: str) -> list[TraceRecord]:
+def parse_trace(text: str | Iterable[str]) -> list[TraceRecord]:
     """Decode a JSON Lines trace into records; blank lines are skipped.
 
-    One regex scan of the whole text matches each line once. A line as
-    :func:`format_trace` writes it is decoded from the match's groups, and
-    any other line, alone, through :func:`decode_line`, to the same record.
-    The first line that is not a valid record, or whose tick is below the
-    previous record's, raises :class:`MalformedTraceError` prefixed with
-    its line number.
+    ``text`` is the whole trace, or its blocks in order, each but the last
+    ending with a newline, as :func:`read_trace` gives them: a whole text
+    is one block. One regex scan of each block matches each line once. A
+    line as :func:`format_trace` writes it is decoded from the match's
+    groups, and any other line, alone, through :func:`decode_line`, to the
+    same record. The first line that is not a valid record, or whose tick
+    is below the previous record's, raises :class:`MalformedTraceError`
+    prefixed with its line number; an error the blocks raise is passed on.
     """
     values = _Values({None: None, **_SOURCES})
     shapes = _CANONICAL_SHAPES
@@ -319,38 +324,103 @@ def parse_trace(text: str) -> list[TraceRecord]:
     records = []
     append = records.append
     last = 0
-    for lineno, match in enumerate(_LINE.finditer(_unify_newlines(text)), start=1):
-        t, ev, word, pair, src, episode, stage, line = match.groups()
-        # the table's copy of the kind, which records share; None for the last
-        # branch or for a field set the kind does not allow
-        ev = shapes.get((ev, not word, not pair, not src, not episode, not stage))
-        if ev is not None:
-            t = values[t]
-            rec = (t, ev, values[word], values[pair], values[src], values[episode], values[stage])
-            rec = new(TraceRecord, rec)
-        elif line == "":
-            continue
-        else:  # not canonical, or canonical with a field set its kind does not allow
-            try:
-                rec = decode_line(match[0])
-            except MalformedTraceError as exc:
-                raise MalformedTraceError(f"line {lineno}: {exc}") from exc
-            if rec is None:
+    lineno = 1
+    for block in (text,) if isinstance(text, str) else text:
+        # the empty match after a block's final newline is the next block's
+        # first line, so the next block counts on from its number
+        for lineno, match in enumerate(_LINE.finditer(_unify_newlines(block)), start=lineno):
+            t, ev, word, pair, src, episode, stage, line = match.groups()
+            # the table's copy of the kind, which records share; None for the
+            # last branch or for a field set the kind does not allow
+            ev = shapes.get((ev, not word, not pair, not src, not episode, not stage))
+            if ev is not None:
+                t = values[t]
+                rec = (
+                    t, ev, values[word], values[pair], values[src], values[episode], values[stage]
+                )
+                rec = new(TraceRecord, rec)
+            elif line == "":
                 continue
-            t = rec.t
-        if t < last:
-            raise MalformedTraceError(f"line {lineno}: out-of-order tick {t} after {last}")
-        last = t
-        append(rec)
+            else:  # not canonical, or canonical with a field set its kind does not allow
+                try:
+                    rec = decode_line(match[0])
+                except MalformedTraceError as exc:
+                    raise MalformedTraceError(f"line {lineno}: {exc}") from exc
+                if rec is None:
+                    continue
+                t = rec.t
+            if t < last:
+                raise MalformedTraceError(f"line {lineno}: out-of-order tick {t} after {last}")
+            last = t
+            append(rec)
     return records
 
 
-_WRITE_BATCH = 65536  # records formatted, and held as text, at a time
+_READ_BLOCK = 65536  # bytes read, and decoded, at a time
+
+
+def _not_utf8(exc: UnicodeDecodeError, offset: int) -> str:
+    """``str(exc)``, with the positions counted from ``offset`` on, not from 0."""
+    start, end = exc.start + offset, exc.end - 1 + offset
+    if start == end:
+        where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+    else:
+        where = f"bytes in position {start}-{end}"
+    return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
+
+
+def _whole_lines(file) -> Iterator[bytes]:
+    """The file's bytes, read :data:`_READ_BLOCK` at a time, each read cut
+    after its last ``\\n``: the rest starts the next block."""
+    rest = b""
+    while chunk := file.read(_READ_BLOCK):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield rest + chunk[:cut]
+            rest = chunk[cut:]
+        else:
+            rest += chunk
+    if rest:
+        yield rest
+
+
+def read_trace(path: str | Path) -> Iterator[str]:
+    """The file's text, for :func:`parse_trace`, in blocks of whole lines,
+    each read as :data:`_READ_BLOCK` bytes and cut after its last newline.
+
+    Bytes that are not UTF-8 raise :class:`MalformedTraceError` naming
+    their line and their file offset, after the block's text before that
+    line, so that a fault among the lines before it is found first.
+    """
+    lineno = 1  # of the block's first line
+    offset = 0  # of the block's first byte in the file
+    with Path(path).open("rb") as file:
+        for block in _whole_lines(file):
+            try:
+                text = block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                good = block[: exc.start].decode("utf-8")
+                before = split_lines(good)  # its last item starts the faulty line
+                yield good[: len(good) - len(before[-1])]
+                line = lineno + len(before) - 1
+                message = _not_utf8(exc, offset)
+                raise MalformedTraceError(f"line {line}: not UTF-8 text: {message}") from None
+            yield text
+            lineno += block.count(b"\n")
+            if b"\r" in block:  # a \r alone ends a line too
+                lineno += block.count(b"\r") - block.count(b"\r\n")
+            offset += len(block)
+
+
+# records formatted, and held as text, at a time: a batch's buffers (about
+# 50 KB of text on dense_crosstalk) stay below glibc malloc's default 128 KiB
+# threshold for mapping fresh pages, which fault on first touch
+_WRITE_BATCH = 1024
 
 
 def write_trace(records: Iterable[TraceRecord], path: str | Path) -> None:
     """Write the trace :func:`format_trace` gives for the records, a batch at a time."""
     records = iter(records)
     with Path(path).open("w", encoding="utf-8") as file:
-        while text := format_trace(islice(records, _WRITE_BATCH)):
-            file.write(text)
+        while batch := list(islice(records, _WRITE_BATCH)):
+            file.write(format_trace(batch))

@@ -5,7 +5,8 @@ seed and run in process; its trace and report bytes and its simulated
 statistics must equal those that ``perfbench/expected.json`` records,
 whether ``run_to_quiescence`` or a loop over ``step()`` dispatches it.
 Both files are only read here. The workloads reach fabric sizes and
-override traffic that the shipped scenarios do not.
+override traffic that the shipped scenarios do not. ``dense_crosstalk``'s
+trace, at 2.2 MB, also bounds what writing and reading a trace may hold.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ import functools
 import hashlib
 import importlib.util
 import json
+import tracemalloc
 import types
 from pathlib import Path
 
 import pytest
 
+import memfabric.cli
 import memfabric.trace
 from memfabric import (
     build_simulation,
@@ -91,8 +94,8 @@ def test_workload_stepped_runs_equal_the_recorded_ones(name):
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_traces_decode_on_the_scan_alone(name, tmp_path, monkeypatch):
-    # Every line run writes is canonical, so no bench trace reaches the
-    # line-by-line general path.
+    # Every line run writes is canonical, so no bench trace read as verify
+    # reads it, in blocks, reaches the line-by-line general path.
     scenario, result = _run(name)
     path = tmp_path / "out.trace.jsonl"
     write_trace(result.records, path)
@@ -101,7 +104,7 @@ def test_workload_traces_decode_on_the_scan_alone(name, tmp_path, monkeypatch):
         raise AssertionError(f"decode_line called on {line!r}")
 
     monkeypatch.setattr(memfabric.trace, "decode_line", general_path)
-    records = parse_trace(path.read_text(encoding="utf-8"))
+    records = parse_trace(memfabric.trace.read_trace(path))
     assert records == result.records
     assert verify_run(scenario, records) == []
 
@@ -115,3 +118,48 @@ def test_workload_traces_are_written_by_the_f_strings_alone(name, monkeypatch):
 
     monkeypatch.setattr(memfabric.trace, "json", types.SimpleNamespace(dumps=dumps))
     assert _sha256(format_trace(_run(name)[1].records)) == EXPECTED[name]["trace_sha256"]
+
+
+def traced_peak(function, *args) -> tuple[int, int]:
+    """The bytes that ``function(*args)`` left allocated, and its peak, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_trace_holds_one_batch_of_text_at_a_time(tmp_path):
+    records = _run("dense_crosstalk")[1].records
+    # A batch holds at most 4,096 records: its lines, their text and the
+    # text's UTF-8 bytes take about four times the text, a fraction of the
+    # trace's own text.
+    bound = 5 * len(format_trace(records[:4096]))
+    assert bound < len(format_trace(records)) / 2
+    peak = traced_peak(write_trace, records, tmp_path / "out.trace.jsonl")[1]
+    assert peak < bound
+
+
+def test_verify_holds_the_records_and_a_few_blocks_of_text(tmp_path, monkeypatch):
+    result = _run("dense_crosstalk")[1]
+    scenario_path, trace_path = tmp_path / "dense.scn", tmp_path / "out.trace.jsonl"
+    scenario_path.write_text(
+        workloads.generate("dense_crosstalk", workloads.WORKLOADS["dense_crosstalk"][1]),
+        encoding="utf-8",
+    )
+    write_trace(result.records, trace_path)
+    kept = []
+    monkeypatch.setattr(
+        memfabric.cli, "verify_run", lambda scn, records, **kwargs: kept.append(records) or []
+    )
+    argv = ["verify", str(scenario_path), str(trace_path)]
+    footprint, peak = traced_peak(memfabric.cli.main, argv)
+    assert kept == [result.records]
+    # Beyond the records it keeps, the decode holds about four 64 KiB blocks
+    # at a time (the bytes read, the bytes cut at a newline, their text and
+    # the next read) and its value cache, which goes when it ends; the
+    # trace's text alone is more than twice the bound.
+    bound = 12 * 65536
+    assert bound < trace_path.stat().st_size / 2
+    assert peak - footprint < bound

@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import memfabric.cli
+import memfabric.oracle
+import memfabric.trace
 from conftest import OVERRIDE_CYCLE, python_command
-from memfabric import parse_scenario, run_scenario
+from memfabric import ParseError, parse_scenario, run_scenario
 from memfabric.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -383,6 +385,18 @@ def test_verify_rejects_a_repeated_key(scenario_file, capsys, tick):
     assert captured.out == ""
 
 
+def test_a_non_utf8_scenario_error_holds_its_line(tmp_path):
+    path = tmp_path / "latin1.scn"
+    path.write_bytes(b"fabric words=2 delay1=5 delay2=1 threshold=1\n# caf\xe9\nmaxticks 10\n")
+    with pytest.raises(ParseError) as info:
+        memfabric.cli._read_text(str(path))
+    assert info.value.line == 2
+    assert str(info.value) == (
+        "line 2: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position 50: "
+        "invalid continuation byte"
+    )
+
+
 @pytest.mark.parametrize("command", ["run", "check", "verify"])
 def test_non_utf8_scenario_exits_one_naming_the_line(tmp_path, capsys, command):
     path = tmp_path / "latin1.scn"
@@ -579,3 +593,46 @@ def test_a_dropped_run_is_freed_without_the_cyclic_collector(name):
         assert gc.collect() == 0
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+# -- the module globals the per-layer benchmark wraps ----------------------
+
+
+def spy(monkeypatch, module, name: str, calls: list) -> None:
+    """Route calls of ``module.name`` through a wrapper that logs them."""
+    function = getattr(module, name)
+
+    def logged(*args, **kwargs):
+        calls.append(name)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, logged)
+
+
+def test_verify_calls_the_module_globals_the_benchmark_times(scenario_file, monkeypatch):
+    # perfbench/child.py times the trace decode and the oracle by wrapping
+    # these globals; a verify that bypassed one would read zero time there.
+    assert main(["run", str(scenario_file)]) == 0
+    calls = []
+    spy(monkeypatch, memfabric.cli, "parse_trace", calls)
+    spy(monkeypatch, memfabric.cli, "verify_run", calls)
+    spy(monkeypatch, memfabric.oracle, "detection_ticks", calls)
+    trace = scenario_file.parent / (scenario_file.name + ".trace.jsonl")
+    assert main(["verify", str(scenario_file), str(trace)]) == 0
+    assert calls == ["parse_trace", "verify_run", "detection_ticks"]
+
+
+def test_run_formats_the_trace_through_format_trace_once_per_batch(scenario_file, monkeypatch):
+    batches = []
+    format_trace = memfabric.trace.format_trace
+
+    def format_batch(records):
+        batches.append(len(records))
+        return format_trace(records)
+
+    monkeypatch.setattr(memfabric.trace, "format_trace", format_batch)
+    monkeypatch.setattr(memfabric.trace, "_WRITE_BATCH", 10)
+    assert main(["run", str(scenario_file)]) == 0
+    count = len(run_scenario(parse_scenario(scenario_file.read_text(encoding="utf-8"))).records)
+    assert count > 2 * 10
+    assert batches == [10] * (count // 10) + ([count % 10] if count % 10 else [])

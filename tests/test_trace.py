@@ -1,6 +1,7 @@
 """Trace codec: the fixed-order line formatter and the batched writer, the
 record validator, the one-scan decoder against a line-by-line reference,
-and the byte contract of the shipped scenarios."""
+the block reader against a decode of the whole file, and the byte contract
+of the shipped scenarios."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import itertools
 import json
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -27,6 +29,7 @@ from memfabric.trace import (
     _CANONICAL_SHAPES,
     _LINE,
     decode_line,
+    read_trace,
     record_from_obj,
     split_lines,
     write_trace,
@@ -218,9 +221,11 @@ def test_write_trace_writes_format_trace_a_batch_at_a_time(count, tmp_path, monk
     path = tmp_path / "out.trace.jsonl"
     write_trace(records, path)
     assert path.read_bytes() == format_trace(records).encode("utf-8")
-    # every batch went through the module's format_trace, none over the size
+    # every batch went through the module's format_trace once, full but the last
     assert [rec for batch in batches for rec in batch] == records
-    assert all(len(batch) <= 7 for batch in batches)
+    assert [len(batch) for batch in batches] == [7] * (len(records) // 7) + (
+        [len(records) % 7] if len(records) % 7 else []
+    )
 
 
 @given(records())
@@ -534,3 +539,167 @@ def test_a_malformed_line_is_named_before_a_later_tick_that_goes_down():
     error = "line 2: unknown event kind: 'mystery'"
     with pytest.raises(MalformedTraceError, match=f"^{re.escape(error)}$"):
         parse_trace(text)
+
+
+# -- the block reader: a file's bytes, decoded block by block --------------
+
+
+def reference_read_trace(data: bytes) -> list[TraceRecord]:
+    """reference_parse_trace of the file's text; at the first byte that is not
+    UTF-8, the first fault of the lines before its line, else its own error."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = split_lines(data[: exc.start].decode("utf-8"))
+        reference_parse_trace("\n".join(lines[:-1]))
+        raise MalformedTraceError(f"line {len(lines)}: not UTF-8 text: {exc}") from None
+    return reference_parse_trace(text)
+
+
+def assert_read_as_by_the_reference(path: Path, block: int) -> None:
+    """parse_trace of read_trace, at ``block`` bytes a read, gives the
+    reference's records for the file, or its error."""
+    try:
+        expected = reference_read_trace(path.read_bytes())
+    except MalformedTraceError as exc:
+        with mock.patch.object(memfabric.trace, "_READ_BLOCK", block):
+            with pytest.raises(MalformedTraceError) as info:
+                parse_trace(read_trace(path))
+        assert str(info.value) == str(exc)
+    else:
+        with mock.patch.object(memfabric.trace, "_READ_BLOCK", block):
+            assert parse_trace(read_trace(path)) == expected
+
+
+# surrogateescape writes "\udcXX" as the lone byte 0xXX: a byte that starts
+# no character, one that cannot start one, and a cut-off 3-byte character;
+# then 2-, 3- and 4-byte characters, which no line of run's has.
+_odd_chars = st.sampled_from(
+    ["\udc80", "\udcff", "\udce2\udc82", "\u00e9", "\u20ac", "\U0001f600"]
+)
+
+
+@st.composite
+def trace_bytes(draw) -> bytes:
+    """A trace of traces(), encoded, with bytes that are not UTF-8 and
+    multi-byte characters put in."""
+    text = draw(traces())
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        where = draw(st.integers(min_value=0, max_value=len(text)))
+        text = text[:where] + draw(_odd_chars) + text[where:]
+    return text.encode("utf-8", "surrogateescape")
+
+
+@given(data=trace_bytes(), block=st.integers(min_value=1, max_value=64))
+def test_a_trace_read_in_blocks_decodes_or_fails_as_the_whole_file(
+    tmp_path_factory, data, block
+):
+    path = tmp_path_factory.getbasetemp() / "blocks.trace.jsonl"
+    path.write_bytes(data)
+    assert_read_as_by_the_reference(path, block)
+
+
+WORKED_LINES = format_trace(scenario_records("worked_example.scn")).splitlines()
+BAD_BYTE = "\udce9"  # the lone byte 0xe9, through surrogateescape
+
+
+def read_records(path: Path, block: int) -> list[TraceRecord]:
+    with mock.patch.object(memfabric.trace, "_READ_BLOCK", block):
+        return parse_trace(read_trace(path))
+
+
+def read_error(path: Path, block: int) -> str:
+    with mock.patch.object(memfabric.trace, "_READ_BLOCK", block):
+        with pytest.raises(MalformedTraceError) as info:
+            parse_trace(read_trace(path))
+    return str(info.value)
+
+
+def write_lines(path: Path, lines: list[str], end: str = "\n", last: str = "\n") -> Path:
+    path.write_bytes((end.join(lines) + last).encode("utf-8", "surrogateescape"))
+    return path
+
+
+def test_a_tick_that_goes_down_across_blocks_fails_at_its_line(tmp_path):
+    first = '{"t":5,"ev":"done","word":1,"episode":0}'
+    second = '{"t":4,"ev":"done","word":1,"episode":0}'
+    path = write_lines(tmp_path / "t.jsonl", [first, second])
+    # one block holds the first line alone, so its tick is the next block's floor
+    assert read_error(path, len(first) + 1) == "line 2: out-of-order tick 4 after 5"
+    assert_read_as_by_the_reference(path, len(first) + 1)
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+@pytest.mark.parametrize("block", [1, 7, 64, 65536])
+def test_every_line_end_is_read_across_blocks(tmp_path, end, block):
+    path = write_lines(tmp_path / "t.jsonl", WORKED_LINES, end=end, last=end)
+    assert read_records(path, block) == scenario_records("worked_example.scn")
+    # a malformed line, and a bad byte, past the first block name their lines
+    faults = [("{}", "line 90: unknown event kind: None"), (BAD_BYTE, "line 90: not UTF-8 text")]
+    for fault, error in faults:
+        lines = WORKED_LINES[:89] + [fault] + WORKED_LINES[89:]
+        path = write_lines(tmp_path / "t.jsonl", lines, end=end, last=end)
+        assert read_error(path, block).startswith(error)
+        assert_read_as_by_the_reference(path, block)
+
+
+@pytest.mark.parametrize("block", [64, 65536])
+def test_records_read_in_blocks_share_one_object_per_value(tmp_path, block):
+    # One value cache serves every block, as it serves every line of a text.
+    records = read_records(write_lines(tmp_path / "t.jsonl", WORKED_LINES), block)
+    assert records == scenario_records("worked_example.scn")
+    for values in ([rec.t for rec in records], [rec.pair for rec in records if rec.pair]):
+        assert len(set(map(id, values))) == len(set(values)) < len(values)
+
+
+@pytest.mark.parametrize("block", [1, 64, 1000])
+def test_lines_a_lone_carriage_return_ends_are_counted_across_blocks(tmp_path, block):
+    # A block is cut only after a \n, so only a mix of line ends puts lines
+    # that a \r ends into blocks before the faulty line's.
+    lines = WORKED_LINES[:99] + [BAD_BYTE] + WORKED_LINES[99:]
+    text = "".join(line + ("\n" if n % 10 == 9 else "\r") for n, line in enumerate(lines))
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    assert read_error(path, block).startswith("line 100: not UTF-8 text")
+    assert_read_as_by_the_reference(path, block)
+
+
+@pytest.mark.parametrize("block", [1, 10, 64, 65536])
+def test_a_last_line_without_a_newline_is_read(tmp_path, block):
+    path = write_lines(tmp_path / "t.jsonl", WORKED_LINES, last="")
+    assert read_records(path, block) == scenario_records("worked_example.scn")
+    path = write_lines(tmp_path / "t.jsonl", WORKED_LINES + ['{"t":0,"ev":"mystery"}'], last="")
+    error = f"line {len(WORKED_LINES) + 1}: unknown event kind: 'mystery'"
+    assert read_error(path, block) == error
+
+
+# the lone byte 0xe9, and a 3-byte character cut after two bytes
+@pytest.mark.parametrize(
+    "bad,where",
+    [(BAD_BYTE, "byte 0xe9 in position {0}"), ("\udce2\udc82", "bytes in position {0}-{1}")],
+)
+@pytest.mark.parametrize("block", [1, 64, 1000])
+def test_a_bad_byte_past_the_first_block_names_its_line_and_file_offset(
+    tmp_path, block, bad, where
+):
+    lines = WORKED_LINES[:]
+    lines[99] = lines[99][:10] + bad + lines[99][10:]
+    path = write_lines(tmp_path / "t.jsonl", lines)
+    offset = sum(len(line) + 1 for line in WORKED_LINES[:99]) + 10
+    where = where.format(offset, offset + 1)
+    assert read_error(path, block) == (
+        f"line 100: not UTF-8 text: 'utf-8' codec can't decode {where}: invalid continuation byte"
+    )
+    assert_read_as_by_the_reference(path, block)
+
+
+@pytest.mark.parametrize("gap", [0, 1, 60])
+@pytest.mark.parametrize("block", [1, 64, 65536])
+def test_a_malformed_line_before_a_bad_byte_is_named_first(tmp_path, gap, block):
+    # gap lines between the two, so that at 64 bytes a read they share a block
+    # or not; at 65536 one block holds the file
+    lines = WORKED_LINES[:10] + ['{"t":0,"ev":"mystery"}'] + WORKED_LINES[10 : 10 + gap]
+    lines.append(WORKED_LINES[10 + gap][:5] + BAD_BYTE)
+    path = write_lines(tmp_path / "t.jsonl", lines)
+    assert read_error(path, block) == "line 11: unknown event kind: 'mystery'"
+    assert_read_as_by_the_reference(path, block)
