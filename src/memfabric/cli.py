@@ -8,17 +8,18 @@ Three commands:
                 Exit 0 on quiescence, 3 on hitting the tick limit.
 * ``verify``  — recompute learning and replay from a trace with the
                 brute-force oracle and compare, up to the scenario's
-                tick limit or ``--max-ticks``. The trace is read and
-                decoded a block of lines at a time, so only its records
-                are held. Exit 0 on agreement, 4 on the first divergence
+                tick limit or ``--max-ticks``. The trace is decoded a
+                block of lines at a time, so only its records are held.
+                Exit 0 on agreement, 4 on the first divergence
                 (reported on stderr).
 * ``check``   — parse and validate only; echo the canonical form.
 
-Exit 1 is a usage, parse or validation problem (the message names the
-line), exit 2 an I/O problem. In a trace the line named is the first
-faulty one in file order, whether its fault is a byte that is not UTF-8
-or a malformed record. Diagnostics go to stderr; stdout stays silent
-except for ``check``'s canonical echo.
+Both files are read through :func:`~memfabric.trace.read_blocks`. Exit 1
+is a usage, parse or validation problem (the message names the line),
+exit 2 an I/O problem. In a scenario or a trace, the line named is the
+first faulty one in file order, whether its fault is a byte that is not
+UTF-8 or anything else of that line alone. Diagnostics go to stderr;
+stdout stays silent except for ``check``'s canonical echo.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from pathlib import Path
 from memfabric.engine import run_scenario
 from memfabric.oracle import verify_run
 from memfabric.scenario import (
-    ParseError,
     ScenarioError,
     canonical_scenario,
     check_max_tick,
@@ -41,7 +41,7 @@ from memfabric.scenario import (
     parse_scenario,
     write_report,
 )
-from memfabric.trace import MalformedTraceError, parse_trace, read_trace, split_lines, write_trace
+from memfabric.trace import MalformedTraceError, parse_trace, read_blocks, write_trace
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -91,19 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(path: str) -> str:
-    """The scenario file's text; bytes that are not UTF-8 raise a
-    :class:`ParseError` at their line."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        # exc.object holds the file's bytes; all before exc.start decoded.
-        before = exc.object[: exc.start].decode("utf-8")
-        raise ParseError(f"not UTF-8 text: {exc}", len(split_lines(before))) from None
-
-
 def _load_scenario(path: str):
-    scenario = parse_scenario(_read_text(path))
+    scenario = parse_scenario(read_blocks(path))
     for warning in scenario.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return scenario
@@ -140,7 +129,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
-    records = parse_trace(read_trace(args.trace))
+    records = parse_trace(read_blocks(args.trace))
     problems = verify_run(scenario, records, max_tick=args.max_ticks)
     if problems:
         print(f"divergence: {problems[0]}", file=sys.stderr)

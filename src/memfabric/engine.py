@@ -202,7 +202,8 @@ class RunResult:
 
 def build_simulation(scenario: Scenario, *, loop_suppression: bool = True) -> Simulation:
     # The no-repeat rule has no switch. The keyword stays only because the
-    # benchmark harness passes True; ROADMAP item 5, the benchmark change, deletes it.
+    # benchmark harness passes True: ROADMAP item 1 moves the harness off it,
+    # and item 7 deletes it.
     if loop_suppression is not True:
         raise ValueError(f"loop_suppression must be True, got {loop_suppression!r}")
     sim = Simulation(scenario.config)

@@ -32,6 +32,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from memfabric.driver import Probe, RehearsalPlan
 from memfabric.fabric import DONE_ENABLE, FabricConfig
@@ -125,7 +126,10 @@ _FABRIC_ARGS = {"words": True, "delay1": True, "delay2": True, "threshold": True
 _PLAN_ARGS = {"reps": True, "gap": True, "rest": True, "start": True}
 
 
-def parse_scenario(text: str) -> Scenario:
+def parse_scenario(text: str | Iterable[str]) -> Scenario:
+    """``text`` is the whole scenario, or its blocks as :func:`~memfabric.trace.read_blocks`
+    gives them; a byte they fail to decode (a :class:`UnicodeError`) is a
+    :class:`ParseError` of its line."""
     fabric: tuple[int, list[int], str] | None = None  # (line, [words, delays, threshold], mode)
     default_dur: tuple[int, int] | None = None  # (value, line)
     dur_overrides: dict[int, tuple[int, int]] = {}  # word -> (value, line)
@@ -135,65 +139,67 @@ def parse_scenario(text: str) -> Scenario:
     max_tick: int | None = None
     # ``line`` always holds the line being checked: the one being read, then the
     # directive's line of each whole-file rule. Every error is located below.
-    line: int | None = None
+    line: int | None = 1
     try:
-        for line, raw in enumerate(split_lines(text), start=1):
-            tokens = raw.split("#", 1)[0].split()
-            if not tokens:
-                continue
-            head = tokens[0]
-            if head == "fabric":
-                if fabric is not None:
-                    raise ParseError("duplicate fabric directive")
-                args = _parse_kv(tokens[1:], _FABRIC_ARGS, "fabric")
-                ints = [parse_int(args[key], key) for key in ("words", "delay1", "delay2", "threshold")]
-                fabric = (line, ints, args.get("mode", DONE_ENABLE))
-            elif head == "dur":
-                if len(tokens) != 3:
-                    raise ParseError("dur takes exactly two arguments: '*' or a word id, and ticks")
-                value = parse_int(tokens[2], "duration")
-                if tokens[1] == "*":
-                    if default_dur is not None:
-                        raise ParseError("duplicate default duration")
-                    default_dur = (value, line)
+        for block in (text,) if isinstance(text, str) else text:
+            # a block's last item, after its final newline, is the next block's first line
+            for line, raw in enumerate(split_lines(block), start=line):
+                tokens = raw.split("#", 1)[0].split()
+                if not tokens:
+                    continue
+                head = tokens[0]
+                if head == "fabric":
+                    if fabric is not None:
+                        raise ParseError("duplicate fabric directive")
+                    args = _parse_kv(tokens[1:], _FABRIC_ARGS, "fabric")
+                    ints = [parse_int(args[key], key) for key in _FABRIC_ARGS if key != "mode"]
+                    fabric = (line, ints, args.get("mode", DONE_ENABLE))
+                elif head == "dur":
+                    if len(tokens) != 3:
+                        raise ParseError("dur takes exactly two arguments: '*' or a word id, and ticks")
+                    value = parse_int(tokens[2], "duration")
+                    if tokens[1] == "*":
+                        if default_dur is not None:
+                            raise ParseError("duplicate default duration")
+                        default_dur = (value, line)
+                    else:
+                        word = parse_int(tokens[1], "word id")
+                        if word in dur_overrides:
+                            raise ParseError(f"duplicate duration for word {word}")
+                        dur_overrides[word] = (value, line)
+                elif head == "rehearse":
+                    kv = 1  # the first key=value token
+                    while kv < len(tokens) and "=" not in tokens[kv]:
+                        kv += 1
+                    words = [parse_int(token, "word id") for token in tokens[1:kv]]
+                    args = _parse_kv(tokens[kv:], _PLAN_ARGS, "rehearse")
+                    plans[line] = RehearsalPlan(words, **{k: parse_int(v, k) for k, v in args.items()})
+                elif head == "at":
+                    if len(tokens) < 3:
+                        raise ParseError("at directive needs a tick and an action")
+                    tick = parse_int(tokens[1], "tick")
+                    if tokens[2] == "probe":
+                        if len(tokens) != 4:
+                            raise ParseError("probe takes exactly one word id")
+                        probes[line] = Probe(tick, parse_int(tokens[3], "word id"))
+                    elif tokens[2] == "override":
+                        if len(tokens) != 6:
+                            raise ParseError("override takes two word ids and open|closed")
+                        i, j = parse_int(tokens[3], "word id"), parse_int(tokens[4], "word id")
+                        if tokens[5] not in ("open", "closed"):
+                            raise ParseError(f"override state must be open or closed, got {tokens[5]!r}")
+                        overrides[line] = OverrideDirective(tick, i, j, tokens[5] == "open")
+                    else:
+                        raise ParseError(f"unknown action {tokens[2]!r} after 'at'")
+                elif head == "maxticks":
+                    if max_tick is not None:
+                        raise ParseError("duplicate maxticks directive")
+                    if len(tokens) != 2:
+                        raise ParseError("maxticks takes exactly one value")
+                    max_tick = parse_int(tokens[1], "maxticks")
+                    check_max_tick(max_tick)
                 else:
-                    word = parse_int(tokens[1], "word id")
-                    if word in dur_overrides:
-                        raise ParseError(f"duplicate duration for word {word}")
-                    dur_overrides[word] = (value, line)
-            elif head == "rehearse":
-                kv = 1  # the first key=value token
-                while kv < len(tokens) and "=" not in tokens[kv]:
-                    kv += 1
-                words = [parse_int(token, "word id") for token in tokens[1:kv]]
-                args = _parse_kv(tokens[kv:], _PLAN_ARGS, "rehearse")
-                plans[line] = RehearsalPlan(words, **{k: parse_int(v, k) for k, v in args.items()})
-            elif head == "at":
-                if len(tokens) < 3:
-                    raise ParseError("at directive needs a tick and an action")
-                tick = parse_int(tokens[1], "tick")
-                if tokens[2] == "probe":
-                    if len(tokens) != 4:
-                        raise ParseError("probe takes exactly one word id")
-                    probes[line] = Probe(tick, parse_int(tokens[3], "word id"))
-                elif tokens[2] == "override":
-                    if len(tokens) != 6:
-                        raise ParseError("override takes two word ids and open|closed")
-                    i, j = parse_int(tokens[3], "word id"), parse_int(tokens[4], "word id")
-                    if tokens[5] not in ("open", "closed"):
-                        raise ParseError(f"override state must be open or closed, got {tokens[5]!r}")
-                    overrides[line] = OverrideDirective(tick, i, j, tokens[5] == "open")
-                else:
-                    raise ParseError(f"unknown action {tokens[2]!r} after 'at'")
-            elif head == "maxticks":
-                if max_tick is not None:
-                    raise ParseError("duplicate maxticks directive")
-                if len(tokens) != 2:
-                    raise ParseError("maxticks takes exactly one value")
-                max_tick = parse_int(tokens[1], "maxticks")
-                check_max_tick(max_tick)
-            else:
-                raise ParseError(f"unknown directive {head!r}")
+                    raise ParseError(f"unknown directive {head!r}")
 
         line = None
         if fabric is None:
@@ -225,6 +231,8 @@ def parse_scenario(text: str) -> Scenario:
             config.check_pair(directive.i, directive.j)
     except ScenarioError as exc:  # raised here, without its line
         raise type(exc)(str(exc), line) from None
+    except UnicodeError as exc:  # a byte that is not UTF-8, from the blocks
+        raise ParseError(str(exc), line) from None
     except ValueError as exc:  # a rule broken, raised by the rule's owner
         raise ValidationError(str(exc), line) from exc
 

@@ -9,10 +9,11 @@ writer of a line, and :meth:`TraceRecord.to_json_line` is the line it
 writes for one record. :func:`write_trace` formats and writes
 :data:`_WRITE_BATCH` records at a time. :func:`parse_trace` matches each
 line once in one regex scan of the text, or of each block of it that
-:func:`read_trace` reads from a file: a line written here decodes from
+:func:`read_blocks` reads from a file: a line written here decodes from
 the match, any other line alone through :func:`decode_line`. Records
 decoded either way share the schema's one string per kind and per
-source.
+source. :func:`read_blocks` reads a scenario too; each parser names the
+line of a byte that is not UTF-8, as of any other fault.
 
 Field usage by record kind::
 
@@ -163,11 +164,12 @@ def format_trace(records: Iterable[TraceRecord]) -> str:
     """Serialize records to the JSON Lines trace body (empty run, empty body).
 
     Each line is one compact JSON object, keys in the fixed order, and a
-    newline: ``json.dumps`` of the present fields with ``separators=(",",
-    ":")``. The field sets the schema allows are written by one f-string
-    each, picked by which fields are ``None``: the same bytes, as every
-    value is an int, a pair of ints or a schema string (an event kind or a
-    source) that needs no escaping. Any other set is written by that call.
+    newline. Each field set the schema allows has its own f-string, picked
+    by which fields are ``None``; any other set is written by ``json.dumps``
+    with ``separators=(",", ":")``. The f-strings give that call's bytes for
+    the values :class:`TraceRecord` declares and the fabric and the decoder
+    build: ints, int pairs and schema strings. Other values are unchecked,
+    so a bool, or a string holding a quote, may give a line the decoder rejects.
     """
     lines = []
     append = lines.append
@@ -310,13 +312,13 @@ def parse_trace(text: str | Iterable[str]) -> list[TraceRecord]:
     """Decode a JSON Lines trace into records; blank lines are skipped.
 
     ``text`` is the whole trace, or its blocks in order, each but the last
-    ending with a newline, as :func:`read_trace` gives them: a whole text
+    ending with a newline, as :func:`read_blocks` gives them: a whole text
     is one block. One regex scan of each block matches each line once. A
     line as :func:`format_trace` writes it is decoded from the match's
     groups, and any other line, alone, through :func:`decode_line`, to the
-    same record. The first line that is not a valid record, or whose tick
-    is below the previous record's, raises :class:`MalformedTraceError`
-    prefixed with its line number; an error the blocks raise is passed on.
+    same record. The first line that is not a valid record, whose tick is
+    below the previous record's, or that the blocks fail to decode (a
+    :class:`UnicodeError`) raises :class:`MalformedTraceError` at its line.
     """
     values = _Values({None: None, **_SOURCES})
     shapes = _CANONICAL_SHAPES
@@ -325,34 +327,36 @@ def parse_trace(text: str | Iterable[str]) -> list[TraceRecord]:
     append = records.append
     last = 0
     lineno = 1
-    for block in (text,) if isinstance(text, str) else text:
-        # the empty match after a block's final newline is the next block's
-        # first line, so the next block counts on from its number
-        for lineno, match in enumerate(_LINE.finditer(_unify_newlines(block)), start=lineno):
-            t, ev, word, pair, src, episode, stage, line = match.groups()
-            # the table's copy of the kind, which records share; None for the
-            # last branch or for a field set the kind does not allow
-            ev = shapes.get((ev, not word, not pair, not src, not episode, not stage))
-            if ev is not None:
-                t = values[t]
-                rec = (
-                    t, ev, values[word], values[pair], values[src], values[episode], values[stage]
-                )
-                rec = new(TraceRecord, rec)
-            elif line == "":
-                continue
-            else:  # not canonical, or canonical with a field set its kind does not allow
-                try:
-                    rec = decode_line(match[0])
-                except MalformedTraceError as exc:
-                    raise MalformedTraceError(f"line {lineno}: {exc}") from exc
-                if rec is None:
+    try:
+        for block in (text,) if isinstance(text, str) else text:
+            # the empty match after a block's final newline is the next block's
+            # first line, so the next block counts on from its number
+            for lineno, match in enumerate(_LINE.finditer(_unify_newlines(block)), start=lineno):
+                t, ev, word, pair, src, episode, stage, line = match.groups()
+                # the table's copy of the kind, which records share; None for the
+                # last branch or for a field set the kind does not allow
+                ev = shapes.get((ev, not word, not pair, not src, not episode, not stage))
+                if ev is not None:
+                    t = values[t]
+                    rec = (
+                        t, ev, values[word], values[pair], values[src],
+                        values[episode], values[stage],
+                    )
+                    rec = new(TraceRecord, rec)
+                elif line == "":
                     continue
-                t = rec.t
-            if t < last:
-                raise MalformedTraceError(f"line {lineno}: out-of-order tick {t} after {last}")
-            last = t
-            append(rec)
+                else:  # not canonical, or canonical with a field set its kind does not allow
+                    rec = decode_line(match[0])
+                    if rec is None:
+                        continue
+                    t = rec.t
+                if t < last:
+                    raise MalformedTraceError(f"out-of-order tick {t} after {last}")
+                last = t
+                append(rec)
+    except (MalformedTraceError, UnicodeError) as exc:
+        # the line's record, its tick, or (from the blocks) its bytes
+        raise MalformedTraceError(f"line {lineno}: {exc}") from exc
     return records
 
 
@@ -384,15 +388,13 @@ def _whole_lines(file) -> Iterator[bytes]:
         yield rest
 
 
-def read_trace(path: str | Path) -> Iterator[str]:
-    """The file's text, for :func:`parse_trace`, in blocks of whole lines,
-    each read as :data:`_READ_BLOCK` bytes and cut after its last newline.
-
-    Bytes that are not UTF-8 raise :class:`MalformedTraceError` naming
-    their line and their file offset, after the block's text before that
-    line, so that a fault among the lines before it is found first.
+def read_blocks(path: str | Path) -> Iterator[str]:
+    """A trace's or a scenario's text, for :func:`parse_trace` or ``parse_scenario``,
+    in blocks of whole lines, each read as :data:`_READ_BLOCK` bytes and cut
+    after its last newline. Bytes that are not UTF-8 raise :class:`UnicodeError`
+    (``not UTF-8 text: …``, at their file offset) after the text before their
+    line, so the parser, which counts lines, finds a fault among those first.
     """
-    lineno = 1  # of the block's first line
     offset = 0  # of the block's first byte in the file
     with Path(path).open("rb") as file:
         for block in _whole_lines(file):
@@ -400,15 +402,9 @@ def read_trace(path: str | Path) -> Iterator[str]:
                 text = block.decode("utf-8")
             except UnicodeDecodeError as exc:
                 good = block[: exc.start].decode("utf-8")
-                before = split_lines(good)  # its last item starts the faulty line
-                yield good[: len(good) - len(before[-1])]
-                line = lineno + len(before) - 1
-                message = _not_utf8(exc, offset)
-                raise MalformedTraceError(f"line {line}: not UTF-8 text: {message}") from None
+                yield good[: len(good) - len(split_lines(good)[-1])]  # the lines before its line
+                raise UnicodeError(f"not UTF-8 text: {_not_utf8(exc, offset)}") from None
             yield text
-            lineno += block.count(b"\n")
-            if b"\r" in block:  # a \r alone ends a line too
-                lineno += block.count(b"\r") - block.count(b"\r\n")
             offset += len(block)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import sys
 
 import pytest
+from hypothesis import strategies as st
 
 from memfabric import QUIESCENT, TICK_LIMIT, RunOutcome, RunResult, parse_scenario, run_scenario
 
@@ -28,6 +29,22 @@ REFRACTORY_FIRE = (
     "at 5 probe 2\n"
     "maxticks 500\n"
 )
+
+
+# surrogateescape writes "\udcXX" as the lone byte 0xXX: a byte that starts
+# no character, one that cannot start one, and a cut-off 3-byte character;
+# then 2-, 3- and 4-byte characters, which no line of run's has.
+ODD_CHARS = ["\udc80", "\udcff", "\udce2\udc82", "\u00e9", "\u20ac", "\U0001f600"]
+
+
+@st.composite
+def with_odd_chars(draw, texts, chars=ODD_CHARS) -> bytes:
+    """A text of ``texts`` with up to two of ``chars`` put in, encoded."""
+    text = draw(texts)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        where = draw(st.integers(min_value=0, max_value=len(text)))
+        text = text[:where] + draw(st.sampled_from(chars)) + text[where:]
+    return text.encode("utf-8", "surrogateescape")
 
 
 def python_command() -> list[str]:

@@ -34,6 +34,7 @@ from memfabric import (
     write_trace,
 )
 from conftest import step_until
+from literal_fabric import LiteralFabric, filter_records
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 EXPECTED = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
@@ -93,6 +94,15 @@ def test_workload_stepped_runs_equal_the_recorded_ones(name):
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_filters_fire_as_the_literal_circuit(name):
+    # Up to 89,700 filter objects, each with its own window and latches
+    # (sparse_learn), against the fabric's one window per source word.
+    scenario, result = _run(name)
+    records = result.records
+    assert LiteralFabric(scenario.config).filter_records(records) == filter_records(records)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_traces_decode_on_the_scan_alone(name, tmp_path, monkeypatch):
     # Every line run writes is canonical, so no bench trace read as verify
     # reads it, in blocks, reaches the line-by-line general path.
@@ -104,7 +114,7 @@ def test_workload_traces_decode_on_the_scan_alone(name, tmp_path, monkeypatch):
         raise AssertionError(f"decode_line called on {line!r}")
 
     monkeypatch.setattr(memfabric.trace, "decode_line", general_path)
-    records = parse_trace(memfabric.trace.read_trace(path))
+    records = parse_trace(memfabric.trace.read_blocks(path))
     assert records == result.records
     assert verify_run(scenario, records) == []
 

@@ -15,7 +15,7 @@ import memfabric.cli
 import memfabric.oracle
 import memfabric.trace
 from conftest import OVERRIDE_CYCLE, python_command
-from memfabric import ParseError, parse_scenario, run_scenario
+from memfabric import ParseError, TraceRecord, parse_scenario, run_scenario, write_trace
 from memfabric.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -369,6 +369,30 @@ def test_verify_rejects_garbage_trace_as_invalid(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        TraceRecord(0, "done", word=True, episode=0),
+        TraceRecord(0, "enable", word=1, src='c"pu', episode=0),
+        TraceRecord(0, 'done"', word=1, episode=0),
+    ],
+    ids=["bool-word", "quote-in-src", "quote-in-kind"],
+)
+def test_a_written_record_of_other_values_fails_verify_at_its_line(
+    scenario_file, tmp_path, capsys, record
+):
+    # format_trace writes a field set its kind allows by an f-string, which
+    # gives json.dumps's bytes for ints, int pairs and schema strings only;
+    # a bool, or a string that needs escaping, is written as it is.
+    path = tmp_path / "odd.jsonl"
+    write_trace([TraceRecord(0, "enable", word=1, src="cpu", episode=0), record], path)
+    assert main(["verify", str(scenario_file), str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: malformed trace: line 2: not valid JSON: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("tick", [4, 9])
 def test_verify_rejects_a_repeated_key(scenario_file, capsys, tick):
     # With the same tick repeated, the run's own trace would verify if the
@@ -389,7 +413,7 @@ def test_a_non_utf8_scenario_error_holds_its_line(tmp_path):
     path = tmp_path / "latin1.scn"
     path.write_bytes(b"fabric words=2 delay1=5 delay2=1 threshold=1\n# caf\xe9\nmaxticks 10\n")
     with pytest.raises(ParseError) as info:
-        memfabric.cli._read_text(str(path))
+        memfabric.cli.parse_scenario(memfabric.trace.read_blocks(path))
     assert info.value.line == 2
     assert str(info.value) == (
         "line 2: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position 50: "
@@ -406,6 +430,21 @@ def test_non_utf8_scenario_exits_one_naming_the_line(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: line 2: not UTF-8 text")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "check", "verify"])
+def test_a_faulty_line_before_a_non_utf8_one_is_named_first(tmp_path, capsys, command):
+    # A byte that is not UTF-8 is a fault of its own line, reported in file order.
+    path = tmp_path / "two-faults.scn"
+    path.write_bytes(
+        b"bogus\nfabric words=2 delay1=5 delay2=1 threshold=1\n# caf\xe9\nmaxticks 10\n"
+    )
+    argv = [command, str(path)] + ([str(tmp_path / "absent.jsonl")] if command == "verify" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 1: unknown directive 'bogus'\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("char", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])

@@ -10,10 +10,12 @@ import json
 import pickle
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import memfabric.trace
 from memfabric import (
     QUIESCENT,
     TICK_LIMIT,
@@ -37,8 +39,8 @@ from memfabric import (
 )
 from memfabric.cli import main
 from memfabric.fabric import FabricConfig
-from memfabric.trace import EV_LEARNED, split_lines
-from conftest import run_text
+from memfabric.trace import EV_LEARNED, read_blocks, split_lines
+from conftest import ODD_CHARS, run_text, with_odd_chars
 
 
 def test_worked_example_parses(worked_example_text):
@@ -218,12 +220,13 @@ EDIT_TOKENS = [
 
 
 @st.composite
-def edited_scenarios(draw):
-    """A shipped scenario, comments dropped, after one or two token replacements,
+def edited_scenarios(draw, texts=st.sampled_from(SHIPPED_SCENARIOS), least_edits=1):
+    """One of ``texts`` (a shipped scenario by default), comments dropped,
+    after ``least_edits`` (by default one) to two token replacements,
     insertions or deletions, or line copies."""
-    text = draw(st.sampled_from(SHIPPED_SCENARIOS))
+    text = draw(texts)
     lines = [line.split("#", 1)[0].split() for line in text.splitlines()]
-    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+    for _ in range(draw(st.integers(min_value=least_edits, max_value=2))):
         kind = draw(st.sampled_from(["replace", "insert", "delete", "copy"]))
         tokens = lines[draw(st.integers(min_value=0, max_value=len(lines) - 1))]
         if kind == "copy":
@@ -372,6 +375,51 @@ def test_canonical_round_trip_for_generated_scenarios(scenario):
     reparsed = parse_scenario(echoed)
     assert reparsed == scenario
     assert canonical_scenario(reparsed) == echoed
+
+
+def reference_read_scenario(data: bytes) -> Scenario:
+    """parse_scenario of the file's text. A byte that is not UTF-8 is a fault
+    of its own line: its error is the one that an unknown directive in place
+    of that line gets, with the not-UTF-8 message if that error names the line.
+    No line after that one is ever read, so the reference drops them."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = split_lines(data[: exc.start].decode("utf-8"))  # the last starts the faulty line
+        try:
+            parse_scenario("\n".join(lines[:-1] + ["bogus"]))
+        except ScenarioError as first:
+            if first.line != len(lines):
+                raise
+        raise ParseError(f"not UTF-8 text: {exc}", len(lines)) from None
+    return parse_scenario(text)
+
+
+# scenarios() text after up to two edits, with bytes that are not UTF-8,
+# multi-byte characters or a lone carriage return (a line end) put in
+@given(
+    data=with_odd_chars(
+        edited_scenarios(scenarios().map(canonical_scenario), least_edits=0), [*ODD_CHARS, "\r"]
+    ),
+    block=st.integers(min_value=1, max_value=64),
+)
+def test_a_scenario_read_in_blocks_parses_or_fails_as_the_whole_file(
+    tmp_path_factory, data, block
+):
+    path = tmp_path_factory.getbasetemp() / "blocks.scn"
+    path.write_bytes(data)
+    try:
+        expected = reference_read_scenario(data)
+    except ScenarioError as exc:
+        with mock.patch.object(memfabric.trace, "_READ_BLOCK", block):
+            with pytest.raises(ScenarioError) as info:
+                parse_scenario(read_blocks(path))
+        error = info.value
+        assert (type(error), str(error), error.line) == (type(exc), str(exc), exc.line)
+    else:
+        with mock.patch.object(memfabric.trace, "_READ_BLOCK", block):
+            scenario = parse_scenario(read_blocks(path))
+        assert (scenario, scenario.warnings) == (expected, expected.warnings)
 
 
 def test_trace_lines_use_the_fixed_key_order(worked_example_text):

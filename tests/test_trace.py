@@ -29,11 +29,12 @@ from memfabric.trace import (
     _CANONICAL_SHAPES,
     _LINE,
     decode_line,
-    read_trace,
+    read_blocks,
     record_from_obj,
     split_lines,
     write_trace,
 )
+from conftest import with_odd_chars
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -557,40 +558,21 @@ def reference_read_trace(data: bytes) -> list[TraceRecord]:
 
 
 def assert_read_as_by_the_reference(path: Path, block: int) -> None:
-    """parse_trace of read_trace, at ``block`` bytes a read, gives the
+    """parse_trace of read_blocks, at ``block`` bytes a read, gives the
     reference's records for the file, or its error."""
     try:
         expected = reference_read_trace(path.read_bytes())
     except MalformedTraceError as exc:
         with mock.patch.object(memfabric.trace, "_READ_BLOCK", block):
             with pytest.raises(MalformedTraceError) as info:
-                parse_trace(read_trace(path))
+                parse_trace(read_blocks(path))
         assert str(info.value) == str(exc)
     else:
         with mock.patch.object(memfabric.trace, "_READ_BLOCK", block):
-            assert parse_trace(read_trace(path)) == expected
+            assert parse_trace(read_blocks(path)) == expected
 
 
-# surrogateescape writes "\udcXX" as the lone byte 0xXX: a byte that starts
-# no character, one that cannot start one, and a cut-off 3-byte character;
-# then 2-, 3- and 4-byte characters, which no line of run's has.
-_odd_chars = st.sampled_from(
-    ["\udc80", "\udcff", "\udce2\udc82", "\u00e9", "\u20ac", "\U0001f600"]
-)
-
-
-@st.composite
-def trace_bytes(draw) -> bytes:
-    """A trace of traces(), encoded, with bytes that are not UTF-8 and
-    multi-byte characters put in."""
-    text = draw(traces())
-    for _ in range(draw(st.integers(min_value=0, max_value=2))):
-        where = draw(st.integers(min_value=0, max_value=len(text)))
-        text = text[:where] + draw(_odd_chars) + text[where:]
-    return text.encode("utf-8", "surrogateescape")
-
-
-@given(data=trace_bytes(), block=st.integers(min_value=1, max_value=64))
+@given(data=with_odd_chars(traces()), block=st.integers(min_value=1, max_value=64))
 def test_a_trace_read_in_blocks_decodes_or_fails_as_the_whole_file(
     tmp_path_factory, data, block
 ):
@@ -605,13 +587,13 @@ BAD_BYTE = "\udce9"  # the lone byte 0xe9, through surrogateescape
 
 def read_records(path: Path, block: int) -> list[TraceRecord]:
     with mock.patch.object(memfabric.trace, "_READ_BLOCK", block):
-        return parse_trace(read_trace(path))
+        return parse_trace(read_blocks(path))
 
 
 def read_error(path: Path, block: int) -> str:
     with mock.patch.object(memfabric.trace, "_READ_BLOCK", block):
         with pytest.raises(MalformedTraceError) as info:
-            parse_trace(read_trace(path))
+            parse_trace(read_blocks(path))
     return str(info.value)
 
 
