@@ -16,32 +16,32 @@ sharing no logic with the event-driven implementation:
 Timelines and episode sub-traces are compared in a canonical order:
 sorted by tick, then a fixed kind rank, then word, then pair.
 
-:func:`verify_run` compares a trace, record by record, with the run the
-definition owes. It reads the trace as a sequence of heads, the first
-record of each dispatched event (an arrival, a done, an override
-switch), each followed by the records the definition derives from it:
-the filter fires of a trigger with their latch shifts and learned
-records, and a done's replay outcomes. Every record must equal the one
-record owed at its point. The owed heads form one schedule in the
-definition's ``(tick, seq)`` order: setup owes the override switches,
-the probes' CPU arrivals and the plans' first enables; an accepted
-enable owes its done, a scheduled replay its autonomous arrival, and a
-done, after its replay outcomes, the next CPU enable of each plan that
-awaits its word. The schedule runs to the horizon, the run's tick
-limit (the scenario's ``maxticks`` unless the caller passes another):
-an owed head at or before it that the trace lacks is a divergence, and
-a head past it is owed by nothing. The result is at most one
-divergence; empty means full agreement.
+:func:`verify_run` returns the first record at which a trace leaves the
+run the definition owes. It walks the trace beside that run, one
+stream of owed records: each head, the first record of a dispatched
+event (an arrival, a done, an override switch), followed by the
+records the definition derives from it: the filter fires of a trigger
+with their latch shifts and learned records, and a done's replay
+outcomes. The owed heads form one schedule in the definition's
+``(tick, seq)`` order: setup owes the override switches, the probes'
+CPU arrivals and the plans' first enables; an accepted enable owes its
+done, a scheduled replay its autonomous arrival, and a done, after its
+replay outcomes, the next CPU enable of each plan that awaits its word.
+The run stops before its first head past the horizon, the run's tick
+limit (the scenario's ``maxticks`` unless the caller passes another).
+A trace that ends before the run lacks an owed record, and a record
+after the run's end is owed by nothing; either is a divergence. The
+result is at most one divergence; empty means full agreement.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from collections.abc import Generator
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import count
+from itertools import count, zip_longest
 
 from memfabric.fabric import DONE_ENABLE, FabricConfig
 from memfabric.scenario import Scenario, check_max_tick
@@ -204,37 +204,15 @@ def predict_timeline(
 # -- whole-run verification ---------------------------------------------
 
 
-def _diverge(n: int, have: str, want: tuple | None) -> list[str]:
-    owes = f"the run owes {TraceRecord(*want).to_json_line()}" if want else "nothing owes it"
-    return [f"record {n}: the trace has {have}, but {owes}"]
-
-
-def verify_run(
-    scenario: Scenario, records: list[TraceRecord], *, max_tick: int | None = None
-) -> list[str]:
-    """Compare a trace, record by record, with the records the run owes.
-
-    ``max_tick`` is the horizon, the tick limit of the run that wrote the
-    trace; it defaults to ``scenario.max_tick``. Returns at most one
-    divergence, ``record N: the trace has X, but the run owes Y`` or
-    ``record N: the trace has X, but nothing owes it`` (N counts from 1;
-    X and Y are JSON lines), by the rule the module docstring states. An
-    empty list means the trace agrees with the definition. Raises
-    MalformedTraceError for a trace whose ticks go down
-    (``detection_ticks``, which runs first, checks them), and ValueError
-    for a ``max_tick`` below 1.
-    """
-    horizon = scenario.max_tick if max_tick is None else max_tick
-    check_max_tick(horizon)
+def _owed_run(
+    scenario: Scenario, horizon: int, shift_at: dict[tuple[Pair, int], int]
+) -> Iterator[tuple]:
+    """The records the run owes up to the horizon, in order, as 7-tuples:
+    each owed head, then the records the definition derives from it.
+    ``shift_at`` maps (pair, tick) to k at the pair's k-th detection."""
     config = scenario.config
     threshold, delay1, durations = config.threshold, config.delay1, config.durations
     trigger_kind = EV_ENABLE if config.filter_mode == DONE_ENABLE else EV_DONE
-    # (pair, tick) -> k at the pair's k-th detection, the one that shifts its register.
-    shift_at = {
-        (pair, t): k
-        for pair, ticks in detection_ticks(records, config).items()
-        for k, t in enumerate(ticks, 1)
-    }
     episodes = count()  # numbered as README "Record order" states
 
     def rehearsal(plan) -> Generator[tuple | None, int, None]:
@@ -268,72 +246,56 @@ def verify_run(
     seq = count()  # the order in which the definition schedules the owed heads
     setup = deque(sorted((rec[0], next(seq), rec) for rec in owed))
     heads = [setup.popleft()] if setup else []  # heap of owed (tick, seq, record)
-    due: deque[tuple] = deque()  # the records derived from the last head, still owed
     busy_until: dict[int, int] = {}
     fired: set[tuple[int, int]] = set()  # (episode, word) of each accepted enable
     window_until: dict[int, int] = {}  # source word -> closing tick of its hold window
     successors: dict[int, list[int]] = {}  # word -> its learned successors, ascending
     override_stage: dict[Pair, int] = {}  # pair -> its last switch: 1 open, 0 closed
 
-    def next_head() -> tuple | None:
-        if not heads:
-            return None
-        t, ev, word, pair, src, episode, _ = rec = heads[0][2]
-        if t > horizon:
-            return None  # the run stops before it
-        # A busy word, or one that already fired in the episode, ignores an arrival.
-        if ev == EV_ENABLE and (busy_until.get(word, 0) > t or (episode, word) in fired):
-            return (t, EV_IGNORED_ENABLE, word, pair, src, episode, None)
-        return rec
-
-    def trigger(word: int, t: int) -> None:
-        for src in sorted(window_until):
-            if window_until[src] < t:
-                del window_until[src]  # closed for good: the clock never moves back
-                continue
-            if src == word:
-                continue
-            link = (src, word)
-            due.append((t, EV_FILTER_FIRE, None, link, None, None, None))
-            k = shift_at.pop((link, t), None)
-            if k is not None:
-                due.append((t, EV_LATCH_SHIFT, None, link, None, None, min(k, threshold)))
-                if k == threshold:
-                    due.append((t, EV_LEARNED, None, link, None, None, None))
-                    insort(successors.setdefault(src, []), word)
-
-    for n, rec in enumerate(records, 1):
-        if due:
-            want = due.popleft()
-            if rec != want:
-                return _diverge(n, rec.to_json_line(), want)
-            continue
-        if rec != (want := next_head()):
-            return _diverge(n, rec.to_json_line(), want)
-        if heappop(heads)[1] < len(owed) and setup:  # setup feeds the heap one head at a time
+    while heads and heads[0][0] <= horizon:  # a head past the horizon: the run stops
+        _, scheduled, rec = heappop(heads)
+        if scheduled < len(owed) and setup:  # setup feeds the heap one head at a time
             heappush(heads, setup.popleft())
         t, ev, word, pair, src, episode, stage = rec
         if ev == EV_OVERRIDE_SET:
+            yield rec
             override_stage[pair] = stage
-        elif ev == EV_ENABLE:
+            continue
+        if ev == EV_ENABLE:
+            # A busy word, or one that already fired in the episode, ignores an arrival.
+            if busy_until.get(word, 0) > t or (episode, word) in fired:
+                yield (t, EV_IGNORED_ENABLE, word, pair, src, episode, None)
+                continue
             fired.add((episode, word))
-            busy_until[word] = t + durations[word]
-            done = (t + durations[word], EV_DONE, word, None, None, episode, None)
-            heappush(heads, (done[0], next(seq), done))
-            if trigger_kind == EV_ENABLE:
-                trigger(word, t)
-        elif ev == EV_DONE:
+            busy_until[word] = end = t + durations[word]
+            heappush(heads, (end, next(seq), (end, EV_DONE, word, None, None, episode, None)))
+        else:  # a done opens its word's hold window
             window_until[word] = t + delay1
-            if trigger_kind == EV_DONE:
-                trigger(word, t)
+        yield rec
+        if ev == trigger_kind:
+            for i in sorted(window_until):
+                if window_until[i] < t:
+                    del window_until[i]  # closed for good: the clock never moves back
+                    continue
+                if i == word:
+                    continue
+                link = (i, word)
+                yield (t, EV_FILTER_FIRE, None, link, None, None, None)
+                k = shift_at.pop((link, t), None)
+                if k is not None:
+                    yield (t, EV_LATCH_SHIFT, None, link, None, None, min(k, threshold))
+                    if k == threshold:
+                        yield (t, EV_LEARNED, None, link, None, None, None)
+                        insort(successors.setdefault(i, []), word)
+        if ev == EV_DONE:
             for dst in successors.get(word, ()):
                 link = (word, dst)
                 if override_stage.get(link):
-                    due.append((t, EV_OVERRIDE_BLOCKED, dst, link, None, episode, None))
+                    yield (t, EV_OVERRIDE_BLOCKED, dst, link, None, episode, None)
                 elif (episode, dst) in fired:
-                    due.append((t, EV_LOOP_SUPPRESSED, dst, link, None, episode, None))
+                    yield (t, EV_LOOP_SUPPRESSED, dst, link, None, episode, None)
                 else:
-                    due.append((t, EV_AUTO_ENABLE_SCHEDULED, dst, link, None, episode, None))
+                    yield (t, EV_AUTO_ENABLE_SCHEDULED, dst, link, None, episode, None)
                     arrival = (t + delay1, EV_ENABLE, dst, link, SRC_AUTO, episode, None)
                     heappush(heads, (arrival[0], next(seq), arrival))
             # Then each plan awaiting the word since its own enable's tick advances.
@@ -344,9 +306,36 @@ def verify_run(
                     enables[k] = enable
                     insort(awaiting.setdefault(enable[2], []), k)
                     heappush(heads, (enable[0], next(seq), enable))
-    # The trace ends: derived records are still owed, and so is every head
-    # up to the horizon.
-    want = due[0] if due else next_head()
-    if want:
-        return _diverge(len(records) + 1, "no more records", want)
-    return []
+
+
+def verify_run(
+    scenario: Scenario, records: list[TraceRecord], *, max_tick: int | None = None
+) -> list[str]:
+    """Return the first record at which the trace leaves the run the definition owes.
+
+    ``max_tick`` is the horizon, the tick limit of the run that wrote the
+    trace; it defaults to ``scenario.max_tick``. Returns at most one
+    divergence, ``record N: the trace has X, but the run owes Y`` or
+    ``record N: the trace has X, but nothing owes it`` (N counts from 1;
+    X and Y are JSON lines, X is ``no more records`` past the trace's
+    end), by the rule the module docstring states. An empty list means
+    the trace agrees with the definition. Raises MalformedTraceError for
+    a trace whose ticks go down (``detection_ticks``, which runs first,
+    checks them), and ValueError for a ``max_tick`` below 1.
+    """
+    horizon = scenario.max_tick if max_tick is None else max_tick
+    check_max_tick(horizon)
+    shift_at = {
+        (pair, t): k
+        for pair, ticks in detection_ticks(records, scenario.config).items()
+        for k, t in enumerate(ticks, 1)
+    }
+    run = _owed_run(scenario, horizon, shift_at)
+    for n, (rec, want) in enumerate(zip_longest(records, run), 1):
+        if rec != want:
+            break
+    else:
+        return []  # the trace ends where the run does
+    have = "no more records" if rec is None else rec.to_json_line()
+    owes = f"the run owes {TraceRecord(*want).to_json_line()}" if want else "nothing owes it"
+    return [f"record {n}: the trace has {have}, but {owes}"]

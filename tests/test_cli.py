@@ -15,7 +15,14 @@ import memfabric.cli
 import memfabric.oracle
 import memfabric.trace
 from conftest import OVERRIDE_CYCLE, python_command
-from memfabric import ParseError, TraceRecord, parse_scenario, run_scenario, write_trace
+from memfabric import (
+    ParseError,
+    TraceRecord,
+    parse_scenario,
+    run_scenario,
+    verify_run,
+    write_trace,
+)
 from memfabric.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -618,17 +625,25 @@ def test_main_pauses_gc_and_restores_the_state_it_found(
 
 @pytest.mark.parametrize("name", sorted(path.name for path in SCENARIOS.glob("*.scn")))
 def test_a_dropped_run_is_freed_without_the_cyclic_collector(name):
-    # Nothing in a run refers back to its simulation, so reference counting
-    # frees it, also while main pauses the collector.
+    # Nothing in a run refers back to its simulation, and verify_run's model of
+    # the run, left suspended by a trace cut short or lengthened mid-run, holds
+    # no cycle either: reference counting frees both, also while main pauses
+    # the collector.
     scenario = parse_scenario((SCENARIOS / name).read_text(encoding="utf-8"))
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
         result = run_scenario(scenario)
+        records = result.records
         simulation = weakref.ref(result.simulation)
         del result
         assert simulation() is None
+        half = len(records) // 2
+        assert verify_run(scenario, records) == []
+        assert "no more records" in verify_run(scenario, records[:half])[0]
+        lengthened = records[:half] + records[half - 1 :]
+        assert f"record {half + 1}: " in verify_run(scenario, lengthened)[0]
         assert gc.collect() == 0
     finally:
         (gc.enable if was_enabled else gc.disable)()

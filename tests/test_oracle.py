@@ -16,6 +16,7 @@ from memfabric import (
     count_detections,
     detection_ticks,
     episode_subtrace,
+    parse_scenario,
     predict_learned,
     predict_timeline,
     run_scenario,
@@ -484,15 +485,10 @@ FIELD_FLOORS = {"word": 1, "episode": 0, "stage": 0}
 
 
 def _mutants(records, word_count):
-    """Every single-record mutant of a trace, with the record's index and the mutation.
-
-    Deleting the final record is left out: that is the gap of ``verify_run``
-    that the README names.
-    """
+    """Every single-record mutant of a trace, with the record's index and the mutation."""
     for index, rec in enumerate(records):
         before, after = records[:index], records[index + 1 :]
-        if after:
-            yield index, "deleted", before + after
+        yield index, "deleted", before + after
         yield index, "duplicated", before + [rec, rec] + after
         for delta in (-1, 1):
             if rec.t + delta >= 0:
@@ -548,13 +544,25 @@ def _episode_insertions(records, config):
         ]
 
 
+def _first_departure(genuine, mutant) -> list[str]:
+    """The divergence owed for a trace that departs from a genuine run: the
+    first record at which the two differ."""
+    i = next(
+        (i for i, (have, owed) in enumerate(zip(mutant, genuine)) if have != owed),
+        min(len(mutant), len(genuine)),
+    )
+    have = mutant[i].to_json_line() if i < len(mutant) else "no more records"
+    owes = f"the run owes {genuine[i].to_json_line()}" if i < len(genuine) else "nothing owes it"
+    return [f"record {i + 1}: the trace has {have}, but {owes}"]
+
+
 def test_every_single_record_mutant_is_rejected():
     texts = {
         path.name: path.read_text(encoding="utf-8") for path in sorted(SCENARIOS.glob("*.scn"))
     }
     texts["override cycle"] = OVERRIDE_CYCLE
     texts["refractory fire"] = REFRACTORY_FIRE
-    survivors = []
+    misplaced = []  # mutants not rejected at their first departure from the run
     tried = unshifted = 0
     for name, text in texts.items():
         result = run_text(text)
@@ -566,11 +574,11 @@ def test_every_single_record_mutant_is_rejected():
         )
         for index, mutation, mutant in _mutants(records, result.scenario.config.word_count):
             tried += 1
-            if not verify_run(result.scenario, mutant):
-                survivors.append((name, index, mutation))
+            if verify_run(result.scenario, mutant) != _first_departure(records, mutant):
+                misplaced.append((name, index, mutation))
     assert tried > 4000
     assert unshifted > 0  # a fire inside the refractory is among the mutated records
-    assert survivors == []
+    assert misplaced == []
 
 
 # -- survivor ratchet: mutant classes verify_run does not catch ------------
@@ -718,7 +726,9 @@ def small_scenario_text(rng: random.Random) -> str:
 @example(REFRACTORY_FIRE)
 def test_verify_rejects_every_trace_the_reference_rejects(text):
     # Single-record mutants, same-tick swaps, and whole-episode deletions and
-    # insertions: whatever the multiset verifier rejects, verify_run rejects.
+    # insertions: each departs from the run, and verify_run rejects it at the
+    # first record where it does, so it rejects whatever the multiset verifier
+    # rejects.
     result = run_text(text)
     scenario, records = result.scenario, result.records
     assert verify_run(scenario, records) == [] == reference_verify_run(scenario, records)
@@ -726,8 +736,29 @@ def test_verify_rejects_every_trace_the_reference_rejects(text):
     mutants += [*_swaps(records), *_episode_deletions(records)]
     mutants += _episode_insertions(records, scenario.config)
     for mutant in mutants:
-        if not _passes(reference_verify_run, scenario, mutant):
-            assert not _passes(verify_run, scenario, mutant), (text, mutant)
+        assert verify_run(scenario, mutant) == _first_departure(records, mutant), (text, mutant)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False).map(small_scenario_text))
+def test_a_run_cut_at_any_tick_verifies_up_to_that_horizon(text):
+    # Cut between two record ticks a < b, at a or at b - 1, a run is a prefix
+    # of the full run and verifies at its own horizon; at horizon b the
+    # records of tick b are owed.
+    scenario = parse_scenario(text)
+    full = run_scenario(scenario, max_tick=10**9).records
+    ticks = sorted({rec.t for rec in full})
+    for a, b in zip(ticks, ticks[1:]):
+        for horizon in {a, b - 1} - {0}:  # a horizon is at least 1
+            cut = run_scenario(scenario, max_tick=horizon).records
+            assert cut == full[: len(cut)], (text, horizon)
+            assert verify_run(scenario, cut, max_tick=horizon) == [], (text, horizon)
+            owed = full[len(cut)].to_json_line()
+            assert verify_run(scenario, cut, max_tick=b) == [
+                f"record {len(cut) + 1}: the trace has no more records, but the run owes {owed}"
+            ], (text, horizon)
+    assert run_scenario(scenario, max_tick=ticks[-1]).records == full, text
+    assert verify_run(scenario, full, max_tick=ticks[-1]) == [], text
 
 
 @settings(max_examples=30, deadline=None)
@@ -756,7 +787,7 @@ def test_every_trace_verify_accepts_is_a_prefix_of_the_full_run(text, other):
 # scenarios that small_scenario_text draws from random.Random(0).
 GENERATED_SCENARIOS = 20
 GENERATED_SURVIVORS = {
-    "single record": (0, 9705),
+    "single record": (0, 9725),
     "same-tick swap": (0, 615),
     "episode deletion": (0, 101),
     "episode insertion": (0, 61),
