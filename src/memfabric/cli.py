@@ -2,29 +2,28 @@
 
 Three commands:
 
-* ``run``     — simulate a scenario, writing a JSON Lines trace and a
-                JSON report next to the input (or to explicit paths).
-                The trace is written a batch of records at a time.
-                Exit 0 on quiescence, 3 on hitting the tick limit.
+* ``run``     — simulate a scenario; write a JSON Lines trace, a batch of
+                records at a time, and a JSON report, next to the input
+                unless given paths. Exit 0 on quiescence, 3 at the tick limit.
 * ``verify``  — recompute learning and replay from a trace with the
-                brute-force oracle and compare, up to the scenario's
-                tick limit or ``--max-ticks``. The trace is decoded a
-                block of lines at a time, so only its records are held.
-                Exit 0 on agreement, 4 on the first divergence
-                (reported on stderr).
+                brute-force oracle, up to the scenario's tick limit or
+                ``--max-ticks``, decoding the trace a block of lines at a time.
+                Exit 0 on agreement, 4 on the first divergence (on stderr).
 * ``check``   — parse and validate only; echo the canonical form.
 
+Each command takes the positionals and options the table ``_COMMANDS``
+gives it: an option is ``--name VALUE`` or ``--name=VALUE``, spelled in
+full, anywhere after the command; ``-h`` or ``--help`` prints the usage.
 Both files are read through :func:`~memfabric.trace.read_blocks`. Exit 1
 is a usage, parse or validation problem (the message names the line),
 exit 2 an I/O problem. In a scenario or a trace, the line named is the
 first faulty one in file order, whether its fault is a byte that is not
 UTF-8 or anything else of that line alone. Diagnostics go to stderr;
-stdout stays silent except for ``check``'s canonical echo.
+stdout stays silent except for ``check``'s canonical echo and the usage.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
@@ -50,47 +49,6 @@ EXIT_TICK_LIMIT = 3
 EXIT_DIVERGENCE = 4
 
 
-def _max_ticks(text: str) -> int:
-    """The ``--max-ticks`` value, by the rule of the ``maxticks`` directive."""
-    try:
-        value = parse_int(text, "value")
-        check_max_tick(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="memfabric",
-        description="Deterministic simulator of a sequence-learning memory fabric.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="simulate a scenario and write trace + report")
-    run.add_argument("scenario", help="scenario file")
-    run.add_argument("--trace", help="trace output path (default: <scenario>.trace.jsonl)")
-    run.add_argument("--report", help="report output path (default: <scenario>.report.json)")
-    run.add_argument(
-        "--max-ticks", type=_max_ticks, help="override the scenario's maxticks directive"
-    )
-    run.set_defaults(func=_cmd_run)
-
-    verify = sub.add_parser("verify", help="cross-check a trace with the oracle")
-    verify.add_argument("scenario", help="scenario file")
-    verify.add_argument("trace", help="trace file produced by run")
-    verify.add_argument(
-        "--max-ticks", type=_max_ticks, help="the tick limit the run had, if not maxticks"
-    )
-    verify.set_defaults(func=_cmd_verify)
-
-    check = sub.add_parser("check", help="parse and validate; echo the canonical form")
-    check.add_argument("scenario", help="scenario file")
-    check.set_defaults(func=_cmd_check)
-
-    return parser
-
-
 def _load_scenario(path: str):
     scenario = parse_scenario(read_blocks(path))
     for warning in scenario.warnings:
@@ -105,57 +63,115 @@ def _same_file(a: Path, b: Path) -> bool:
     return os.path.realpath(a) == os.path.realpath(b)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    trace_path = Path(args.trace) if args.trace else Path(args.scenario + ".trace.jsonl")
-    report_path = Path(args.report) if args.report else Path(args.scenario + ".report.json")
-    paths = {"scenario": Path(args.scenario), "trace": trace_path, "report": report_path}
+def _cmd_run(scenario: str, trace=None, report=None, max_ticks=None) -> int:
+    trace_path = Path(scenario + ".trace.jsonl" if trace is None else trace)
+    report_path = Path(scenario + ".report.json" if report is None else report)
+    paths = {"scenario": Path(scenario), "trace": trace_path, "report": report_path}
     for (name_a, a), (name_b, b) in combinations(paths.items(), 2):
         if _same_file(a, b):
             print(f"error: the {name_a} and the {name_b} are the same file: {b}", file=sys.stderr)
             return EXIT_INVALID
-    scenario = _load_scenario(args.scenario)
-    result = run_scenario(scenario, max_tick=args.max_ticks)
+    result = run_scenario(_load_scenario(scenario), max_tick=max_ticks)
     write_trace(result.records, trace_path)
     write_report(result.report, report_path)
     if not result.outcome.quiescent:
-        print(
-            f"tick limit reached at t={result.outcome.final_tick}; "
-            f"{len(result.simulation.queue)} event(s) still pending",
-            file=sys.stderr,
-        )
+        final, pending = result.outcome.final_tick, len(result.simulation.queue)
+        print(f"tick limit reached at t={final}; {pending} event(s) still pending", file=sys.stderr)
         return EXIT_TICK_LIMIT
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.scenario)
-    records = parse_trace(read_blocks(args.trace))
-    problems = verify_run(scenario, records, max_tick=args.max_ticks)
+def _cmd_verify(scenario: str, trace: str, max_ticks: int | None = None) -> int:
+    loaded, records = _load_scenario(scenario), parse_trace(read_blocks(trace))
+    problems = verify_run(loaded, records, max_tick=max_ticks)
     if problems:
         print(f"divergence: {problems[0]}", file=sys.stderr)
         return EXIT_DIVERGENCE
     return EXIT_OK
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.scenario)
-    sys.stdout.write(canonical_scenario(scenario))
+def _cmd_check(scenario: str) -> int:
+    sys.stdout.write(canonical_scenario(_load_scenario(scenario)))
     return EXIT_OK
+
+
+# name: (handler, positionals, options, help), read by _parse_args, not by argparse,
+# whose first call imports shutil and locale. Each value but --max-ticks's is a path
+# and reaches the handler by its name in snake case.
+_COMMANDS = {
+    "run": (_cmd_run, "scenario", "--trace --report --max-ticks", "simulate; write trace + report"),
+    "verify": (_cmd_verify, "scenario trace", "--max-ticks", "cross-check a trace with the oracle"),
+    "check": (_cmd_check, "scenario", "", "parse and validate; echo the canonical form"),
+}
+_USAGE = "usage: " + "\n       ".join(
+    f"memfabric {name} {names.upper()}"
+    + "".join(f" [{o} {o[2:].upper()}]" for o in opts.split())
+    + f"\n           {text}"
+    for name, (_, names, opts, text) in _COMMANDS.items()
+)
+
+
+class _UsageError(Exception):
+    """A command line that ``_COMMANDS`` does not accept."""
+
+
+def _parse_args(argv: list[str]):
+    """The handler of ``argv``'s command and its arguments by name; None for help."""
+    if {"-h", "--help"} & set(argv[: argv.index("--")] if "--" in argv else argv):
+        return None
+    if not argv:
+        raise _UsageError("the following arguments are required: command")
+    if argv[0] not in _COMMANDS:
+        choices = ", ".join(_COMMANDS)
+        raise _UsageError(f"argument command: invalid choice: {argv[0]!r} (choose from {choices})")
+    handler, names, options, _ = _COMMANDS[argv[0]]
+    names, positionals, given, rest = names.split(), [], {}, iter(argv[1:])
+    for arg in rest:
+        if arg == "--":
+            positionals += rest
+        elif not arg.startswith("--"):
+            positionals.append(arg)
+        else:
+            option, has_value, value = arg.partition("=")
+            if option not in options.split():
+                raise _UsageError(f"unrecognized arguments: {arg}")
+            # The value is the next argument; an option there, or none, is no value.
+            if not has_value and (value := next(rest, "--")).startswith("--"):
+                raise _UsageError(f"argument {option}: expected one argument")
+            given[option] = value
+    if len(positionals) > len(names):
+        raise _UsageError(f"unrecognized arguments: {' '.join(positionals[len(names) :])}")
+    if missing := ", ".join(names[len(positionals) :]):
+        raise _UsageError(f"the following arguments are required: {missing}")
+    kwargs = {}
+    for name, value in (dict(zip(names, positionals)) | given).items():
+        try:
+            if name == "--max-ticks":  # by the rule of the maxticks directive
+                check_max_tick(value := parse_int(value, "value"))
+            elif not value:
+                raise ValueError("the path is empty")
+        except ValueError as exc:
+            raise _UsageError(f"argument {name}: {exc}") from None
+        kwargs[name.lstrip("-").replace("-", "_")] = value
+    return handler, kwargs
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 after --help and 2 on a usage error, which is
-        # invalid input here; its message is already on stderr.
-        return EXIT_INVALID if exc.code else EXIT_OK
+        parsed = _parse_args(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        print(f"{_USAGE}\nerror: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    if parsed is None:
+        print(_USAGE)
+        return EXIT_OK
+    handler, kwargs = parsed
     # A command allocates one acyclic record per trace line, so the cyclic
     # collector's passes over them find nothing; pause it while it runs.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        return handler(**kwargs)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -92,12 +92,12 @@ def check_max_tick(value: int) -> None:
 
 
 def parse_int(token: str, what: str) -> int:
-    """ASCII digits with an optional sign (tokens never hold whitespace)."""
-    # int() alone would also take "1_0" and non-ASCII digits such as "٣".
-    if token.isascii() and "_" not in token:
+    """ASCII digits with an optional sign, and nothing else."""
+    # int() alone would also take " 5\n", "1_0" and non-ASCII digits such as "٣".
+    if token.isascii() and (token.isdigit() or token[:1] in "+-" and token[1:].isdigit()):
         try:
             return int(token, 10)
-        except ValueError:
+        except ValueError:  # more digits than int() converts
             pass
     raise ParseError(f"{what} is not an integer: {token!r}")
 

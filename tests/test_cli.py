@@ -495,40 +495,164 @@ def test_check_rejects_spike_wider_than_the_window(tmp_path, capsys):
     assert "must not exceed delay1" in capsys.readouterr().err
 
 
+def _max_ticks_cases(command: str) -> list:
+    argv = ["verify", "SCN", "T"] if command == "verify" else ["run", "SCN"]
+    prefix = "verify-" if command == "verify" else ""
+    return [
+        pytest.param([*argv, "--max-ticks", value], f"argument --max-ticks: {message}", id=name)
+        for name, value, message in [
+            (f"{prefix}max-ticks-zero", "0", "maxticks must be >= 1, got 0"),
+            (f"{prefix}max-ticks-negative", "-5", "maxticks must be >= 1, got -5"),
+            (f"{prefix}max-ticks-word", "abc", "value is not an integer: 'abc'"),
+            (f"{prefix}max-ticks-underscore", "1_0", "value is not an integer: '1_0'"),
+            (f"{prefix}max-ticks-leading-space", " 5", "value is not an integer: ' 5'"),
+            (f"{prefix}max-ticks-trailing-newline", "5\n", "value is not an integer: '5\\n'"),
+            (f"{prefix}max-ticks-leading-tab", "\t5", "value is not an integer: '\\t5'"),
+        ]
+    ]
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["run", "SCN", "--max-ticks", "0"], "argument --max-ticks: maxticks must be >= 1, got 0"),
-        (["run", "SCN", "--max-ticks", "abc"], "argument --max-ticks: value is not an integer"),
-        (["run", "SCN", "--max-ticks", "1_0"], "argument --max-ticks: value is not an integer"),
-        (["verify", "SCN"], "the following arguments are required: trace"),
-        (
-            ["verify", "SCN", "T", "--max-ticks", "0"],
+        *_max_ticks_cases("run"),
+        *_max_ticks_cases("verify"),
+        pytest.param(
+            ["run", "SCN", "--max-ticks=0"],
             "argument --max-ticks: maxticks must be >= 1, got 0",
+            id="max-ticks-zero-joined",
         ),
-        (["bogus"], "invalid choice: 'bogus'"),
-    ],
-    ids=[
-        "max-ticks-zero",
-        "max-ticks-word",
-        "max-ticks-underscore",
-        "verify-no-trace",
-        "verify-max-ticks-zero",
-        "bogus",
+        pytest.param(
+            ["verify", "SCN"], "the following arguments are required: trace", id="verify-no-trace"
+        ),
+        pytest.param(
+            ["verify"],
+            "the following arguments are required: scenario, trace",
+            id="verify-no-arguments",
+        ),
+        pytest.param([], "the following arguments are required: command", id="no-command"),
+        pytest.param(
+            ["bogus"],
+            "argument command: invalid choice: 'bogus' (choose from run, verify, check)",
+            id="bogus",
+        ),
+        pytest.param(
+            ["run", "SCN", "--max", "5"], "unrecognized arguments: --max", id="abbreviated-option"
+        ),
+        pytest.param(
+            ["check", "SCN", "--trace", "T"], "unrecognized arguments: --trace", id="foreign-option"
+        ),
+        pytest.param(
+            ["run", "SCN", "--trace"], "argument --trace: expected one argument", id="no-value"
+        ),
+        pytest.param(
+            ["run", "SCN", "--trace", "--report", "R"],
+            "argument --trace: expected one argument",
+            id="option-for-value",
+        ),
+        pytest.param(["run", "SCN", "extra"], "unrecognized arguments: extra", id="run-extra"),
+        pytest.param(["check", "SCN", "a", "b"], "unrecognized arguments: a b", id="check-extra"),
+        pytest.param(["run", ""], "argument scenario: the path is empty", id="run-empty-scenario"),
+        pytest.param(
+            ["run", "SCN", "--trace", "", "--report", ""],
+            "argument --trace: the path is empty",
+            id="run-empty-trace",
+        ),
+        pytest.param(
+            ["run", "SCN", "--report="], "argument --report: the path is empty", id="empty-report"
+        ),
+        pytest.param(
+            ["verify", "", "T"], "argument scenario: the path is empty", id="verify-empty-scenario"
+        ),
+        pytest.param(
+            ["verify", "SCN", ""], "argument trace: the path is empty", id="verify-empty-trace"
+        ),
+        pytest.param(["check", ""], "argument scenario: the path is empty", id="check-empty"),
     ],
 )
 def test_usage_error_exits_one(scenario_file, capsys, argv, message):
     argv = [str(scenario_file) if arg == "SCN" else arg for arg in argv]
+    names = sorted(scenario_file.parent.iterdir())
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert message in captured.err
+    assert captured.err.splitlines()[-1] == f"error: {message}"
+    assert captured.err.startswith("usage: memfabric run SCENARIO")
     assert captured.out == ""
-    assert not (scenario_file.parent / (scenario_file.name + ".trace.jsonl")).exists()
+    assert sorted(scenario_file.parent.iterdir()) == names
 
 
-def test_help_exits_zero(capsys):
-    assert main(["--help"]) == 0
-    assert "usage: memfabric" in capsys.readouterr().out
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["-h", "bogus"],
+        ["run", "-h"],
+        ["verify", "SCN", "--help"],
+        ["run", "SCN", "--max-ticks", "0", "-h"],
+        ["check", "SCN", "extra", "--help"],
+    ],
+)
+def test_help_exits_zero(scenario_file, capsys, argv):
+    argv = [str(scenario_file) if arg == "SCN" else arg for arg in argv]
+    names = sorted(scenario_file.parent.iterdir())
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "usage: memfabric run SCENARIO [--trace TRACE] [--report REPORT] [--max-ticks MAX-TICKS]\n"
+        "           simulate; write trace + report\n"
+        "       memfabric verify SCENARIO TRACE [--max-ticks MAX-TICKS]\n"
+        "           cross-check a trace with the oracle\n"
+        "       memfabric check SCENARIO\n"
+        "           parse and validate; echo the canonical form\n"
+    )
+    assert captured.err == ""
+    assert sorted(scenario_file.parent.iterdir()) == names
+
+
+def test_run_takes_joined_option_values_and_options_before_the_scenario(scenario_file, tmp_path):
+    spellings = [
+        ["{scn}", "--trace", "{out}.trace", "--report", "{out}.report"],
+        ["{scn}", "--trace={out}.trace", "--report={out}.report"],
+        ["--report", "{out}.report", "--trace={out}.trace", "{scn}"],
+        ["--trace", "{out}.trace", "{scn}", "--max-ticks", "2000", "--report", "{out}.report"],
+        ["--trace", "{out}.trace", "--report", "{out}.report", "--", "{scn}"],
+    ]
+    outputs = set()
+    for index, spelling in enumerate(spellings):
+        out = tmp_path / str(index)
+        argv = [arg.format(scn=scenario_file, out=out) for arg in spelling]
+        assert main(["run", *argv]) == 0
+        outputs.add((Path(f"{out}.trace").read_bytes(), Path(f"{out}.report").read_bytes()))
+    assert len(outputs) == 1
+
+
+# A command whose first call imports one of these pays for it on every run.
+CLI_CHILD = """
+import sys
+before = set(sys.modules)
+from memfabric.cli import main
+scenario, trace, report = sys.argv[1:]
+codes = [
+    main(["run", scenario, "--trace", trace, "--report", report]),
+    main(["verify", scenario, trace]),
+    main(["check", scenario]),
+    main(["run", scenario, "--max", "5"]),
+]
+loaded = {"argparse", "gettext", "locale", "shutil"} & (set(sys.modules) - before)
+print(codes, sorted(loaded), file=sys.stderr)
+"""
+
+
+def test_no_command_imports_argparse_gettext_locale_or_shutil(scenario_file):
+    trace, report = scenario_file.with_suffix(".jsonl"), scenario_file.with_suffix(".json")
+    proc = subprocess.run(
+        [*python_command(), "-S", "-c", CLI_CHILD, str(scenario_file), str(trace), str(report)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+    )
+    assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 1] []"
 
 
 def test_check_warns_on_stderr_for_gap_beyond_delay1(tmp_path, capsys):
