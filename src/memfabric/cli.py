@@ -28,7 +28,6 @@ import gc
 import os
 import sys
 from itertools import combinations
-from pathlib import Path
 
 from memfabric.engine import run_scenario
 from memfabric.oracle import verify_run
@@ -56,24 +55,24 @@ def _load_scenario(path: str):
     return scenario
 
 
-def _same_file(a: Path, b: Path) -> bool:
+def _same_file(a: str, b: str) -> bool:
     """Whether two paths name one file, existing or still to be written."""
-    if a.exists() and b.exists():
-        return a.samefile(b)
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
     return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _cmd_run(scenario: str, trace=None, report=None, max_ticks=None) -> int:
-    trace_path = Path(scenario + ".trace.jsonl" if trace is None else trace)
-    report_path = Path(scenario + ".report.json" if report is None else report)
-    paths = {"scenario": Path(scenario), "trace": trace_path, "report": report_path}
+    trace = scenario + ".trace.jsonl" if trace is None else trace
+    report = scenario + ".report.json" if report is None else report
+    paths = {"scenario": scenario, "trace": trace, "report": report}
     for (name_a, a), (name_b, b) in combinations(paths.items(), 2):
         if _same_file(a, b):
             print(f"error: the {name_a} and the {name_b} are the same file: {b}", file=sys.stderr)
             return EXIT_INVALID
     result = run_scenario(_load_scenario(scenario), max_tick=max_ticks)
-    write_trace(result.records, trace_path)
-    write_report(result.report, report_path)
+    write_trace(result.records, trace)
+    write_report(result.report, report)
     if not result.outcome.quiescent:
         final, pending = result.outcome.final_tick, len(result.simulation.queue)
         print(f"tick limit reached at t={final}; {pending} event(s) still pending", file=sys.stderr)

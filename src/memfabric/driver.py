@@ -27,54 +27,51 @@ repetition arrives.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import attrgetter
 
-from memfabric.fabric import CpuEnable, Episode
+from memfabric.fabric import CheckedTuple, CpuEnable, Episode
 
 
 class InvalidPlanError(ValueError):
     """A rehearsal plan violates its structural constraints."""
 
 
-@dataclass(frozen=True)
-class RehearsalPlan:
-    sequence: tuple[int, ...]
-    reps: int
-    gap: int
-    rest: int
-    start: int
+class RehearsalPlan(CheckedTuple, namedtuple("RehearsalPlan", "sequence reps gap rest start")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sequence", tuple(self.sequence))
-        if len(self.sequence) < 2:
+    def __new__(cls, sequence, reps: int, gap: int, rest: int, start: int):
+        sequence = tuple(sequence)
+        if len(sequence) < 2:
             raise InvalidPlanError("a plan needs at least 2 words")
-        if len(set(self.sequence)) != len(self.sequence):
-            dup = next(w for i, w in enumerate(self.sequence) if w in self.sequence[:i])
+        if len(set(sequence)) != len(sequence):
+            dup = next(w for i, w in enumerate(sequence) if w in sequence[:i])
             raise InvalidPlanError(f"word {dup} repeats in the sequence; states must be distinct")
-        if self.reps < 1:
-            raise InvalidPlanError(f"reps must be >= 1, got {self.reps}")
-        if self.gap < 0:
-            raise InvalidPlanError(f"gap must be >= 0, got {self.gap}")
-        if self.rest < 0:
-            raise InvalidPlanError(f"rest must be >= 0, got {self.rest}")
-        if self.start < 0:
-            raise InvalidPlanError(f"start must be >= 0, got {self.start}")
+        if reps < 1:
+            raise InvalidPlanError(f"reps must be >= 1, got {reps}")
+        if gap < 0:
+            raise InvalidPlanError(f"gap must be >= 0, got {gap}")
+        if rest < 0:
+            raise InvalidPlanError(f"rest must be >= 0, got {rest}")
+        if start < 0:
+            raise InvalidPlanError(f"start must be >= 0, got {start}")
+        return tuple.__new__(cls, (sequence, reps, gap, rest, start))
 
 
-@dataclass(frozen=True)
-class Probe:
-    tick: int
-    word: int
+class Probe(CheckedTuple, namedtuple("Probe", "tick word")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.tick < 0:
-            raise ValueError(f"probe tick must be >= 0, got {self.tick}")
+    def __new__(cls, tick: int, word: int):
+        if tick < 0:
+            raise ValueError(f"probe tick must be >= 0, got {tick}")
+        return tuple.__new__(cls, (tick, word))
 
 
 class _PlanRun:
     def __init__(self, plan: RehearsalPlan, episode: Episode, order: int):
-        self.plan = plan
+        # The plan's fields, read on each of its steps, bound once.
+        self.sequence, self.reps = plan.sequence, plan.reps
+        self.gap, self.rest = plan.gap, plan.rest
         self.episode = episode
         self.order = order  # the plan's place in add order
         self.pos = 0  # index of the word whose done we are waiting on
@@ -114,17 +111,16 @@ class Driver:
                 self._advance(sim, run, tick)
 
     def _advance(self, sim, run: _PlanRun, tick: int) -> None:
-        plan = run.plan
         run.pos += 1
-        if run.pos < len(plan.sequence):
-            run.enable_tick = tick + plan.gap
+        if run.pos < len(run.sequence):
+            run.enable_tick = tick + run.gap
         else:
             run.rep += 1
-            if run.rep == plan.reps:
+            if run.rep == run.reps:
                 return  # finished: it awaits no word
             run.pos = 0
             run.episode = sim.new_episode()
-            run.enable_tick = tick + plan.rest
-        word = plan.sequence[run.pos]
+            run.enable_tick = tick + run.rest
+        word = run.sequence[run.pos]
         insort(self._awaiting.setdefault(word, []), run, key=_add_order)
         sim.queue.schedule(run.enable_tick, tuple.__new__(CpuEnable, (word, run.episode)))

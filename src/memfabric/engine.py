@@ -32,21 +32,17 @@ and may run on separate threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heappop, heappush, heapreplace
-from typing import NamedTuple
 
 from memfabric.driver import Driver, Probe, RehearsalPlan
-from memfabric.fabric import AutoEnable, CpuEnable, Episode, Fabric, FabricConfig
-from memfabric.fabric import OverrideSet, WordDone
-from memfabric.scenario import Report, Scenario, build_report, check_max_tick
+from memfabric.fabric import CpuEnable, Episode, Fabric, FabricConfig, OverrideSet
+from memfabric.scenario import Scenario, build_report, check_max_tick
 from memfabric.trace import TraceRecord
 
 
-class Event(NamedTuple):
-    tick: int
-    seq: int
-    payload: CpuEnable | AutoEnable | WordDone | OverrideSet
+# payload: one of the fabric's signals, CpuEnable, AutoEnable, WordDone or OverrideSet
+Event = namedtuple("Event", "tick seq payload")
 
 
 class EventQueue:
@@ -103,10 +99,8 @@ QUIESCENT = "quiescent"
 TICK_LIMIT = "tick_limit"
 
 
-@dataclass(frozen=True)
-class RunOutcome:
-    outcome: str
-    final_tick: int
+class RunOutcome(namedtuple("RunOutcome", "outcome final_tick")):
+    __slots__ = ()
 
     @property
     def quiescent(self) -> bool:
@@ -191,13 +185,7 @@ class Simulation:
         return RunOutcome(TICK_LIMIT if heap else QUIESCENT, self.clock)
 
 
-@dataclass
-class RunResult:
-    scenario: Scenario
-    outcome: RunOutcome
-    records: list[TraceRecord]
-    report: Report
-    simulation: Simulation
+RunResult = namedtuple("RunResult", "scenario outcome records report simulation")
 
 
 def build_simulation(scenario: Scenario, *, loop_suppression: bool = True) -> Simulation:

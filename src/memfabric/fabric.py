@@ -38,9 +38,9 @@ through ``tuple.__new__``, which skips the named tuple's Python ``__new__``.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Mapping
 from functools import partial
-from typing import Mapping, NamedTuple
 
 from memfabric.trace import (
     EV_AUTO_ENABLE_SCHEDULED,
@@ -68,7 +68,7 @@ FILTER_MODES = (DONE_ENABLE, DONE_DONE)
 
 
 class ReadOnlyDict(dict):
-    """A dict that refuses every change; it pickles, copies and goes through ``asdict``."""
+    """A dict that refuses every change; it pickles, copies and deep-copies."""
 
     def _refuse(self, *args, **kwargs):
         raise TypeError(f"{type(self).__name__} is read-only")
@@ -91,8 +91,26 @@ class SelfPairError(ValueError):
     """An ordered pair (i, i); the fabric has no self connections."""
 
 
-@dataclass(frozen=True)
-class FabricConfig:
+class CheckedTuple:
+    """Base of a named tuple whose ``__new__`` checks its fields.
+
+    Every way to build one calls ``__new__``: the constructor; ``_make``,
+    and so ``_replace``, which a plain named tuple builds through
+    ``tuple.__new__``; and pickle and copy, which call ``__new__`` with
+    the values ``__getnewargs__`` gives.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class FabricConfig(
+    CheckedTuple,
+    namedtuple("FabricConfig", "word_count delay1 delay2 threshold durations filter_mode"),
+):
     """Structural parameters of one fabric.
 
     ``delay1`` is the hold time of a done signal: both the filter
@@ -102,39 +120,40 @@ class FabricConfig:
     it may not exceed ``delay1``. ``threshold`` is the register depth:
     the number of qualifying repetitions after which a pair is learned.
     ``durations`` is kept as a read-only copy, so later edits of the
-    caller's mapping cannot undo its checks.
+    caller's mapping cannot undo its checks; while it is a dict, a
+    config has no hash.
     """
 
-    word_count: int
-    delay1: int
-    delay2: int
-    threshold: int
-    durations: Mapping[int, int]
-    filter_mode: str = DONE_ENABLE
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "durations", ReadOnlyDict(self.durations))
-        if self.word_count < 2:
-            raise InvalidConfigError(f"need at least 2 words, got {self.word_count}")
-        if self.delay1 < 1:
-            raise InvalidConfigError(f"delay1 must be >= 1, got {self.delay1}")
-        if self.delay2 < 1:
-            raise InvalidConfigError(f"delay2 must be >= 1, got {self.delay2}")
-        if self.delay2 > self.delay1:
-            raise InvalidConfigError(
-                f"delay2 ({self.delay2}) must not exceed delay1 ({self.delay1})"
-            )
-        if self.threshold < 1:
-            raise InvalidConfigError(f"threshold must be >= 1, got {self.threshold}")
-        if self.filter_mode not in FILTER_MODES:
-            raise InvalidConfigError(
-                f"mode must be done_enable or done_done, got {self.filter_mode!r}"
-            )
-        for word in self.word_ids():
-            dur = self.durations.get(word)
+    def __new__(
+        cls,
+        word_count: int,
+        delay1: int,
+        delay2: int,
+        threshold: int,
+        durations: Mapping[int, int],
+        filter_mode: str = DONE_ENABLE,
+    ):
+        durations = ReadOnlyDict(durations)
+        if word_count < 2:
+            raise InvalidConfigError(f"need at least 2 words, got {word_count}")
+        if delay1 < 1:
+            raise InvalidConfigError(f"delay1 must be >= 1, got {delay1}")
+        if delay2 < 1:
+            raise InvalidConfigError(f"delay2 must be >= 1, got {delay2}")
+        if delay2 > delay1:
+            raise InvalidConfigError(f"delay2 ({delay2}) must not exceed delay1 ({delay1})")
+        if threshold < 1:
+            raise InvalidConfigError(f"threshold must be >= 1, got {threshold}")
+        if filter_mode not in FILTER_MODES:
+            raise InvalidConfigError(f"mode must be done_enable or done_done, got {filter_mode!r}")
+        for word in range(1, word_count + 1):
+            dur = durations.get(word)
             if dur is None:
                 raise InvalidConfigError(f"no duration for word {word}")
-            self.check_duration(word, dur)
+            cls.check_duration(word, dur)
+        return tuple.__new__(cls, (word_count, delay1, delay2, threshold, durations, filter_mode))
 
     @classmethod
     def uniform(
@@ -173,7 +192,6 @@ class FabricConfig:
             raise SelfPairError(f"pair ({i}, {j}) is a self pair")
 
 
-@dataclass
 class Episode:
     """One activation chain rooted at a single CPU enable.
 
@@ -181,22 +199,22 @@ class Episode:
     the episode; each word may appear at most once.
     """
 
-    episode_id: int
-    fired_words: set[int] = field(default_factory=set)
+    __slots__ = ("episode_id", "fired_words")
+
+    def __init__(self, episode_id: int):
+        self.episode_id = episode_id
+        self.fired_words: set[int] = set()
 
 
-class CpuEnable(NamedTuple):
-    word: int
-    episode: Episode
+class CpuEnable(namedtuple("CpuEnable", "word episode")):
+    __slots__ = ()
 
     def fire(self, sim, tick: int) -> None:
         sim.fabric.on_enable(sim, self.word, tick, source=SRC_CPU, pair=None, episode=self.episode)
 
 
-class AutoEnable(NamedTuple):
-    word: int
-    pair: tuple[int, int]
-    episode: Episode
+class AutoEnable(namedtuple("AutoEnable", "word pair episode")):
+    __slots__ = ()
 
     def fire(self, sim, tick: int) -> None:
         sim.fabric.on_enable(
@@ -204,9 +222,8 @@ class AutoEnable(NamedTuple):
         )
 
 
-class WordDone(NamedTuple):
-    word: int
-    episode: Episode
+class WordDone(namedtuple("WordDone", "word episode")):
+    __slots__ = ()
 
     def fire(self, sim, tick: int) -> None:
         # Fabric reacts before the CPU observes the done.
@@ -214,9 +231,8 @@ class WordDone(NamedTuple):
         sim.driver.on_done(sim, self.word, tick)
 
 
-class OverrideSet(NamedTuple):
-    pair: tuple[int, int]
-    is_open: bool
+class OverrideSet(namedtuple("OverrideSet", "pair is_open")):
+    __slots__ = ()
 
     def fire(self, sim, tick: int) -> None:
         sim.fabric.set_override(sim, self.pair[0], self.pair[1], self.is_open, tick)

@@ -37,9 +37,8 @@ result is at most one divergence; empty means full agreement.
 from __future__ import annotations
 
 from bisect import insort
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Generator, Iterator
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count, zip_longest
 
@@ -86,6 +85,7 @@ def detection_ticks(records: list[TraceRecord], config: FabricConfig) -> dict[Pa
     MalformedTraceError), so a window is dropped once a trigger passes it.
     """
     trigger_kind = EV_ENABLE if config.filter_mode == DONE_ENABLE else EV_DONE
+    delay1, delay2 = config.delay1, config.delay2
     window_until: dict[int, int] = {}
     last_counted: dict[Pair, int] = {}
     ticks: dict[Pair, list[int]] = {}
@@ -104,14 +104,14 @@ def detection_ticks(records: list[TraceRecord], config: FabricConfig) -> dict[Pa
                     continue
                 pair = (src, word)
                 prev = last_counted.get(pair)
-                if prev is not None and t - prev < config.delay2:
+                if prev is not None and t - prev < delay2:
                     continue
                 last_counted[pair] = t
                 ticks.setdefault(pair, []).append(t)
             for src in closed:
                 del window_until[src]
         if ev == EV_DONE:
-            window_until[word] = t + config.delay1
+            window_until[word] = t + delay1
     return ticks
 
 
@@ -123,12 +123,7 @@ def predict_learned(counts: dict[Pair, int], threshold: int) -> set[Pair]:
     return {pair for pair, count in counts.items() if count >= threshold}
 
 
-@dataclass(frozen=True)
-class TimelineEntry:
-    tick: int
-    kind: str
-    word: int
-    pair: Pair | None = None
+TimelineEntry = namedtuple("TimelineEntry", "tick kind word pair", defaults=(None,))
 
 
 def entry_sort_key(entry: TimelineEntry):
@@ -218,13 +213,13 @@ def _owed_run(
     def rehearsal(plan) -> Generator[tuple | None, int, None]:
         # A plan's CPU model: sent the tick of each done it awaits, it yields its
         # next enable, gap ticks later, or rest ticks later in a new episode.
-        t = plan.start
+        sequence, gap, rest, t = plan.sequence, plan.gap, plan.rest, plan.start
         for _ in range(plan.reps):
             episode = next(episodes)
-            for word in plan.sequence:
+            for word in sequence:
                 done = yield (t, EV_ENABLE, word, None, SRC_CPU, episode, None)
-                t = done + plan.gap
-            t = done + plan.rest
+                t = done + gap
+            t = done + rest
         yield None  # finished
 
     # Setup owes the override switches, then each probe's arrival, then each

@@ -29,13 +29,12 @@ activity.
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable
+import os
+from collections import Counter, namedtuple
+from collections.abc import Iterable
 
 from memfabric.driver import Probe, RehearsalPlan
-from memfabric.fabric import DONE_ENABLE, FabricConfig
+from memfabric.fabric import DONE_ENABLE, CheckedTuple, FabricConfig
 from memfabric.trace import (
     EV_ENABLE,
     EV_IGNORED_ENABLE,
@@ -63,26 +62,33 @@ class ValidationError(ScenarioError):
     """Semantic problem: out-of-range value, repeated word, bad config."""
 
 
-@dataclass(frozen=True)
-class OverrideDirective:
-    tick: int
-    i: int
-    j: int
-    is_open: bool
+class OverrideDirective(CheckedTuple, namedtuple("OverrideDirective", "tick i j is_open")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.tick < 0:
-            raise ValueError(f"override tick must be >= 0, got {self.tick}")
+    def __new__(cls, tick: int, i: int, j: int, is_open: bool):
+        if tick < 0:
+            raise ValueError(f"override tick must be >= 0, got {tick}")
+        return tuple.__new__(cls, (tick, i, j, is_open))
 
 
-@dataclass(frozen=True)
-class Scenario:
-    config: FabricConfig
-    plans: tuple[RehearsalPlan, ...]
-    probes: tuple[Probe, ...]
-    overrides: tuple[OverrideDirective, ...]
-    max_tick: int
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+class Scenario(
+    CheckedTuple,
+    namedtuple("Scenario", "config plans probes overrides max_tick warnings"),
+):
+    """A parsed scenario; its tick limit keeps the rule of ``maxticks``.
+    Two scenarios are equal when all but their warnings are."""
+
+    __slots__ = ()
+
+    def __new__(cls, config, plans, probes, overrides, max_tick: int, warnings=()):
+        check_max_tick(max_tick)
+        return tuple.__new__(cls, (config, plans, probes, overrides, max_tick, warnings))
+
+    def __eq__(self, other):
+        return isinstance(other, Scenario) and self[:5] == other[:5]
+
+    def __ne__(self, other):
+        return not self == other
 
 
 def check_max_tick(value: int) -> None:
@@ -278,23 +284,11 @@ def canonical_scenario(scenario: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class EpisodeSummary:
-    episode: int
-    trigger_word: int
-    start: int
-    end: int
-    fired_words: tuple[int, ...]
-    cpu_enables_after_trigger: int
-
-
-@dataclass(frozen=True)
-class Report:
-    outcome: str
-    final_tick: int
-    learned: tuple[tuple[tuple[int, int], int], ...]  # ((i, j), learned tick)
-    detections: tuple[tuple[tuple[int, int], int], ...]  # ((i, j), count)
-    episodes: tuple[EpisodeSummary, ...]
+EpisodeSummary = namedtuple(
+    "EpisodeSummary", "episode trigger_word start end fired_words cpu_enables_after_trigger"
+)
+# learned: ((i, j), learned tick) entries; detections: ((i, j), count) entries
+Report = namedtuple("Report", "outcome final_tick learned detections episodes")
 
 
 def build_report(records: list[TraceRecord], *, outcome: str, final_tick: int) -> Report:
@@ -374,5 +368,6 @@ def format_report(report: Report) -> str:
     )
 
 
-def write_report(report: Report, path: str | Path) -> None:
-    Path(path).write_text(format_report(report), encoding="utf-8")
+def write_report(report: Report, path: str | os.PathLike) -> None:
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(format_report(report))

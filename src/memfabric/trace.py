@@ -39,11 +39,12 @@ position (the schema has no boolean field).
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from itertools import islice
-from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
 
 EV_ENABLE = "enable"
 EV_IGNORED_ENABLE = "ignored_enable"
@@ -89,19 +90,16 @@ class MalformedTraceError(ValueError):
     """A trace violates the record schema or the dispatch-order contract."""
 
 
-class TraceRecord(NamedTuple):
-    """One trace line: an immutable, hashable named tuple.
+class TraceRecord(
+    namedtuple("TraceRecord", "t ev word pair src episode stage", defaults=(None,) * 5)
+):
+    """One trace line: an immutable, hashable named tuple of ints, an int
+    pair and strings, None for an absent field.
 
     Derive a changed copy with ``rec._replace(t=...)``.
     """
 
-    t: int
-    ev: str
-    word: int | None = None
-    pair: tuple[int, int] | None = None
-    src: str | None = None
-    episode: int | None = None
-    stage: int | None = None
+    __slots__ = ()
 
     def to_json_line(self) -> str:
         """The record as one compact JSON object, keys in the fixed order:
@@ -375,20 +373,23 @@ def _not_utf8(exc: UnicodeDecodeError, offset: int) -> str:
 
 def _whole_lines(file) -> Iterator[bytes]:
     """The file's bytes, read :data:`_READ_BLOCK` at a time, each read cut
-    after its last ``\\n``: the rest starts the next block."""
-    rest = b""
+    after its last ``\\n``: the rest starts the next block. The reads of a
+    line not yet ended are kept apart and joined once, so a long line
+    costs its length, not its length times its reads."""
+    rest = []
     while chunk := file.read(_READ_BLOCK):
         cut = chunk.rfind(b"\n") + 1
         if cut:
-            yield rest + chunk[:cut]
-            rest = chunk[cut:]
+            rest.append(chunk[:cut])
+            yield b"".join(rest)
+            rest = [chunk[cut:]]
         else:
-            rest += chunk
-    if rest:
+            rest.append(chunk)
+    if rest := b"".join(rest):
         yield rest
 
 
-def read_blocks(path: str | Path) -> Iterator[str]:
+def read_blocks(path: str | os.PathLike) -> Iterator[str]:
     """A trace's or a scenario's text, for :func:`parse_trace` or ``parse_scenario``,
     in blocks of whole lines, each read as :data:`_READ_BLOCK` bytes and cut
     after its last newline. Bytes that are not UTF-8 raise :class:`UnicodeError`
@@ -396,7 +397,7 @@ def read_blocks(path: str | Path) -> Iterator[str]:
     line, so the parser, which counts lines, finds a fault among those first.
     """
     offset = 0  # of the block's first byte in the file
-    with Path(path).open("rb") as file:
+    with open(path, "rb") as file:
         for block in _whole_lines(file):
             try:
                 text = block.decode("utf-8")
@@ -414,9 +415,9 @@ def read_blocks(path: str | Path) -> Iterator[str]:
 _WRITE_BATCH = 1024
 
 
-def write_trace(records: Iterable[TraceRecord], path: str | Path) -> None:
+def write_trace(records: Iterable[TraceRecord], path: str | os.PathLike) -> None:
     """Write the trace :func:`format_trace` gives for the records, a batch at a time."""
     records = iter(records)
-    with Path(path).open("w", encoding="utf-8") as file:
+    with open(path, "w", encoding="utf-8") as file:
         while batch := list(islice(records, _WRITE_BATCH)):
             file.write(format_trace(batch))

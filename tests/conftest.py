@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import sys
 
 import pytest
@@ -45,6 +47,34 @@ def with_odd_chars(draw, texts, chars=ODD_CHARS) -> bytes:
         where = draw(st.integers(min_value=0, max_value=len(text)))
         text = text[:where] + draw(st.sampled_from(chars)) + text[where:]
     return text.encode("utf-8", "surrogateescape")
+
+
+def assert_every_path_checks(valid, field: str, bad, error: type[Exception]) -> None:
+    """Every way to build a value of ``valid``'s type rejects ``bad`` as ``field``
+    with ``error``: the constructor, ``_make``, ``_replace``, ``copy.replace``
+    where it exists, and a pickle, copy or deep copy of a value built without
+    the checks (by ``tuple.__new__``). A valid value comes through each unchanged."""
+    cls, fields = type(valid), valid._asdict()
+    bad_fields = {**fields, field: bad}
+    invalid = tuple.__new__(cls, bad_fields.values())
+    builds = [
+        lambda: cls(**bad_fields),
+        lambda: cls(*bad_fields.values()),
+        lambda: cls._make(bad_fields.values()),
+        lambda: valid._replace(**{field: bad}),
+        lambda: pickle.loads(pickle.dumps(invalid)),
+        lambda: copy.copy(invalid),
+        lambda: copy.deepcopy(invalid),
+    ]
+    if hasattr(copy, "replace"):  # Python 3.13 on
+        builds.append(lambda: copy.replace(valid, **{field: bad}))
+    for build in builds:
+        with pytest.raises(error):
+            build()
+    copies = [cls._make(valid), valid._replace(), pickle.loads(pickle.dumps(valid))]
+    copies += [copy.copy(valid), copy.deepcopy(valid)]
+    for same in copies:
+        assert type(same) is cls and same == valid
 
 
 def python_command() -> list[str]:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -626,33 +627,64 @@ def test_run_takes_joined_option_values_and_options_before_the_scenario(scenario
     assert len(outputs) == 1
 
 
-# A command whose first call imports one of these pays for it on every run.
+# Modules the package needs none of: a command that imports one pays for it on
+# every run. argparse's first call imports shutil and locale (through gettext);
+# dataclasses imports inspect, which imports ast.
+UNUSED_MODULES = [
+    "argparse", "ast", "dataclasses", "gettext", "inspect", "locale", "pathlib", "shutil",
+    "typing",
+]
 CLI_CHILD = """
 import sys
 before = set(sys.modules)
 from memfabric.cli import main
-scenario, trace, report = sys.argv[1:]
+scenario, trace, report = sys.argv[1:4]
 codes = [
     main(["run", scenario, "--trace", trace, "--report", report]),
     main(["verify", scenario, trace]),
     main(["check", scenario]),
     main(["run", scenario, "--max", "5"]),
 ]
-loaded = {"argparse", "gettext", "locale", "shutil"} & (set(sys.modules) - before)
+loaded = set(sys.argv[4:]) & (set(sys.modules) - before)
 print(codes, sorted(loaded), file=sys.stderr)
 """
 
 
-def test_no_command_imports_argparse_gettext_locale_or_shutil(scenario_file):
+def test_no_command_imports_what_it_does_not_run(scenario_file):
     trace, report = scenario_file.with_suffix(".jsonl"), scenario_file.with_suffix(".json")
     proc = subprocess.run(
-        [*python_command(), "-S", "-c", CLI_CHILD, str(scenario_file), str(trace), str(report)],
+        [*python_command(), "-S", "-c", CLI_CHILD, str(scenario_file), str(trace), str(report)]
+        + UNUSED_MODULES,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True,
         text=True,
         encoding="utf-8",
     )
     assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 1] []"
+
+
+@pytest.mark.parametrize(
+    "tail, fault",
+    [
+        (b"", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (
+            b"\xff",
+            "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 1048576: "
+            "invalid start byte",
+        ),
+    ],
+)
+def test_verify_locates_the_fault_of_a_long_line_read_in_small_blocks(
+    scenario_file, tmp_path, capsys, tail, fault
+):
+    # A first line of 1 MiB with no newline, read 16 bytes at a time: the reader
+    # joins its 65,536 reads once; copying the line on each read took seconds.
+    trace = tmp_path / "long.trace.jsonl"
+    trace.write_bytes(b"x" * 2**20 + tail)
+    with mock.patch.object(memfabric.trace, "_READ_BLOCK", 16):
+        assert main(["verify", str(scenario_file), str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: malformed trace: line 1: {fault}\n")
 
 
 def test_check_warns_on_stderr_for_gap_beyond_delay1(tmp_path, capsys):

@@ -20,7 +20,7 @@ from memfabric.trace import (
     SRC_AUTO,
     SRC_CPU,
 )
-from conftest import run_text
+from conftest import assert_every_path_checks, run_text
 
 
 def test_plan_enables_follow_done_plus_gap():
@@ -57,6 +57,19 @@ def test_plan_with_repeated_word_is_rejected():
 def test_structurally_bad_plans_are_rejected(kwargs):
     with pytest.raises(InvalidPlanError):
         RehearsalPlan(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "field, bad", [("sequence", (1, 2, 1)), ("reps", 0), ("gap", -1), ("rest", -1), ("start", -1)]
+)
+def test_every_way_to_build_a_plan_checks_it(field, bad):
+    plan = RehearsalPlan(sequence=[1, 2], reps=1, gap=0, rest=0, start=0)
+    assert plan.sequence == (1, 2)  # a tuple, however it was given
+    assert_every_path_checks(plan, field, bad, InvalidPlanError)
+
+
+def test_every_way_to_build_a_probe_checks_it():
+    assert_every_path_checks(Probe(tick=0, word=1), "tick", -1, ValueError)
 
 
 def test_plan_word_outside_fabric_is_rejected():

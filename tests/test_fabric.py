@@ -32,7 +32,7 @@ from memfabric.trace import (
     EV_LOOP_SUPPRESSED,
     EV_OVERRIDE_BLOCKED,
 )
-from conftest import OVERRIDE_CYCLE, records_of, run_text
+from conftest import OVERRIDE_CYCLE, assert_every_path_checks, records_of, run_text
 
 
 def _config(word_count=2, delay1=5, delay2=1, threshold=10, duration=4, **kw):
@@ -76,6 +76,18 @@ def test_missing_duration_is_rejected():
         FabricConfig(word_count=2, delay1=5, delay2=1, threshold=1, durations={1: 4})
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("word_count", 1), ("delay1", 0), ("delay2", 6), ("threshold", 0), ("durations", {1: 4}),
+        ("durations", {1: 4, 2: 0}), ("filter_mode", "x"),
+    ],
+)
+def test_every_way_to_build_a_config_checks_it(field, bad):
+    config = FabricConfig(word_count=2, delay1=5, delay2=1, threshold=1, durations={1: 4, 2: 4})
+    assert_every_path_checks(config, field, bad, InvalidConfigError)
+
+
 def test_config_keeps_a_read_only_copy_of_the_durations():
     durations = {1: 4, 2: 4}
     cfg = FabricConfig(word_count=2, delay1=5, delay2=1, threshold=1, durations=durations)
@@ -83,6 +95,10 @@ def test_config_keeps_a_read_only_copy_of_the_durations():
     assert cfg.durations == {1: 4, 2: 4}
     with pytest.raises(TypeError):
         cfg.durations[1] = -3
+    with pytest.raises(TypeError):
+        cfg._replace(durations={1: 2, 2: 2}).durations[1] = -3
+    with pytest.raises(TypeError):  # a dict has no hash, so neither has the config
+        hash(cfg)
     edits = [
         lambda d: d.__delitem__(1),
         lambda d: d.__ior__({1: -3}),

@@ -10,7 +10,6 @@ in order, under both. The benchmark workloads are held to it in
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -62,5 +61,5 @@ def test_a_blocked_fire_does_not_restart_the_refractory():
 @settings(max_examples=50)
 @given(scenario=scenarios())
 def test_generated_scenarios_fire_as_the_literal_circuit(mode, scenario):
-    config = dataclasses.replace(scenario.config, filter_mode=mode)
-    assert_filters_agree(dataclasses.replace(scenario, config=config))
+    config = scenario.config._replace(filter_mode=mode)
+    assert_filters_agree(scenario._replace(config=config))

@@ -8,8 +8,6 @@ it was transformed from.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from hypothesis import given, settings, strategies as st
 
 from memfabric import run_scenario, verify_run
@@ -23,11 +21,10 @@ EMBEDDINGS = [(1, 3, 0), (2, 0, 2), (3, 1, 1)]
 
 def shifted(scenario, delta: int):
     """The scenario with every tick, its tick limit too, ``delta`` later."""
-    return replace(
-        scenario,
-        plans=tuple(replace(plan, start=plan.start + delta) for plan in scenario.plans),
-        probes=tuple(replace(probe, tick=probe.tick + delta) for probe in scenario.probes),
-        overrides=tuple(replace(d, tick=d.tick + delta) for d in scenario.overrides),
+    return scenario._replace(
+        plans=tuple(plan._replace(start=plan.start + delta) for plan in scenario.plans),
+        probes=tuple(probe._replace(tick=probe.tick + delta) for probe in scenario.probes),
+        overrides=tuple(d._replace(tick=d.tick + delta) for d in scenario.overrides),
         max_tick=scenario.max_tick + delta,
     )
 
@@ -42,14 +39,13 @@ def embedded(scenario, rename, spare: int):
     config = FabricConfig(
         word_count, cfg.delay1, cfg.delay2, cfg.threshold, durations, cfg.filter_mode
     )
-    return replace(
-        scenario,
+    return scenario._replace(
         config=config,
         plans=tuple(
-            replace(plan, sequence=tuple(map(rename, plan.sequence))) for plan in scenario.plans
+            plan._replace(sequence=tuple(map(rename, plan.sequence))) for plan in scenario.plans
         ),
-        probes=tuple(replace(probe, word=rename(probe.word)) for probe in scenario.probes),
-        overrides=tuple(replace(d, i=rename(d.i), j=rename(d.j)) for d in scenario.overrides),
+        probes=tuple(probe._replace(word=rename(probe.word)) for probe in scenario.probes),
+        overrides=tuple(d._replace(i=rename(d.i), j=rename(d.j)) for d in scenario.overrides),
     )
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from pathlib import Path
 
@@ -647,11 +646,11 @@ def _one_value_variants(scenario):
             for name in names:
                 for delta in (-1, 1):
                     try:
-                        moved = dataclasses.replace(item, **{name: getattr(item, name) + delta})
+                        moved = item._replace(**{name: getattr(item, name) + delta})
                     except ValueError:
                         continue
                     changed = (*items[:index], moved, *items[index + 1 :])
-                    yield dataclasses.replace(scenario, **{group: changed})
+                    yield scenario._replace(**{group: changed})
 
 
 def test_surviving_mutants_of_the_shipped_scenarios_are_counted():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import dataclasses
 import io
 import json
 import pickle
@@ -40,7 +39,7 @@ from memfabric import (
 from memfabric.cli import main
 from memfabric.fabric import FabricConfig
 from memfabric.trace import EV_LEARNED, read_blocks, split_lines
-from conftest import ODD_CHARS, run_text, with_odd_chars
+from conftest import ODD_CHARS, assert_every_path_checks, run_text, with_odd_chars
 
 
 def test_worked_example_parses(worked_example_text):
@@ -305,7 +304,32 @@ def test_parsed_scenario_survives_pickle_and_deepcopy():
         with pytest.raises(TypeError):
             copied.config.durations[1] = 5
         assert run_scenario(copied).records == run_scenario(scenario).records
-    assert dataclasses.asdict(scenario)["config"]["durations"] == {1: 4, 2: 9, 3: 4}
+    durations = scenario.config._asdict()["durations"]
+    assert durations == {1: 4, 2: 9, 3: 4}
+    with pytest.raises(TypeError):
+        copy.copy(durations)[1] = 5
+
+
+def test_every_way_to_build_an_override_checks_it():
+    directive = OverrideDirective(tick=0, i=1, j=2, is_open=True)
+    assert_every_path_checks(directive, "tick", -1, ValueError)
+
+
+def test_every_way_to_build_a_scenario_checks_its_tick_limit():
+    text = (
+        "fabric words=2 delay1=5 delay2=1 threshold=3\n"
+        "dur * 4\n"
+        "rehearse 1 2 reps=5 gap=6 rest=6 start=0\n"
+        "maxticks 1000\n"
+    )
+    scenario = parse_scenario(text)
+    assert_every_path_checks(scenario, "max_tick", 0, ValueError)
+    for copied in (scenario._replace(), pickle.loads(pickle.dumps(scenario))):
+        assert copied.warnings == scenario.warnings != ()
+    # equality leaves the warnings out, as it does the text's comments
+    unwarned = scenario._replace(warnings=())
+    assert unwarned == scenario and not unwarned != scenario
+    assert scenario != scenario._replace(max_tick=999)
 
 
 def test_canonical_round_trip_on_worked_example(worked_example_text):
