@@ -57,6 +57,11 @@ class RehearsalPlan(CheckedTuple, namedtuple("RehearsalPlan", "sequence reps gap
             raise InvalidPlanError(f"start must be >= 0, got {start}")
         return tuple.__new__(cls, (sequence, reps, gap, rest, start))
 
+    def check_words(self, config) -> None:
+        """Every word of the sequence is a word of ``config``'s fabric."""
+        for word in self.sequence:
+            config.check_word(word)
+
 
 class Probe(CheckedTuple, namedtuple("Probe", "tick word")):
     __slots__ = ()
@@ -65,6 +70,10 @@ class Probe(CheckedTuple, namedtuple("Probe", "tick word")):
         if tick < 0:
             raise ValueError(f"probe tick must be >= 0, got {tick}")
         return tuple.__new__(cls, (tick, word))
+
+    def check_words(self, config) -> None:
+        """The probed word is a word of ``config``'s fabric."""
+        config.check_word(self.word)
 
 
 class _PlanRun:

@@ -145,14 +145,13 @@ class Simulation:
     def add_plan(self, plan: RehearsalPlan) -> None:
         """Hand a plan to the driver once its start and every word are checked."""
         self._check_tick(plan.start)
-        for word in plan.sequence:
-            self.config.check_word(word)
+        plan.check_words(self.config)
         self.driver.add_plan(self, plan)
 
     def add_probe(self, probe: Probe) -> None:
         """Schedule a probe's CPU enable in a new episode once its tick and word are checked."""
         self._check_tick(probe.tick)
-        self.config.check_word(probe.word)
+        probe.check_words(self.config)
         self.queue.schedule(probe.tick, tuple.__new__(CpuEnable, (probe.word, self.new_episode())))
 
     # -- dispatch --------------------------------------------------------

@@ -119,7 +119,8 @@ class FabricConfig(
     minimum spacing between two register shifts of the same filter;
     it may not exceed ``delay1``. ``threshold`` is the register depth:
     the number of qualifying repetitions after which a pair is learned.
-    ``durations`` is kept as a read-only copy, so later edits of the
+    ``durations`` maps every word, and nothing else, to its duration.
+    It is kept as a read-only copy, so later edits of the
     caller's mapping cannot undo its checks; while it is a dict, a
     config has no hash.
     """
@@ -153,7 +154,11 @@ class FabricConfig(
             if dur is None:
                 raise InvalidConfigError(f"no duration for word {word}")
             cls.check_duration(word, dur)
-        return tuple.__new__(cls, (word_count, delay1, delay2, threshold, durations, filter_mode))
+        config = tuple.__new__(cls, (word_count, delay1, delay2, threshold, durations, filter_mode))
+        if len(durations) > word_count:  # every word has a duration, so a key is not a word
+            for word in durations:
+                config.check_word(word)
+        return config
 
     @classmethod
     def uniform(
@@ -174,8 +179,9 @@ class FabricConfig(
         return range(1, self.word_count + 1)
 
     @staticmethod
-    def check_duration(word: int, dur: int) -> None:
-        """The duration rule: a word runs for at least one tick."""
+    def check_duration(word: int | str, dur: int) -> None:
+        """The duration rule: a word runs for at least one tick. ``word`` is
+        ``"*"`` for the default of ``dur *``."""
         if dur < 1:
             raise InvalidConfigError(f"duration of word {word} must be >= 1, got {dur}")
 

@@ -14,9 +14,12 @@ blank lines are skipped)::
 ``fabric`` and ``maxticks`` are required and may appear once. Unknown
 directives and unknown arguments are errors. Every error names its line,
 except a missing ``fabric`` or ``maxticks``. Each line is checked as it
-is read, so its own faults are reported first, in file order; the rules
-that need the whole file (durations, the fabric's config, word ranges
-and pairs) are checked after the last line. A ``gap`` larger than
+is read, so its own faults are reported first, in file order. The rules
+that need the whole file are checked after the last line: the durations
+(``dur *`` even when every word has its own), the fabric's config, the
+words of the ``dur`` lines, and then the words and pairs of the plans,
+probes and overrides, which :class:`Scenario` checks; the first faulty
+one in file order is named. A ``gap`` larger than
 ``delay1`` parses with a warning: it is a legitimate negative control
 (the rehearsed pairs fall outside every coincidence window).
 
@@ -68,20 +71,29 @@ class OverrideDirective(CheckedTuple, namedtuple("OverrideDirective", "tick i j 
     def __new__(cls, tick: int, i: int, j: int, is_open: bool):
         if tick < 0:
             raise ValueError(f"override tick must be >= 0, got {tick}")
+        if not isinstance(is_open, bool):
+            raise ValueError(f"override switch must be True or False, got {is_open!r}")
         return tuple.__new__(cls, (tick, i, j, is_open))
+
+    def check_words(self, config: FabricConfig) -> None:
+        """The switched pair is a pair of ``config``'s fabric."""
+        config.check_pair(self.i, self.j)
 
 
 class Scenario(
     CheckedTuple,
     namedtuple("Scenario", "config plans probes overrides max_tick warnings"),
 ):
-    """A parsed scenario; its tick limit keeps the rule of ``maxticks``.
+    """A scenario that can run: its tick limit keeps the rule of ``maxticks``,
+    and each plan, probe and override checks its words against ``config``.
     Two scenarios are equal when all but their warnings are."""
 
     __slots__ = ()
 
     def __new__(cls, config, plans, probes, overrides, max_tick: int, warnings=()):
         check_max_tick(max_tick)
+        for part in (*plans, *probes, *overrides):
+            part.check_words(config)
         return tuple.__new__(cls, (config, plans, probes, overrides, max_tick, warnings))
 
     def __eq__(self, other):
@@ -218,38 +230,39 @@ def parse_scenario(text: str | Iterable[str]) -> Scenario:
             if (entry := dur_overrides.get(word, default_dur)) is not None:
                 durations[word], line = entry
                 FabricConfig.check_duration(word, durations[word])
+        if default_dur is not None:  # checked even when no word takes it
+            value, line = default_dur
+            FabricConfig.check_duration("*", value)
         line = fabric_line
         config = FabricConfig(word_count, delay1, delay2, threshold, durations, mode)
         for word, (_, line) in dur_overrides.items():
             config.check_word(word)
-        warnings: list[str] = []
-        for line, plan in plans.items():
-            for word in plan.sequence:
-                config.check_word(word)
-            if plan.gap > delay1:
-                warnings.append(
-                    f"line {line}: gap={plan.gap} exceeds delay1={delay1}; "
-                    "rehearsed pairs will fall outside every coincidence window"
-                )
-        for line, probe in probes.items():
-            config.check_word(probe.word)
-        for line, directive in overrides.items():
-            config.check_pair(directive.i, directive.j)
+        warnings = [
+            f"line {line}: gap={plan.gap} exceeds delay1={delay1}; "
+            "rehearsed pairs will fall outside every coincidence window"
+            for line, plan in plans.items()
+            if plan.gap > delay1
+        ]
+        try:
+            scenario = Scenario(
+                config,
+                tuple(plans.values()),
+                tuple(probes.values()),
+                tuple(overrides.values()),
+                max_tick,
+                tuple(warnings),
+            )
+        except ValueError:  # a part's word: locate the first faulty part in file order
+            for line, part in sorted({**plans, **probes, **overrides}.items()):
+                part.check_words(config)
+            raise
     except ScenarioError as exc:  # raised here, without its line
         raise type(exc)(str(exc), line) from None
     except UnicodeError as exc:  # a byte that is not UTF-8, from the blocks
         raise ParseError(str(exc), line) from None
     except ValueError as exc:  # a rule broken, raised by the rule's owner
         raise ValidationError(str(exc), line) from exc
-
-    return Scenario(
-        config,
-        tuple(plans.values()),
-        tuple(probes.values()),
-        tuple(overrides.values()),
-        max_tick,
-        tuple(warnings),
-    )
+    return scenario
 
 
 def canonical_scenario(scenario: Scenario) -> str:

@@ -24,6 +24,7 @@ import pytest
 import memfabric.cli
 import memfabric.trace
 from memfabric import (
+    FabricConfig,
     build_simulation,
     format_report,
     format_trace,
@@ -75,6 +76,27 @@ def test_workload_outputs_equal_the_recorded_ones(name):
         "sim.records": len(result.records),
         "sim.learned_pairs": len(result.report.learned),
     } == {key: value for key, value in expected.items() if key != "seed"}
+
+
+def test_parse_and_build_check_each_word_no_more_often(monkeypatch):
+    # Each part's words are checked once when the Scenario is built and once
+    # when the simulation takes the part. The bounds are the counts from when
+    # the parser checked every part itself before the simulation did, so no
+    # pass has been added since. check_word's count includes the two calls of
+    # each check_pair.
+    name = "replay_override"
+    text = workloads.generate(name, workloads.WORKLOADS[name][1])
+    calls = {"check_word": 0, "check_pair": 0}
+    for method in calls:
+        check = getattr(FabricConfig, method)
+
+        def counted(self, *words, check=check, method=method):
+            calls[method] += 1
+            return check(self, *words)
+
+        monkeypatch.setattr(FabricConfig, method, counted)
+    build_simulation(parse_scenario(text))
+    assert calls["check_word"] <= 6320 and calls["check_pair"] <= 2000, calls
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

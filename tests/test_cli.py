@@ -496,6 +496,18 @@ def test_check_rejects_spike_wider_than_the_window(tmp_path, capsys):
     assert "must not exceed delay1" in capsys.readouterr().err
 
 
+def test_check_rejects_a_bad_default_duration_no_word_takes(tmp_path, capsys):
+    path = tmp_path / "bad.scn"
+    path.write_text(
+        "fabric words=2 delay1=5 delay2=1 threshold=2\ndur * 0\ndur 1 4\ndur 2 4\nmaxticks 10\n",
+        encoding="utf-8",
+    )
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line 2: duration of word * must be >= 1, got 0")
+    assert captured.out == ""
+
+
 def _max_ticks_cases(command: str) -> list:
     argv = ["verify", "SCN", "T"] if command == "verify" else ["run", "SCN"]
     prefix = "verify-" if command == "verify" else ""

@@ -88,6 +88,19 @@ def test_every_way_to_build_a_config_checks_it(field, bad):
     assert_every_path_checks(config, field, bad, InvalidConfigError)
 
 
+@pytest.mark.parametrize(
+    "durations, field, bad",
+    [
+        ({1: 4, 2: 4}, "durations", {1: 4, 2: 4, 99: 7}),
+        ({1: 4, 2: 4}, "durations", {0: 4, 1: 4, 2: 4}),
+        ({1: 4, 2: 4, 3: 4}, "word_count", 2),  # a fabric smaller than its durations
+    ],
+)
+def test_every_way_to_build_a_config_keeps_the_durations_to_its_words(durations, field, bad):
+    config = FabricConfig(len(durations), delay1=5, delay2=1, threshold=1, durations=durations)
+    assert_every_path_checks(config, field, bad, UnknownWordError)
+
+
 def test_config_keeps_a_read_only_copy_of_the_durations():
     durations = {1: 4, 2: 4}
     cfg = FabricConfig(word_count=2, delay1=5, delay2=1, threshold=1, durations=durations)

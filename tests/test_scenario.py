@@ -26,7 +26,9 @@ from memfabric import (
     Report,
     Scenario,
     ScenarioError,
+    SelfPairError,
     TraceRecord,
+    UnknownWordError,
     ValidationError,
     build_report,
     canonical_scenario,
@@ -35,6 +37,7 @@ from memfabric import (
     parse_scenario,
     parse_trace,
     run_scenario,
+    verify_run,
 )
 from memfabric.cli import main
 from memfabric.fabric import FabricConfig
@@ -180,6 +183,27 @@ def test_duplicate_fabric_directive_is_an_error():
             3,
             "line 3: maxticks must be >= 1, got 0",
         ),
+        # ``dur *`` is checked even when every word has a duration of its own.
+        (
+            "fabric words=2 delay1=5 delay2=1 threshold=2\ndur * 0\ndur 1 4\ndur 2 4\n"
+            "maxticks 10\n",
+            2,
+            "line 2: duration of word * must be >= 1, got 0",
+        ),
+        # Of the plans, probes and overrides, the first faulty one in file order
+        # is named, whatever its kind.
+        (
+            "fabric words=3 delay1=5 delay2=1 threshold=1\ndur * 4\nat 5 probe 9\nmaxticks 10\n"
+            "rehearse 1 7 reps=1 gap=0 rest=0 start=0\n",
+            3,
+            "line 3: word 9 outside 1..3",
+        ),
+        (
+            "fabric words=3 delay1=5 delay2=1 threshold=1\ndur * 4\nat 5 override 2 2 open\n"
+            "at 6 probe 9\nmaxticks 10\n",
+            3,
+            "line 3: pair (2, 2) is a self pair",
+        ),
         # A line's own faults are reported first, in file order, and before
         # the rules that need the whole file (here word 1's missing duration).
         (
@@ -264,6 +288,61 @@ def test_edited_scenarios_parse_or_fail_with_a_located_message(tmp_path_factory,
         assert main(["check", str(path)]) == (1 if scenario is None else 0)
 
 
+SHIPPED = [parse_scenario(text) for text in SHIPPED_SCENARIOS]
+
+
+@st.composite
+def one_value_edits(draw):
+    """What is edited, and a function that builds the edited shipped scenario by
+    ``_replace``: a plan's word, a probe's word, an override's word or switch, or
+    a smaller fabric (with its durations cut to its words, or not)."""
+    kind = draw(st.sampled_from(["config", "plans", "probes", "overrides"]))
+    having = [i for i, s in enumerate(SHIPPED) if kind == "config" or getattr(s, kind)]
+    index = draw(st.sampled_from(having))
+    scenario = SHIPPED[index]
+    config = scenario.config
+    words = st.integers(min_value=-1, max_value=config.word_count + 2)
+    if kind == "config":
+        count = draw(st.integers(min_value=1, max_value=config.word_count - 1))
+        durations = config.durations
+        if draw(st.booleans()):
+            durations = {w: d for w, d in durations.items() if w <= count}
+        what = f"config word_count={count} durations={dict(durations)}"
+        return f"shipped[{index}] {what}", lambda: scenario._replace(
+            config=config._replace(word_count=count, durations=durations)
+        )
+    parts = getattr(scenario, kind)
+    at = draw(st.integers(min_value=0, max_value=len(parts) - 1))
+    part = parts[at]
+    if kind == "plans":
+        pos = draw(st.integers(min_value=0, max_value=len(part.sequence) - 1))
+        sequence = part.sequence[:pos] + (draw(words),) + part.sequence[pos + 1 :]
+        values = {"sequence": sequence}
+    elif kind == "probes":
+        values = {"word": draw(words)}
+    elif draw(st.booleans()):
+        values = {"is_open": draw(st.sampled_from([0, 1, 2, True, False]))}
+    else:
+        values = {draw(st.sampled_from(["i", "j"])): draw(words)}
+    return f"shipped[{index}] {kind}[{at}] {values}", lambda: scenario._replace(
+        **{kind: parts[:at] + (part._replace(**values),) + parts[at + 1 :]}
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_value_edits())
+def test_a_scenario_that_builds_runs_verifies_and_round_trips(edit):
+    """Every construction path checks the whole scenario: an edit that builds
+    runs, verifies against its own trace, and prints text that parses back."""
+    _, build = edit
+    try:
+        scenario = build()
+    except ValueError:
+        return
+    assert verify_run(scenario, run_scenario(scenario).records) == []
+    assert parse_scenario(canonical_scenario(scenario)) == scenario
+
+
 def test_gap_beyond_delay1_warns_but_parses():
     text = (
         "fabric words=2 delay1=5 delay2=1 threshold=3\n"
@@ -313,6 +392,30 @@ def test_parsed_scenario_survives_pickle_and_deepcopy():
 def test_every_way_to_build_an_override_checks_it():
     directive = OverrideDirective(tick=0, i=1, j=2, is_open=True)
     assert_every_path_checks(directive, "tick", -1, ValueError)
+    for switch in (2, 1, 0, None):  # run and verify_run would read 2 differently
+        assert_every_path_checks(directive, "is_open", switch, ValueError)
+
+
+@pytest.mark.parametrize(
+    "field, bad, error",
+    [
+        ("plans", (RehearsalPlan((1, 4), reps=1, gap=0, rest=0, start=0),), UnknownWordError),
+        ("probes", (Probe(tick=5, word=0),), UnknownWordError),
+        ("overrides", (OverrideDirective(tick=5, i=4, j=1, is_open=True),), UnknownWordError),
+        ("overrides", (OverrideDirective(tick=5, i=2, j=2, is_open=True),), SelfPairError),
+        ("config", FabricConfig(2, 5, 1, 3, {1: 4, 2: 4}), UnknownWordError),
+    ],
+)
+def test_every_way_to_build_a_scenario_checks_the_words_of_its_parts(field, bad, error):
+    text = (
+        "fabric words=3 delay1=5 delay2=1 threshold=3\n"
+        "dur * 4\n"
+        "rehearse 1 3 reps=5 gap=2 rest=6 start=0\n"
+        "at 5 override 2 3 open\n"
+        "at 50 probe 1\n"
+        "maxticks 1000\n"
+    )
+    assert_every_path_checks(parse_scenario(text), field, bad, error)
 
 
 def test_every_way_to_build_a_scenario_checks_its_tick_limit():
