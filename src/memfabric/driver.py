@@ -30,7 +30,7 @@ from bisect import insort
 from collections import namedtuple
 from operator import attrgetter
 
-from memfabric.fabric import CheckedTuple, CpuEnable, Episode
+from memfabric.fabric import CheckedTuple, CpuEnable, Episode, check_int
 
 
 class InvalidPlanError(ValueError):
@@ -47,14 +47,10 @@ class RehearsalPlan(CheckedTuple, namedtuple("RehearsalPlan", "sequence reps gap
         if len(set(sequence)) != len(sequence):
             dup = next(w for i, w in enumerate(sequence) if w in sequence[:i])
             raise InvalidPlanError(f"word {dup} repeats in the sequence; states must be distinct")
-        if reps < 1:
-            raise InvalidPlanError(f"reps must be >= 1, got {reps}")
-        if gap < 0:
-            raise InvalidPlanError(f"gap must be >= 0, got {gap}")
-        if rest < 0:
-            raise InvalidPlanError(f"rest must be >= 0, got {rest}")
-        if start < 0:
-            raise InvalidPlanError(f"start must be >= 0, got {start}")
+        check_int(reps, 1, "reps", InvalidPlanError)
+        check_int(gap, 0, "gap", InvalidPlanError)
+        check_int(rest, 0, "rest", InvalidPlanError)
+        check_int(start, 0, "start", InvalidPlanError)
         return tuple.__new__(cls, (sequence, reps, gap, rest, start))
 
     def check_words(self, config) -> None:
@@ -67,8 +63,7 @@ class Probe(CheckedTuple, namedtuple("Probe", "tick word")):
     __slots__ = ()
 
     def __new__(cls, tick: int, word: int):
-        if tick < 0:
-            raise ValueError(f"probe tick must be >= 0, got {tick}")
+        check_int(tick, 0, "probe tick")
         return tuple.__new__(cls, (tick, word))
 
     def check_words(self, config) -> None:

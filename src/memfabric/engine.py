@@ -15,8 +15,8 @@ calls it. :meth:`Simulation.run_to_quiescence` pops and fires in a loop
 of its own, with no ``step()`` call per event; :meth:`Simulation.step`
 is the one-event form, for a caller that owns the loop. Time is integer
 ticks and the clock only moves forward. Only the public entry points of
-:class:`Simulation` check a tick, rejecting one behind the clock with a
-ValueError; the fabric and the driver queue events at the current tick
+:class:`Simulation` check a tick (an int, not behind the clock, or a
+ValueError); the fabric and the driver queue events at the current tick
 plus an offset their config or plan keeps >= 0. Episodes come only from
 :meth:`Simulation.new_episode`, one per probe and per plan repetition.
 A run ends either quiescent (the queue drained) or at the tick limit
@@ -36,7 +36,7 @@ from collections import namedtuple
 from heapq import heappop, heappush, heapreplace
 
 from memfabric.driver import Driver, Probe, RehearsalPlan
-from memfabric.fabric import CpuEnable, Episode, Fabric, FabricConfig, OverrideSet
+from memfabric.fabric import CpuEnable, Episode, Fabric, FabricConfig, OverrideSet, check_int
 from memfabric.scenario import Scenario, build_report, check_max_tick
 from memfabric.trace import TraceRecord
 
@@ -132,9 +132,10 @@ class Simulation:
         return episode
 
     def _check_tick(self, tick: int) -> None:
-        """Reject a tick behind the clock, where no event can be scheduled."""
-        if tick < self.clock:
+        """Reject a tick that is not an int, or one behind the clock: no event can go there."""
+        if type(tick) is int and tick < self.clock:
             raise ValueError(f"tick {tick} is behind the clock ({self.clock})")
+        check_int(tick, 0, "tick")  # the clock is never below 0, so only the type can fail
 
     def schedule_override(self, tick: int, pair: tuple[int, int], is_open: bool) -> None:
         """Schedule an override switch of ``pair``, two distinct words of the fabric."""

@@ -107,6 +107,14 @@ class CheckedTuple:
         return cls(*iterable)
 
 
+def check_int(value, least: int, what: str, error: type[ValueError] = ValueError) -> None:
+    """The integer rule: ``value`` is an int (a bool is not) and no less than ``least``."""
+    if type(value) is not int:
+        raise error(f"{what} is not an integer: {value!r}")
+    if value < least:
+        raise error(f"{what} must be >= {least}, got {value}")
+
+
 class FabricConfig(
     CheckedTuple,
     namedtuple("FabricConfig", "word_count delay1 delay2 threshold durations filter_mode"),
@@ -137,16 +145,13 @@ class FabricConfig(
         filter_mode: str = DONE_ENABLE,
     ):
         durations = ReadOnlyDict(durations)
-        if word_count < 2:
-            raise InvalidConfigError(f"need at least 2 words, got {word_count}")
-        if delay1 < 1:
-            raise InvalidConfigError(f"delay1 must be >= 1, got {delay1}")
-        if delay2 < 1:
-            raise InvalidConfigError(f"delay2 must be >= 1, got {delay2}")
+        if type(word_count) is not int or word_count < 2:
+            raise InvalidConfigError(f"need at least 2 words, got {word_count!r}")
+        check_int(delay1, 1, "delay1", InvalidConfigError)
+        check_int(delay2, 1, "delay2", InvalidConfigError)
         if delay2 > delay1:
             raise InvalidConfigError(f"delay2 ({delay2}) must not exceed delay1 ({delay1})")
-        if threshold < 1:
-            raise InvalidConfigError(f"threshold must be >= 1, got {threshold}")
+        check_int(threshold, 1, "threshold", InvalidConfigError)
         if filter_mode not in FILTER_MODES:
             raise InvalidConfigError(f"mode must be done_enable or done_done, got {filter_mode!r}")
         for word in range(1, word_count + 1):
@@ -155,8 +160,8 @@ class FabricConfig(
                 raise InvalidConfigError(f"no duration for word {word}")
             cls.check_duration(word, dur)
         config = tuple.__new__(cls, (word_count, delay1, delay2, threshold, durations, filter_mode))
-        if len(durations) > word_count:  # every word has a duration, so a key is not a word
-            for word in durations:
+        if len(durations) > word_count or not all(type(key) is int for key in durations):
+            for word in durations:  # a stray key, or one such as 1.0 that equals a word
                 config.check_word(word)
         return config
 
@@ -182,13 +187,13 @@ class FabricConfig(
     def check_duration(word: int | str, dur: int) -> None:
         """The duration rule: a word runs for at least one tick. ``word`` is
         ``"*"`` for the default of ``dur *``."""
-        if dur < 1:
-            raise InvalidConfigError(f"duration of word {word} must be >= 1, got {dur}")
+        if type(dur) is not int or dur < 1:  # one per word at setup: format only a fault's text
+            check_int(dur, 1, f"duration of word {word}", InvalidConfigError)
 
     def check_word(self, word: int) -> None:
-        """The word-range rule: word ids run from 1 to ``word_count``."""
-        if not 1 <= word <= self.word_count:
-            raise UnknownWordError(f"word {word} outside 1..{self.word_count}")
+        """The word-range rule: word ids are the ints from 1 to ``word_count``."""
+        if type(word) is not int or not 1 <= word <= self.word_count:
+            raise UnknownWordError(f"word {word!r} outside 1..{self.word_count}")
 
     def check_pair(self, i: int, j: int) -> None:
         """The pair rule: both words in range, and no self connection."""

@@ -37,7 +37,7 @@ from collections import Counter, namedtuple
 from collections.abc import Iterable
 
 from memfabric.driver import Probe, RehearsalPlan
-from memfabric.fabric import DONE_ENABLE, CheckedTuple, FabricConfig
+from memfabric.fabric import DONE_ENABLE, CheckedTuple, FabricConfig, check_int
 from memfabric.trace import (
     EV_ENABLE,
     EV_IGNORED_ENABLE,
@@ -69,8 +69,7 @@ class OverrideDirective(CheckedTuple, namedtuple("OverrideDirective", "tick i j 
     __slots__ = ()
 
     def __new__(cls, tick: int, i: int, j: int, is_open: bool):
-        if tick < 0:
-            raise ValueError(f"override tick must be >= 0, got {tick}")
+        check_int(tick, 0, "override tick")
         if not isinstance(is_open, bool):
             raise ValueError(f"override switch must be True or False, got {is_open!r}")
         return tuple.__new__(cls, (tick, i, j, is_open))
@@ -86,15 +85,16 @@ class Scenario(
 ):
     """A scenario that can run: its tick limit keeps the rule of ``maxticks``,
     and each plan, probe and override checks its words against ``config``.
-    Two scenarios are equal when all but their warnings are."""
+    Parts and warnings are kept as tuples; equality leaves the warnings out."""
 
     __slots__ = ()
 
     def __new__(cls, config, plans, probes, overrides, max_tick: int, warnings=()):
         check_max_tick(max_tick)
+        plans, probes, overrides = tuple(plans), tuple(probes), tuple(overrides)
         for part in (*plans, *probes, *overrides):
             part.check_words(config)
-        return tuple.__new__(cls, (config, plans, probes, overrides, max_tick, warnings))
+        return tuple.__new__(cls, (config, plans, probes, overrides, max_tick, tuple(warnings)))
 
     def __eq__(self, other):
         return isinstance(other, Scenario) and self[:5] == other[:5]
@@ -105,8 +105,7 @@ class Scenario(
 
 def check_max_tick(value: int) -> None:
     """The tick-limit rule of ``maxticks``, ``--max-ticks``, the run loop and ``verify_run``."""
-    if value < 1:
-        raise ValueError(f"maxticks must be >= 1, got {value}")
+    check_int(value, 1, "maxticks")
 
 
 def parse_int(token: str, what: str) -> int:

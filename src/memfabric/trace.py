@@ -165,9 +165,9 @@ def format_trace(records: Iterable[TraceRecord]) -> str:
     newline. Each field set the schema allows has its own f-string, picked
     by which fields are ``None``; any other set is written by ``json.dumps``
     with ``separators=(",", ":")``. The f-strings give that call's bytes for
-    the values :class:`TraceRecord` declares and the fabric and the decoder
-    build: ints, int pairs and schema strings. Other values are unchecked,
-    so a bool, or a string holding a quote, may give a line the decoder rejects.
+    the ints, int pairs and schema strings the fabric (its ticks and words are
+    checked ints) and the decoder build. A hand-built record is unchecked: a
+    bool, a float, or a string holding a quote may give a line the decoder rejects.
     """
     lines = []
     append = lines.append

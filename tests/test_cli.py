@@ -8,6 +8,7 @@ import os
 import subprocess
 import weakref
 from pathlib import Path
+from contextlib import closing
 from unittest import mock
 
 import pytest
@@ -420,8 +421,8 @@ def test_verify_rejects_a_repeated_key(scenario_file, capsys, tick):
 def test_a_non_utf8_scenario_error_holds_its_line(tmp_path):
     path = tmp_path / "latin1.scn"
     path.write_bytes(b"fabric words=2 delay1=5 delay2=1 threshold=1\n# caf\xe9\nmaxticks 10\n")
-    with pytest.raises(ParseError) as info:
-        memfabric.cli.parse_scenario(memfabric.trace.read_blocks(path))
+    with closing(memfabric.trace.read_blocks(path)) as blocks, pytest.raises(ParseError) as info:
+        memfabric.cli.parse_scenario(blocks)
     assert info.value.line == 2
     assert str(info.value) == (
         "line 2: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position 50: "

@@ -60,7 +60,9 @@ def test_structurally_bad_plans_are_rejected(kwargs):
 
 
 @pytest.mark.parametrize(
-    "field, bad", [("sequence", (1, 2, 1)), ("reps", 0), ("gap", -1), ("rest", -1), ("start", -1)]
+    "field, bad",
+    [("sequence", (1, 2, 1)), ("reps", 0), ("gap", -1), ("rest", -1), ("start", -1)]
+    + [(field, bad) for bad in (True, 1.0) for field in ("reps", "gap", "rest", "start")],
 )
 def test_every_way_to_build_a_plan_checks_it(field, bad):
     plan = RehearsalPlan(sequence=[1, 2], reps=1, gap=0, rest=0, start=0)
@@ -69,7 +71,8 @@ def test_every_way_to_build_a_plan_checks_it(field, bad):
 
 
 def test_every_way_to_build_a_probe_checks_it():
-    assert_every_path_checks(Probe(tick=0, word=1), "tick", -1, ValueError)
+    for bad in (-1, True, 1.0):
+        assert_every_path_checks(Probe(tick=0, word=1), "tick", bad, ValueError)
 
 
 def test_plan_word_outside_fabric_is_rejected():

@@ -259,6 +259,17 @@ def test_max_tick_must_be_positive():
         sim.run_to_quiescence(0)
 
 
+@pytest.mark.parametrize("bad", [0.5, True, "1"])
+def test_a_tick_or_tick_limit_that_is_not_an_int_is_a_value_error(bad):
+    # schedule_override takes a raw tick, which the trace would write as given.
+    sim = Simulation(FabricConfig.uniform(2, delay1=2, delay2=1, threshold=1, duration=1))
+    with pytest.raises(ValueError, match=rf"^tick is not an integer: {bad!r}$"):
+        sim.schedule_override(bad, (1, 2), True)
+    with pytest.raises(ValueError, match=rf"^maxticks is not an integer: {bad!r}$"):
+        sim.run_to_quiescence(bad)
+    assert sim.queue.scheduled_total == 0 and sim.clock == 0
+
+
 def test_the_no_repeat_rule_has_no_switch():
     # build_simulation keeps its keyword for the benchmark harness, which
     # passes True; every other entry point has none.

@@ -81,7 +81,13 @@ def test_missing_duration_is_rejected():
     [
         ("word_count", 1), ("delay1", 0), ("delay2", 6), ("threshold", 0), ("durations", {1: 4}),
         ("durations", {1: 4, 2: 0}), ("filter_mode", "x"),
-    ],
+    ]
+    + [  # an integer field that is not an int
+        (field, bad)
+        for bad in (True, 1.0)
+        for field in ("word_count", "delay1", "delay2", "threshold")
+    ]
+    + [("durations", {1: bad, 2: 4}) for bad in (True, 1.0)],
 )
 def test_every_way_to_build_a_config_checks_it(field, bad):
     config = FabricConfig(word_count=2, delay1=5, delay2=1, threshold=1, durations={1: 4, 2: 4})
@@ -94,6 +100,9 @@ def test_every_way_to_build_a_config_checks_it(field, bad):
         ({1: 4, 2: 4}, "durations", {1: 4, 2: 4, 99: 7}),
         ({1: 4, 2: 4}, "durations", {0: 4, 1: 4, 2: 4}),
         ({1: 4, 2: 4, 3: 4}, "word_count", 2),  # a fabric smaller than its durations
+        ({1: 4, 2: 4}, "durations", {1: 4, 2: 4, 1.5: 4}),  # 1 <= 1.5 <= 2, but no int
+        ({1: 4, 2: 4}, "durations", {True: 4, 2: 4}),  # keys equal to the words
+        ({1: 4, 2: 4}, "durations", {1.0: 4, 2: 4}),
     ],
 )
 def test_every_way_to_build_a_config_keeps_the_durations_to_its_words(durations, field, bad):

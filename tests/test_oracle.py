@@ -221,6 +221,13 @@ def test_unlearned_start_runs_alone():
     assert timeline == [TimelineEntry(0, "enable", 2), TimelineEntry(4, "done", 2)]
 
 
+@pytest.mark.parametrize("start", [True, 1.0])
+def test_a_start_that_is_not_an_int_is_no_word(start):
+    # The timeline would name the word as given: "word": true, or 1.0.
+    with pytest.raises(ValueError, match=rf"^word {start!r} outside 1..3$"):
+        predict_timeline({(1, 3)}, set(), start, _cfg())
+
+
 def test_fan_out_orders_same_tick_enables_by_word():
     timeline = predict_timeline({(1, 2), (1, 3)}, set(), 1, _cfg())
     same_tick = [e for e in timeline if e.tick == 9]
@@ -315,6 +322,8 @@ def test_verify_accepts_a_tick_limited_run(worked_example_text):
     ]
     with pytest.raises(ValueError, match="^maxticks must be >= 1, got 0$"):
         verify_run(result.scenario, result.records, max_tick=0)
+    with pytest.raises(ValueError, match="^maxticks is not an integer: 2.0$"):
+        verify_run(result.scenario, result.records, max_tick=2.0)
 
 
 def test_verify_accepts_runs_with_overrides_and_suppression():

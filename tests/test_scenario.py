@@ -291,18 +291,36 @@ def test_edited_scenarios_parse_or_fail_with_a_located_message(tmp_path_factory,
 SHIPPED = [parse_scenario(text) for text in SHIPPED_SCENARIOS]
 
 
+# Values that are not ints but pass for one: a bool or a float equals an int
+# or lies between two, and "1" prints as one.
+NOT_INTS = [True, False, 1.0, 0.5, "1"]
+
+
 @st.composite
 def one_value_edits(draw):
     """What is edited, and a function that builds the edited shipped scenario by
-    ``_replace``: a plan's word, a probe's word, an override's word or switch, or
-    a smaller fabric (with its durations cut to its words, or not)."""
-    kind = draw(st.sampled_from(["config", "plans", "probes", "overrides"]))
-    having = [i for i, s in enumerate(SHIPPED) if kind == "config" or getattr(s, kind)]
+    ``_replace``: one integer field of a plan, probe, override or config (a
+    plan word, a duration or a duration's word among them) or the tick limit,
+    set to a small int or to one of ``NOT_INTS``; an override's switch; or a
+    smaller fabric (with its durations cut to its words, or not)."""
+    part_kinds = ["plans", "probes", "overrides"]
+    kind = draw(st.sampled_from(["config", "word_count", "max_tick", *part_kinds]))
+    having = [i for i, s in enumerate(SHIPPED) if kind not in part_kinds or getattr(s, kind)]
     index = draw(st.sampled_from(having))
     scenario = SHIPPED[index]
     config = scenario.config
-    words = st.integers(min_value=-1, max_value=config.word_count + 2)
-    if kind == "config":
+
+    def ints(least: int, most: int):
+        return st.integers(min_value=least, max_value=most) | st.sampled_from(NOT_INTS)
+
+    words = ints(-1, config.word_count + 2)
+    ticks = ints(-1, scenario.max_tick + 2)
+    if kind == "max_tick":
+        max_tick = draw(ticks)
+        return f"shipped[{index}] max_tick={max_tick!r}", lambda: scenario._replace(
+            max_tick=max_tick
+        )
+    if kind == "word_count":
         count = draw(st.integers(min_value=1, max_value=config.word_count - 1))
         durations = config.durations
         if draw(st.booleans()):
@@ -311,19 +329,38 @@ def one_value_edits(draw):
         return f"shipped[{index}] {what}", lambda: scenario._replace(
             config=config._replace(word_count=count, durations=durations)
         )
+    if kind == "config":
+        field = draw(st.sampled_from(["delay1", "delay2", "threshold", "duration", "word"]))
+        if field in ("duration", "word"):
+            word, durations = draw(st.sampled_from(config.word_ids())), dict(config.durations)
+            if field == "duration":
+                durations[word] = draw(ints(0, 9))
+            else:  # the word's duration under another key
+                durations[draw(words)] = durations.pop(word)
+            values = {"durations": durations}
+        else:
+            values = {field: draw(ints(0, config.delay1 + 1))}
+        return f"shipped[{index}] config {values}", lambda: scenario._replace(
+            config=config._replace(**values)
+        )
     parts = getattr(scenario, kind)
     at = draw(st.integers(min_value=0, max_value=len(parts) - 1))
     part = parts[at]
     if kind == "plans":
-        pos = draw(st.integers(min_value=0, max_value=len(part.sequence) - 1))
-        sequence = part.sequence[:pos] + (draw(words),) + part.sequence[pos + 1 :]
-        values = {"sequence": sequence}
+        field = draw(st.sampled_from(["sequence", "reps", "gap", "rest", "start"]))
+        if field == "sequence":
+            pos = draw(st.integers(min_value=0, max_value=len(part.sequence) - 1))
+            values = {"sequence": part.sequence[:pos] + (draw(words),) + part.sequence[pos + 1 :]}
+        else:
+            values = {field: draw(ints(-1, 3) if field == "reps" else ticks)}
     elif kind == "probes":
-        values = {"word": draw(words)}
-    elif draw(st.booleans()):
-        values = {"is_open": draw(st.sampled_from([0, 1, 2, True, False]))}
+        values = {"tick": draw(ticks)} if draw(st.booleans()) else {"word": draw(words)}
     else:
-        values = {draw(st.sampled_from(["i", "j"])): draw(words)}
+        field = draw(st.sampled_from(["tick", "i", "j", "is_open"]))
+        if field == "is_open":
+            values = {"is_open": draw(st.sampled_from([0, 1, 2, True, False]))}
+        else:
+            values = {field: draw(ticks if field == "tick" else words)}
     return f"shipped[{index}] {kind}[{at}] {values}", lambda: scenario._replace(
         **{kind: parts[:at] + (part._replace(**values),) + parts[at + 1 :]}
     )
@@ -333,13 +370,16 @@ def one_value_edits(draw):
 @given(one_value_edits())
 def test_a_scenario_that_builds_runs_verifies_and_round_trips(edit):
     """Every construction path checks the whole scenario: an edit that builds
-    runs, verifies against its own trace, and prints text that parses back."""
+    runs, verifies against its own trace, writes a trace that decodes to the
+    records it was written from, and prints text that parses back."""
     _, build = edit
     try:
         scenario = build()
     except ValueError:
         return
-    assert verify_run(scenario, run_scenario(scenario).records) == []
+    records = run_scenario(scenario).records
+    assert verify_run(scenario, records) == []
+    assert parse_trace(format_trace(records)) == records
     assert parse_scenario(canonical_scenario(scenario)) == scenario
 
 
@@ -391,7 +431,8 @@ def test_parsed_scenario_survives_pickle_and_deepcopy():
 
 def test_every_way_to_build_an_override_checks_it():
     directive = OverrideDirective(tick=0, i=1, j=2, is_open=True)
-    assert_every_path_checks(directive, "tick", -1, ValueError)
+    for tick in (-1, True, 1.0):
+        assert_every_path_checks(directive, "tick", tick, ValueError)
     for switch in (2, 1, 0, None):  # run and verify_run would read 2 differently
         assert_every_path_checks(directive, "is_open", switch, ValueError)
 
@@ -404,6 +445,16 @@ def test_every_way_to_build_an_override_checks_it():
         ("overrides", (OverrideDirective(tick=5, i=4, j=1, is_open=True),), UnknownWordError),
         ("overrides", (OverrideDirective(tick=5, i=2, j=2, is_open=True),), SelfPairError),
         ("config", FabricConfig(2, 5, 1, 3, {1: 4, 2: 4}), UnknownWordError),
+    ]
+    + [  # a word equal to a word of the fabric, but no int
+        (field, (part,), UnknownWordError)
+        for bad in (True, 1.0)
+        for field, part in [
+            ("plans", RehearsalPlan((bad, 3), reps=1, gap=0, rest=0, start=0)),
+            ("probes", Probe(tick=5, word=bad)),
+            ("overrides", OverrideDirective(tick=5, i=bad, j=2, is_open=True)),
+            ("overrides", OverrideDirective(tick=5, i=2, j=bad, is_open=True)),
+        ]
     ],
 )
 def test_every_way_to_build_a_scenario_checks_the_words_of_its_parts(field, bad, error):
@@ -426,13 +477,24 @@ def test_every_way_to_build_a_scenario_checks_its_tick_limit():
         "maxticks 1000\n"
     )
     scenario = parse_scenario(text)
-    assert_every_path_checks(scenario, "max_tick", 0, ValueError)
+    for bad in (0, True, 2.0):
+        assert_every_path_checks(scenario, "max_tick", bad, ValueError)
     for copied in (scenario._replace(), pickle.loads(pickle.dumps(scenario))):
         assert copied.warnings == scenario.warnings != ()
     # equality leaves the warnings out, as it does the text's comments
     unwarned = scenario._replace(warnings=())
     assert unwarned == scenario and not unwarned != scenario
     assert scenario != scenario._replace(max_tick=999)
+
+
+def test_a_scenario_keeps_its_parts_as_tuples(worked_example_text):
+    scenario = parse_scenario(worked_example_text)
+    config, plans, probes, overrides, max_tick, _ = scenario
+    listed = Scenario(config, list(plans), list(probes), list(overrides), max_tick, ["w"])
+    assert listed == scenario == parse_scenario(canonical_scenario(listed))
+    assert tuple(map(type, listed[1:4])) == (tuple, tuple, tuple)
+    assert listed.warnings == ("w",)
+    assert Scenario(config, iter(plans), iter(probes), iter(overrides), max_tick) == scenario
 
 
 def test_canonical_round_trip_on_worked_example(worked_example_text):
@@ -539,8 +601,9 @@ def test_a_scenario_read_in_blocks_parses_or_fails_as_the_whole_file(
         expected = reference_read_scenario(data)
     except ScenarioError as exc:
         with mock.patch.object(memfabric.trace, "_READ_BLOCK", block):
-            with pytest.raises(ScenarioError) as info:
-                parse_scenario(read_blocks(path))
+            with contextlib.closing(read_blocks(path)) as blocks:
+                with pytest.raises(ScenarioError) as info:
+                    parse_scenario(blocks)
         error = info.value
         assert (type(error), str(error), error.line) == (type(exc), str(exc), exc.line)
     else:

@@ -10,6 +10,7 @@ import itertools
 import json
 import re
 from pathlib import Path
+from contextlib import closing
 from unittest import mock
 
 import pytest
@@ -564,8 +565,8 @@ def assert_read_as_by_the_reference(path: Path, block: int) -> None:
         expected = reference_read_trace(path.read_bytes())
     except MalformedTraceError as exc:
         with mock.patch.object(memfabric.trace, "_READ_BLOCK", block):
-            with pytest.raises(MalformedTraceError) as info:
-                parse_trace(read_blocks(path))
+            with closing(read_blocks(path)) as blocks, pytest.raises(MalformedTraceError) as info:
+                parse_trace(blocks)
         assert str(info.value) == str(exc)
     else:
         with mock.patch.object(memfabric.trace, "_READ_BLOCK", block):
@@ -591,9 +592,11 @@ def read_records(path: Path, block: int) -> list[TraceRecord]:
 
 
 def read_error(path: Path, block: int) -> str:
+    # The error's traceback holds the suspended reader and ``info`` holds the error:
+    # unclosed, the file would wait for a gc pass, and its ResourceWarning is an error.
     with mock.patch.object(memfabric.trace, "_READ_BLOCK", block):
-        with pytest.raises(MalformedTraceError) as info:
-            parse_trace(read_blocks(path))
+        with closing(read_blocks(path)) as blocks, pytest.raises(MalformedTraceError) as info:
+            parse_trace(blocks)
     return str(info.value)
 
 
