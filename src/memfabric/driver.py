@@ -5,9 +5,9 @@ enable, waits for the enabled word's done signal, and issues the next
 enable ``gap`` ticks after that done. Each repetition of a plan is a
 fresh episode; repetitions are spaced by ``rest`` ticks from the
 previous repetition's last done. A one-shot :class:`Probe` needs no
-driver: the simulation schedules its single CPU enable in an episode
-of its own, which is what triggers autonomous replay on a trained
-fabric.
+driver: ``build_simulation`` schedules its single CPU enable in an
+episode of its own, which is what triggers autonomous replay on a
+trained fabric.
 
 Advancement keys on the word id, not on the episode: if the awaited
 word was started autonomously before the CPU got there (so the plan's
@@ -44,9 +44,9 @@ class RehearsalPlan(CheckedTuple, namedtuple("RehearsalPlan", "sequence reps gap
         sequence = tuple(sequence)
         if len(sequence) < 2:
             raise InvalidPlanError("a plan needs at least 2 words")
-        if len(set(sequence)) != len(sequence):
-            dup = next(w for i, w in enumerate(sequence) if w in sequence[:i])
-            raise InvalidPlanError(f"word {dup} repeats in the sequence; states must be distinct")
+        for i, word in enumerate(sequence):  # by equality: a word need not hash
+            if word in sequence[:i]:
+                raise InvalidPlanError(f"word {word} repeats in the sequence; states must be distinct")
         check_int(reps, 1, "reps", InvalidPlanError)
         check_int(gap, 0, "gap", InvalidPlanError)
         check_int(rest, 0, "rest", InvalidPlanError)
@@ -93,7 +93,7 @@ class Driver:
         self._added = 0
 
     def add_plan(self, sim, plan: RehearsalPlan) -> None:
-        # The simulation checked the plan; later steps lie gap or rest (>= 0) after a done.
+        # The scenario checked the plan; later steps lie gap or rest (>= 0) after a done.
         run = _PlanRun(plan, sim.new_episode(), self._added)
         self._added += 1
         self._awaiting.setdefault(plan.sequence[0], []).append(run)  # last in add order

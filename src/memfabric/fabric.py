@@ -303,8 +303,8 @@ class Fabric:
         watching for this word as a sequence successor.
 
         ``word`` is not checked here: CPU enables were checked when the
-        simulation scheduled them, and autonomous enables follow learned
-        pairs of words the fabric already accepted.
+        scenario was built, and autonomous enables follow learned pairs
+        of words the fabric already accepted.
         """
         episode_id = episode.episode_id
         if self._busy_until.get(word, 0) > tick or word in episode.fired_words:
@@ -351,7 +351,7 @@ class Fabric:
 
         Purely a mask: independent of whether the pair is learned, and
         it never touches the learn register. The pair was checked when
-        the simulation scheduled the override.
+        the scenario was built.
         """
         if is_open:
             self._override_open.add((i, j))

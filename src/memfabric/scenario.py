@@ -15,13 +15,13 @@ blank lines are skipped)::
 directives and unknown arguments are errors. Every error names its line,
 except a missing ``fabric`` or ``maxticks``. Each line is checked as it
 is read, so its own faults are reported first, in file order. The rules
-that need the whole file are checked after the last line: the durations
-(``dur *`` even when every word has its own), the fabric's config, the
-words of the ``dur`` lines, and then the words and pairs of the plans,
-probes and overrides, which :class:`Scenario` checks; the first faulty
-one in file order is named. A ``gap`` larger than
-``delay1`` parses with a warning: it is a legitimate negative control
-(the rehearsed pairs fall outside every coincidence window).
+that need the whole file are checked after the last line: the fabric's
+config (every word has a duration), the words of the ``dur`` lines, and
+then the words and pairs of the plans, probes and overrides, which
+:class:`Scenario` checks; the first faulty one in file order is named.
+A ``gap`` larger than ``delay1`` parses with a warning: it is a
+legitimate negative control (the rehearsed pairs fall outside every
+coincidence window).
 
 At setup, directives are scheduled in a fixed order: overrides first
 (file order), then probes (file order), then plans (file order). An
@@ -148,8 +148,9 @@ def parse_scenario(text: str | Iterable[str]) -> Scenario:
     gives them; a byte they fail to decode (a :class:`UnicodeError`) is a
     :class:`ParseError` of its line."""
     fabric: tuple[int, list[int], str] | None = None  # (line, [words, delays, threshold], mode)
-    default_dur: tuple[int, int] | None = None  # (value, line)
-    dur_overrides: dict[int, tuple[int, int]] = {}  # word -> (value, line)
+    default_dur: int | None = None
+    durations: dict[int, int] = {}  # word -> its own duration
+    dur_lines: dict[int, int] = {}  # word -> the line of its duration
     plans: dict[int, RehearsalPlan] = {}  # line -> directive, in file order
     probes: dict[int, Probe] = {}
     overrides: dict[int, OverrideDirective] = {}
@@ -178,12 +179,14 @@ def parse_scenario(text: str | Iterable[str]) -> Scenario:
                     if tokens[1] == "*":
                         if default_dur is not None:
                             raise ParseError("duplicate default duration")
-                        default_dur = (value, line)
+                        FabricConfig.check_duration("*", value)
+                        default_dur = value
                     else:
                         word = parse_int(tokens[1], "word id")
-                        if word in dur_overrides:
+                        if word in durations:
                             raise ParseError(f"duplicate duration for word {word}")
-                        dur_overrides[word] = (value, line)
+                        FabricConfig.check_duration(word, value)
+                        durations[word], dur_lines[word] = value, line
                 elif head == "rehearse":
                     kv = 1  # the first key=value token
                     while kv < len(tokens) and "=" not in tokens[kv]:
@@ -223,18 +226,11 @@ def parse_scenario(text: str | Iterable[str]) -> Scenario:
             raise ValidationError("missing fabric directive")
         if max_tick is None:
             raise ValidationError("missing maxticks directive")
-        fabric_line, (word_count, delay1, delay2, threshold), mode = fabric
-        durations: dict[int, int] = {}
-        for word in range(1, word_count + 1):
-            if (entry := dur_overrides.get(word, default_dur)) is not None:
-                durations[word], line = entry
-                FabricConfig.check_duration(word, durations[word])
-        if default_dur is not None:  # checked even when no word takes it
-            value, line = default_dur
-            FabricConfig.check_duration("*", value)
-        line = fabric_line
+        line, (word_count, delay1, delay2, threshold), mode = fabric
+        # a word with no duration maps to None, which the config names
+        durations = {word: durations.get(word, default_dur) for word in range(1, word_count + 1)}
         config = FabricConfig(word_count, delay1, delay2, threshold, durations, mode)
-        for word, (_, line) in dur_overrides.items():
+        for word, line in dur_lines.items():
             config.check_word(word)
         warnings = [
             f"line {line}: gap={plan.gap} exceeds delay1={delay1}; "

@@ -7,7 +7,17 @@ import sys
 import pytest
 from hypothesis import strategies as st
 
-from memfabric import QUIESCENT, TICK_LIMIT, RunOutcome, RunResult, parse_scenario, run_scenario
+from memfabric import (
+    QUIESCENT,
+    TICK_LIMIT,
+    RunOutcome,
+    RunResult,
+    Scenario,
+    Simulation,
+    build_simulation,
+    parse_scenario,
+    run_scenario,
+)
 
 # Both directions of a 2-word cycle learned; the probe's replay reaches the
 # open override on (2, 1) at t=141.
@@ -88,6 +98,13 @@ def python_command() -> list[str]:
 
 def run_text(text: str, **kwargs) -> RunResult:
     return run_scenario(parse_scenario(text), **kwargs)
+
+
+def simulation(config, *, plans=(), probes=(), overrides=()) -> Simulation:
+    """A simulation of ``config`` and the parts given, built as every run is:
+    through a checked :class:`Scenario` and ``build_simulation``. The scenario's
+    tick limit is never read; a test passes its own to ``run_to_quiescence``."""
+    return build_simulation(Scenario(config, plans, probes, overrides, max_tick=10**9))
 
 
 def step_until(sim, max_tick: int) -> tuple[RunOutcome, int]:

@@ -44,6 +44,17 @@ def test_all_lists_exactly_the_supported_names():
         assert getattr(memfabric, name) is not None, name
 
 
+def test_a_simulation_has_no_public_way_to_add_a_part():
+    # A run is built only by build_simulation from a checked Scenario, so no
+    # method may queue a plan, a probe or an override of its own.
+    config = memfabric.FabricConfig.uniform(2, delay1=5, delay2=1, threshold=1, duration=4)
+    sim = memfabric.Simulation(config)
+    assert {name for name in dir(sim) if not name.startswith("_")} == {
+        "config", "clock", "queue", "fabric", "driver", "records", "emit",
+        "new_episode", "dispatched_total", "step", "run_to_quiescence",
+    }
+
+
 def test_package_imports_only_the_standard_library():
     # pyproject.toml declares no dependencies; every import must be stdlib.
     allowed = {"memfabric", "__future__"} | sys.stdlib_module_names

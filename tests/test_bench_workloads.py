@@ -7,6 +7,8 @@ whether ``run_to_quiescence`` or a loop over ``step()`` dispatches it.
 Both files are only read here. The workloads reach fabric sizes and
 override traffic that the shipped scenarios do not. ``dense_crosstalk``'s
 trace, at 2.2 MB, also bounds what writing and reading a trace may hold.
+The benchmark's child process (``perfbench/child.py``) runs here too, on
+a shipped scenario, in both of its modes.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import functools
 import hashlib
 import importlib.util
 import json
+import subprocess
 import tracemalloc
 import types
 from pathlib import Path
@@ -34,11 +37,12 @@ from memfabric import (
     verify_run,
     write_trace,
 )
-from conftest import step_until
+from conftest import python_command, step_until
 from literal_fabric import LiteralFabric, filter_records
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 EXPECTED = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
+BENCHMARK = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
 def _load_workloads():
@@ -79,11 +83,10 @@ def test_workload_outputs_equal_the_recorded_ones(name):
 
 
 def test_parse_and_build_check_each_word_no_more_often(monkeypatch):
-    # Each part's words are checked once when the Scenario is built and once
-    # when the simulation takes the part. The bounds are the counts from when
-    # the parser checked every part itself before the simulation did, so no
-    # pass has been added since. check_word's count includes the two calls of
-    # each check_pair.
+    # Each part's words are checked once, when the Scenario is built; building
+    # the simulation checks none again. The bounds are those counts: the words
+    # of the plans (160) and probes (1,000) and two per override (1,000), as
+    # check_word's count includes the two calls of each check_pair.
     name = "replay_override"
     text = workloads.generate(name, workloads.WORKLOADS[name][1])
     calls = {"check_word": 0, "check_pair": 0}
@@ -96,7 +99,34 @@ def test_parse_and_build_check_each_word_no_more_often(monkeypatch):
 
         monkeypatch.setattr(FabricConfig, method, counted)
     build_simulation(parse_scenario(text))
-    assert calls["check_word"] <= 6320 and calls["check_pair"] <= 2000, calls
+    assert calls["check_word"] <= 3160 and calls["check_pair"] <= 1000, calls
+
+
+@pytest.mark.parametrize("mode", ["plain", "traced"])
+def test_the_benchmark_child_measures_a_scenario_of_every_event_kind(mode, tmp_path):
+    # perfbench/child.py reaches into the package (build_simulation, step, the
+    # handlers and the module globals it wraps); a seam that moves fails here,
+    # as CI's benchmark gate would. The scenario dispatches all four event kinds.
+    out = tmp_path / f"{mode}.json"
+    scenario = PERFBENCH.parent / "scenarios" / "override.scn"
+    argv = [str(PERFBENCH / "child.py"), mode, str(scenario), str(tmp_path), str(out), "0"]
+    proc = subprocess.run(
+        [*python_command(), "-S", *argv],
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text(encoding="utf-8"))
+    assert (result["rc_run"], result["rc_verify"], result["problems"]) == (0, 0, 0)
+    if mode == "traced":
+        layers = result["layers"]
+        events = [value for name, value in layers.items() if name.startswith("engine.events.")]
+        assert len(events) == 4 and 0 not in events, layers
+        units = {m["name"]: m["unit"] for m in BENCHMARK["per_layer"]}
+        idle = [name for name in layers if units[name] in ("s", "us") and not layers[name] > 0]
+        assert idle == []
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

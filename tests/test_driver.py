@@ -8,7 +8,7 @@ from memfabric import (
     InvalidPlanError,
     Probe,
     RehearsalPlan,
-    Simulation,
+    Scenario,
     UnknownWordError,
     count_detections,
 )
@@ -20,7 +20,7 @@ from memfabric.trace import (
     SRC_AUTO,
     SRC_CPU,
 )
-from conftest import assert_every_path_checks, run_text
+from conftest import assert_every_path_checks, run_text, simulation
 
 
 def test_plan_enables_follow_done_plus_gap():
@@ -76,18 +76,17 @@ def test_every_way_to_build_a_probe_checks_it():
 
 
 def test_plan_word_outside_fabric_is_rejected():
-    sim = Simulation(FabricConfig.uniform(2, delay1=5, delay2=1, threshold=1, duration=4))
-    with pytest.raises(UnknownWordError, match="outside 1..2"):
-        sim.add_plan(RehearsalPlan(sequence=(1, 5), reps=1, gap=0, rest=0, start=0))
-    with pytest.raises(UnknownWordError, match="^word 0 outside 1..2$"):
-        sim.add_plan(RehearsalPlan(sequence=(0, 1), reps=1, gap=0, rest=0, start=0))
-    assert len(sim.queue) == 0
+    config = FabricConfig.uniform(2, delay1=5, delay2=1, threshold=1, duration=4)
+    for sequence, message in [((1, 5), "^word 5 outside 1..2$"), ((0, 1), "^word 0 outside 1..2$")]:
+        plan = RehearsalPlan(sequence=sequence, reps=1, gap=0, rest=0, start=0)
+        with pytest.raises(UnknownWordError, match=message):
+            Scenario(config, [plan], (), (), 100)
 
 
 def test_probe_word_outside_fabric_is_rejected():
-    sim = Simulation(FabricConfig.uniform(2, delay1=5, delay2=1, threshold=1, duration=4))
-    with pytest.raises(UnknownWordError):
-        sim.add_probe(Probe(tick=0, word=3))
+    config = FabricConfig.uniform(2, delay1=5, delay2=1, threshold=1, duration=4)
+    with pytest.raises(UnknownWordError, match="^word 3 outside 1..2$"):
+        Scenario(config, (), [Probe(tick=0, word=3)], (), 100)
 
 
 def test_next_repetition_starts_rest_after_last_done():
@@ -205,9 +204,13 @@ def test_driver_never_schedules_two_simultaneous_cpu_enables_per_plan():
 def test_a_plan_leaves_the_driver_when_its_last_repetition_ends():
     # Durations 4, gap 1, rest 10. The short plan ends with word 2's done at
     # 9; the long one's first repetition ends at 9 too, its second at 28.
-    sim = Simulation(FabricConfig.uniform(3, delay1=5, delay2=1, threshold=10, duration=4))
-    sim.add_plan(RehearsalPlan(sequence=(1, 2), reps=1, gap=1, rest=10, start=0))
-    sim.add_plan(RehearsalPlan(sequence=(3, 1), reps=2, gap=1, rest=10, start=0))
+    sim = simulation(
+        FabricConfig.uniform(3, delay1=5, delay2=1, threshold=10, duration=4),
+        plans=[
+            RehearsalPlan(sequence=(1, 2), reps=1, gap=1, rest=10, start=0),
+            RehearsalPlan(sequence=(3, 1), reps=2, gap=1, rest=10, start=0),
+        ],
+    )
     assert sim.driver.unfinished_plans() == 2
     sim.run_to_quiescence(6)  # inside both plans' first repetition
     assert sim.driver.unfinished_plans() == 2

@@ -13,7 +13,6 @@ from memfabric import (
     FabricConfig,
     Probe,
     QUIESCENT,
-    RehearsalPlan,
     RunOutcome,
     Simulation,
     TICK_LIMIT,
@@ -23,7 +22,7 @@ from memfabric import (
     run_scenario,
 )
 from memfabric.engine import EventQueue
-from conftest import OVERRIDE_CYCLE, run_text, step_until
+from conftest import OVERRIDE_CYCLE, run_text, simulation, step_until
 from test_scenario import scenarios
 
 
@@ -87,59 +86,20 @@ def test_the_queue_agrees_with_a_list_sorted_by_tick_and_seq(ops):
 
 def test_a_run_cut_with_only_setup_events_pending_resumes_like_an_unlimited_run():
     # The limit falls after the first probe's done, so only the later probes,
-    # still in the setup run, are pending; a probe added after the cut joins
-    # the heap and dispatches before them.
-    def simulation():
-        sim = Simulation(FabricConfig.uniform(3, delay1=2, delay2=1, threshold=1, duration=4))
-        for tick in (200, 10, 100):
-            sim.add_probe(Probe(tick=tick, word=1))
-        return sim
+    # still in the setup run, are pending when the run resumes.
+    def build():
+        config = FabricConfig.uniform(3, delay1=2, delay2=1, threshold=1, duration=4)
+        return simulation(config, probes=[Probe(tick=tick, word=1) for tick in (200, 10, 100)])
 
-    cut = simulation()
+    cut = build()
     assert cut.run_to_quiescence(50) == RunOutcome(TICK_LIMIT, 14)
     assert (len(cut.queue), cut.dispatched_total) == (2, 2)
-    cut.add_probe(Probe(tick=60, word=2))
     assert cut.run_to_quiescence(10**6) == RunOutcome(QUIESCENT, 204)
-    whole = simulation()
-    whole.add_probe(Probe(tick=60, word=2))
+    whole = build()
     assert whole.run_to_quiescence(10**6) == RunOutcome(QUIESCENT, 204)
     assert cut.records == whole.records
     arrivals = [(r.t, r.word) for r in whole.records if r.ev == "enable"]
-    assert arrivals == [(10, 1), (60, 2), (100, 1), (200, 1)]
-
-
-def _override(sim, tick):
-    sim.schedule_override(tick, (1, 2), True)
-
-
-def _probe(sim, tick):
-    sim.add_probe(Probe(tick=tick, word=1))
-
-
-def _plan(sim, tick):
-    sim.add_plan(RehearsalPlan(sequence=(1, 2), reps=1, gap=0, rest=0, start=tick))
-
-
-@pytest.mark.parametrize(
-    "clock, schedule",
-    [(0, _override), (9, _override), (9, _probe), (9, _plan)],
-    ids=["override-at-0", "override", "probe", "plan"],
-)
-def test_public_scheduling_behind_the_clock_is_a_value_error(clock, schedule):
-    # Caller input, not an engine bug: a ValueError naming the caller's
-    # tick, with nothing queued and no episode used up.
-    sim = Simulation(FabricConfig.uniform(2, delay1=2, delay2=1, threshold=1, duration=4))
-    if clock:
-        sim.add_probe(Probe(tick=clock, word=2))
-        sim.run_to_quiescence(clock)  # the probe's done stays pending
-    assert sim.clock == clock
-    pending, scheduled, episodes = len(sim.queue), sim.queue.scheduled_total, sim._next_episode
-    with pytest.raises(ValueError, match=rf"^tick {clock - 1} is behind the clock \({clock}\)$"):
-        schedule(sim, clock - 1)
-    assert (len(sim.queue), sim.queue.scheduled_total) == (pending, scheduled)
-    assert sim._next_episode == episodes
-    schedule(sim, clock)  # the clock's own tick is still open
-    assert sim.queue.scheduled_total == scheduled + 1
+    assert arrivals == [(10, 1), (100, 1), (200, 1)]
 
 
 def test_step_pops_least_and_advances_clock():
@@ -247,8 +207,8 @@ def test_run_with_no_events_is_quiescent_at_zero():
 
 def test_single_enabled_word_quiesces_at_its_done():
     # enable at 0, duration 4, nothing learned: done at 4 empties the queue
-    sim = Simulation(FabricConfig.uniform(2, delay1=2, delay2=1, threshold=9, duration=4))
-    sim.add_probe(Probe(tick=0, word=1))
+    config = FabricConfig.uniform(2, delay1=2, delay2=1, threshold=9, duration=4)
+    sim = simulation(config, probes=[Probe(tick=0, word=1)])
     outcome = sim.run_to_quiescence(100)
     assert outcome.outcome == QUIESCENT and outcome.final_tick == 4
 
@@ -260,11 +220,8 @@ def test_max_tick_must_be_positive():
 
 
 @pytest.mark.parametrize("bad", [0.5, True, "1"])
-def test_a_tick_or_tick_limit_that_is_not_an_int_is_a_value_error(bad):
-    # schedule_override takes a raw tick, which the trace would write as given.
+def test_a_tick_limit_that_is_not_an_int_is_a_value_error(bad):
     sim = Simulation(FabricConfig.uniform(2, delay1=2, delay2=1, threshold=1, duration=1))
-    with pytest.raises(ValueError, match=rf"^tick is not an integer: {bad!r}$"):
-        sim.schedule_override(bad, (1, 2), True)
     with pytest.raises(ValueError, match=rf"^maxticks is not an integer: {bad!r}$"):
         sim.run_to_quiescence(bad)
     assert sim.queue.scheduled_total == 0 and sim.clock == 0

@@ -11,9 +11,10 @@ from memfabric import (
     Fabric,
     FabricConfig,
     InvalidConfigError,
+    OverrideDirective,
     Probe,
+    Scenario,
     SelfPairError,
-    Simulation,
     TraceRecord,
     UnknownWordError,
     episode_subtrace,
@@ -32,7 +33,7 @@ from memfabric.trace import (
     EV_LOOP_SUPPRESSED,
     EV_OVERRIDE_BLOCKED,
 )
-from conftest import OVERRIDE_CYCLE, assert_every_path_checks, records_of, run_text
+from conftest import OVERRIDE_CYCLE, assert_every_path_checks, records_of, run_text, simulation
 
 
 def _config(word_count=2, delay1=5, delay2=1, threshold=10, duration=4, **kw):
@@ -134,8 +135,7 @@ def test_config_keeps_a_read_only_copy_of_the_durations():
         with pytest.raises(TypeError):
             edit(cfg.durations)
     assert cfg.durations == {1: 4, 2: 4}
-    sim = Simulation(cfg)
-    sim.add_probe(Probe(tick=0, word=1))
+    sim = simulation(cfg, probes=[Probe(tick=0, word=1)])
     assert sim.run_to_quiescence(100).final_tick == 4
 
 
@@ -148,16 +148,16 @@ def test_unknown_filter_mode_is_rejected():
 
 
 def test_enable_schedules_done_after_duration():
-    sim = Simulation(_config())
-    sim.add_probe(Probe(tick=10, word=2))
+    sim = simulation(_config(), probes=[Probe(tick=10, word=2)])
     sim.run_to_quiescence(100)
     assert [(r.t, r.word) for r in sim.records if r.ev == EV_DONE] == [(14, 2)]
 
 
 def test_busy_word_ignores_enable():
-    sim = Simulation(_config())
-    sim.add_probe(Probe(tick=8, word=2))  # busy until 12
-    sim.add_probe(Probe(tick=10, word=2))
+    sim = simulation(
+        _config(),
+        probes=[Probe(tick=8, word=2), Probe(tick=10, word=2)],  # busy until 12
+    )
     sim.run_to_quiescence(100)
     ignored = [r for r in sim.records if r.ev == EV_IGNORED_ENABLE]
     assert [(r.t, r.word) for r in ignored] == [(10, 2)]
@@ -165,18 +165,14 @@ def test_busy_word_ignores_enable():
 
 
 def test_unknown_word_enable_raises():
-    sim = Simulation(_config())
-    with pytest.raises(UnknownWordError):
-        sim.add_probe(Probe(tick=0, word=7))
-    assert len(sim.queue) == 0
+    with pytest.raises(UnknownWordError, match="^word 7 outside 1..2$"):
+        Scenario(_config(), (), [Probe(tick=0, word=7)], (), 100)
 
 
 def test_reenable_at_exact_completion_tick_keeps_both_dones():
     # The second enable lands on the word's completion tick before the
     # pending done dispatches; each activation still gets its own done.
-    sim = Simulation(_config())
-    sim.add_probe(Probe(tick=0, word=1))
-    sim.add_probe(Probe(tick=4, word=1))
+    sim = simulation(_config(), probes=[Probe(tick=0, word=1), Probe(tick=4, word=1)])
     sim.run_to_quiescence(100)
     enables = [(r.t, r.episode) for r in sim.records if r.ev == EV_ENABLE]
     dones = [(r.t, r.episode) for r in sim.records if r.ev == EV_DONE]
@@ -188,9 +184,13 @@ def test_reenable_at_exact_completion_tick_keeps_both_dones():
 
 
 def _window_probe_run(trigger_tick: int):
-    sim = Simulation(_config(threshold=3))
-    sim.add_probe(Probe(tick=6, word=1))  # done at 10, window [10, 15]
-    sim.add_probe(Probe(tick=trigger_tick, word=2))
+    sim = simulation(
+        _config(threshold=3),
+        probes=[
+            Probe(tick=6, word=1),  # done at 10, window [10, 15]
+            Probe(tick=trigger_tick, word=2),
+        ],
+    )
     sim.run_to_quiescence(100)
     return sim
 
@@ -212,29 +212,41 @@ def records_of_sim(sim, ev):
 
 
 def test_new_done_retriggers_the_window():
-    sim = Simulation(_config(threshold=3))
-    sim.add_probe(Probe(tick=0, word=1))  # done 4, window [4, 9]
-    sim.add_probe(Probe(tick=5, word=1))  # done 9, window [9, 14]
-    sim.add_probe(Probe(tick=12, word=2))  # outside the first window only
+    sim = simulation(
+        _config(threshold=3),
+        probes=[
+            Probe(tick=0, word=1),  # done 4, window [4, 9]
+            Probe(tick=5, word=1),  # done 9, window [9, 14]
+            Probe(tick=12, word=2),  # outside the first window only
+        ],
+    )
     sim.run_to_quiescence(100)
     shifts = records_of_sim(sim, EV_LATCH_SHIFT)
     assert [(r.t, r.pair) for r in shifts] == [(12, (1, 2))]
 
 
 def test_open_windows_fire_in_ascending_source_order():
-    sim = Simulation(_config(word_count=3, threshold=3))
-    sim.add_probe(Probe(tick=0, word=2))  # done 4, window [4, 9]
-    sim.add_probe(Probe(tick=1, word=1))  # done 5, window [5, 10]
-    sim.add_probe(Probe(tick=6, word=3))  # inside both windows
+    sim = simulation(
+        _config(word_count=3, threshold=3),
+        probes=[
+            Probe(tick=0, word=2),  # done 4, window [4, 9]
+            Probe(tick=1, word=1),  # done 5, window [5, 10]
+            Probe(tick=6, word=3),  # inside both windows
+        ],
+    )
     sim.run_to_quiescence(100)
     assert [r.pair for r in records_of_sim(sim, EV_FILTER_FIRE)] == [(1, 3), (2, 3)]
 
 
 def test_ignored_enable_does_not_feed_filters():
-    sim = Simulation(_config(threshold=3))
-    sim.add_probe(Probe(tick=0, word=1))  # done 4, window [4, 9]
-    sim.add_probe(Probe(tick=3, word=2))  # busy until 7
-    sim.add_probe(Probe(tick=5, word=2))  # ignored: busy, inside window
+    sim = simulation(
+        _config(threshold=3),
+        probes=[
+            Probe(tick=0, word=1),  # done 4, window [4, 9]
+            Probe(tick=3, word=2),  # busy until 7
+            Probe(tick=5, word=2),  # ignored: busy, inside window
+        ],
+    )
     sim.run_to_quiescence(100)
     assert [r.t for r in records_of_sim(sim, EV_IGNORED_ENABLE)] == [5]
     # only the accepted enable at t=3 could detect, and it precedes the done
@@ -298,7 +310,9 @@ def test_detections_inside_the_refractory_fire_but_do_not_shift():
 # -- replay, suppression, overrides -------------------------------------
 
 
-def _primed_simulation(learned_pairs, *, durations=None, delay1=10, word_count=4):
+def _primed_simulation(
+    learned_pairs, *, probes, overrides=(), durations=None, delay1=10, word_count=4
+):
     config = FabricConfig(
         word_count=word_count,
         delay1=delay1,
@@ -306,7 +320,7 @@ def _primed_simulation(learned_pairs, *, durations=None, delay1=10, word_count=4
         threshold=5,
         durations=durations or {w: 1 for w in range(1, word_count + 1)},
     )
-    sim = Simulation(config)
+    sim = simulation(config, probes=probes, overrides=overrides)
     for pair in learned_pairs:
         # white box: state normally reached via rehearsal
         insort(sim.fabric._successors.setdefault(pair[0], []), pair[1])
@@ -315,8 +329,7 @@ def _primed_simulation(learned_pairs, *, durations=None, delay1=10, word_count=4
 
 def test_done_of_learned_pair_schedules_auto_enable_delay1_later():
     sim = _primed_simulation({(1, 3), (3, 2)}, word_count=3, delay1=5,
-                             durations={1: 4, 2: 4, 3: 4})
-    sim.add_probe(Probe(tick=0, word=1))
+                             durations={1: 4, 2: 4, 3: 4}, probes=[Probe(tick=0, word=1)])
     sim.run_to_quiescence(200)
     scheduled = [(r.t, r.word, r.pair) for r in sim.records if r.ev == EV_AUTO_ENABLE_SCHEDULED]
     assert scheduled == [(4, 3, (1, 3)), (13, 2, (3, 2))]
@@ -325,8 +338,7 @@ def test_done_of_learned_pair_schedules_auto_enable_delay1_later():
 
 
 def test_fan_out_schedules_successors_in_ascending_word_order():
-    sim = _primed_simulation({(1, 3), (1, 2)}, word_count=3)
-    sim.add_probe(Probe(tick=0, word=1))
+    sim = _primed_simulation({(1, 3), (1, 2)}, word_count=3, probes=[Probe(tick=0, word=1)])
     sim.run_to_quiescence(200)
     scheduled = [(r.word, r.pair) for r in sim.records if r.ev == EV_AUTO_ENABLE_SCHEDULED]
     assert scheduled == [(2, (1, 2)), (3, (1, 3))]
@@ -359,8 +371,8 @@ def test_fan_in_second_arrival_at_idle_word_is_ignored_by_episode_guard():
     sim = _primed_simulation(
         {(1, 3), (1, 4), (3, 2), (4, 2)},
         durations={1: 1, 2: 1, 3: 2, 4: 6},
+        probes=[Probe(tick=0, word=1)],
     )
-    sim.add_probe(Probe(tick=0, word=1))
     sim.run_to_quiescence(200)
     enables_of_2 = [r for r in sim.records if r.ev == EV_ENABLE and r.word == 2]
     ignored = [r for r in sim.records if r.ev == EV_IGNORED_ENABLE]
@@ -374,8 +386,7 @@ def test_fan_in_second_arrival_at_idle_word_is_ignored_by_episode_guard():
 
 
 def test_cycle_is_suppressed_within_an_episode():
-    sim = _primed_simulation({(1, 2), (2, 1)}, word_count=2)
-    sim.add_probe(Probe(tick=0, word=1))
+    sim = _primed_simulation({(1, 2), (2, 1)}, word_count=2, probes=[Probe(tick=0, word=1)])
     outcome = sim.run_to_quiescence(500)
     assert outcome.quiescent
     suppressed = [(r.t, r.pair) for r in sim.records if r.ev == EV_LOOP_SUPPRESSED]
@@ -384,9 +395,12 @@ def test_cycle_is_suppressed_within_an_episode():
 
 
 def test_open_override_blocks_replay_without_unlearning():
-    sim = _primed_simulation({(1, 2)}, word_count=2)
-    sim.schedule_override(0, (1, 2), True)
-    sim.add_probe(Probe(tick=5, word=1))
+    sim = _primed_simulation(
+        {(1, 2)},
+        word_count=2,
+        probes=[Probe(tick=5, word=1)],
+        overrides=[OverrideDirective(0, 1, 2, True)],
+    )
     sim.run_to_quiescence(500)
     blocked = [(r.t, r.pair) for r in sim.records if r.ev == EV_OVERRIDE_BLOCKED]
     assert blocked == [(6, (1, 2))]
@@ -395,19 +409,21 @@ def test_open_override_blocks_replay_without_unlearning():
 
 
 def test_closing_the_override_restores_replay():
-    sim = _primed_simulation({(1, 2)}, word_count=2)
-    sim.schedule_override(0, (1, 2), True)
-    sim.schedule_override(10, (1, 2), False)
-    sim.add_probe(Probe(tick=20, word=1))
+    sim = _primed_simulation(
+        {(1, 2)},
+        word_count=2,
+        probes=[Probe(tick=20, word=1)],
+        overrides=[OverrideDirective(0, 1, 2, True), OverrideDirective(10, 1, 2, False)],
+    )
     sim.run_to_quiescence(500)
     auto = [(r.t, r.word) for r in sim.records if r.ev == EV_ENABLE and r.src == "auto"]
     assert auto == [(31, 2)]
 
 
 def test_override_on_unlearned_pair_is_legal_and_inert():
-    sim = Simulation(_config())
-    sim.schedule_override(0, (1, 2), True)
-    sim.add_probe(Probe(tick=5, word=1))
+    sim = simulation(
+        _config(), probes=[Probe(tick=5, word=1)], overrides=[OverrideDirective(0, 1, 2, True)]
+    )
     sim.run_to_quiescence(100)
     assert sim.fabric.override_is_open((1, 2))
     kinds = {r.ev for r in sim.records}
@@ -415,18 +431,16 @@ def test_override_on_unlearned_pair_is_legal_and_inert():
 
 
 def test_override_self_pair_is_rejected():
-    sim = Simulation(_config())
-    with pytest.raises(SelfPairError):
-        sim.schedule_override(0, (1, 1), True)
-    with pytest.raises(UnknownWordError):
-        sim.schedule_override(0, (1, 9), True)
+    with pytest.raises(SelfPairError, match=r"^pair \(1, 1\) is a self pair$"):
+        Scenario(_config(), (), (), [OverrideDirective(0, 1, 1, True)], 100)
+    with pytest.raises(UnknownWordError, match="^word 9 outside 1..2$"):
+        Scenario(_config(), (), (), [OverrideDirective(0, 1, 9, True)], 100)
 
 
 def test_filters_observe_replay_uniformly():
     # An autonomous enable lands exactly delay1 after the done, on the
     # window's closing edge, so replay keeps re-detecting learned pairs.
-    sim = _primed_simulation({(1, 2)}, word_count=2)
-    sim.add_probe(Probe(tick=0, word=1))
+    sim = _primed_simulation({(1, 2)}, word_count=2, probes=[Probe(tick=0, word=1)])
     sim.run_to_quiescence(200)
     shifts = [(r.t, r.pair) for r in sim.records if r.ev == EV_LATCH_SHIFT]
     assert shifts == [(11, (1, 2))]
@@ -474,8 +488,11 @@ def test_nine_rehearsals_of_ten_threshold_learn_nothing(worked_example_text):
 
 
 def test_termination_bound_for_loop_free_learned_graph():
-    sim = _primed_simulation({(1, 2), (2, 3), (3, 4)}, durations={1: 2, 2: 3, 3: 4, 4: 5})
-    sim.add_probe(Probe(tick=0, word=1))
+    sim = _primed_simulation(
+        {(1, 2), (2, 3), (3, 4)},
+        durations={1: 2, 2: 3, 3: 4, 4: 5},
+        probes=[Probe(tick=0, word=1)],
+    )
     outcome = sim.run_to_quiescence(10_000)
     assert outcome.quiescent
     chain_bound = sum(sim.config.durations[w] + sim.config.delay1 for w in (1, 2, 3, 4))

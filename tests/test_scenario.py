@@ -146,7 +146,7 @@ def test_duplicate_fabric_directive_is_an_error():
         (
             "fabric words=2 delay1=5 delay2=1 threshold=1\ndur * 0\nmaxticks 10\n",
             2,
-            "duration of word 1 must be >= 1, got 0",
+            "duration of word * must be >= 1, got 0",
         ),
         (
             "fabric words=2 delay1=5 delay2=1 threshold=1\ndur * 4\n"
@@ -217,6 +217,18 @@ def test_duplicate_fabric_directive_is_an_error():
             "rehearse 1 reps=1 gap=0 rest=0 start=0\n",
             4,
             "line 4: a plan needs at least 2 words",
+        ),
+        # A duration is a fault of its own line, before the word range of the
+        # line and before any later line.
+        (
+            "fabric words=2 delay1=5 delay2=1 threshold=1\ndur 2 0\ndur * 4\nmaxticks 10\nbogus\n",
+            2,
+            "line 2: duration of word 2 must be >= 1, got 0",
+        ),
+        (
+            "fabric words=2 delay1=5 delay2=1 threshold=1\ndur * 4\ndur 9 0\nmaxticks 10\n",
+            3,
+            "line 3: duration of word 9 must be >= 1, got 0",
         ),
     ],
 )
@@ -442,6 +454,12 @@ def test_every_way_to_build_an_override_checks_it():
     [
         ("plans", (RehearsalPlan((1, 4), reps=1, gap=0, rest=0, start=0),), UnknownWordError),
         ("probes", (Probe(tick=5, word=0),), UnknownWordError),
+        # a word with no hash, built in the test so that no other case depends on it
+        (
+            "plans",
+            lambda: (RehearsalPlan(([1], 3), reps=1, gap=0, rest=0, start=0),),
+            UnknownWordError,
+        ),
         ("overrides", (OverrideDirective(tick=5, i=4, j=1, is_open=True),), UnknownWordError),
         ("overrides", (OverrideDirective(tick=5, i=2, j=2, is_open=True),), SelfPairError),
         ("config", FabricConfig(2, 5, 1, 3, {1: 4, 2: 4}), UnknownWordError),
@@ -458,6 +476,7 @@ def test_every_way_to_build_an_override_checks_it():
     ],
 )
 def test_every_way_to_build_a_scenario_checks_the_words_of_its_parts(field, bad, error):
+    bad = bad() if callable(bad) else bad
     text = (
         "fabric words=3 delay1=5 delay2=1 threshold=3\n"
         "dur * 4\n"
