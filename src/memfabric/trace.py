@@ -9,8 +9,11 @@ writer of a line, and :meth:`TraceRecord.to_json_line` is the line it
 writes for one record. :func:`write_trace` formats and writes
 :data:`_WRITE_BATCH` records at a time. :func:`parse_trace` matches each
 line once in one regex scan of the text, or of each block of it that
-:func:`read_blocks` reads from a file: a line written here decodes from
-the match, any other line alone through :func:`decode_line`. Records
+:func:`read_blocks` reads from a file. A line written here decodes from
+the match: the fields it has pick one of the six field sets that
+:func:`format_trace` writes with an f-string, its kind must be one that
+set allows, and only those fields are converted. Any other line decodes
+alone through :func:`decode_line`. Records
 decoded either way share the schema's one string per kind and per
 source. :func:`read_blocks` reads a scenario too; each parser names the
 line of a byte that is not UTF-8, as of any other fault.
@@ -283,10 +286,26 @@ _CANONICAL_SHAPES = {
 }
 
 
+def _kinds(*fields: str) -> dict[str, str]:
+    """The kinds whose field set, beyond t and ev, is exactly ``fields``, each
+    to itself: the table's copy, which records share."""
+    absent = tuple(key not in fields for key in _OPTIONAL_KEYS)
+    return {shape[0]: ev for shape, ev in _CANONICAL_SHAPES.items() if shape[1:] == absent}
+
+
+# one table per field set, the six that format_trace writes with an f-string
+_PAIR_KINDS = _kinds("pair")
+_PAIR_STAGE_KINDS = _kinds("pair", "stage")
+_WORD_EPISODE_KINDS = _kinds("word", "episode")
+_WORD_SRC_EPISODE_KINDS = _kinds("word", "src", "episode")
+_WORD_PAIR_EPISODE_KINDS = _kinds("word", "pair", "episode")
+_WORD_PAIR_SRC_EPISODE_KINDS = _kinds("word", "pair", "src", "episode")
+
+
 class _Values(dict):
-    """The values of a scan's groups, each decoded once, so that records share
-    them: digits to an int, a pair's ``"i,j"`` to ``(i, j)``; an absent
-    field's ``None`` and a source, put in when it is made, to themselves."""
+    """The values of a scan's present groups, each decoded once, so that
+    records share them: digits to an int, a pair's ``"i,j"`` to ``(i, j)``;
+    a source, put in when it is made, to itself."""
 
     def __missing__(self, key: str) -> int | tuple[int, ...]:
         value = tuple(map(int, key.split(","))) if "," in key else int(key)
@@ -313,13 +332,15 @@ def parse_trace(text: str | Iterable[str]) -> list[TraceRecord]:
     ending with a newline, as :func:`read_blocks` gives them: a whole text
     is one block. One regex scan of each block matches each line once. A
     line as :func:`format_trace` writes it is decoded from the match's
-    groups, and any other line, alone, through :func:`decode_line`, to the
-    same record. The first line that is not a valid record, whose tick is
-    below the previous record's, or that the blocks fail to decode (a
-    :class:`UnicodeError`) raises :class:`MalformedTraceError` at its line.
+    groups: the fields present pick its field set, by the tests
+    :func:`format_trace` picks its f-string by, its kind must be one that
+    set allows, and only those fields are converted. Any other line goes,
+    alone, through :func:`decode_line`, to the same record. The first line
+    that is not a valid record, whose tick is below the previous record's,
+    or that the blocks fail to decode (a :class:`UnicodeError`) raises
+    :class:`MalformedTraceError` at its line.
     """
-    values = _Values({None: None, **_SOURCES})
-    shapes = _CANONICAL_SHAPES
+    values = _Values(_SOURCES)
     new = tuple.__new__  # skips the named tuple's Python-level __new__
     records = []
     append = records.append
@@ -331,19 +352,53 @@ def parse_trace(text: str | Iterable[str]) -> list[TraceRecord]:
             # first line, so the next block counts on from its number
             for lineno, match in enumerate(_LINE.finditer(_unify_newlines(block)), start=lineno):
                 t, ev, word, pair, src, episode, stage, line = match.groups()
-                # the table's copy of the kind, which records share; None for the
-                # last branch or for a field set the kind does not allow
-                ev = shapes.get((ev, not word, not pair, not src, not episode, not stage))
-                if ev is not None:
-                    t = values[t]
-                    rec = (
-                        t, ev, values[word], values[pair], values[src],
-                        values[episode], values[stage],
-                    )
+                # the fields present pick the field set, by format_trace's tests;
+                # its table gives the kind's copy, which records share, or None
+                rec = None
+                if word is None:
+                    if src is None and episode is None and pair is not None:
+                        if stage is None:  # filter_fire, learned
+                            ev = _PAIR_KINDS.get(ev)
+                            if ev is not None:
+                                t = values[t]
+                                rec = (t, ev, None, values[pair], None, None, None)
+                        else:  # latch_shift, override_set
+                            ev = _PAIR_STAGE_KINDS.get(ev)
+                            if ev is not None:
+                                t = values[t]
+                                rec = (t, ev, None, values[pair], None, None, values[stage])
+                elif episode is not None and stage is None:
+                    if pair is None:
+                        if src is None:  # done
+                            ev = _WORD_EPISODE_KINDS.get(ev)
+                            if ev is not None:
+                                t = values[t]
+                                rec = (t, ev, values[word], None, None, values[episode], None)
+                        else:  # a cpu (ignored) enable
+                            ev = _WORD_SRC_EPISODE_KINDS.get(ev)
+                            if ev is not None:
+                                t = values[t]
+                                rec = (
+                                    t, ev, values[word], None, values[src], values[episode], None,
+                                )
+                    elif src is None:  # a replay outcome
+                        ev = _WORD_PAIR_EPISODE_KINDS.get(ev)
+                        if ev is not None:
+                            t = values[t]
+                            rec = (t, ev, values[word], values[pair], None, values[episode], None)
+                    else:  # an auto (ignored) enable
+                        ev = _WORD_PAIR_SRC_EPISODE_KINDS.get(ev)
+                        if ev is not None:
+                            t = values[t]
+                            rec = (
+                                t, ev, values[word], values[pair], values[src],
+                                values[episode], None,
+                            )
+                if rec is not None:
                     rec = new(TraceRecord, rec)
                 elif line == "":
                     continue
-                else:  # not canonical, or canonical with a field set its kind does not allow
+                else:  # the last branch, another field set, or a kind without this one
                     rec = decode_line(match[0])
                     if rec is None:
                         continue

@@ -156,8 +156,9 @@ def test_workload_filters_fire_as_the_literal_circuit(name):
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_traces_decode_on_the_scan_alone(name, tmp_path, monkeypatch):
-    # Every line run writes is canonical, so no bench trace read as verify
-    # reads it, in blocks, reaches the line-by-line general path.
+    # Every line run writes is canonical, so no bench trace, read whole or as
+    # verify reads it, in blocks, leaves the field sets' branches for the
+    # line-by-line general path.
     scenario, result = _run(name)
     path = tmp_path / "out.trace.jsonl"
     write_trace(result.records, path)
@@ -166,6 +167,7 @@ def test_workload_traces_decode_on_the_scan_alone(name, tmp_path, monkeypatch):
         raise AssertionError(f"decode_line called on {line!r}")
 
     monkeypatch.setattr(memfabric.trace, "decode_line", general_path)
+    assert parse_trace(format_trace(result.records)) == result.records
     records = parse_trace(memfabric.trace.read_blocks(path))
     assert records == result.records
     assert verify_run(scenario, records) == []

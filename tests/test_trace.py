@@ -197,6 +197,37 @@ def test_a_canonical_line_with_a_foreign_field_set_fails_at_its_line(monkeypatch
     assert decoded == [bad]
 
 
+@pytest.mark.parametrize("ev", sorted(SCHEMA))
+def test_every_field_set_of_a_kind_decodes_on_its_branch_or_fails_as_the_general_path(
+    ev, monkeypatch
+):
+    # Each of the 32 sets of optional fields, written in the fixed key order:
+    # a set the kind allows is decoded from the match alone, any other set
+    # reaches decode_line, whose error parse_trace gives at line 1.
+    values = {"word": 2, "pair": (3, 4), "src": "cpu", "episode": 5, "stage": 6}
+    optional = KEY_ORDER[2:]
+    required, extra = SCHEMA[ev]
+    decoded = logging_decode_line(monkeypatch)
+    canonical = 0
+    for mask in itertools.product((False, True), repeat=len(optional)):
+        fields = {key: values[key] for key, on in zip(optional, mask) if on}
+        line = reference_line(TraceRecord(1, ev, **fields))
+        decoded.clear()
+        if (ev, *(not on for on in mask)) in _CANONICAL_SHAPES:
+            canonical += 1
+            assert set(fields) in ({*required}, {*required, *extra}), line
+            assert parse_trace(line) == [TraceRecord(1, ev, **fields)], line
+            assert decoded == [], line
+        else:
+            with pytest.raises(MalformedTraceError) as info:
+                decode_line(line)
+            with pytest.raises(MalformedTraceError) as parsed:
+                parse_trace(line)
+            assert str(parsed.value) == f"line 1: {info.value}"
+            assert decoded == [line]
+    assert canonical == 1 + len(extra)
+
+
 def test_a_tick_that_goes_down_after_a_general_path_line_fails_at_its_line():
     text = (
         '{"t":5,"ev":"done","word":1,"episode":0}\n'
@@ -419,10 +450,14 @@ def assert_decoded_as_by_the_general_path(line: str) -> None:
 @given(records(naturals=_long_naturals, words=_long_words))
 def test_canonical_lines_decode_as_by_the_general_path(rec):
     line = rec.to_json_line()
-    assert parse_trace(line) == [decode_line(line)] == [rec]
+    with mock.patch.object(memfabric.trace, "decode_line", wraps=decode_line) as general:
+        assert parse_trace(line) == [decode_line(line)] == [rec]
     digits = max(len(number) for number in re.findall("[0-9]+", line))
-    # the scan is not dead: every canonical line within its cap matches
-    assert (_LINE.fullmatch(line).groups()[-1] is None) == (digits <= SCAN_DIGITS)
+    # the scan is not dead: every canonical line within its cap matches, and
+    # its field set's branch decodes the match without the general path
+    scanned = digits <= SCAN_DIGITS
+    assert (_LINE.fullmatch(line).groups()[-1] is None) == scanned
+    assert general.call_count == (0 if scanned else 1)
 
 
 # One character that does not end a line: parse_trace splits on those first.
