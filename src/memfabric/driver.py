@@ -30,7 +30,7 @@ from bisect import insort
 from collections import namedtuple
 from operator import attrgetter
 
-from memfabric.fabric import CheckedTuple, CpuEnable, Episode, check_int
+from memfabric.fabric import CheckedTuple, CpuEnable, check_int
 
 
 class InvalidPlanError(ValueError):
@@ -72,7 +72,7 @@ class Probe(CheckedTuple, namedtuple("Probe", "tick word")):
 
 
 class _PlanRun:
-    def __init__(self, plan: RehearsalPlan, episode: Episode, order: int):
+    def __init__(self, plan: RehearsalPlan, episode: int, order: int):
         # The plan's fields, read on each of its steps, bound once.
         self.sequence, self.reps = plan.sequence, plan.reps
         self.gap, self.rest = plan.gap, plan.rest

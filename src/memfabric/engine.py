@@ -19,12 +19,13 @@ ticks and the clock only moves forward. A run is built only by
 that has checked every part, so the tick limit is the one check here: a
 part's tick is an int >= 0, never behind the clock (0 during the build),
 and the fabric and the driver queue events at the current tick plus an
-offset their config or plan keeps >= 0. Episodes come only from
-:meth:`Simulation.new_episode`, one per probe and per plan repetition.
-A run ends either quiescent (the queue drained) or at the tick limit
-(the next event lies beyond ``max_tick``). The fabric's no-repeat rule,
-which has no switch, gives every episode at most one enable per word,
-so every run drains; the limit only cuts one whose events reach past it.
+offset their config or plan keeps >= 0. Episodes are ints and come only
+from :meth:`Simulation.new_episode`, one per probe and per plan
+repetition. A run ends either quiescent (the queue drained) or at the
+tick limit (the next event lies beyond ``max_tick``). The fabric's
+no-repeat rule, which has no switch, gives every episode at most one
+enable per word, so every run drains; the limit only cuts one whose
+events reach past it.
 
 A :class:`Simulation` is a self-contained value (engine + fabric +
 scripted CPU driver + trace) that nothing inside refers back to, so
@@ -36,9 +37,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from heapq import heappop, heappush, heapreplace
+from itertools import count
 
 from memfabric.driver import Driver
-from memfabric.fabric import CpuEnable, Episode, Fabric, FabricConfig, OverrideSet
+from memfabric.fabric import CpuEnable, Fabric, FabricConfig, OverrideSet
 from memfabric.scenario import Scenario, build_report, check_max_tick
 from memfabric.trace import TraceRecord
 
@@ -121,12 +123,7 @@ class Simulation:
         self.records: list[TraceRecord] = []
         # The fabric's handlers call emit once per trace record.
         self.emit = self.records.append
-        self._next_episode = 0
-
-    def new_episode(self) -> Episode:
-        episode = Episode(self._next_episode)
-        self._next_episode += 1
-        return episode
+        self.new_episode = count().__next__  # the next episode: 0, 1, 2, ...
 
     @property
     def dispatched_total(self) -> int:

@@ -39,8 +39,10 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import namedtuple
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from functools import partial
+from itertools import count, islice
+from types import MappingProxyType
 
 from memfabric.trace import (
     EV_AUTO_ENABLE_SCHEDULED,
@@ -65,18 +67,6 @@ _record = partial(tuple.__new__, TraceRecord)
 DONE_ENABLE = "done_enable"
 DONE_DONE = "done_done"
 FILTER_MODES = (DONE_ENABLE, DONE_DONE)
-
-
-class ReadOnlyDict(dict):
-    """A dict that refuses every change; it pickles, copies and deep-copies."""
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError(f"{type(self).__name__} is read-only")
-
-    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
-
-    def __reduce__(self):
-        return type(self), (dict(self),)
 
 
 class InvalidConfigError(ValueError):
@@ -115,6 +105,71 @@ def check_int(value, least: int, what: str, error: type[ValueError] = ValueError
         raise error(f"{what} must be >= {least}, got {value}")
 
 
+def _unnamed(named: Mapping[int, int]) -> Iterator[int]:
+    """The words that ``named`` leaves out, ascending; the first is at most ``len(named) + 1``."""
+    return (word for word in count(1) if word not in named)
+
+
+class Durations(Mapping):
+    """Each word's duration over ``1..word_count``: the words of ``named`` run for
+    their own, the others for ``default``; with no default (None) the mapping
+    ends before the first word left out, which a config rejects. It keeps
+    ``default``, the most common duration (on a tie, the first in word order),
+    and ``exceptions``, the words whose duration differs. It behaves as a
+    read-only dict with no hash but never builds one, and it pickles and
+    copies through the constructor, which checks each duration."""
+
+    __slots__ = ("_parts",)  # (word_count, default, exceptions)
+
+    def __init__(self, word_count: int, default: int | None, named: Mapping[int, int]):
+        named = dict(sorted(named.items()))
+        for word, dur in named.items():
+            FabricConfig.check_duration(word, dur)
+        if default is None:
+            word_count = min(word_count, next(_unnamed(named)) - 1)
+            named = {word: dur for word, dur in named.items() if word <= word_count}
+        spare = word_count - len(named)  # the words that run for the default
+        rank = {}  # duration -> (its words, minus its first word); the greatest is the most common
+        if spare > 0:
+            first = next(_unnamed(named))
+            FabricConfig.check_duration(first, default)
+            rank[default] = (spare, -first)
+        for word, dur in named.items():
+            words, least = rank.get(dur, (0, -word))
+            rank[dur] = (words + 1, max(least, -word))
+        most = max(rank, key=rank.__getitem__, default=default)
+        exceptions = {word: dur for word, dur in named.items() if dur != most}
+        if spare > 0 and most != default:  # then the default has no more words than named has
+            exceptions.update((word, default) for word in islice(_unnamed(named), spare))
+        self._parts = (word_count, most, dict(sorted(exceptions.items())))
+
+    default = property(lambda self: self._parts[1])
+    exceptions = property(lambda self: MappingProxyType(self._parts[2]))  # ascending
+
+    def __getitem__(self, word: int) -> int:
+        word_count, default, exceptions = self._parts
+        if isinstance(word, int) and 1 <= word <= word_count:
+            return exceptions.get(word, default)
+        raise KeyError(word)
+
+    def __len__(self) -> int:
+        return self._parts[0]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(1, len(self) + 1))
+
+    def __eq__(self, other):
+        if isinstance(other, Durations):
+            return self._parts == other._parts
+        return isinstance(other, Mapping) and len(other) == len(self) and dict(self) == other
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self._parts!r}"
+
+    def __reduce__(self):
+        return type(self), self._parts
+
+
 class FabricConfig(
     CheckedTuple,
     namedtuple("FabricConfig", "word_count delay1 delay2 threshold durations filter_mode"),
@@ -128,8 +183,8 @@ class FabricConfig(
     it may not exceed ``delay1``. ``threshold`` is the register depth:
     the number of qualifying repetitions after which a pair is learned.
     ``durations`` maps every word, and nothing else, to its duration.
-    It is kept as a read-only copy, so later edits of the
-    caller's mapping cannot undo its checks; while it is a dict, a
+    Any mapping is kept as :class:`Durations`, at the cost of its length,
+    so later edits of the caller's mapping cannot undo its checks, and a
     config has no hash.
     """
 
@@ -144,7 +199,6 @@ class FabricConfig(
         durations: Mapping[int, int],
         filter_mode: str = DONE_ENABLE,
     ):
-        durations = ReadOnlyDict(durations)
         if type(word_count) is not int or word_count < 2:
             raise InvalidConfigError(f"need at least 2 words, got {word_count!r}")
         check_int(delay1, 1, "delay1", InvalidConfigError)
@@ -154,41 +208,28 @@ class FabricConfig(
         check_int(threshold, 1, "threshold", InvalidConfigError)
         if filter_mode not in FILTER_MODES:
             raise InvalidConfigError(f"mode must be done_enable or done_done, got {filter_mode!r}")
-        for word in range(1, word_count + 1):
-            dur = durations.get(word)
-            if dur is None:
-                raise InvalidConfigError(f"no duration for word {word}")
-            cls.check_duration(word, dur)
         config = tuple.__new__(cls, (word_count, delay1, delay2, threshold, durations, filter_mode))
-        if len(durations) > word_count or not all(type(key) is int for key in durations):
+        if not isinstance(durations, Durations):  # any other mapping pays for its own length
+            durations = dict(durations)
             for word in durations:  # a stray key, or one such as 1.0 that equals a word
                 config.check_word(word)
+            return config._replace(durations=Durations(word_count, None, durations))
+        if len(durations) < word_count:  # the durations end before the fabric does
+            raise InvalidConfigError(f"no duration for word {len(durations) + 1}")
+        if len(durations) > word_count:  # a fabric smaller than its durations
+            config.check_word(word_count + 1)
         return config
 
     @classmethod
-    def uniform(
-        cls,
-        word_count: int,
-        *,
-        delay1: int,
-        delay2: int,
-        threshold: int,
-        duration: int,
-        filter_mode: str = DONE_ENABLE,
-    ) -> "FabricConfig":
-        """Config with the same duration for every word."""
-        durations = {w: duration for w in range(1, word_count + 1)}
-        return cls(word_count, delay1, delay2, threshold, durations, filter_mode)
-
-    def word_ids(self) -> range:
-        return range(1, self.word_count + 1)
+    def uniform(cls, word_count: int, *, duration: int, **fields) -> "FabricConfig":
+        """Config with the same duration for every word; ``fields`` are the others by name."""
+        return cls(word_count, durations=Durations(word_count, duration, {}), **fields)
 
     @staticmethod
     def check_duration(word: int | str, dur: int) -> None:
         """The duration rule: a word runs for at least one tick. ``word`` is
         ``"*"`` for the default of ``dur *``."""
-        if type(dur) is not int or dur < 1:  # one per word at setup: format only a fault's text
-            check_int(dur, 1, f"duration of word {word}", InvalidConfigError)
+        check_int(dur, 1, f"duration of word {word}", InvalidConfigError)
 
     def check_word(self, word: int) -> None:
         """The word-range rule: word ids are the ints from 1 to ``word_count``."""
@@ -201,20 +242,6 @@ class FabricConfig(
         self.check_word(j)
         if i == j:
             raise SelfPairError(f"pair ({i}, {j}) is a self pair")
-
-
-class Episode:
-    """One activation chain rooted at a single CPU enable.
-
-    ``fired_words`` collects the words that accepted an enable within
-    the episode; each word may appear at most once.
-    """
-
-    __slots__ = ("episode_id", "fired_words")
-
-    def __init__(self, episode_id: int):
-        self.episode_id = episode_id
-        self.fired_words: set[int] = set()
 
 
 class CpuEnable(namedtuple("CpuEnable", "word episode")):
@@ -259,7 +286,9 @@ class Fabric:
     word also keeps its learned successors in ascending order, the one
     record of the closed switches. A done or an enable therefore costs
     its open windows and learned out-degree, not a scan of all K words,
-    and a fresh fabric allocates nothing per word or per pair.
+    and a fresh fabric allocates nothing per word or per pair. An episode
+    is an int; the no-repeat rule reads one set of the ``(episode, word)``
+    of every accepted enable.
 
     All mutation happens through the single-threaded dispatch loop of
     the owning simulation, which is passed in so the fabric can emit
@@ -270,8 +299,9 @@ class Fabric:
 
     def __init__(self, config: FabricConfig):
         self.config = config
-        self._durations, self._threshold = config.durations, config.threshold
-        self._delay1, self._delay2 = config.delay1, config.delay2
+        self._durations = dict(config.durations.exceptions)  # a dict's get is quicker than a view's
+        self._duration = config.durations.default
+        self._delay1, self._delay2, self._threshold = config.delay1, config.delay2, config.threshold
         self._done_enable = config.filter_mode == DONE_ENABLE
         self._busy_until: dict[int, int] = {}  # word -> end of its last run; a past end is idle
         # Source word -> closing tick of its hold window. A closed window
@@ -281,6 +311,7 @@ class Fabric:
         self._shifts: dict[tuple[int, int], tuple[int, int]] = {}
         self._successors: dict[int, list[int]] = {}
         self._override_open: set[tuple[int, int]] = set()
+        self._fired: set[tuple[int, int]] = set()  # (episode, word) of each accepted enable
 
     @property
     def filter_count(self) -> int:
@@ -292,7 +323,7 @@ class Fabric:
     def override_is_open(self, pair: tuple[int, int]) -> bool:
         return pair in self._override_open
 
-    def on_enable(self, sim, word: int, tick: int, *, source: str, pair, episode: Episode) -> None:
+    def on_enable(self, sim, word: int, tick: int, *, source: str, pair, episode: int) -> None:
         """Apply an enable signal to a word.
 
         A busy word ignores the enable, as does a word that already
@@ -306,18 +337,18 @@ class Fabric:
         scenario was built, and autonomous enables follow learned pairs
         of words the fabric already accepted.
         """
-        episode_id = episode.episode_id
-        if self._busy_until.get(word, 0) > tick or word in episode.fired_words:
-            sim.emit(_record((tick, EV_IGNORED_ENABLE, word, pair, source, episode_id, None)))
+        fired = (episode, word)
+        if self._busy_until.get(word, 0) > tick or fired in self._fired:
+            sim.emit(_record((tick, EV_IGNORED_ENABLE, word, pair, source, episode, None)))
             return
-        done_tick = self._busy_until[word] = tick + self._durations[word]
+        done_tick = self._busy_until[word] = tick + self._durations.get(word, self._duration)
         sim.queue.schedule(done_tick, tuple.__new__(WordDone, (word, episode)))
-        episode.fired_words.add(word)
-        sim.emit(_record((tick, EV_ENABLE, word, pair, source, episode_id, None)))
+        self._fired.add(fired)
+        sim.emit(_record((tick, EV_ENABLE, word, pair, source, episode, None)))
         if self._done_enable:
             self._detect_into(sim, word, tick)
 
-    def on_done(self, sim, word: int, tick: int, episode: Episode) -> None:
+    def on_done(self, sim, word: int, tick: int, episode: int) -> None:
         """Handle a word's done signal.
 
         Opens (retriggers) the coincidence window this word holds as the
@@ -327,24 +358,24 @@ class Fabric:
         autonomous enable scheduled delay1 ticks out, carrying the same
         episode.
         """
-        episode_id, emit = episode.episode_id, sim.emit
-        emit(_record((tick, EV_DONE, word, None, None, episode_id, None)))
+        emit = sim.emit
+        emit(_record((tick, EV_DONE, word, None, None, episode, None)))
         self._window_until[word] = replay_tick = tick + self._delay1
         if not self._done_enable:
             self._detect_into(sim, word, tick)
         successors = self._successors.get(word)
         if not successors:
             return
-        schedule, masked, fired = sim.queue.schedule, self._override_open, episode.fired_words
+        schedule, masked, fired = sim.queue.schedule, self._override_open, self._fired
         for dst in successors:
             link = (word, dst)
             if link in masked:
-                emit(_record((tick, EV_OVERRIDE_BLOCKED, dst, link, None, episode_id, None)))
-            elif dst in fired:
-                emit(_record((tick, EV_LOOP_SUPPRESSED, dst, link, None, episode_id, None)))
+                emit(_record((tick, EV_OVERRIDE_BLOCKED, dst, link, None, episode, None)))
+            elif (episode, dst) in fired:
+                emit(_record((tick, EV_LOOP_SUPPRESSED, dst, link, None, episode, None)))
             else:
                 schedule(replay_tick, tuple.__new__(AutoEnable, (dst, link, episode)))
-                emit(_record((tick, EV_AUTO_ENABLE_SCHEDULED, dst, link, None, episode_id, None)))
+                emit(_record((tick, EV_AUTO_ENABLE_SCHEDULED, dst, link, None, episode, None)))
 
     def set_override(self, sim, i: int, j: int, is_open: bool, tick: int) -> None:
         """Open or close the series switch masking pair (i, j).

@@ -161,6 +161,9 @@ def predict_timeline(
     The result is sorted by (tick, kind rank, word, pair).
     """
     config.check_word(start)
+    successors: dict[int, list[int]] = {}  # word -> its learned successors, ascending
+    for i, j in sorted(learned):
+        successors.setdefault(i, []).append(j)
     out: list[TimelineEntry] = []
     # worklist items: (tick, seq, action, word, pair)
     worklist: list[tuple[int, int, str, int, Pair | None]] = [(0, 0, "arrive", start, None)]
@@ -182,10 +185,8 @@ def predict_timeline(
             next_seq += 1
         else:
             out.append(TimelineEntry(tick, EV_DONE, word, None))
-            for successor in config.word_ids():
+            for successor in successors.get(word, ()):
                 link = (word, successor)
-                if link not in learned:
-                    continue
                 if link in overrides:
                     out.append(TimelineEntry(tick, EV_OVERRIDE_BLOCKED, successor, link))
                 elif successor in fired:

@@ -37,7 +37,7 @@ from collections import Counter, namedtuple
 from collections.abc import Iterable
 
 from memfabric.driver import Probe, RehearsalPlan
-from memfabric.fabric import DONE_ENABLE, CheckedTuple, FabricConfig, check_int
+from memfabric.fabric import DONE_ENABLE, CheckedTuple, Durations, FabricConfig, check_int
 from memfabric.trace import (
     EV_ENABLE,
     EV_IGNORED_ENABLE,
@@ -227,8 +227,9 @@ def parse_scenario(text: str | Iterable[str]) -> Scenario:
         if max_tick is None:
             raise ValidationError("missing maxticks directive")
         line, (word_count, delay1, delay2, threshold), mode = fabric
-        # a word with no duration maps to None, which the config names
-        durations = {word: durations.get(word, default_dur) for word in range(1, word_count + 1)}
+        # A dur line's stray word is named at its line, after the config's faults.
+        named = {word: dur for word, dur in durations.items() if 1 <= word <= word_count}
+        durations = Durations(word_count, default_dur, named)
         config = FabricConfig(word_count, delay1, delay2, threshold, durations, mode)
         for word, line in dur_lines.items():
             config.check_word(word)
@@ -272,12 +273,8 @@ def canonical_scenario(scenario: Scenario) -> str:
         f"fabric words={cfg.word_count} delay1={cfg.delay1} delay2={cfg.delay2} "
         f"threshold={cfg.threshold} mode={cfg.filter_mode}"
     ]
-    counts = Counter(cfg.durations[w] for w in cfg.word_ids())
-    default = counts.most_common(1)[0][0]
-    lines.append(f"dur * {default}")
-    for word in cfg.word_ids():
-        if cfg.durations[word] != default:
-            lines.append(f"dur {word} {cfg.durations[word]}")
+    lines.append(f"dur * {cfg.durations.default}")
+    lines += [f"dur {word} {dur}" for word, dur in cfg.durations.exceptions.items()]
     for plan in scenario.plans:
         seq = " ".join(str(w) for w in plan.sequence)
         lines.append(

@@ -67,7 +67,7 @@ class LiteralFabric:
     """All K(K-1) filters of a fabric, each opened and triggered on its own."""
 
     def __init__(self, config: FabricConfig):
-        words = config.word_ids()
+        words = range(1, config.word_count + 1)
         self.config = config
         # source word -> its filters; destination word -> its filters, in ascending source
         self.outgoing = {i: [] for i in words}

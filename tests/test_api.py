@@ -15,7 +15,7 @@ from conftest import python_command
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Engine and driver internals (event payloads, the queue, Driver, Episode)
+# Engine and driver internals (event payloads, the queue, Driver, Durations)
 # stay importable from their own modules but are not part of this list.
 SUPPORTED = {
     # scenario format, report and run entry points
@@ -76,7 +76,7 @@ def test_oracle_imports_nothing_from_the_code_it_checks():
     # verify_run's model of the run is written from the definition, not from the
     # driver, the engine or the fabric's runtime classes. It may take the
     # definition's inputs, FabricConfig and DONE_ENABLE.
-    runtime = ("Fabric", "Episode", "CpuEnable", "AutoEnable", "WordDone", "OverrideSet")
+    runtime = ("Fabric", "CpuEnable", "AutoEnable", "WordDone", "OverrideSet")
     checked = {"memfabric.driver", "memfabric.engine"}
     checked |= {f"{pkg}.{name}" for pkg in ("memfabric", "memfabric.fabric") for name in runtime}
     path = ROOT / "src" / "memfabric" / "oracle.py"

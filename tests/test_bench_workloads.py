@@ -20,6 +20,7 @@ import json
 import subprocess
 import tracemalloc
 import types
+from unittest import mock
 from pathlib import Path
 
 import pytest
@@ -227,3 +228,13 @@ def test_verify_holds_the_records_and_a_few_blocks_of_text(tmp_path, monkeypatch
     bound = 12 * 65536
     assert bound < trace_path.stat().st_size / 2
     assert peak - footprint < bound
+
+
+def test_a_parse_and_build_checks_the_default_duration_not_each_word():
+    # sparse_learn's 300 words all run for `dur *`: the value is checked at its
+    # line and once where the durations are built, not once for each word.
+    text = workloads.generate("sparse_learn", workloads.WORKLOADS["sparse_learn"][1])
+    check = mock.patch.object(FabricConfig, "check_duration", wraps=FabricConfig.check_duration)
+    with check as calls:
+        build_simulation(parse_scenario(text))
+    assert calls.call_count <= 2

@@ -859,3 +859,48 @@ def test_run_formats_the_trace_through_format_trace_once_per_batch(scenario_file
     count = len(run_scenario(parse_scenario(scenario_file.read_text(encoding="utf-8"))).records)
     assert count > 2 * 10
     assert batches == [10] * (count // 10) + ([count % 10] if count % 10 else [])
+
+
+# Each command runs in a child that caps its own address space before it
+# imports the package; no other process is capped.
+CAPPED_CHILD = """
+import resource, sys
+cap = 512 << 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from memfabric.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_a_fabric_of_a_billion_words_costs_only_its_named_words(tmp_path):
+    # A fabric's size costs nothing until its words are named: check, run and
+    # verify of a 2-word plan in a K = 10**9 fabric each fit in 512 MiB, and
+    # none steps through the words (10**9 steps would pass the timeout).
+    text = (
+        "fabric words=1000000000 delay1=5 delay2=1 threshold=2 mode=done_enable\n"
+        "dur * 4\n"
+        "dur 999999999 7\n"
+        "rehearse 1 2 reps=2 gap=1 rest=10 start=0\n"
+        "at 100 probe 1\n"
+        "maxticks 1000\n"
+    )
+    scenario, trace = tmp_path / "huge.scn", tmp_path / "huge.trace.jsonl"
+    scenario.write_text(text, encoding="utf-8")
+    commands = [
+        ["check", str(scenario)],
+        ["run", str(scenario), "--trace", str(trace)],
+        ["verify", str(scenario), str(trace)],
+    ]
+    for argv in commands:
+        proc = subprocess.run(
+            [*python_command(), "-c", CAPPED_CHILD, *argv],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            text=True,
+            encoding="utf-8",
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        if argv[0] == "check":
+            assert proc.stdout == text
+    assert trace.read_text(encoding="utf-8").count("\n") == 20

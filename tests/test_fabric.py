@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from bisect import insort
 
 import pytest
@@ -21,7 +23,7 @@ from memfabric import (
     predict_timeline,
     shift_entries,
 )
-from memfabric.fabric import FILTER_MODES
+from memfabric.fabric import FILTER_MODES, Durations
 from memfabric.trace import (
     EV_AUTO_ENABLE_SCHEDULED,
     EV_DONE,
@@ -104,6 +106,7 @@ def test_every_way_to_build_a_config_checks_it(field, bad):
         ({1: 4, 2: 4}, "durations", {1: 4, 2: 4, 1.5: 4}),  # 1 <= 1.5 <= 2, but no int
         ({1: 4, 2: 4}, "durations", {True: 4, 2: 4}),  # keys equal to the words
         ({1: 4, 2: 4}, "durations", {1.0: 4, 2: 4}),
+        ({1: 4, 2: 9, 3: 4}, "word_count", 2),  # the cut word is not the exception
     ],
 )
 def test_every_way_to_build_a_config_keeps_the_durations_to_its_words(durations, field, bad):
@@ -111,30 +114,57 @@ def test_every_way_to_build_a_config_keeps_the_durations_to_its_words(durations,
     assert_every_path_checks(config, field, bad, UnknownWordError)
 
 
+@pytest.mark.parametrize("word_count", [3, 10**9])
+def test_a_config_keeps_its_durations_to_its_own_fabric_size(word_count):
+    # Durations hold their own size: _replace cannot cut the fabric under them,
+    # nor widen it past them, at any size.
+    config = _config(word_count=word_count)
+    cut, widened = config.word_count - 1, config.word_count + 1
+    with pytest.raises(UnknownWordError, match=f"word {word_count} outside 1..{cut}$"):
+        config._replace(word_count=cut)
+    with pytest.raises(InvalidConfigError, match=f"no duration for word {widened}$"):
+        config._replace(word_count=widened)
+    assert_every_path_checks(config, "word_count", cut, UnknownWordError)
+    assert_every_path_checks(config, "word_count", widened, InvalidConfigError)
+
+
 def test_config_keeps_a_read_only_copy_of_the_durations():
-    durations = {1: 4, 2: 4}
-    cfg = FabricConfig(word_count=2, delay1=5, delay2=1, threshold=1, durations=durations)
-    durations[1] = -3  # checked at construction, so the caller's edit must not reach it
-    assert cfg.durations == {1: 4, 2: 4}
-    with pytest.raises(TypeError):
-        cfg.durations[1] = -3
-    with pytest.raises(TypeError):
-        cfg._replace(durations={1: 2, 2: 2}).durations[1] = -3
-    with pytest.raises(TypeError):  # a dict has no hash, so neither has the config
+    given = [{1: 4, 2: 4}, {1: 4, 2: 9, 3: 4}, Durations(3, 4, {2: 9}), Durations(10**9, 4, {7: 9})]
+    for durations in given:
+        _assert_read_only(durations)
+
+
+def _assert_read_only(durations):
+    given = dict(durations) if isinstance(durations, dict) else durations
+    cfg = FabricConfig(len(durations), delay1=5, delay2=1, threshold=1, durations=durations)
+    if isinstance(durations, dict):
+        durations[1] = -3  # checked at construction, so the caller's edit must not reach it
+        durations[len(durations) + 1] = 4
+    assert cfg.durations == given and cfg.durations[1] == 4
+    with pytest.raises(TypeError):  # the durations have no hash, so neither has the config
         hash(cfg)
+    view = cfg.durations
     edits = [
+        lambda d: d.__setitem__(1, -3),
         lambda d: d.__delitem__(1),
-        lambda d: d.__ior__({1: -3}),
-        lambda d: d.clear(),
-        lambda d: d.pop(1),
-        lambda d: d.popitem(),
-        lambda d: d.setdefault(3, -3),
-        lambda d: d.update({1: -3}),
+        lambda d: d.exceptions.__setitem__(1, -3),
+        lambda d: setattr(d, "default", -3),
+        lambda d: setattr(d, "exceptions", {1: -3}),
+        lambda d: setattr(d, "extra", 1),
+    ]
+    edits += [  # each mutator a dict offers, called on the mapping
+        lambda d, name=name: getattr(d, name)({1: -3})
+        for name in ("clear", "pop", "popitem", "setdefault", "update", "__ior__")
     ]
     for edit in edits:
-        with pytest.raises(TypeError):
-            edit(cfg.durations)
-    assert cfg.durations == {1: 4, 2: 4}
+        with pytest.raises((TypeError, AttributeError)):
+            edit(view)
+    assert cfg.durations == given and cfg.durations is view
+    copies = [pickle.loads(pickle.dumps(cfg)), copy.copy(cfg), copy.deepcopy(cfg), cfg._replace()]
+    copies.append(cfg._replace(durations=cfg.durations))
+    for same in copies:
+        assert same == cfg and same.durations == given
+        assert type(same.durations) is Durations
     sim = simulation(cfg, probes=[Probe(tick=0, word=1)])
     assert sim.run_to_quiescence(100).final_tick == 4
 

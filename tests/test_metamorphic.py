@@ -35,7 +35,7 @@ def embedded(scenario, rename, spare: int):
     cfg = scenario.config
     word_count = rename(cfg.word_count) + spare
     durations = dict.fromkeys(range(1, word_count + 1), 1)
-    durations.update({rename(w): cfg.durations[w] for w in cfg.word_ids()})
+    durations.update({rename(w): cfg.durations[w] for w in cfg.durations})
     config = FabricConfig(
         word_count, cfg.delay1, cfg.delay2, cfg.threshold, durations, cfg.filter_mode
     )

@@ -545,7 +545,7 @@ def _episode_insertions(records, config):
     one past the highest."""
     tick = records[-1].t + 1
     episode = 1 + max(rec.episode for rec in records if rec.episode is not None)
-    for word in config.word_ids():
+    for word in config.durations:
         yield records + [
             _enable(tick, word, episode),
             _done(tick + config.durations[word], word, episode),

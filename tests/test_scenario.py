@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import memfabric.trace
 from memfabric import (
@@ -230,6 +230,26 @@ def test_duplicate_fabric_directive_is_an_error():
             3,
             "line 3: duration of word 9 must be >= 1, got 0",
         ),
+        # A dur line's word outside the fabric is named at its own line, after
+        # the config's faults; the least word with no duration is named at the
+        # fabric line. Neither costs a step per word of the fabric.
+        (
+            "fabric words=3 delay1=5 delay2=1 threshold=1\ndur * 4\ndur 9 4\nmaxticks 10\n",
+            3,
+            "line 3: word 9 outside 1..3",
+        ),
+        (
+            "fabric words=1000000000 delay1=5 delay2=1 threshold=1\ndur * 4\ndur 2 5\n"
+            "dur 1000000001 4\nmaxticks 10\n",
+            4,
+            "line 4: word 1000000001 outside 1..1000000000",
+        ),
+        (
+            "fabric words=1000000000 delay1=5 delay2=1 threshold=1\ndur 2 4\ndur 1 4\n"
+            "dur 1000000009 4\ndur 0 4\nmaxticks 10\n",
+            1,
+            "line 1: no duration for word 3",
+        ),
     ],
 )
 def test_semantic_errors_are_rejected(text, line, fragment):
@@ -344,7 +364,8 @@ def one_value_edits(draw):
     if kind == "config":
         field = draw(st.sampled_from(["delay1", "delay2", "threshold", "duration", "word"]))
         if field in ("duration", "word"):
-            word, durations = draw(st.sampled_from(config.word_ids())), dict(config.durations)
+            word = draw(st.integers(min_value=1, max_value=config.word_count))
+            durations = dict(config.durations)
             if field == "duration":
                 durations[word] = draw(ints(0, 9))
             else:  # the word's duration under another key
@@ -583,6 +604,73 @@ def test_canonical_round_trip_for_generated_scenarios(scenario):
     reparsed = parse_scenario(echoed)
     assert reparsed == scenario
     assert canonical_scenario(reparsed) == echoed
+
+
+def reference_canonical_scenario(scenario: Scenario) -> str:
+    """canonical_scenario as an O(K) recount: every word's duration is counted,
+    the most common is printed as ``dur *`` (on a tie, the first in word order),
+    then each word whose duration differs, in word order."""
+    cfg = scenario.config
+    lines = [
+        f"fabric words={cfg.word_count} delay1={cfg.delay1} delay2={cfg.delay2} "
+        f"threshold={cfg.threshold} mode={cfg.filter_mode}"
+    ]
+    counts = Counter(cfg.durations[w] for w in range(1, cfg.word_count + 1))
+    default = counts.most_common(1)[0][0]
+    lines.append(f"dur * {default}")
+    for word in range(1, cfg.word_count + 1):
+        if cfg.durations[word] != default:
+            lines.append(f"dur {word} {cfg.durations[word]}")
+    for plan in scenario.plans:
+        seq = " ".join(str(w) for w in plan.sequence)
+        lines.append(
+            f"rehearse {seq} reps={plan.reps} gap={plan.gap} rest={plan.rest} start={plan.start}"
+        )
+    for d in scenario.overrides:
+        state = "open" if d.is_open else "closed"
+        lines.append(f"at {d.tick} override {d.i} {d.j} {state}")
+    for probe in scenario.probes:
+        lines.append(f"at {probe.tick} probe {probe.word}")
+    lines.append(f"maxticks {scenario.max_tick}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def duration_lines(draw):
+    """A fabric size, its ``dur *`` value (None: no such line) and its ``dur N``
+    lines in file order. Durations of 1 to 3 make ties common, and the ``dur *``
+    value is often not the most common one."""
+    word_count = draw(st.integers(min_value=2, max_value=7))
+    default = draw(st.none() | st.integers(min_value=1, max_value=3))
+    words = draw(st.permutations(range(1, word_count + 1)))
+    if default is not None:
+        words = words[: draw(st.integers(min_value=0, max_value=word_count))]
+    return word_count, default, [(w, draw(st.integers(min_value=1, max_value=3))) for w in words]
+
+
+@example((3, 4, [(1, 5), (2, 6)]))  # dur * 4 loses to 5 on a tie; word 3 keeps its 4
+@example((4, 2, [(4, 1), (3, 1)]))  # dur * 2 ties with 1; word 1 runs for 2, so 2 wins
+@given(duration_lines())
+def test_canonical_durations_agree_with_a_recount_of_every_word(case):
+    word_count, default, named = case
+    text = f"fabric words={word_count} delay1=5 delay2=1 threshold=1\n"
+    text += "".join(f"dur {word} {dur}\n" for word, dur in named)
+    if default is not None:
+        text += f"dur * {default}\n"
+    scenario = parse_scenario(text + "maxticks 10\n")
+    echoed = canonical_scenario(scenario)
+    assert echoed == reference_canonical_scenario(scenario)
+    durations = {word: dict(named).get(word, default) for word in range(1, word_count + 1)}
+    assert scenario.config.durations == durations
+    whole = scenario._replace(config=scenario.config._replace(durations=durations))
+    assert whole == scenario and canonical_scenario(whole) == echoed
+    assert parse_scenario(echoed) == scenario
+
+
+def test_a_losing_default_prints_as_the_words_it_covers():
+    text = "fabric words=3 delay1=5 delay2=1 threshold=1\ndur * 4\ndur 1 5\ndur 2 6\nmaxticks 10\n"
+    echoed = canonical_scenario(parse_scenario(text))
+    assert echoed.splitlines()[1:4] == ["dur * 5", "dur 2 6", "dur 3 4"]
 
 
 def reference_read_scenario(data: bytes) -> Scenario:
