@@ -22,7 +22,9 @@ stream of owed records: each head, the first record of a dispatched
 event (an arrival, a done, an override switch), followed by the
 records the definition derives from it: the filter fires of a trigger
 with their latch shifts and learned records, and a done's replay
-outcomes. The owed heads form one schedule in the definition's
+outcomes. A latch shift's k counts the pair's detections in the trace
+itself, which :func:`detection_ticks` recounts first. The owed heads
+form one schedule in the definition's
 ``(tick, seq)`` order: setup owes the override switches, the probes'
 CPU arrivals and the plans' first enables; an accepted enable owes its
 done, a scheduled replay its autonomous arrival, and a done, after its
@@ -78,16 +80,15 @@ def detection_ticks(records: list[TraceRecord], config: FabricConfig) -> dict[Pa
     A detection for (i, j) is a trigger record of j (an accepted enable
     in done_enable mode, a done in done_done mode) whose tick lies in
     the closed window [t, t + delay1] of the latest preceding done of
-    i, and at least delay2 after the previous counted detection of the
-    same pair. Windows retrigger: a newer done of i replaces the older
-    window. Same-tick cases resolve by record order, matching dispatch
+    i, and at least delay2 after the pair's previous detection, the last
+    tick of its list. Windows retrigger: a newer done of i replaces the
+    older window. Same-tick cases resolve by record order, matching dispatch
     order. Ticks never decrease (a tick below the one before it raises
     MalformedTraceError), so a window is dropped once a trigger passes it.
     """
     trigger_kind = EV_ENABLE if config.filter_mode == DONE_ENABLE else EV_DONE
     delay1, delay2 = config.delay1, config.delay2
     window_until: dict[int, int] = {}
-    last_counted: dict[Pair, int] = {}
     ticks: dict[Pair, list[int]] = {}
     last = 0
     for t, ev, word, _, _, _, _ in records:
@@ -102,12 +103,11 @@ def detection_ticks(records: list[TraceRecord], config: FabricConfig) -> dict[Pa
                     continue
                 if src == word:
                     continue
-                pair = (src, word)
-                prev = last_counted.get(pair)
-                if prev is not None and t - prev < delay2:
-                    continue
-                last_counted[pair] = t
-                ticks.setdefault(pair, []).append(t)
+                counted = ticks.get((src, word))
+                if counted is None:
+                    ticks[src, word] = [t]
+                elif t - counted[-1] >= delay2:
+                    counted.append(t)
             for src in closed:
                 del window_until[src]
         if ev == EV_DONE:
@@ -201,13 +201,16 @@ def predict_timeline(
 
 
 def _owed_run(
-    scenario: Scenario, horizon: int, shift_at: dict[tuple[Pair, int], int]
+    scenario: Scenario, horizon: int, detections: dict[Pair, list[int]]
 ) -> Iterator[tuple]:
     """The records the run owes up to the horizon, in order, as 7-tuples:
-    each owed head, then the records the definition derives from it.
-    ``shift_at`` maps (pair, tick) to k at the pair's k-th detection."""
+    each owed head, then the records the definition derives from it. Up to
+    a divergence the trace is this run, so a pair's filter fires meet its
+    ``detections`` (their ticks in the trace) in order, and a fire at the
+    next one owes the pair's next latch shift."""
     config = scenario.config
-    threshold, delay1, durations = config.threshold, config.delay1, config.durations
+    n, delay1, duration = config.threshold, config.delay1, config.durations.default
+    durations = dict(config.durations.exceptions)  # a dict's get is quicker than a view's
     trigger_kind = EV_ENABLE if config.filter_mode == DONE_ENABLE else EV_DONE
     episodes = count()  # numbered as README "Record order" states
 
@@ -247,6 +250,7 @@ def _owed_run(
     window_until: dict[int, int] = {}  # source word -> closing tick of its hold window
     successors: dict[int, list[int]] = {}  # word -> its learned successors, ascending
     override_stage: dict[Pair, int] = {}  # pair -> its last switch: 1 open, 0 closed
+    shifts: dict[Pair, int] = {}  # pair -> the k of its last owed latch shift
 
     while heads and heads[0][0] <= horizon:  # a head past the horizon: the run stops
         _, scheduled, rec = heappop(heads)
@@ -263,7 +267,7 @@ def _owed_run(
                 yield (t, EV_IGNORED_ENABLE, word, pair, src, episode, None)
                 continue
             fired.add((episode, word))
-            busy_until[word] = end = t + durations[word]
+            busy_until[word] = end = t + durations.get(word, duration)
             heappush(heads, (end, next(seq), (end, EV_DONE, word, None, None, episode, None)))
         else:  # a done opens its word's hold window
             window_until[word] = t + delay1
@@ -277,10 +281,11 @@ def _owed_run(
                     continue
                 link = (i, word)
                 yield (t, EV_FILTER_FIRE, None, link, None, None, None)
-                k = shift_at.pop((link, t), None)
-                if k is not None:
-                    yield (t, EV_LATCH_SHIFT, None, link, None, None, min(k, threshold))
-                    if k == threshold:
+                counted, k = detections[link], shifts.get(link, 0)
+                if k < len(counted) and counted[k] == t:
+                    shifts[link] = k = k + 1
+                    yield (t, EV_LATCH_SHIFT, None, link, None, None, k if k < n else n)
+                    if k == n:
                         yield (t, EV_LEARNED, None, link, None, None, None)
                         insort(successors.setdefault(i, []), word)
         if ev == EV_DONE:
@@ -321,12 +326,7 @@ def verify_run(
     """
     horizon = scenario.max_tick if max_tick is None else max_tick
     check_max_tick(horizon)
-    shift_at = {
-        (pair, t): k
-        for pair, ticks in detection_ticks(records, scenario.config).items()
-        for k, t in enumerate(ticks, 1)
-    }
-    run = _owed_run(scenario, horizon, shift_at)
+    run = _owed_run(scenario, horizon, detection_ticks(records, scenario.config))
     for n, (rec, want) in enumerate(zip_longest(records, run), 1):
         if rec != want:
             break

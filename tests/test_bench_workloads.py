@@ -17,6 +17,7 @@ import functools
 import hashlib
 import importlib.util
 import json
+import random
 import subprocess
 import tracemalloc
 import types
@@ -38,6 +39,7 @@ from memfabric import (
     verify_run,
     write_trace,
 )
+from memfabric.trace import EV_FILTER_FIRE, EV_LATCH_SHIFT, EV_LEARNED
 from conftest import python_command, step_until
 from literal_fabric import LiteralFabric, filter_records
 
@@ -228,6 +230,45 @@ def test_verify_holds_the_records_and_a_few_blocks_of_text(tmp_path, monkeypatch
     bound = 12 * 65536
     assert bound < trace_path.stat().st_size / 2
     assert peak - footprint < bound
+
+
+def test_verify_run_holds_each_detection_once():
+    # verify_run keeps the ticks of each pair's detections once, in
+    # detection_ticks' lists, and reads them in place: its peak here is about
+    # 0.8 MiB. A second copy of every detection, keyed by (pair, tick), took
+    # it to 1.8 MiB.
+    scenario, result = _run("dense_crosstalk")
+    assert traced_peak(verify_run, scenario, result.records)[1] < 1.25 * 2**20
+
+
+def test_verify_names_each_late_single_record_mutant_of_a_dense_run():
+    # The oracle at the scale of dense_crosstalk (37,025 records, 870 learned
+    # pairs), where many detections of a pair come before the mutated record:
+    # seeded mutants from the trace's last third, each of one record, none a
+    # tick edit (the tick-order check would name that first).
+    scenario, result = _run("dense_crosstalk")
+    records = result.records
+    late = range(2 * len(records) // 3, len(records))
+    rng = random.Random(32)
+
+    def pick(kind):
+        return rng.sample([i for i in late if records[i].ev == kind], 3)
+
+    cases = []  # (mutant, index of the record it names, the record the run owes there)
+    for i in pick(EV_LATCH_SHIFT):
+        shift = records[i]
+        cases.append((records[:i] + records[i + 1 :], i, shift))  # deleted
+        cases.append((records[: i + 1] + records[i:], i + 1, records[i + 1]))  # duplicated
+        for delta in (-1, 1):
+            staged = shift._replace(stage=shift.stage + delta)
+            cases.append((records[:i] + [staged] + records[i + 1 :], i, shift))
+    for kind in (EV_FILTER_FIRE, EV_LEARNED):
+        cases += [(records[:i] + records[i + 1 :], i, records[i]) for i in pick(kind)]
+    for mutant, i, owed in cases:
+        have = mutant[i].to_json_line()
+        assert verify_run(scenario, mutant) == [
+            f"record {i + 1}: the trace has {have}, but the run owes {owed.to_json_line()}"
+        ]
 
 
 def test_a_parse_and_build_checks_the_default_duration_not_each_word():
