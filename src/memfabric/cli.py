@@ -13,7 +13,7 @@ Three commands:
 
 Each command takes the positionals and options the table ``_COMMANDS``
 gives it: an option is ``--name VALUE`` or ``--name=VALUE``, spelled in
-full, anywhere after the command; ``-h`` or ``--help`` prints the usage.
+full, once, anywhere after the command; ``-h`` or ``--help`` prints the usage.
 Both files are read through :func:`~memfabric.trace.read_blocks`. Exit 1
 is a usage, parse or validation problem (the message names the line),
 exit 2 an I/O problem. In a scenario or a trace, the line named is the
@@ -134,6 +134,8 @@ def _parse_args(argv: list[str]):
             option, has_value, value = arg.partition("=")
             if option not in options.split():
                 raise _UsageError(f"unrecognized arguments: {arg}")
+            if option in given:
+                raise _UsageError(f"argument {option}: given more than once")
             # The value is the next argument; an option there, or none, is no value.
             if not has_value and (value := next(rest, "--")).startswith("--"):
                 raise _UsageError(f"argument {option}: expected one argument")

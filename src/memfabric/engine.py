@@ -5,11 +5,12 @@ insertion sequence number, so same-tick events dispatch in the order
 they were scheduled. The events scheduled before the first dispatch (a
 run's setup: override switches, probe arrivals, the plans' first
 enables) wait in one run, sorted once when dispatch begins, that feeds
-the heap one event at a time. The heap thus holds the least pending
-setup event plus the events in flight (dones, replays, plan steps), and
+the heap one entry at a time. The heap thus holds the least pending
+setup entry plus the events in flight (dones, replays, plan steps), and
 a push or pop there never sifts past a probe hundreds of ticks ahead.
-Each event's payload (one of the fabric's signals) carries its own
-dispatch: ``payload.fire(sim, tick)`` looks up the handler of
+Both hold plain ``(tick, seq, payload)`` tuples; only ``pop()`` makes an
+``Event``. Each event's payload (one of the fabric's signals) carries
+its own dispatch: ``payload.fire(sim, tick)`` looks up the handler of
 ``sim.fabric`` or ``sim.driver`` that it stands for at each event and
 calls it. :meth:`Simulation.run_to_quiescence` pops and fires in a loop
 of its own, with no ``step()`` call per event; :meth:`Simulation.step`
@@ -53,15 +54,15 @@ class EventQueue:
     """Pending events, dispatched in ascending (tick, seq) order.
 
     Until the first ``peek_tick`` or ``pop`` (or a run's loop), ``schedule``
-    appends to the setup run; that first call sorts the run and puts its
-    least event on the heap. From then on ``schedule`` pushes onto the
-    heap, and taking a setup event off it puts the next one on.
-    ``len`` counts both.
+    appends a ``(tick, seq, payload)`` tuple to the setup run; that first
+    call sorts the run and puts its least entry on the heap. Later entries
+    go on the heap, as does the next setup entry when one leaves it.
+    ``len`` counts both; only ``pop`` wraps an entry, in an Event.
     """
 
     def __init__(self):
-        self._heap: list[Event] = []
-        self._setup: list[Event] = []  # the setup run; once sorted, latest first
+        self._heap: list[tuple] = []
+        self._setup: list[tuple] = []  # the setup run; once sorted, latest first
         self._setup_end: int | None = None  # seqs below it are setup; None before the sort
         self.scheduled_total = 0  # also the next event's seq
 
@@ -69,15 +70,13 @@ class EventQueue:
         return len(self._heap) + len(self._setup)
 
     def schedule(self, tick: int, payload: object) -> None:
-        # tuple.__new__ skips the named tuple's Python-level __new__.
-        event = tuple.__new__(Event, (tick, self.scheduled_total, payload))
         if self._setup_end is None:
-            self._setup.append(event)
+            self._setup.append((tick, self.scheduled_total, payload))
         else:
-            heappush(self._heap, event)
+            heappush(self._heap, (tick, self.scheduled_total, payload))
         self.scheduled_total += 1
 
-    def _begin(self) -> tuple[list[Event], list[Event], int]:
+    def _begin(self) -> tuple[list[tuple], list[tuple], int]:
         """Sort the setup run once; return the heap, the run and its seq bound."""
         if self._setup_end is None:
             self._setup_end = self.scheduled_total
@@ -88,15 +87,15 @@ class EventQueue:
 
     def peek_tick(self) -> int | None:
         heap = self._begin()[0]
-        return heap[0].tick if heap else None
+        return heap[0][0] if heap else None
 
     def pop(self) -> Event | None:
         heap, setup, setup_end = self._begin()
         if not heap:
             return None
-        if heap[0].seq < setup_end and setup:  # a setup event leaves: the next one enters
-            return heapreplace(heap, setup.pop())
-        return heappop(heap)
+        if heap[0][1] < setup_end and setup:  # a setup entry leaves: the next one enters
+            return tuple.__new__(Event, heapreplace(heap, setup.pop()))
+        return tuple.__new__(Event, heappop(heap))  # skips the named tuple's Python __new__
 
 
 QUIESCENT = "quiescent"
@@ -143,7 +142,7 @@ class Simulation:
         """Dispatch until the queue drains or an event would pass max_tick."""
         check_max_tick(max_tick)
         heap, setup, setup_end = self.queue._begin()
-        # pop()'s rule, inlined: the heap holds the least pending setup event.
+        # pop()'s rule, inlined, with no Event: the heap holds the least pending setup entry.
         while heap and heap[0][0] <= max_tick:
             if heap[0][1] < setup_end and setup:
                 self.clock, _, payload = heapreplace(heap, setup.pop())

@@ -25,7 +25,8 @@ a capped shift count per touched pair, and this is exact. The filters
 always hold the same window. A register of set-once latches whose
 shifts fill stage after stage always holds a prefix of set stages, so
 its whole state is the number of shifts capped at the register depth.
-A pair whose filter never fired is an empty register.
+A pair whose filter never fired is an empty register. A touched pair's
+``(src, dst)`` tuple is built once: its records and replays share it.
 
 The signals (:class:`CpuEnable`, :class:`AutoEnable`, :class:`WordDone`,
 :class:`OverrideSet`) are the event payloads. The fabric queues its own
@@ -38,9 +39,8 @@ through ``tuple.__new__``, which skips the named tuple's Python ``__new__``.
 from __future__ import annotations
 
 from bisect import insort
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from collections.abc import Iterator, Mapping
-from functools import partial
 from itertools import count, islice
 from types import MappingProxyType
 
@@ -60,9 +60,7 @@ from memfabric.trace import (
     TraceRecord,
 )
 
-# A trace record from a tuple of all seven fields (t, ev, word, pair, src,
-# episode, stage); tuple.__new__ checks neither their count nor their types.
-_record = partial(tuple.__new__, TraceRecord)
+_new = tuple.__new__  # _new(TraceRecord, (t, ev, word, pair, src, episode, stage)), unchecked
 
 DONE_ENABLE = "done_enable"
 DONE_DONE = "done_done"
@@ -279,16 +277,16 @@ class OverrideSet(namedtuple("OverrideSet", "pair is_open")):
 class Fabric:
     """Word block, K(K-1) timing filters, and the learned switch matrix.
 
-    The filters are held as one window-until tick per source word and
-    a ``(shift_count, last_shift_tick)`` entry per pair whose filter has
-    fired; the latched stage count is ``min(shift_count, threshold)``.
-    Both are exact for the reasons given in the module docstring. Each
-    word also keeps its learned successors in ascending order, the one
-    record of the closed switches. A done or an enable therefore costs
-    its open windows and learned out-degree, not a scan of all K words,
-    and a fresh fabric allocates nothing per word or per pair. An episode
-    is an int; the no-repeat rule reads one set of the ``(episode, word)``
-    of every accepted enable.
+    The filters are held as one window-until tick per source word and,
+    per destination word, a ``[shift_count, last_shift_tick, pair]``
+    per source whose filter has fired; the latched stage count is
+    ``min(shift_count, threshold)``. Both are exact, as the module
+    docstring shows. Each word keeps its learned successors, those
+    ``pair`` tuples in ascending order: the closed switches. A done or an
+    enable therefore costs its open windows and learned out-degree, not a
+    scan of all K words, and a fresh fabric allocates nothing per word or
+    per pair. An episode is an int; the no-repeat rule reads one set of
+    the ``(episode, word)`` of every accepted enable.
 
     All mutation happens through the single-threaded dispatch loop of
     the owning simulation, which is passed in so the fabric can emit
@@ -308,8 +306,9 @@ class Fabric:
         # stays closed (the clock never moves back), so stale entries are
         # dropped whenever a trigger scans the windows.
         self._window_until: dict[int, int] = {}
-        self._shifts: dict[tuple[int, int], tuple[int, int]] = {}
-        self._successors: dict[int, list[int]] = {}
+        # dst -> {src: [shift count, last shift tick (-delay2: none yet), (src, dst)]}
+        self._filters: defaultdict[int, dict[int, list]] = defaultdict(dict)
+        self._successors: dict[int, list[tuple[int, int]]] = {}  # src -> its learned pairs
         self._override_open: set[tuple[int, int]] = set()
         self._fired: set[tuple[int, int]] = set()  # (episode, word) of each accepted enable
 
@@ -318,7 +317,7 @@ class Fabric:
         return self.config.word_count * (self.config.word_count - 1)
 
     def learned_set(self) -> set[tuple[int, int]]:
-        return {(src, dst) for src, dsts in self._successors.items() for dst in dsts}
+        return {pair for pairs in self._successors.values() for pair in pairs}
 
     def override_is_open(self, pair: tuple[int, int]) -> bool:
         return pair in self._override_open
@@ -339,12 +338,13 @@ class Fabric:
         """
         fired = (episode, word)
         if self._busy_until.get(word, 0) > tick or fired in self._fired:
-            sim.emit(_record((tick, EV_IGNORED_ENABLE, word, pair, source, episode, None)))
+            fields = (tick, EV_IGNORED_ENABLE, word, pair, source, episode, None)
+            sim.emit(_new(TraceRecord, fields))
             return
         done_tick = self._busy_until[word] = tick + self._durations.get(word, self._duration)
         sim.queue.schedule(done_tick, tuple.__new__(WordDone, (word, episode)))
         self._fired.add(fired)
-        sim.emit(_record((tick, EV_ENABLE, word, pair, source, episode, None)))
+        sim.emit(_new(TraceRecord, (tick, EV_ENABLE, word, pair, source, episode, None)))
         if self._done_enable:
             self._detect_into(sim, word, tick)
 
@@ -358,24 +358,21 @@ class Fabric:
         autonomous enable scheduled delay1 ticks out, carrying the same
         episode.
         """
-        emit = sim.emit
-        emit(_record((tick, EV_DONE, word, None, None, episode, None)))
+        emit, new, record = sim.emit, _new, TraceRecord
+        emit(new(record, (tick, EV_DONE, word, None, None, episode, None)))
         self._window_until[word] = replay_tick = tick + self._delay1
         if not self._done_enable:
             self._detect_into(sim, word, tick)
-        successors = self._successors.get(word)
-        if not successors:
-            return
         schedule, masked, fired = sim.queue.schedule, self._override_open, self._fired
-        for dst in successors:
-            link = (word, dst)
+        for link in self._successors.get(word, ()):
+            dst = link[1]
             if link in masked:
-                emit(_record((tick, EV_OVERRIDE_BLOCKED, dst, link, None, episode, None)))
+                emit(new(record, (tick, EV_OVERRIDE_BLOCKED, dst, link, None, episode, None)))
             elif (episode, dst) in fired:
-                emit(_record((tick, EV_LOOP_SUPPRESSED, dst, link, None, episode, None)))
+                emit(new(record, (tick, EV_LOOP_SUPPRESSED, dst, link, None, episode, None)))
             else:
-                schedule(replay_tick, tuple.__new__(AutoEnable, (dst, link, episode)))
-                emit(_record((tick, EV_AUTO_ENABLE_SCHEDULED, dst, link, None, episode, None)))
+                schedule(replay_tick, new(AutoEnable, (dst, link, episode)))
+                emit(new(record, (tick, EV_AUTO_ENABLE_SCHEDULED, dst, link, None, episode, None)))
 
     def set_override(self, sim, i: int, j: int, is_open: bool, tick: int) -> None:
         """Open or close the series switch masking pair (i, j).
@@ -384,34 +381,36 @@ class Fabric:
         it never touches the learn register. The pair was checked when
         the scenario was built.
         """
+        pair = (i, j)
         if is_open:
-            self._override_open.add((i, j))
+            self._override_open.add(pair)
         else:
-            self._override_open.discard((i, j))
-        sim.emit(_record((tick, EV_OVERRIDE_SET, None, (i, j), None, None, 1 if is_open else 0)))
+            self._override_open.discard(pair)
+        fields = (tick, EV_OVERRIDE_SET, None, pair, None, None, 1 if is_open else 0)
+        sim.emit(_new(TraceRecord, fields))
 
     def _detect_into(self, sim, dst: int, tick: int) -> None:
         # Trigger signal for word dst observed: fire every filter (src, dst)
         # whose window is holding, in ascending src order. The closed
         # interval lets a trigger exactly delay1 after the done still count.
-        windows, shifts, emit, record = self._window_until, self._shifts, sim.emit, _record
-        delay2, threshold = self._delay2, self._threshold
+        windows, filters, emit = self._window_until, self._filters[dst], sim.emit
+        delay2, threshold, new, record = self._delay2, self._threshold, _new, TraceRecord
         for src in sorted(windows):
             if windows[src] < tick:
                 del windows[src]
             elif src != dst:
-                pair = (src, dst)
-                emit(record((tick, EV_FILTER_FIRE, None, pair, None, None, None)))
-                count, last_shift_tick = shifts.get(pair, (0, None))
-                if last_shift_tick is not None and tick - last_shift_tick < delay2:
+                state = filters.get(src) or filters.setdefault(src, [0, -delay2, (src, dst)])
+                pair = state[2]
+                emit(new(record, (tick, EV_FILTER_FIRE, None, pair, None, None, None)))
+                if tick - state[1] < delay2:
                     # Still inside the previous learning spike: one spike cannot
                     # double-shift the register. The refractory does not restart.
                     continue
-                count += 1
-                shifts[pair] = (count, tick)
+                count = state[0] = state[0] + 1
+                state[1] = tick
                 stage = count if count < threshold else threshold  # min() is a call per shift
-                emit(record((tick, EV_LATCH_SHIFT, None, pair, None, None, stage)))
+                emit(new(record, (tick, EV_LATCH_SHIFT, None, pair, None, None, stage)))
                 if count == threshold:
                     # The shift that sets the last stage closes the switch.
-                    insort(self._successors.setdefault(src, []), dst)
-                    emit(record((tick, EV_LEARNED, None, pair, None, None, None)))
+                    insort(self._successors.setdefault(src, []), pair)
+                    emit(new(record, (tick, EV_LEARNED, None, pair, None, None, None)))

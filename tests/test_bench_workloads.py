@@ -39,7 +39,7 @@ from memfabric import (
     verify_run,
     write_trace,
 )
-from memfabric.trace import EV_FILTER_FIRE, EV_LATCH_SHIFT, EV_LEARNED
+from memfabric.trace import EV_FILTER_FIRE, EV_LATCH_SHIFT, EV_LEARNED, EV_OVERRIDE_SET
 from conftest import python_command, step_until
 from literal_fabric import LiteralFabric, filter_records
 
@@ -239,6 +239,17 @@ def test_verify_run_holds_each_detection_once():
     # it to 1.8 MiB.
     scenario, result = _run("dense_crosstalk")
     assert traced_peak(verify_run, scenario, result.records)[1] < 1.25 * 2**20
+
+
+def test_a_run_builds_each_pair_tuple_once():
+    # Each touched pair's (src, dst) tuple is built once, in its filter state,
+    # and every record and replay along the pair carries that one object: 2,128
+    # pairs here, where building one per record made 18,441 objects. An
+    # override_set record carries the pair its scenario line names.
+    records = _run("dense_crosstalk")[1].records
+    pairs = [r.pair for r in records if r.pair is not None and r.ev != EV_OVERRIDE_SET]
+    assert len(pairs) > 30_000
+    assert len({id(pair) for pair in pairs}) == len(set(pairs))
 
 
 def test_verify_names_each_late_single_record_mutant_of_a_dense_run():

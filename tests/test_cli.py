@@ -564,6 +564,11 @@ def _max_ticks_cases(command: str) -> list:
             "argument --trace: expected one argument",
             id="option-for-value",
         ),
+        pytest.param(
+            ["run", "SCN", "--trace", "a", "--trace=b"],
+            "argument --trace: given more than once",
+            id="repeated-option",
+        ),
         pytest.param(["run", "SCN", "extra"], "unrecognized arguments: extra", id="run-extra"),
         pytest.param(["check", "SCN", "a", "b"], "unrecognized arguments: a b", id="check-extra"),
         pytest.param(["run", ""], "argument scenario: the path is empty", id="run-empty-scenario"),

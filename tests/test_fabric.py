@@ -353,7 +353,7 @@ def _primed_simulation(
     sim = simulation(config, probes=probes, overrides=overrides)
     for pair in learned_pairs:
         # white box: state normally reached via rehearsal
-        insort(sim.fabric._successors.setdefault(pair[0], []), pair[1])
+        insort(sim.fabric._successors.setdefault(pair[0], []), pair)
     return sim
 
 
