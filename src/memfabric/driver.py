@@ -1,13 +1,14 @@
 """The scripted CPU (working-memory) model.
 
-The driver executes rehearsal plans reactively: it issues a CPU
-enable, waits for the enabled word's done signal, and issues the next
-enable ``gap`` ticks after that done. Each repetition of a plan is a
-fresh episode; repetitions are spaced by ``rest`` ticks from the
-previous repetition's last done. A one-shot :class:`Probe` needs no
-driver: ``build_simulation`` schedules its single CPU enable in an
-episode of its own, which is what triggers autonomous replay on a
-trained fabric.
+Each rehearsal plan runs as one generator of its steps. For each
+repetition it draws a fresh episode; for each word of the sequence it
+yields that word's CPU enable ``(tick, word, episode)`` and is sent the
+tick of the done it awaits. The next enable lies ``gap`` ticks after
+that done, or, after a repetition's last word, ``rest`` ticks after it
+in the next repetition's episode. After the last repetition it yields
+``None``. A one-shot :class:`Probe` needs no driver:
+``build_simulation`` schedules its single CPU enable in an episode of
+its own, which is what triggers autonomous replay on a trained fabric.
 
 Advancement keys on the word id, not on the episode: if the awaited
 word was started autonomously before the CPU got there (so the plan's
@@ -17,18 +18,17 @@ reached; dones of the awaited word from before that (another plan's
 traffic, say) do not advance it.
 
 The driver holds no simulation: ``add_plan`` and ``on_done`` take the
-one they act on and put each plan step straight on its queue. It keeps
-each unfinished plan under the word whose done it awaits, in add order,
-so a done reads only the plans awaiting its word; those advance in add
-order. A plan leaves the driver when the last done of its last
-repetition arrives.
+one they act on and put each step straight on its queue. It keeps each
+unfinished plan's generator under the word whose done it awaits, in
+add order, so a done reads only the plans awaiting its word; those
+advance in add order.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from collections import namedtuple
-from operator import attrgetter
+from collections.abc import Generator
 
 from memfabric.fabric import CheckedTuple, CpuEnable, check_int
 
@@ -71,60 +71,48 @@ class Probe(CheckedTuple, namedtuple("Probe", "tick word")):
         config.check_word(self.word)
 
 
-class _PlanRun:
-    def __init__(self, plan: RehearsalPlan, episode: int, order: int):
-        # The plan's fields, read on each of its steps, bound once.
-        self.sequence, self.reps = plan.sequence, plan.reps
-        self.gap, self.rest = plan.gap, plan.rest
-        self.episode = episode
-        self.order = order  # the plan's place in add order
-        self.pos = 0  # index of the word whose done we are waiting on
-        self.enable_tick = plan.start  # tick of the current cpu enable
-        self.rep = 0
-
-
-_add_order = attrgetter("order")
+def _rehearsal(plan: RehearsalPlan, new_episode) -> Generator[tuple | None, int, None]:
+    # It holds the episode counter, never sim: a plan left suspended by a
+    # tick limit then makes no reference cycle.
+    sequence, gap, rest, tick = plan.sequence, plan.gap, plan.rest, plan.start
+    for _ in range(plan.reps):
+        episode = new_episode()
+        for word in sequence:
+            done = yield tick, word, episode
+            tick = done + gap
+        tick = done + rest
+    yield None
 
 
 class Driver:
     def __init__(self):
-        # Awaited word -> the unfinished plans that await its done, in add order.
-        self._awaiting: dict[int, list[_PlanRun]] = {}
+        # Awaited word -> (add order, own enable's tick, steps) of each
+        # unfinished plan that awaits its done, in add order.
+        self._awaiting: dict[int, list[tuple]] = {}
         self._added = 0
 
     def add_plan(self, sim, plan: RehearsalPlan) -> None:
         # The scenario checked the plan; later steps lie gap or rest (>= 0) after a done.
-        run = _PlanRun(plan, sim.new_episode(), self._added)
+        steps = _rehearsal(plan, sim.new_episode)
+        tick, word, episode = next(steps)
+        self._awaiting.setdefault(word, []).append((self._added, tick, steps))  # last in add order
         self._added += 1
-        self._awaiting.setdefault(plan.sequence[0], []).append(run)  # last in add order
-        sim.queue.schedule(plan.start, tuple.__new__(CpuEnable, (plan.sequence[0], run.episode)))
+        sim.queue.schedule(tick, tuple.__new__(CpuEnable, (word, episode)))
 
     def unfinished_plans(self) -> int:
         return sum(map(len, self._awaiting.values()))
 
     def on_done(self, sim, word: int, tick: int) -> None:
-        runs = self._awaiting.pop(word, None)
-        if runs is None:
+        entries = self._awaiting.pop(word, None)
+        if entries is None:
             return
         # An advancing plan next awaits another word (a plan's words are
         # distinct), so only the plans kept waiting come back under this one.
-        for run in runs:
-            if tick < run.enable_tick:  # its own enable is still ahead
-                self._awaiting.setdefault(word, []).append(run)
-            else:
-                self._advance(sim, run, tick)
-
-    def _advance(self, sim, run: _PlanRun, tick: int) -> None:
-        run.pos += 1
-        if run.pos < len(run.sequence):
-            run.enable_tick = tick + run.gap
-        else:
-            run.rep += 1
-            if run.rep == run.reps:
-                return  # finished: it awaits no word
-            run.pos = 0
-            run.episode = sim.new_episode()
-            run.enable_tick = tick + run.rest
-        word = run.sequence[run.pos]
-        insort(self._awaiting.setdefault(word, []), run, key=_add_order)
-        sim.queue.schedule(run.enable_tick, tuple.__new__(CpuEnable, (word, run.episode)))
+        for entry in entries:
+            order, enable_tick, steps = entry
+            if tick < enable_tick:  # its own enable is still ahead
+                self._awaiting.setdefault(word, []).append(entry)
+            elif (step := steps.send(tick)) is not None:  # else finished: it awaits no word
+                next_tick, next_word, episode = step
+                insort(self._awaiting.setdefault(next_word, []), (order, next_tick, steps))
+                sim.queue.schedule(next_tick, tuple.__new__(CpuEnable, (next_word, episode)))

@@ -799,10 +799,11 @@ def test_main_pauses_gc_and_restores_the_state_it_found(
 
 @pytest.mark.parametrize("name", sorted(path.name for path in SCENARIOS.glob("*.scn")))
 def test_a_dropped_run_is_freed_without_the_cyclic_collector(name):
-    # Nothing in a run refers back to its simulation, and verify_run's model of
-    # the run, left suspended by a trace cut short or lengthened mid-run, holds
-    # no cycle either: reference counting frees both, also while main pauses
-    # the collector.
+    # Nothing in a run refers back to its simulation, also when a tick limit
+    # leaves plans suspended mid-rehearsal, and verify_run's model of the run,
+    # left suspended by a trace cut short or lengthened mid-run, holds no cycle
+    # either: reference counting frees both, also while main pauses the
+    # collector.
     scenario = parse_scenario((SCENARIOS / name).read_text(encoding="utf-8"))
     was_enabled = gc.isenabled()
     gc.disable()
@@ -812,6 +813,11 @@ def test_a_dropped_run_is_freed_without_the_cyclic_collector(name):
         records = result.records
         simulation = weakref.ref(result.simulation)
         del result
+        assert simulation() is None
+        cut = run_scenario(scenario, max_tick=30)
+        assert not cut.outcome.quiescent and cut.simulation.driver.unfinished_plans() > 0
+        simulation = weakref.ref(cut.simulation)
+        del cut
         assert simulation() is None
         half = len(records) // 2
         assert verify_run(scenario, records) == []

@@ -128,6 +128,17 @@ def test_a_config_keeps_its_durations_to_its_own_fabric_size(word_count):
     assert_every_path_checks(config, "word_count", widened, InvalidConfigError)
 
 
+@pytest.mark.parametrize("word_count", [3, 10**9])
+def test_durations_reject_what_is_not_a_word_as_a_dict_would(word_count):
+    durations = _config(word_count=word_count).durations
+    for key in (0, word_count + 1, 1.0, "1"):
+        with pytest.raises(KeyError):
+            durations[key]
+    assert durations.get(word_count + 1) is None
+    assert 0 not in durations
+    assert durations[1] == durations[word_count] == 4
+
+
 def test_config_keeps_a_read_only_copy_of_the_durations():
     given = [{1: 4, 2: 4}, {1: 4, 2: 9, 3: 4}, Durations(3, 4, {2: 9}), Durations(10**9, 4, {7: 9})]
     for durations in given:

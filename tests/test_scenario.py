@@ -93,6 +93,9 @@ def test_comments_and_blank_lines_are_skipped():
         ("at 5 override 1 2", 3, ParseError, "override takes two word ids"),
         ("maxticks 50", 4, ParseError, "duplicate maxticks directive"),
         ("maxticks 50 60", 3, ParseError, "maxticks takes exactly one value"),
+        pytest.param(
+            "at " + "9" * 5000 + " probe 1", 3, ParseError, "tick is not an integer", id="overlong-tick"
+        ),
         ("at -1 probe 1", 3, ValidationError, "probe tick must be >= 0"),
         ("at -1 override 1 2 open", 3, ValidationError, "override tick must be >= 0"),
     ],
