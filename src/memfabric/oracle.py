@@ -17,14 +17,15 @@ Timelines and episode sub-traces are compared in a canonical order:
 sorted by tick, then a fixed kind rank, then word, then pair.
 
 :func:`verify_run` returns the first record at which a trace leaves the
-run the definition owes. It walks the trace beside that run, one
-stream of owed records: each head, the first record of a dispatched
-event (an arrival, a done, an override switch), followed by the
-records the definition derives from it: the filter fires of a trigger
-with their latch shifts and learned records, and a done's replay
-outcomes. A latch shift's k counts the pair's detections in the trace
-itself, which :func:`detection_ticks` recounts first. The owed heads
-form one schedule in the definition's
+run the definition owes. It compares the trace with that run, one
+stream of owed records, a slice at a time, and walks record by record
+only the slice where the two differ. The stream holds each head, the
+first record of a dispatched event (an arrival, a done, an override
+switch), followed by the records the definition derives from it: the
+filter fires of a trigger with their latch shifts and learned records,
+and a done's replay outcomes. A latch shift's k counts the pair's
+detections in the trace itself, which :func:`detection_ticks` recounts
+first. The owed heads form one schedule in the definition's
 ``(tick, seq)`` order: setup owes the override switches, the probes'
 CPU arrivals and the plans' first enables; an accepted enable owes its
 done, a scheduled replay its autonomous arrival, and a done, after its
@@ -42,7 +43,7 @@ from bisect import insort
 from collections import deque, namedtuple
 from collections.abc import Generator, Iterator
 from heapq import heappop, heappush
-from itertools import count, zip_longest
+from itertools import count, islice, zip_longest
 
 from memfabric.fabric import DONE_ENABLE, FabricConfig
 from memfabric.scenario import Scenario, check_max_tick
@@ -207,7 +208,8 @@ def _owed_run(
     each owed head, then the records the definition derives from it. Up to
     a divergence the trace is this run, so a pair's filter fires meet its
     ``detections`` (their ticks in the trace) in order, and a fire at the
-    next one owes the pair's next latch shift."""
+    next one owes the pair's next latch shift. Past a divergence, which the
+    caller finds up to a slice later, a fired pair may have none."""
     config = scenario.config
     n, delay1, duration = config.threshold, config.delay1, config.durations.default
     durations = dict(config.durations.exceptions)  # a dict's get is quicker than a view's
@@ -281,7 +283,7 @@ def _owed_run(
                     continue
                 link = (i, word)
                 yield (t, EV_FILTER_FIRE, None, link, None, None, None)
-                counted, k = detections[link], shifts.get(link, 0)
+                counted, k = detections.get(link, ()), shifts.get(link, 0)
                 if k < len(counted) and counted[k] == t:
                     shifts[link] = k = k + 1
                     yield (t, EV_LATCH_SHIFT, None, link, None, None, k if k < n else n)
@@ -309,6 +311,11 @@ def _owed_run(
                     heappush(heads, (enable[0], next(seq), enable))
 
 
+# records of the trace, and of the run, compared at a time: a slice of the
+# run is held as a list, so a longer one raises verify's peak memory
+_SLICE = 1024
+
+
 def verify_run(
     scenario: Scenario, records: list[TraceRecord], *, max_tick: int | None = None
 ) -> list[str]:
@@ -320,18 +327,24 @@ def verify_run(
     ``record N: the trace has X, but nothing owes it`` (N counts from 1;
     X and Y are JSON lines, X is ``no more records`` past the trace's
     end), by the rule the module docstring states. An empty list means
-    the trace agrees with the definition. Raises MalformedTraceError for
-    a trace whose ticks go down (``detection_ticks``, which runs first,
-    checks them), and ValueError for a ``max_tick`` below 1.
+    the trace agrees with the definition. The two are compared
+    :data:`_SLICE` records at a time, and only a slice that differs is
+    walked record by record. Raises MalformedTraceError for a trace whose
+    ticks go down (``detection_ticks``, which runs first, checks them),
+    and ValueError for a ``max_tick`` below 1.
     """
     horizon = scenario.max_tick if max_tick is None else max_tick
     check_max_tick(horizon)
     run = _owed_run(scenario, horizon, detection_ticks(records, scenario.config))
-    for n, (rec, want) in enumerate(zip_longest(records, run), 1):
+    trace = iter(records)
+    n = 1  # the number of the slice's first record
+    while (traced := list(islice(trace, _SLICE))) == (owed := list(islice(run, _SLICE))):
+        if not traced:
+            return []  # the trace ends where the run does
+        n += _SLICE
+    for n, (rec, want) in enumerate(zip_longest(traced, owed), n):
         if rec != want:
             break
-    else:
-        return []  # the trace ends where the run does
     have = "no more records" if rec is None else rec.to_json_line()
     owes = f"the run owes {TraceRecord(*want).to_json_line()}" if want else "nothing owes it"
     return [f"record {n}: the trace has {have}, but {owes}"]

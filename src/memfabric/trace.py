@@ -12,11 +12,11 @@ line once in one regex scan of the text, or of each block of it that
 :func:`read_blocks` reads from a file. A line written here decodes from
 the match: the fields it has pick one of the six field sets that
 :func:`format_trace` writes with an f-string, its kind must be one that
-set allows, and only those fields are converted. Any other line decodes
-alone through :func:`decode_line`. Records
-decoded either way share the schema's one string per kind and per
-source. :func:`read_blocks` reads a scenario too; each parser names the
-line of a byte that is not UTF-8, as of any other fault.
+set allows, and only those fields are converted, a tick once per run of
+its lines. Any other line decodes alone through :func:`decode_line`.
+Records decoded either way share the schema's one string per kind and
+per source. :func:`read_blocks` reads a scenario too; each parser names
+the line of a byte that is not UTF-8, as of any other fault.
 
 Field usage by record kind::
 
@@ -303,9 +303,9 @@ _WORD_PAIR_SRC_EPISODE_KINDS = _kinds("word", "pair", "src", "episode")
 
 
 class _Values(dict):
-    """The values of a scan's present groups, each decoded once, so that
-    records share them: digits to an int, a pair's ``"i,j"`` to ``(i, j)``;
-    a source, put in when it is made, to itself."""
+    """The values of a scan's present groups but the tick, each decoded once,
+    so that records share them: digits to an int, a pair's ``"i,j"`` to
+    ``(i, j)``; a source, put in when it is made, to itself."""
 
     def __missing__(self, key: str) -> int | tuple[int, ...]:
         value = tuple(map(int, key.split(","))) if "," in key else int(key)
@@ -334,17 +334,19 @@ def parse_trace(text: str | Iterable[str]) -> list[TraceRecord]:
     line as :func:`format_trace` writes it is decoded from the match's
     groups: the fields present pick its field set, by the tests
     :func:`format_trace` picks its f-string by, its kind must be one that
-    set allows, and only those fields are converted. Any other line goes,
-    alone, through :func:`decode_line`, to the same record. The first line
-    that is not a valid record, whose tick is below the previous record's,
-    or that the blocks fail to decode (a :class:`UnicodeError`) raises
-    :class:`MalformedTraceError` at its line.
+    set allows, and only those fields are converted: a tick's digits once
+    per run of such lines, whose records share that one int. Any other line
+    goes, alone, through :func:`decode_line`, to the same record. The first
+    line that is not a valid record, whose tick is below the previous
+    record's, or that the blocks fail to decode (a :class:`UnicodeError`)
+    raises :class:`MalformedTraceError` at its line.
     """
     values = _Values(_SOURCES)
     new = tuple.__new__  # skips the named tuple's Python-level __new__
     records = []
     append = records.append
     last = 0
+    digits = None  # the last tick read from a line's groups; tick is its int
     lineno = 1
     try:
         for block in (text,) if isinstance(text, str) else text:
@@ -352,6 +354,8 @@ def parse_trace(text: str | Iterable[str]) -> list[TraceRecord]:
             # first line, so the next block counts on from its number
             for lineno, match in enumerate(_LINE.finditer(_unify_newlines(block)), start=lineno):
                 t, ev, word, pair, src, episode, stage, line = match.groups()
+                if t != digits and t is not None:  # a new tick (None: a last-branch line)
+                    digits, tick = t, int(t)
                 # the fields present pick the field set, by format_trace's tests;
                 # its table gives the kind's copy, which records share, or None
                 rec = None
@@ -360,42 +364,38 @@ def parse_trace(text: str | Iterable[str]) -> list[TraceRecord]:
                         if stage is None:  # filter_fire, learned
                             ev = _PAIR_KINDS.get(ev)
                             if ev is not None:
-                                t = values[t]
-                                rec = (t, ev, None, values[pair], None, None, None)
+                                rec = (tick, ev, None, values[pair], None, None, None)
                         else:  # latch_shift, override_set
                             ev = _PAIR_STAGE_KINDS.get(ev)
                             if ev is not None:
-                                t = values[t]
-                                rec = (t, ev, None, values[pair], None, None, values[stage])
+                                rec = (tick, ev, None, values[pair], None, None, values[stage])
                 elif episode is not None and stage is None:
                     if pair is None:
                         if src is None:  # done
                             ev = _WORD_EPISODE_KINDS.get(ev)
                             if ev is not None:
-                                t = values[t]
-                                rec = (t, ev, values[word], None, None, values[episode], None)
+                                rec = (tick, ev, values[word], None, None, values[episode], None)
                         else:  # a cpu (ignored) enable
                             ev = _WORD_SRC_EPISODE_KINDS.get(ev)
                             if ev is not None:
-                                t = values[t]
                                 rec = (
-                                    t, ev, values[word], None, values[src], values[episode], None,
+                                    tick, ev, values[word], None, values[src], values[episode], None
                                 )
                     elif src is None:  # a replay outcome
                         ev = _WORD_PAIR_EPISODE_KINDS.get(ev)
                         if ev is not None:
-                            t = values[t]
-                            rec = (t, ev, values[word], values[pair], None, values[episode], None)
+                            rec = (
+                                tick, ev, values[word], values[pair], None, values[episode], None
+                            )
                     else:  # an auto (ignored) enable
                         ev = _WORD_PAIR_SRC_EPISODE_KINDS.get(ev)
                         if ev is not None:
-                            t = values[t]
                             rec = (
-                                t, ev, values[word], values[pair], values[src],
+                                tick, ev, values[word], values[pair], values[src],
                                 values[episode], None,
                             )
                 if rec is not None:
-                    rec = new(TraceRecord, rec)
+                    rec, t = new(TraceRecord, rec), tick
                 elif line == "":
                     continue
                 else:  # the last branch, another field set, or a kind without this one

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import pickle
 import sys
+import warnings
 
 import pytest
 from hypothesis import strategies as st
@@ -18,6 +19,19 @@ from memfabric import (
     parse_scenario,
     run_scenario,
 )
+
+# When a property test fails, Hypothesis imports hypothesis.extra._patching to
+# report it, and that module imports libcst where libcst is installed. Some
+# libcst versions warn (DeprecationWarning) at import; the suite makes warnings
+# errors, so that import would end the session with an INTERNALERROR and leave
+# the remaining tests unrun. Imported here once, with only its own warnings
+# ignored, the module is already loaded when a property test fails.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: Hypothesis skips the report's patch itself
+        pass
 
 # Both directions of a 2-word cycle learned; the probe's replay reaches the
 # open override on (2, 1) at t=141.

@@ -137,6 +137,7 @@ def test_durations_reject_what_is_not_a_word_as_a_dict_would(word_count):
     assert durations.get(word_count + 1) is None
     assert 0 not in durations
     assert durations[1] == durations[word_count] == 4
+    assert repr(durations) == f"Durations({word_count}, 4, {{}})"
 
 
 def test_config_keeps_a_read_only_copy_of_the_durations():

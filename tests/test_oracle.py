@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import memfabric.oracle
 from memfabric import (
     FabricConfig,
     MalformedTraceError,
@@ -587,6 +588,29 @@ def test_every_single_record_mutant_is_rejected():
     assert tried > 4000
     assert unshifted > 0  # a fire inside the refractory is among the mutated records
     assert misplaced == []
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.scn")), ids=lambda path: path.stem)
+def test_the_first_departure_is_named_at_every_slice_edge(monkeypatch, path):
+    # verify_run compares the trace with the owed run a slice at a time and walks
+    # only the slice that differs. A departure at record 1, at a slice's last
+    # record or at the next slice's first, and a trace one record short or long
+    # at a slice edge, are each named at the first record that departs from the
+    # run; the run itself verifies, as by the reference. Records may come as a
+    # list or as a tuple.
+    result = run_text(path.read_text(encoding="utf-8"))
+    scenario, records = result.scenario, result.records
+    for size in (4, len(records) - 1, len(records)):
+        monkeypatch.setattr(memfabric.oracle, "_SLICE", size)
+        edges = {0, size - 1, size}  # record 1, a slice's last record, the next one's first
+        mutants = [records[:-1], records + records[-1:]]
+        mutants += [m for i, _, m in _mutants(records, scenario.config.word_count) if i in edges]
+        for records_of in (list, tuple):
+            genuine = records_of(records)
+            assert verify_run(scenario, genuine) == [] == reference_verify_run(scenario, genuine)
+            for mutant in mutants:
+                expected = _first_departure(records, mutant)
+                assert verify_run(scenario, records_of(mutant)) == expected, (size, mutant)
 
 
 # -- survivor ratchet: mutant classes verify_run does not catch ------------

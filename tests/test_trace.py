@@ -670,6 +670,25 @@ def test_records_read_in_blocks_share_one_object_per_value(tmp_path, block):
     assert records == scenario_records("worked_example.scn")
     for values in ([rec.t for rec in records], [rec.pair for rec in records if rec.pair]):
         assert len(set(map(id, values))) == len(set(values)) < len(values)
+    # A tick is converted once per run of its lines, across a block edge, and a
+    # line of the run that takes the general path (its keys reordered) leaves the
+    # int the canonical lines share as it is.
+    tick = records[-1].t + 1000  # above the small ints the interpreter caches
+    run = [
+        f'{{"t":{tick},"ev":"filter_fire","pair":[1,2]}}',
+        f'{{"t":{tick},"ev":"latch_shift","pair":[1,2],"stage":1}}',
+        f'{{"ev":"filter_fire","t":{tick},"pair":[2,3]}}',
+        f'{{"t":{tick},"ev":"filter_fire","pair":[2,3]}}',
+        f'{{"t":{tick},"ev":"learned","pair":[2,3]}}',
+    ]
+    path = write_lines(tmp_path / "t.jsonl", WORKED_LINES + run)
+    edge = len("\n".join(WORKED_LINES + run[:2])) + 1  # the first read ends before run[2]
+    for size in (block, edge):
+        records = read_records(path, size)
+        assert records == reference_parse_trace(path.read_text(encoding="utf-8"))
+        canonical = [rec.t for rec, line in zip(records[-5:], run) if line.startswith('{"t"')]
+        assert len(canonical) == 4 and len(set(map(id, canonical))) == 1
+        assert records[-3] == (tick, "filter_fire", None, (2, 3), None, None, None)
 
 
 @pytest.mark.parametrize("block", [1, 64, 1000])
