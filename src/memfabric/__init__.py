@@ -11,7 +11,6 @@ sequences and probes words; a brute-force oracle independently
 recounts detections and predicts replay timelines for verification.
 """
 
-from memfabric.driver import InvalidPlanError, Probe, RehearsalPlan
 from memfabric.engine import (
     QUIESCENT,
     RunOutcome,
@@ -42,8 +41,11 @@ from memfabric.oracle import (
 )
 from memfabric.scenario import (
     EpisodeSummary,
+    InvalidPlanError,
     OverrideDirective,
     ParseError,
+    Probe,
+    RehearsalPlan,
     Report,
     Scenario,
     ScenarioError,

@@ -16,10 +16,11 @@ gives it: an option is ``--name VALUE`` or ``--name=VALUE``, spelled in
 full, once, anywhere after the command; ``-h`` or ``--help`` prints the usage.
 Both files are read through :func:`~memfabric.trace.read_blocks`. Exit 1
 is a usage, parse or validation problem (the message names the line),
-exit 2 an I/O problem. In a scenario or a trace, the line named is the
-first faulty one in file order, whether its fault is a byte that is not
-UTF-8 or anything else of that line alone. Diagnostics go to stderr;
-stdout stays silent except for ``check``'s canonical echo and the usage.
+exit 2 an I/O problem or running out of memory. In a scenario or a trace,
+the line named is the first faulty one in file order, whether its fault
+is a byte that is not UTF-8 or anything else of that line alone.
+Diagnostics go to stderr; stdout stays silent except for ``check``'s
+canonical echo and the usage.
 """
 
 from __future__ import annotations
@@ -182,9 +183,13 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        pass  # report it once this handler is left, which frees the run's frames
     finally:
         if gc_was_enabled:
             gc.enable()
+    print("error: out of memory", file=sys.stderr)
+    return EXIT_IO
 
 
 if __name__ == "__main__":

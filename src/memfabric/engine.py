@@ -31,18 +31,20 @@ events reach past it.
 A :class:`Simulation` is a self-contained value (engine + fabric +
 scripted CPU driver + trace) that nothing inside refers back to, so
 reference counting frees a run. Independent simulations share no state
-and may run on separate threads.
+and may run on separate threads. The CPU model, :class:`Driver`, lives here
+beside :func:`build_simulation`; its plans are :mod:`memfabric.scenario` parts.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import namedtuple
+from collections.abc import Generator
 from heapq import heappop, heappush, heapreplace
 from itertools import count
 
-from memfabric.driver import Driver
 from memfabric.fabric import CpuEnable, Fabric, FabricConfig, OverrideSet
-from memfabric.scenario import Scenario, build_report, check_max_tick
+from memfabric.scenario import RehearsalPlan, Scenario, build_report, check_max_tick
 from memfabric.trace import TraceRecord
 
 
@@ -110,6 +112,73 @@ class RunOutcome(namedtuple("RunOutcome", "outcome final_tick")):
         return self.outcome == QUIESCENT
 
 
+def _rehearsal(plan: RehearsalPlan, new_episode) -> Generator[tuple | None, int, None]:
+    # It holds the episode counter, never sim: a plan left suspended by a
+    # tick limit then makes no reference cycle.
+    sequence, gap, rest, tick = plan.sequence, plan.gap, plan.rest, plan.start
+    for _ in range(plan.reps):
+        episode = new_episode()
+        for word in sequence:
+            done = yield tick, word, episode
+            tick = done + gap
+        tick = done + rest
+    yield None
+
+
+class Driver:
+    """The scripted CPU (working-memory) model. Each plan runs as one generator
+    of its steps, :func:`_rehearsal`: per repetition it draws an episode, per
+    word it yields the CPU enable ``(tick, word, episode)`` and is sent the
+    tick of the done it awaits (the next enable lies ``gap`` ticks after it,
+    or ``rest`` after a repetition's last word), and at the end it yields
+    ``None``. A probe needs no driver: ``build_simulation`` queues its one
+    enable in an episode of its own.
+
+    Advancement keys on the word id, not on the episode: a plan whose own
+    enable was ignored as busy (the word was started autonomously first)
+    still advances on that word's done. A plan only starts waiting once
+    its own enable's tick is reached; earlier dones of the awaited word
+    (another plan's traffic, say) do not advance it.
+
+    The driver holds no simulation: ``add_plan`` and ``on_done`` take the
+    one they act on and put each step straight on its queue. It keeps each
+    unfinished plan's generator under the word whose done it awaits, in
+    add order, so a done reads only the plans awaiting its word.
+    """
+
+    def __init__(self):
+        # Awaited word -> (add order, own enable's tick, steps) of each
+        # unfinished plan that awaits its done, in add order.
+        self._awaiting: dict[int, list[tuple]] = {}
+        self._added = 0
+
+    def add_plan(self, sim, plan: RehearsalPlan) -> None:
+        # The scenario checked the plan; later steps lie gap or rest (>= 0) after a done.
+        steps = _rehearsal(plan, sim.new_episode)
+        tick, word, episode = next(steps)
+        self._awaiting.setdefault(word, []).append((self._added, tick, steps))  # last in add order
+        self._added += 1
+        sim.queue.schedule(tick, tuple.__new__(CpuEnable, (word, episode)))
+
+    def unfinished_plans(self) -> int:
+        return sum(map(len, self._awaiting.values()))
+
+    def on_done(self, sim, word: int, tick: int) -> None:
+        entries = self._awaiting.pop(word, None)
+        if entries is None:
+            return
+        # An advancing plan next awaits another word (a plan's words are
+        # distinct), so only the plans kept waiting come back under this one.
+        for entry in entries:
+            order, enable_tick, steps = entry
+            if tick < enable_tick:  # its own enable is still ahead
+                self._awaiting.setdefault(word, []).append(entry)
+            elif (step := steps.send(tick)) is not None:  # else finished: it awaits no word
+                next_tick, next_word, episode = step
+                insort(self._awaiting.setdefault(next_word, []), (order, next_tick, steps))
+                sim.queue.schedule(next_tick, tuple.__new__(CpuEnable, (next_word, episode)))
+
+
 class Simulation:
     """One complete run: fabric, driver, queue, clock, and trace."""
 
@@ -164,7 +233,7 @@ def build_simulation(scenario: Scenario, *, loop_suppression: bool = True) -> Si
     """
     # The no-repeat rule has no switch. The keyword stays only because the
     # benchmark harness passes True: ROADMAP item 1 moves the harness off it,
-    # and item 7 deletes it.
+    # and item 8 deletes it.
     if loop_suppression is not True:
         raise ValueError(f"loop_suppression must be True, got {loop_suppression!r}")
     sim = Simulation(scenario.config)

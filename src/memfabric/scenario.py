@@ -23,6 +23,10 @@ A ``gap`` larger than ``delay1`` parses with a warning: it is a
 legitimate negative control (the rehearsed pairs fall outside every
 coincidence window).
 
+Its parts, :class:`RehearsalPlan`, :class:`Probe` and :class:`OverrideDirective`,
+are defined here and check themselves when built; nothing here comes from
+the run (the engine, its CPU model ``Driver``, the fabric's runtime).
+
 At setup, directives are scheduled in a fixed order: overrides first
 (file order), then probes (file order), then plans (file order). An
 override at tick T therefore always takes effect before any same-tick
@@ -36,7 +40,6 @@ import os
 from collections import Counter, namedtuple
 from collections.abc import Iterable
 
-from memfabric.driver import Probe, RehearsalPlan
 from memfabric.fabric import DONE_ENABLE, CheckedTuple, Durations, FabricConfig, check_int
 from memfabric.trace import (
     EV_ENABLE,
@@ -63,6 +66,44 @@ class ParseError(ScenarioError):
 
 class ValidationError(ScenarioError):
     """Semantic problem: out-of-range value, repeated word, bad config."""
+
+
+class InvalidPlanError(ValueError):
+    """A rehearsal plan violates its structural constraints."""
+
+
+class RehearsalPlan(CheckedTuple, namedtuple("RehearsalPlan", "sequence reps gap rest start")):
+    __slots__ = ()
+
+    def __new__(cls, sequence, reps: int, gap: int, rest: int, start: int):
+        sequence = tuple(sequence)
+        if len(sequence) < 2:
+            raise InvalidPlanError("a plan needs at least 2 words")
+        for i, word in enumerate(sequence):  # by equality: a word need not hash
+            if word in sequence[:i]:
+                raise InvalidPlanError(f"word {word} repeats in the sequence; states must be distinct")
+        check_int(reps, 1, "reps", InvalidPlanError)
+        check_int(gap, 0, "gap", InvalidPlanError)
+        check_int(rest, 0, "rest", InvalidPlanError)
+        check_int(start, 0, "start", InvalidPlanError)
+        return tuple.__new__(cls, (sequence, reps, gap, rest, start))
+
+    def check_words(self, config) -> None:
+        """Every word of the sequence is a word of ``config``'s fabric."""
+        for word in self.sequence:
+            config.check_word(word)
+
+
+class Probe(CheckedTuple, namedtuple("Probe", "tick word")):
+    __slots__ = ()
+
+    def __new__(cls, tick: int, word: int):
+        check_int(tick, 0, "probe tick")
+        return tuple.__new__(cls, (tick, word))
+
+    def check_words(self, config) -> None:
+        """The probed word is a word of ``config``'s fabric."""
+        config.check_word(self.word)
 
 
 class OverrideDirective(CheckedTuple, namedtuple("OverrideDirective", "tick i j is_open")):

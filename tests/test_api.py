@@ -72,23 +72,53 @@ def test_package_imports_only_the_standard_library():
                 assert module.split(".")[0] in allowed, f"{path.name}:{node.lineno} {module}"
 
 
-def test_oracle_imports_nothing_from_the_code_it_checks():
-    # verify_run's model of the run is written from the definition, not from the
-    # driver, the engine or the fabric's runtime classes. It may take the
-    # definition's inputs, FabricConfig and DONE_ENABLE.
-    runtime = ("Fabric", "CpuEnable", "AutoEnable", "WordDone", "OverrideSet")
-    checked = {"memfabric.driver", "memfabric.engine"}
-    checked |= {f"{pkg}.{name}" for pkg in ("memfabric", "memfabric.fabric") for name in runtime}
-    path = ROOT / "src" / "memfabric" / "oracle.py"
+def _memfabric_imports(module):
+    """Each import statement of ``src/memfabric/<module>.py``: its line, module and names."""
+    path = ROOT / "src" / "memfabric" / f"{module}.py"
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
         if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
+            for alias in node.names:
+                yield node.lineno, alias.name, []
         elif isinstance(node, ast.ImportFrom):
-            module = ("memfabric." if node.level else "") + (node.module or "")
-            modules = [module, *(f"{module.rstrip('.')}.{alias.name}" for alias in node.names)]
-        else:
-            continue
-        assert checked.isdisjoint(modules), f"oracle.py:{node.lineno} {modules}"
+            imported = ("memfabric." if node.level else "") + (node.module or "")
+            yield node.lineno, imported.rstrip("."), [alias.name for alias in node.names]
+
+
+def _import_closure(module):
+    """The package modules ``module`` reaches through ``memfabric`` imports,
+    followed from module to module."""
+    modules = {path.stem for path in (ROOT / "src" / "memfabric").glob("*.py")}
+    reached, todo = set(), [module]
+    while todo:
+        for _, imported, names in _memfabric_imports(todo.pop()):
+            package, _, rest = imported.partition(".")
+            if package != "memfabric":
+                continue
+            # from memfabric import X reaches module X, or the package's __init__.
+            if rest:
+                targets = {rest.partition(".")[0]}
+            else:
+                targets = {name if name in modules else "__init__" for name in names}
+            todo += targets - reached
+            reached |= targets
+    return reached
+
+
+def test_oracle_imports_nothing_from_the_code_it_checks():
+    # verify_run's model of the run is written from the definition, not from the
+    # CPU model, the engine or the fabric's runtime classes. It may take the
+    # definition's inputs, FabricConfig and DONE_ENABLE, and the scenario's parts.
+    # The rule holds for every module the oracle reaches, not only its own imports.
+    closure = _import_closure("oracle")
+    assert closure == {"fabric", "scenario", "trace"}
+    # The definition (the scenario and its parts) imports nothing from the run.
+    assert _import_closure("scenario") == {"fabric", "trace"}
+    runtime = ("Fabric", "CpuEnable", "AutoEnable", "WordDone", "OverrideSet")
+    checked = {f"{pkg}.{name}" for pkg in ("memfabric", "memfabric.fabric") for name in runtime}
+    for module in closure | {"oracle"}:
+        for line, imported, names in _memfabric_imports(module):
+            dotted = [imported, *(f"{imported}.{name}" for name in names)]
+            assert checked.isdisjoint(dotted), f"{module}.py:{line} {dotted}"
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

@@ -872,15 +872,21 @@ def test_run_formats_the_trace_through_format_trace_once_per_batch(scenario_file
     assert batches == [10] * (count // 10) + ([count % 10] if count % 10 else [])
 
 
-# Each command runs in a child that caps its own address space before it
-# imports the package; no other process is capped.
-CAPPED_CHILD = """
+def capped_child(mib: int) -> str:
+    """A child's source that caps its own address space at ``mib`` MiB before
+    it imports the package, then runs ``main`` on its arguments."""
+    return f"""
 import resource, sys
-cap = 512 << 20
+cap = {mib} << 20
 resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
 from memfabric.cli import main
 sys.exit(main(sys.argv[1:]))
 """
+
+
+# Each command runs in a child that caps its own address space; no other
+# process is capped.
+CAPPED_CHILD = capped_child(512)
 
 
 def test_a_fabric_of_a_billion_words_costs_only_its_named_words(tmp_path):
@@ -915,3 +921,33 @@ def test_a_fabric_of_a_billion_words_costs_only_its_named_words(tmp_path):
         if argv[0] == "check":
             assert proc.stdout == text
     assert trace.read_text(encoding="utf-8").count("\n") == 20
+
+
+def test_a_command_that_runs_out_of_memory_exits_2_with_one_line(tmp_path):
+    # A legal run whose plan outgrows memory, and a trace of one 90 MB line
+    # (a sparse file: no disk is written), each in a child capped at 128 MiB.
+    # Exit 2 tells them apart from a parse error's 1, and the handler is left
+    # before the line is printed, so the run's frames are freed first.
+    scenario = tmp_path / "long.scn"
+    scenario.write_text(
+        "fabric words=2 delay1=5 delay2=1 threshold=1\n"
+        "dur * 1\n"
+        "rehearse 1 2 reps=100000000 gap=0 rest=0 start=0\n"
+        "maxticks 1000000000000\n",
+        encoding="utf-8",
+    )
+    trace = tmp_path / "one_line.trace.jsonl"
+    with open(trace, "wb") as f:
+        f.truncate(90_000_000)
+    outputs = ["--trace", str(tmp_path / "long.trace.jsonl"), "--report", str(tmp_path / "r.json")]
+    for argv in (["run", str(scenario), *outputs], ["verify", str(WORKED_EXAMPLE), str(trace)]):
+        proc = subprocess.run(
+            [*python_command(), "-c", capped_child(128), *argv],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            text=True,
+            encoding="utf-8",
+            timeout=60,
+        )
+        assert proc.returncode == 2, argv
+        assert (proc.stdout, proc.stderr) == ("", "error: out of memory\n"), argv
