@@ -12,6 +12,7 @@ recounts detections and predicts replay timelines for verification.
 """
 
 from memfabric.engine import (
+    Fabric,
     QUIESCENT,
     RunOutcome,
     RunResult,
@@ -23,7 +24,6 @@ from memfabric.engine import (
 from memfabric.fabric import (
     DONE_DONE,
     DONE_ENABLE,
-    Fabric,
     FabricConfig,
     InvalidConfigError,
     SelfPairError,

@@ -1,66 +1,17 @@
-"""The learning memory fabric.
-
-A fabric holds a block of memory words (ids ``1..word_count``), one
-timing filter per ordered word pair, and a switch matrix of learned
-connections. Words are started by an enable signal and emit a done
-signal after their fixed duration. Every done of word ``i`` holds a
-coincidence window of ``delay1`` ticks open on all filters ``(i, *)``;
-when the paired trigger signal of word ``j`` (an enable, or a done,
-depending on the filter mode) lands inside the window, the filter
-fires and advances an n-stage shift register of set-once latches.
-A register that fills closes the switch for its pair: from then on,
-every done of ``i`` autonomously schedules an enable of ``j`` exactly
-``delay1`` ticks later, with no CPU involvement.
-
-Learning is never erased. A per-pair override acts as a series switch
-that masks a learned connection without clearing it. Within a single
-episode (the activation chain rooted at one CPU enable) each word may
-fire at most once; repeat attempts are suppressed, so learned cycles
-cannot loop on their own. The rule is part of the model and has no
-switch.
-
-The K(K-1) filters are represented as one window per source word plus
-a capped shift count per touched pair, and this is exact. The filters
-``(i, *)`` are only ever opened together, by a done of ``i``, so they
-always hold the same window. A register of set-once latches whose
-shifts fill stage after stage always holds a prefix of set stages, so
-its whole state is the number of shifts capped at the register depth.
-A pair whose filter never fired is an empty register. A touched pair's
-``(src, dst)`` tuple is built once: its records and replays share it.
-
-The signals (:class:`CpuEnable`, :class:`AutoEnable`, :class:`WordDone`,
-:class:`OverrideSet`) are the event payloads. The fabric queues its own
-dones and replays on ``sim.queue`` unchecked: a duration or ``delay1``
-(both >= 1) after the current tick is never behind the clock. It builds
-each payload and each trace record (all seven fields, in order) whole
-through ``tuple.__new__``, which skips the named tuple's Python ``__new__``.
+"""The fabric's definition: :class:`FabricConfig`, :class:`Durations`, the
+filter modes, the rules each input keeps where it enters (``check_int``,
+the config's ``check_word``, ``check_pair`` and ``check_duration``, and
+:class:`CheckedTuple`) and the three error classes. It imports nothing from
+the package: the fabric that runs, and its signals, are in
+:mod:`memfabric.engine`.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from collections.abc import Iterator, Mapping
 from itertools import count, islice
 from types import MappingProxyType
-
-from memfabric.trace import (
-    EV_AUTO_ENABLE_SCHEDULED,
-    EV_DONE,
-    EV_ENABLE,
-    EV_FILTER_FIRE,
-    EV_IGNORED_ENABLE,
-    EV_LATCH_SHIFT,
-    EV_LEARNED,
-    EV_LOOP_SUPPRESSED,
-    EV_OVERRIDE_BLOCKED,
-    EV_OVERRIDE_SET,
-    SRC_AUTO,
-    SRC_CPU,
-    TraceRecord,
-)
-
-_new = tuple.__new__  # _new(TraceRecord, (t, ev, word, pair, src, episode, stage)), unchecked
 
 DONE_ENABLE = "done_enable"
 DONE_DONE = "done_done"
@@ -240,177 +191,3 @@ class FabricConfig(
         self.check_word(j)
         if i == j:
             raise SelfPairError(f"pair ({i}, {j}) is a self pair")
-
-
-class CpuEnable(namedtuple("CpuEnable", "word episode")):
-    __slots__ = ()
-
-    def fire(self, sim, tick: int) -> None:
-        sim.fabric.on_enable(sim, self.word, tick, source=SRC_CPU, pair=None, episode=self.episode)
-
-
-class AutoEnable(namedtuple("AutoEnable", "word pair episode")):
-    __slots__ = ()
-
-    def fire(self, sim, tick: int) -> None:
-        sim.fabric.on_enable(
-            sim, self.word, tick, source=SRC_AUTO, pair=self.pair, episode=self.episode
-        )
-
-
-class WordDone(namedtuple("WordDone", "word episode")):
-    __slots__ = ()
-
-    def fire(self, sim, tick: int) -> None:
-        # Fabric reacts before the CPU observes the done.
-        sim.fabric.on_done(sim, self.word, tick, self.episode)
-        sim.driver.on_done(sim, self.word, tick)
-
-
-class OverrideSet(namedtuple("OverrideSet", "pair is_open")):
-    __slots__ = ()
-
-    def fire(self, sim, tick: int) -> None:
-        sim.fabric.set_override(sim, self.pair[0], self.pair[1], self.is_open, tick)
-
-
-class Fabric:
-    """Word block, K(K-1) timing filters, and the learned switch matrix.
-
-    The filters are held as one window-until tick per source word and,
-    per destination word, a ``[shift_count, last_shift_tick, pair]``
-    per source whose filter has fired; the latched stage count is
-    ``min(shift_count, threshold)``. Both are exact, as the module
-    docstring shows. Each word keeps its learned successors, those
-    ``pair`` tuples in ascending order: the closed switches. A done or an
-    enable therefore costs its open windows and learned out-degree, not a
-    scan of all K words, and a fresh fabric allocates nothing per word or
-    per pair. An episode is an int; the no-repeat rule reads one set of
-    the ``(episode, word)`` of every accepted enable.
-
-    All mutation happens through the single-threaded dispatch loop of
-    the owning simulation, which is passed in so the fabric can emit
-    trace records and put its own done and replay events on its queue.
-    A trigger fires its filters inline, and the handlers read the frozen
-    config's fields from attributes bound once, at construction.
-    """
-
-    def __init__(self, config: FabricConfig):
-        self.config = config
-        self._durations = dict(config.durations.exceptions)  # a dict's get is quicker than a view's
-        self._duration = config.durations.default
-        self._delay1, self._delay2, self._threshold = config.delay1, config.delay2, config.threshold
-        self._done_enable = config.filter_mode == DONE_ENABLE
-        self._busy_until: dict[int, int] = {}  # word -> end of its last run; a past end is idle
-        # Source word -> closing tick of its hold window. A closed window
-        # stays closed (the clock never moves back), so stale entries are
-        # dropped whenever a trigger scans the windows.
-        self._window_until: dict[int, int] = {}
-        # dst -> {src: [shift count, last shift tick (-delay2: none yet), (src, dst)]}
-        self._filters: defaultdict[int, dict[int, list]] = defaultdict(dict)
-        self._successors: dict[int, list[tuple[int, int]]] = {}  # src -> its learned pairs
-        self._override_open: set[tuple[int, int]] = set()
-        self._fired: set[tuple[int, int]] = set()  # (episode, word) of each accepted enable
-
-    @property
-    def filter_count(self) -> int:
-        return self.config.word_count * (self.config.word_count - 1)
-
-    def learned_set(self) -> set[tuple[int, int]]:
-        return {pair for pairs in self._successors.values() for pair in pairs}
-
-    def override_is_open(self, pair: tuple[int, int]) -> bool:
-        return pair in self._override_open
-
-    def on_enable(self, sim, word: int, tick: int, *, source: str, pair, episode: int) -> None:
-        """Apply an enable signal to a word.
-
-        A busy word ignores the enable, as does a word that already
-        fired within the episode (the no-repeat rule; replay races can
-        reach an idle word a second time, which the scheduling-time
-        check alone cannot catch). An accepted enable runs the word
-        for its duration and, in done_enable mode, feeds the filters
-        watching for this word as a sequence successor.
-
-        ``word`` is not checked here: CPU enables were checked when the
-        scenario was built, and autonomous enables follow learned pairs
-        of words the fabric already accepted.
-        """
-        fired = (episode, word)
-        if self._busy_until.get(word, 0) > tick or fired in self._fired:
-            fields = (tick, EV_IGNORED_ENABLE, word, pair, source, episode, None)
-            sim.emit(_new(TraceRecord, fields))
-            return
-        done_tick = self._busy_until[word] = tick + self._durations.get(word, self._duration)
-        sim.queue.schedule(done_tick, tuple.__new__(WordDone, (word, episode)))
-        self._fired.add(fired)
-        sim.emit(_new(TraceRecord, (tick, EV_ENABLE, word, pair, source, episode, None)))
-        if self._done_enable:
-            self._detect_into(sim, word, tick)
-
-    def on_done(self, sim, word: int, tick: int, episode: int) -> None:
-        """Handle a word's done signal.
-
-        Opens (retriggers) the coincidence window this word holds as the
-        sequence predecessor, feeds done-done filters, and walks the
-        learned successors: overridden pairs are blocked, already-fired
-        successors suppressed, and every remaining one gets an
-        autonomous enable scheduled delay1 ticks out, carrying the same
-        episode.
-        """
-        emit, new, record = sim.emit, _new, TraceRecord
-        emit(new(record, (tick, EV_DONE, word, None, None, episode, None)))
-        self._window_until[word] = replay_tick = tick + self._delay1
-        if not self._done_enable:
-            self._detect_into(sim, word, tick)
-        schedule, masked, fired = sim.queue.schedule, self._override_open, self._fired
-        for link in self._successors.get(word, ()):
-            dst = link[1]
-            if link in masked:
-                emit(new(record, (tick, EV_OVERRIDE_BLOCKED, dst, link, None, episode, None)))
-            elif (episode, dst) in fired:
-                emit(new(record, (tick, EV_LOOP_SUPPRESSED, dst, link, None, episode, None)))
-            else:
-                schedule(replay_tick, new(AutoEnable, (dst, link, episode)))
-                emit(new(record, (tick, EV_AUTO_ENABLE_SCHEDULED, dst, link, None, episode, None)))
-
-    def set_override(self, sim, i: int, j: int, is_open: bool, tick: int) -> None:
-        """Open or close the series switch masking pair (i, j).
-
-        Purely a mask: independent of whether the pair is learned, and
-        it never touches the learn register. The pair was checked when
-        the scenario was built.
-        """
-        pair = (i, j)
-        if is_open:
-            self._override_open.add(pair)
-        else:
-            self._override_open.discard(pair)
-        fields = (tick, EV_OVERRIDE_SET, None, pair, None, None, 1 if is_open else 0)
-        sim.emit(_new(TraceRecord, fields))
-
-    def _detect_into(self, sim, dst: int, tick: int) -> None:
-        # Trigger signal for word dst observed: fire every filter (src, dst)
-        # whose window is holding, in ascending src order. The closed
-        # interval lets a trigger exactly delay1 after the done still count.
-        windows, filters, emit = self._window_until, self._filters[dst], sim.emit
-        delay2, threshold, new, record = self._delay2, self._threshold, _new, TraceRecord
-        for src in sorted(windows):
-            if windows[src] < tick:
-                del windows[src]
-            elif src != dst:
-                state = filters.get(src) or filters.setdefault(src, [0, -delay2, (src, dst)])
-                pair = state[2]
-                emit(new(record, (tick, EV_FILTER_FIRE, None, pair, None, None, None)))
-                if tick - state[1] < delay2:
-                    # Still inside the previous learning spike: one spike cannot
-                    # double-shift the register. The refractory does not restart.
-                    continue
-                count = state[0] = state[0] + 1
-                state[1] = tick
-                stage = count if count < threshold else threshold  # min() is a call per shift
-                emit(new(record, (tick, EV_LATCH_SHIFT, None, pair, None, None, stage)))
-                if count == threshold:
-                    # The shift that sets the last stage closes the switch.
-                    insort(self._successors.setdefault(src, []), pair)
-                    emit(new(record, (tick, EV_LEARNED, None, pair, None, None, None)))

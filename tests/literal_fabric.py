@@ -2,7 +2,7 @@
 
 The fabric keeps one window per source word and a shift count capped at
 the register depth, and the oracle's ``detection_ticks`` keeps the same
-compression (see ``memfabric.fabric``). This model keeps neither: it
+compression (see ``memfabric.engine``). This model keeps neither: it
 holds each of the K(K-1) filters as an object of its own, with its own
 coincidence window, its own refractory and a list of ``n`` set-once
 latches, and drives them with a trace's ``enable`` and ``done`` records.

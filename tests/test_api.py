@@ -104,21 +104,39 @@ def _import_closure(module):
     return reached
 
 
-def test_oracle_imports_nothing_from_the_code_it_checks():
-    # verify_run's model of the run is written from the definition, not from the
-    # CPU model, the engine or the fabric's runtime classes. It may take the
-    # definition's inputs, FabricConfig and DONE_ENABLE, and the scenario's parts.
-    # The rule holds for every module the oracle reaches, not only its own imports.
-    closure = _import_closure("oracle")
-    assert closure == {"fabric", "scenario", "trace"}
-    # The definition (the scenario and its parts) imports nothing from the run.
-    assert _import_closure("scenario") == {"fabric", "trace"}
-    runtime = ("Fabric", "CpuEnable", "AutoEnable", "WordDone", "OverrideSet")
-    checked = {f"{pkg}.{name}" for pkg in ("memfabric", "memfabric.fabric") for name in runtime}
-    for module in closure | {"oracle"}:
-        for line, imported, names in _memfabric_imports(module):
-            dotted = [imported, *(f"{imported}.{name}" for name in names)]
-            assert checked.isdisjoint(dotted), f"{module}.py:{line} {dotted}"
+# Each module's closure under memfabric imports. The definition (trace,
+# fabric, scenario) imports nothing from the run, and verify_run's model of
+# the run is written from the definition, not from the engine it checks: the
+# oracle reaches the definition alone.
+LAYERS = {
+    "trace": set(),
+    "fabric": set(),
+    "scenario": {"fabric", "trace"},
+    "engine": {"fabric", "scenario", "trace"},
+    "oracle": {"fabric", "scenario", "trace"},
+    "cli": {"engine", "fabric", "oracle", "scenario", "trace"},
+}
+
+
+def test_each_module_reaches_only_the_layers_below_it():
+    modules = {path.stem for path in (ROOT / "src" / "memfabric").glob("*.py")}
+    assert modules - {"__init__"} == set(LAYERS)
+    assert {module: _import_closure(module) for module in LAYERS} == LAYERS
+
+
+def test_the_fabric_and_its_signals_are_defined_in_the_engine_alone():
+    # The simulation's layout (sim.fabric, sim.driver, sim.queue, sim.emit) and
+    # the dispatch protocol, payload.fire(sim, tick), are known to one module.
+    defined = {}
+    for path in sorted((ROOT / "src" / "memfabric").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            methods = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+            if node.name == "Fabric" or "fire" in methods:
+                defined.setdefault(node.name, []).append(path.stem)
+    signals = ("CpuEnable", "AutoEnable", "WordDone", "OverrideSet")
+    assert defined == {name: ["engine"] for name in ("Fabric", *signals)}
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

@@ -239,8 +239,14 @@ def test_verify_pairs_each_enable_with_its_done(tmp_path, capsys, line, replacem
             '{"t":141,"ev":"override_blocked","word":1,"pair":[2,1],"episode":0}',
             '{"t":141,"ev":"loop_suppressed","word":1,"pair":[2,1],"episode":0}',
         ),
+        (
+            # parse_trace accepts any stage >= 0; no run writes an override_set with stage 2.
+            (SCENARIOS / "override.scn").read_text(encoding="utf-8"),
+            '{"t":400,"ev":"override_set","pair":[1,3],"stage":1}',
+            '{"t":400,"ev":"override_set","pair":[1,3],"stage":2}',
+        ),
     ],
-    ids=["cycle-suppressed-as-scheduled", "override-blocked-as-suppressed"],
+    ids=["cycle-suppressed-as-scheduled", "override-blocked-as-suppressed", "override-stage-2"],
 )
 def test_verify_requires_the_replay_outcome_the_definition_owes(
     tmp_path, capsys, text, line, replacement
