@@ -180,6 +180,14 @@ def _parse_kv(tokens: list[str], allowed: dict[str, bool], what: str) -> dict[st
     return out
 
 
+class _WordIds(dict):
+    """Word-id tokens, each converted once; a token that fails raises and is not kept."""
+
+    def __missing__(self, token: str) -> int:
+        word = self[token] = parse_int(token, "word id")
+        return word
+
+
 _FABRIC_ARGS = {"words": True, "delay1": True, "delay2": True, "threshold": True, "mode": False}
 _PLAN_ARGS = {"reps": True, "gap": True, "rest": True, "start": True}
 
@@ -187,7 +195,9 @@ _PLAN_ARGS = {"reps": True, "gap": True, "rest": True, "start": True}
 def parse_scenario(text: str | Iterable[str]) -> Scenario:
     """``text`` is the whole scenario, or its blocks as :func:`~memfabric.trace.read_blocks`
     gives them; a byte they fail to decode (a :class:`UnicodeError`) is a
-    :class:`ParseError` of its line."""
+    :class:`ParseError` of its line. Each distinct word-id token of the
+    ``at`` lines is converted once per parse, and a token that fails to
+    convert raises and is never kept."""
     fabric: tuple[int, list[int], str] | None = None  # (line, [words, delays, threshold], mode)
     default_dur: int | None = None
     durations: dict[int, int] = {}  # word -> its own duration
@@ -196,6 +206,9 @@ def parse_scenario(text: str | Iterable[str]) -> Scenario:
     probes: dict[int, Probe] = {}
     overrides: dict[int, OverrideDirective] = {}
     max_tick: int | None = None
+    # The at lines' word ids, which repeat. A plan's rarely do, and a miss costs
+    # more than a plain conversion, so the plans convert theirs where they stand.
+    word_ids = _WordIds()
     # ``line`` always holds the line being checked: the one being read, then the
     # directive's line of each whole-file rule. Every error is located below.
     line: int | None = 1
@@ -203,11 +216,28 @@ def parse_scenario(text: str | Iterable[str]) -> Scenario:
         for block in (text,) if isinstance(text, str) else text:
             # a block's last item, after its final newline, is the next block's first line
             for line, raw in enumerate(split_lines(block), start=line):
-                tokens = raw.split("#", 1)[0].split()
+                tokens = raw.partition("#")[0].split()
                 if not tokens:
                     continue
                 head = tokens[0]
-                if head == "fabric":
+                if head == "at":  # the directive that repeats, so tested first
+                    if len(tokens) < 3:
+                        raise ParseError("at directive needs a tick and an action")
+                    tick, action = parse_int(tokens[1], "tick"), tokens[2]
+                    if action == "probe":
+                        if len(tokens) != 4:
+                            raise ParseError("probe takes exactly one word id")
+                        probes[line] = Probe(tick, word_ids[tokens[3]])
+                    elif action == "override":
+                        if len(tokens) != 6:
+                            raise ParseError("override takes two word ids and open|closed")
+                        i, j, state = word_ids[tokens[3]], word_ids[tokens[4]], tokens[5]
+                        if state not in ("open", "closed"):
+                            raise ParseError(f"override state must be open or closed, got {state!r}")
+                        overrides[line] = OverrideDirective(tick, i, j, state == "open")
+                    else:
+                        raise ParseError(f"unknown action {action!r} after 'at'")
+                elif head == "fabric":
                     if fabric is not None:
                         raise ParseError("duplicate fabric directive")
                     args = _parse_kv(tokens[1:], _FABRIC_ARGS, "fabric")
@@ -235,23 +265,6 @@ def parse_scenario(text: str | Iterable[str]) -> Scenario:
                     words = [parse_int(token, "word id") for token in tokens[1:kv]]
                     args = _parse_kv(tokens[kv:], _PLAN_ARGS, "rehearse")
                     plans[line] = RehearsalPlan(words, **{k: parse_int(v, k) for k, v in args.items()})
-                elif head == "at":
-                    if len(tokens) < 3:
-                        raise ParseError("at directive needs a tick and an action")
-                    tick = parse_int(tokens[1], "tick")
-                    if tokens[2] == "probe":
-                        if len(tokens) != 4:
-                            raise ParseError("probe takes exactly one word id")
-                        probes[line] = Probe(tick, parse_int(tokens[3], "word id"))
-                    elif tokens[2] == "override":
-                        if len(tokens) != 6:
-                            raise ParseError("override takes two word ids and open|closed")
-                        i, j = parse_int(tokens[3], "word id"), parse_int(tokens[4], "word id")
-                        if tokens[5] not in ("open", "closed"):
-                            raise ParseError(f"override state must be open or closed, got {tokens[5]!r}")
-                        overrides[line] = OverrideDirective(tick, i, j, tokens[5] == "open")
-                    else:
-                        raise ParseError(f"unknown action {tokens[2]!r} after 'at'")
                 elif head == "maxticks":
                     if max_tick is not None:
                         raise ParseError("duplicate maxticks directive")

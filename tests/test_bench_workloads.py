@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 
 import memfabric.cli
+import memfabric.scenario
 import memfabric.trace
 from memfabric import (
     FabricConfig,
@@ -103,6 +104,25 @@ def test_parse_and_build_check_each_word_no_more_often(monkeypatch):
         monkeypatch.setattr(FabricConfig, method, counted)
     build_simulation(parse_scenario(text))
     assert calls["check_word"] <= 3160 and calls["check_pair"] <= 1000, calls
+
+
+def test_the_parse_converts_each_at_line_word_id_once(monkeypatch):
+    # Every tick and every other integer token is converted where it stands,
+    # the plans' 160 word ids too, but a word-id token of an at line only the
+    # first time the parse meets it: the 3,000 word ids of the probes and
+    # overrides name 160 distinct words. Converting each word id where it
+    # stands made 5,246 calls.
+    name = "replay_override"
+    text = workloads.generate(name, workloads.WORKLOADS[name][1])
+    convert, calls = memfabric.scenario.parse_int, []
+
+    def counted(token, what):
+        calls.append(what)
+        return convert(token, what)
+
+    monkeypatch.setattr(memfabric.scenario, "parse_int", counted)
+    parse_scenario(text)
+    assert len(calls) <= 2406 and calls.count("word id") <= 320, len(calls)
 
 
 @pytest.mark.parametrize("mode", ["plain", "traced"])

@@ -21,7 +21,7 @@ from memfabric import (
     parse_scenario,
     run_scenario,
 )
-from memfabric.engine import EventQueue
+from memfabric.engine import CpuEnable, EventQueue, OverrideSet
 from conftest import OVERRIDE_CYCLE, run_text, simulation, step_until
 from test_scenario import scenarios
 
@@ -100,6 +100,34 @@ def test_a_run_cut_with_only_setup_events_pending_resumes_like_an_unlimited_run(
     assert cut.records == whole.records
     arrivals = [(r.t, r.word) for r in whole.records if r.ev == "enable"]
     assert arrivals == [(10, 1), (100, 1), (200, 1)]
+
+
+def test_setup_fires_overrides_then_probes_then_the_plans_first_enables():
+    # All at tick 0, the kinds interleaved in the file: each kind keeps its
+    # file order, and episodes are numbered probes first.
+    scenario = parse_scenario(
+        "fabric words=6 delay1=2 delay2=1 threshold=1\ndur * 3\n"
+        "rehearse 3 4 reps=1 gap=0 rest=0 start=0\n"
+        "at 0 probe 1\n"
+        "at 0 override 1 2 open\n"
+        "rehearse 5 6 reps=1 gap=0 rest=0 start=0\n"
+        "at 0 probe 2\n"
+        "at 0 override 2 1 closed\n"
+        "maxticks 100\n"
+    )
+    sim = build_simulation(scenario)
+    fired = [sim.step() for _ in range(6)]
+    assert [(e.tick, e.seq) for e in fired] == [(0, seq) for seq in range(6)]
+    assert [e.payload for e in fired] == [
+        OverrideSet((1, 2), True),
+        OverrideSet((2, 1), False),
+        CpuEnable(1, 0),
+        CpuEnable(2, 1),
+        CpuEnable(3, 2),
+        CpuEnable(5, 3),
+    ]
+    assert [type(e.payload) for e in fired] == [OverrideSet] * 2 + [CpuEnable] * 4
+    assert sim.queue.peek_tick() > 0
 
 
 def test_step_pops_least_and_advances_clock():

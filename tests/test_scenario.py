@@ -96,6 +96,12 @@ def test_comments_and_blank_lines_are_skipped():
         pytest.param(
             "at " + "9" * 5000 + " probe 1", 3, ParseError, "tick is not an integer", id="overlong-tick"
         ),
+        # An at line's word-id token is converted once per parse; one that fails is never kept.
+        ("at 5 probe x\nat 6 probe x", 3, ParseError, "word id is not an integer"),
+        ("at 5 override 1 x open\nat 6 override 1 x open", 3, ParseError, "word id is not an integer"),
+        pytest.param(
+            "at 5 probe " + "9" * 5000, 3, ParseError, "word id is not an integer", id="overlong-word-id"
+        ),
         ("at -1 probe 1", 3, ValidationError, "probe tick must be >= 0"),
         ("at -1 override 1 2 open", 3, ValidationError, "override tick must be >= 0"),
     ],
