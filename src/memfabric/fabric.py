@@ -1,9 +1,10 @@
 """The fabric's definition: :class:`FabricConfig`, :class:`Durations`, the
-filter modes, the rules each input keeps where it enters (``check_int``,
-the config's ``check_word``, ``check_pair`` and ``check_duration``, and
-:class:`CheckedTuple`) and the three error classes. It imports nothing from
-the package: the fabric that runs, and its signals, are in
-:mod:`memfabric.engine`.
+filter modes, the rules each input keeps where it enters (``check_int``;
+``check_word``, the word rule's one body, which ``Durations``, the config
+and the scenario's parts call; the config's ``check_pair`` and
+``check_duration``; and :class:`CheckedTuple`) and the three error classes.
+It imports nothing from the package: the fabric that runs, and its signals,
+are in :mod:`memfabric.engine`.
 """
 
 from __future__ import annotations
@@ -54,6 +55,12 @@ def check_int(value, least: int, what: str, error: type[ValueError] = ValueError
         raise error(f"{what} must be >= {least}, got {value}")
 
 
+def check_word(word, word_count: int) -> None:
+    """The word rule: word ids are the ints from 1 to ``word_count``."""
+    if type(word) is not int or not 1 <= word <= word_count:
+        raise UnknownWordError(f"word {word!r} outside 1..{word_count}")
+
+
 def _unnamed(named: Mapping[int, int]) -> Iterator[int]:
     """The words that ``named`` leaves out, ascending; the first is at most ``len(named) + 1``."""
     return (word for word in count(1) if word not in named)
@@ -66,16 +73,19 @@ class Durations(Mapping):
     ``default``, the most common duration (on a tie, the first in word order),
     and ``exceptions``, the words whose duration differs. It behaves as a
     read-only dict with no hash but never builds one, and it pickles and
-    copies through the constructor, which checks each duration."""
+    copies through the constructor, which checks each word, then each duration."""
 
     __slots__ = ("_parts",)  # (word_count, default, exceptions)
 
     def __init__(self, word_count: int, default: int | None, named: Mapping[int, int]):
+        named = dict(named)  # a mapping, or (word, duration) pairs as dict takes them
+        for word in named:
+            check_word(word, word_count)
         named = dict(sorted(named.items()))
         for word, dur in named.items():
             FabricConfig.check_duration(word, dur)
         if default is None:
-            word_count = min(word_count, next(_unnamed(named)) - 1)
+            word_count = next(_unnamed(named)) - 1
             named = {word: dur for word, dur in named.items() if word <= word_count}
         spare = word_count - len(named)  # the words that run for the default
         rank = {}  # duration -> (its words, minus its first word); the greatest is the most common
@@ -132,9 +142,9 @@ class FabricConfig(
     it may not exceed ``delay1``. ``threshold`` is the register depth:
     the number of qualifying repetitions after which a pair is learned.
     ``durations`` maps every word, and nothing else, to its duration.
-    Any mapping is kept as :class:`Durations`, at the cost of its length,
-    so later edits of the caller's mapping cannot undo its checks, and a
-    config has no hash.
+    Any other mapping is built into :class:`Durations`, at the cost of its
+    length, so later edits of the caller's mapping cannot undo its checks,
+    and a config has no hash.
     """
 
     __slots__ = ()
@@ -157,17 +167,13 @@ class FabricConfig(
         check_int(threshold, 1, "threshold", InvalidConfigError)
         if filter_mode not in FILTER_MODES:
             raise InvalidConfigError(f"mode must be done_enable or done_done, got {filter_mode!r}")
-        config = tuple.__new__(cls, (word_count, delay1, delay2, threshold, durations, filter_mode))
         if not isinstance(durations, Durations):  # any other mapping pays for its own length
-            durations = dict(durations)
-            for word in durations:  # a stray key, or one such as 1.0 that equals a word
-                config.check_word(word)
-            return config._replace(durations=Durations(word_count, None, durations))
+            durations = Durations(word_count, None, durations)
         if len(durations) < word_count:  # the durations end before the fabric does
             raise InvalidConfigError(f"no duration for word {len(durations) + 1}")
         if len(durations) > word_count:  # a fabric smaller than its durations
-            config.check_word(word_count + 1)
-        return config
+            check_word(word_count + 1, word_count)
+        return tuple.__new__(cls, (word_count, delay1, delay2, threshold, durations, filter_mode))
 
     @classmethod
     def uniform(cls, word_count: int, *, duration: int, **fields) -> "FabricConfig":
@@ -181,13 +187,12 @@ class FabricConfig(
         check_int(dur, 1, f"duration of word {word}", InvalidConfigError)
 
     def check_word(self, word: int) -> None:
-        """The word-range rule: word ids are the ints from 1 to ``word_count``."""
-        if type(word) is not int or not 1 <= word <= self.word_count:
-            raise UnknownWordError(f"word {word!r} outside 1..{self.word_count}")
+        """The word rule, :func:`check_word`, for a word of this fabric."""
+        check_word(word, self.word_count)
 
     def check_pair(self, i: int, j: int) -> None:
         """The pair rule: both words in range, and no self connection."""
-        self.check_word(i)
-        self.check_word(j)
+        check_word(i, self.word_count)
+        check_word(j, self.word_count)
         if i == j:
             raise SelfPairError(f"pair ({i}, {j}) is a self pair")

@@ -24,8 +24,10 @@ legitimate negative control (the rehearsed pairs fall outside every
 coincidence window).
 
 Its parts, :class:`RehearsalPlan`, :class:`Probe` and :class:`OverrideDirective`,
-are defined here and check themselves when built; nothing here comes from
-the run (the engine, its CPU model ``Driver``, the fabric's runtime).
+are defined here and check themselves when built; their words are checked
+against a config by :func:`~memfabric.fabric.check_word`, the word rule's one
+body, when a :class:`Scenario` is built. Nothing here comes from the run (the
+engine, its CPU model ``Driver``, the fabric's runtime).
 
 At setup, directives are scheduled in a fixed order: overrides first
 (file order), then probes (file order), then plans (file order). An
@@ -40,7 +42,7 @@ import os
 from collections import Counter, namedtuple
 from collections.abc import Iterable
 
-from memfabric.fabric import DONE_ENABLE, CheckedTuple, Durations, FabricConfig, check_int
+from memfabric.fabric import DONE_ENABLE, CheckedTuple, Durations, FabricConfig, check_int, check_word
 from memfabric.trace import (
     EV_ENABLE,
     EV_IGNORED_ENABLE,
@@ -72,6 +74,26 @@ class InvalidPlanError(ValueError):
     """A rehearsal plan violates its structural constraints."""
 
 
+def _check_distinct(sequence: tuple) -> None:
+    """The plan's distinct-word rule, naming the first word, in order, that an
+    earlier word equals: in one pass when the words hash, by equality when one does not."""
+    seen = set()
+    try:
+        for word in sequence:
+            if word in seen:
+                break
+            seen.add(word)
+        else:
+            return
+    except TypeError:  # a word with no hash
+        for i, word in enumerate(sequence):
+            if word in sequence[:i]:
+                break
+        else:
+            return
+    raise InvalidPlanError(f"word {word} repeats in the sequence; states must be distinct")
+
+
 class RehearsalPlan(CheckedTuple, namedtuple("RehearsalPlan", "sequence reps gap rest start")):
     __slots__ = ()
 
@@ -79,19 +101,18 @@ class RehearsalPlan(CheckedTuple, namedtuple("RehearsalPlan", "sequence reps gap
         sequence = tuple(sequence)
         if len(sequence) < 2:
             raise InvalidPlanError("a plan needs at least 2 words")
-        for i, word in enumerate(sequence):  # by equality: a word need not hash
-            if word in sequence[:i]:
-                raise InvalidPlanError(f"word {word} repeats in the sequence; states must be distinct")
+        _check_distinct(sequence)
         check_int(reps, 1, "reps", InvalidPlanError)
         check_int(gap, 0, "gap", InvalidPlanError)
         check_int(rest, 0, "rest", InvalidPlanError)
         check_int(start, 0, "start", InvalidPlanError)
         return tuple.__new__(cls, (sequence, reps, gap, rest, start))
 
-    def check_words(self, config) -> None:
+    def check_words(self, config: FabricConfig) -> None:
         """Every word of the sequence is a word of ``config``'s fabric."""
+        word_count = config.word_count
         for word in self.sequence:
-            config.check_word(word)
+            check_word(word, word_count)
 
 
 class Probe(CheckedTuple, namedtuple("Probe", "tick word")):
@@ -101,9 +122,9 @@ class Probe(CheckedTuple, namedtuple("Probe", "tick word")):
         check_int(tick, 0, "probe tick")
         return tuple.__new__(cls, (tick, word))
 
-    def check_words(self, config) -> None:
+    def check_words(self, config: FabricConfig) -> None:
         """The probed word is a word of ``config``'s fabric."""
-        config.check_word(self.word)
+        check_word(self.word, config.word_count)
 
 
 class OverrideDirective(CheckedTuple, namedtuple("OverrideDirective", "tick i j is_open")):
@@ -125,16 +146,28 @@ class Scenario(
     namedtuple("Scenario", "config plans probes overrides max_tick warnings"),
 ):
     """A scenario that can run: its tick limit keeps the rule of ``maxticks``,
-    and each plan, probe and override checks its words against ``config``.
+    ``config`` is a :class:`FabricConfig`, and each slot, in field order,
+    holds parts of its own kind only, each of which checks its words
+    against ``config``.
     Parts and warnings are kept as tuples; equality leaves the warnings out."""
 
     __slots__ = ()
 
     def __new__(cls, config, plans, probes, overrides, max_tick: int, warnings=()):
         check_max_tick(max_tick)
+        if type(config) is not FabricConfig:
+            raise TypeError(f"config is not a FabricConfig: {config!r}")
         plans, probes, overrides = tuple(plans), tuple(probes), tuple(overrides)
-        for part in (*plans, *probes, *overrides):
-            part.check_words(config)
+        for slot, kind, parts in (
+            ("plans", RehearsalPlan, plans),
+            ("probes", Probe, probes),
+            ("overrides", OverrideDirective, overrides),
+        ):
+            if not set(map(type, parts)) <= {kind}:  # one test of the slot's types
+                part = next(part for part in parts if type(part) is not kind)
+                raise TypeError(f"{slot} holds only {kind.__name__}s, got {part!r}")
+            for part in parts:
+                part.check_words(config)
         return tuple.__new__(cls, (config, plans, probes, overrides, max_tick, tuple(warnings)))
 
     def __eq__(self, other):

@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 
 import memfabric.cli
+import memfabric.fabric
 import memfabric.scenario
 import memfabric.trace
 from memfabric import (
@@ -90,18 +91,25 @@ def test_parse_and_build_check_each_word_no_more_often(monkeypatch):
     # Each part's words are checked once, when the Scenario is built; building
     # the simulation checks none again. The bounds are those counts: the words
     # of the plans (160) and probes (1,000) and two per override (1,000), as
-    # check_word's count includes the two calls of each check_pair.
+    # check_word's count includes the two calls of each check_pair. The word
+    # rule is counted where its body runs, the function check_word, which the
+    # parts, check_pair and FabricConfig.check_word all call.
     name = "replay_override"
     text = workloads.generate(name, workloads.WORKLOADS[name][1])
     calls = {"check_word": 0, "check_pair": 0}
-    for method in calls:
-        check = getattr(FabricConfig, method)
+    check_word, check_pair = memfabric.fabric.check_word, FabricConfig.check_pair
 
-        def counted(self, *words, check=check, method=method):
-            calls[method] += 1
-            return check(self, *words)
+    def counted_word(word, word_count):
+        calls["check_word"] += 1
+        return check_word(word, word_count)
 
-        monkeypatch.setattr(FabricConfig, method, counted)
+    def counted_pair(self, i, j):
+        calls["check_pair"] += 1
+        return check_pair(self, i, j)
+
+    for module in (memfabric.fabric, memfabric.scenario):  # each module's name for it
+        monkeypatch.setattr(module, "check_word", counted_word)
+    monkeypatch.setattr(FabricConfig, "check_pair", counted_pair)
     build_simulation(parse_scenario(text))
     assert calls["check_word"] <= 3160 and calls["check_pair"] <= 1000, calls
 

@@ -44,6 +44,29 @@ def test_plan_with_repeated_word_is_rejected():
         RehearsalPlan(sequence=(1, 3, 1, 2), reps=1, gap=2, rest=0, start=0)
 
 
+def test_a_plan_names_its_first_repeated_word_in_one_pass():
+    class Word(int):
+        """An int that counts the equality tests made on it."""
+
+        tests = 0
+        __hash__ = int.__hash__
+
+        def __eq__(self, other):
+            Word.tests += 1
+            return int.__eq__(self, other)
+
+    words = [Word(word) for word in range(1, 1001)]
+    RehearsalPlan(words, reps=1, gap=0, rest=0, start=0)
+    assert Word.tests <= len(words)  # a test against every earlier word makes 499,500
+    Word.tests = 0
+    with pytest.raises(InvalidPlanError, match="^word 7 repeats in the sequence"):
+        RehearsalPlan([*words, Word(7), Word(3)], reps=1, gap=0, rest=0, start=0)
+    assert Word.tests <= len(words) + 2
+    for sequence, first in [((1, 2, 3, 2, 1), 2), ((True, 1), 1), ((2, 1.0, 3, 1), 1)]:
+        with pytest.raises(InvalidPlanError, match=f"^word {first} repeats in the sequence"):
+            RehearsalPlan(sequence, reps=1, gap=0, rest=0, start=0)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import re
 from bisect import insort
 
 import pytest
@@ -112,6 +113,57 @@ def test_every_way_to_build_a_config_checks_it(field, bad):
 def test_every_way_to_build_a_config_keeps_the_durations_to_its_words(durations, field, bad):
     config = FabricConfig(len(durations), delay1=5, delay2=1, threshold=1, durations=durations)
     assert_every_path_checks(config, field, bad, UnknownWordError)
+
+
+@pytest.mark.parametrize(
+    "named, stray",
+    [({7: 9}, 7), ({3: 9, 7: 9}, 7), ({0: 9}, 0), ({1.0: 9}, 1.0), ({"a": 1, 1: 2}, "a")],
+)
+def test_durations_keep_to_the_words_they_name(named, stray):
+    message = f"^word {re.escape(repr(stray))} outside 1..3$"
+    # built here, past the constructor, so that the copies below must check it
+    unchecked = object.__new__(Durations)
+    unchecked._parts = (3, 4, named)
+    config = _config(word_count=3)
+    holding = tuple.__new__(FabricConfig, (*config[:4], unchecked, config.filter_mode))
+    builds = [
+        lambda: Durations(3, 4, named),
+        lambda: FabricConfig(3, 5, 1, 1, Durations(3, 4, named)),
+        lambda: FabricConfig(3, 5, 1, 1, named),
+        lambda: pickle.loads(pickle.dumps(unchecked)),
+        lambda: copy.copy(unchecked),
+        lambda: copy.deepcopy(unchecked),
+        lambda: pickle.loads(pickle.dumps(holding)),
+        lambda: copy.deepcopy(holding),
+    ]
+    for build in builds:
+        with pytest.raises(UnknownWordError, match=message):
+            build()
+    assert_every_path_checks(config, "durations", dict(named), UnknownWordError)
+
+
+@pytest.mark.parametrize(
+    "named, error, message",
+    [  # the type, the words in the given order, the durations in word order, then the length
+        ({1: 0, 5: 4}, UnknownWordError, "word 5 outside 1..2"),
+        ({9: 4, 1: 0, 7: 4}, UnknownWordError, "word 9 outside 1..2"),
+        ({2: 0, 1: True}, InvalidConfigError, "duration of word 1 is not an integer: True"),
+        ({2: 0}, InvalidConfigError, "duration of word 2 must be >= 1, got 0"),
+        ({2: 4}, InvalidConfigError, "no duration for word 1"),
+    ],
+)
+def test_durations_with_several_faults_name_the_first_rule_they_break(named, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        FabricConfig(2, 5, 1, 1, named)
+
+
+def test_a_config_takes_its_durations_as_pairs_too():
+    # As dict() takes them: the words are checked all the same.
+    uniform = FabricConfig.uniform(2, duration=4, delay1=5, delay2=1, threshold=1)
+    assert FabricConfig(2, 5, 1, 1, [(1, 4), (2, 4)]) == uniform
+    assert Durations(3, 4, [(3, 9)]) == {1: 4, 2: 4, 3: 9}
+    with pytest.raises(UnknownWordError, match="^word 7 outside 1..3$"):
+        Durations(3, 4, [(3, 9), (7, 9)])
 
 
 @pytest.mark.parametrize("word_count", [3, 10**9])

@@ -493,6 +493,12 @@ def test_every_way_to_build_an_override_checks_it():
         ("overrides", (OverrideDirective(tick=5, i=4, j=1, is_open=True),), UnknownWordError),
         ("overrides", (OverrideDirective(tick=5, i=2, j=2, is_open=True),), SelfPairError),
         ("config", FabricConfig(2, 5, 1, 3, {1: 4, 2: 4}), UnknownWordError),
+        # a part of another slot's kind, or a config that is no FabricConfig
+        ("plans", (Probe(tick=0, word=1),), TypeError),
+        ("plans", ((1, 3),), TypeError),
+        ("probes", (OverrideDirective(tick=5, i=2, j=3, is_open=True),), TypeError),
+        ("overrides", (Probe(tick=5, word=1),), TypeError),
+        ("config", {"word_count": 3}, TypeError),
     ]
     + [  # a word equal to a word of the fabric, but no int
         (field, (part,), UnknownWordError)
@@ -516,6 +522,15 @@ def test_every_way_to_build_a_scenario_checks_the_words_of_its_parts(field, bad,
         "maxticks 1000\n"
     )
     assert_every_path_checks(parse_scenario(text), field, bad, error)
+
+
+def test_a_scenario_names_the_slot_or_config_of_another_kind():
+    config = FabricConfig(3, 5, 1, 3, {1: 4, 2: 4, 3: 4})
+    override = OverrideDirective(tick=5, i=2, j=3, is_open=True)
+    with pytest.raises(TypeError, match=r"^probes holds only Probes, got OverrideDirective\(tick=5,"):
+        Scenario(config, (), (Probe(tick=0, word=1), override), (), 100)
+    with pytest.raises(TypeError, match=r"^config is not a FabricConfig: \{'word_count': 3\}$"):
+        Scenario({"word_count": 3}, (), (), (), 100)
 
 
 def test_every_way_to_build_a_scenario_checks_its_tick_limit():
