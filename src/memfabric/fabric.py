@@ -1,8 +1,9 @@
 """The fabric's definition: :class:`FabricConfig`, :class:`Durations`, the
 filter modes, the rules each input keeps where it enters (``check_int``;
-``check_word``, the word rule's one body, which ``Durations``, the config
-and the scenario's parts call; the config's ``check_pair`` and
-``check_duration``; and :class:`CheckedTuple`) and the three error classes.
+``check_word_count``, the size rule's one body, which ``Durations`` and the
+config call; ``check_word``, the word rule's one body, which they and the
+scenario's parts call; the config's ``check_pair`` and ``check_duration``;
+and :class:`CheckedTuple`) and the three error classes.
 It imports nothing from the package: the fabric that runs, and its signals,
 are in :mod:`memfabric.engine`.
 """
@@ -55,6 +56,12 @@ def check_int(value, least: int, what: str, error: type[ValueError] = ValueError
         raise error(f"{what} must be >= {least}, got {value}")
 
 
+def check_word_count(word_count) -> None:
+    """The fabric-size rule: a fabric has an int number of words, at least 2."""
+    if type(word_count) is not int or word_count < 2:
+        raise InvalidConfigError(f"need at least 2 words, got {word_count!r}")
+
+
 def check_word(word, word_count: int) -> None:
     """The word rule: word ids are the ints from 1 to ``word_count``."""
     if type(word) is not int or not 1 <= word <= word_count:
@@ -73,11 +80,13 @@ class Durations(Mapping):
     ``default``, the most common duration (on a tie, the first in word order),
     and ``exceptions``, the words whose duration differs. It behaves as a
     read-only dict with no hash but never builds one, and it pickles and
-    copies through the constructor, which checks each word, then each duration."""
+    copies through the constructor, which checks its size as a config does,
+    then each word, then each duration."""
 
     __slots__ = ("_parts",)  # (word_count, default, exceptions)
 
     def __init__(self, word_count: int, default: int | None, named: Mapping[int, int]):
+        check_word_count(word_count)
         named = dict(named)  # a mapping, or (word, duration) pairs as dict takes them
         for word in named:
             check_word(word, word_count)
@@ -158,8 +167,7 @@ class FabricConfig(
         durations: Mapping[int, int],
         filter_mode: str = DONE_ENABLE,
     ):
-        if type(word_count) is not int or word_count < 2:
-            raise InvalidConfigError(f"need at least 2 words, got {word_count!r}")
+        check_word_count(word_count)
         check_int(delay1, 1, "delay1", InvalidConfigError)
         check_int(delay2, 1, "delay2", InvalidConfigError)
         if delay2 > delay1:

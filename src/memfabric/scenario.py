@@ -148,7 +148,7 @@ class Scenario(
     """A scenario that can run: its tick limit keeps the rule of ``maxticks``,
     ``config`` is a :class:`FabricConfig`, and each slot, in field order,
     holds parts of its own kind only, each of which checks its words
-    against ``config``.
+    against ``config``, and ``warnings`` holds strs only.
     Parts and warnings are kept as tuples; equality leaves the warnings out."""
 
     __slots__ = ()
@@ -168,7 +168,9 @@ class Scenario(
                 raise TypeError(f"{slot} holds only {kind.__name__}s, got {part!r}")
             for part in parts:
                 part.check_words(config)
-        return tuple.__new__(cls, (config, plans, probes, overrides, max_tick, tuple(warnings)))
+        if isinstance(warnings, str) or not set(map(type, warnings := tuple(warnings))) <= {str}:
+            raise TypeError(f"warnings are a sequence of strs, got {warnings!r}")
+        return tuple.__new__(cls, (config, plans, probes, overrides, max_tick, warnings))
 
     def __eq__(self, other):
         return isinstance(other, Scenario) and self[:5] == other[:5]

@@ -8,8 +8,9 @@ runs produce byte-identical traces. :func:`format_trace` is the one
 writer of a line, and :meth:`TraceRecord.to_json_line` is the line it
 writes for one record. :func:`write_trace` formats and writes
 :data:`_WRITE_BATCH` records at a time. :func:`parse_trace` matches each
-line once in one regex scan of the text, or of each block of it that
-:func:`read_blocks` reads from a file. A line written here decodes from
+line once in one regex scan of the text, or of each block of whole lines
+that :func:`read_blocks` reads from a file: a read, and the rest of the
+line it ends in. A line written here decodes from
 the match: the fields it has pick one of the six field sets that
 :func:`format_trace` writes with an f-string, its kind must be one that
 set allows, and only those fields are converted, a tick once per run of
@@ -413,7 +414,7 @@ def parse_trace(text: str | Iterable[str]) -> list[TraceRecord]:
     return records
 
 
-_READ_BLOCK = 65536  # bytes read, and decoded, at a time
+_READ_BLOCK = 65536  # bytes read, and decoded, at a time, with the rest of the line they end in
 
 
 def _not_utf8(exc: UnicodeDecodeError, offset: int) -> str:
@@ -426,34 +427,19 @@ def _not_utf8(exc: UnicodeDecodeError, offset: int) -> str:
     return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
 
 
-def _whole_lines(file) -> Iterator[bytes]:
-    """The file's bytes, read :data:`_READ_BLOCK` at a time, each read cut
-    after its last ``\\n``: the rest starts the next block. The reads of a
-    line not yet ended are kept apart and joined once, so a long line
-    costs its length, not its length times its reads."""
-    rest = []
-    while chunk := file.read(_READ_BLOCK):
-        cut = chunk.rfind(b"\n") + 1
-        if cut:
-            rest.append(chunk[:cut])
-            yield b"".join(rest)
-            rest = [chunk[cut:]]
-        else:
-            rest.append(chunk)
-    if rest := b"".join(rest):
-        yield rest
-
-
 def read_blocks(path: str | os.PathLike) -> Iterator[str]:
     """A trace's or a scenario's text, for :func:`parse_trace` or ``parse_scenario``,
-    in blocks of whole lines, each read as :data:`_READ_BLOCK` bytes and cut
-    after its last newline. Bytes that are not UTF-8 raise :class:`UnicodeError`
+    in blocks of whole lines: each is :data:`_READ_BLOCK` bytes read, and the rest
+    of the line they end in, which ``readline`` reads in one pass however long it
+    is. Bytes that are not UTF-8 raise :class:`UnicodeError`
     (``not UTF-8 text: …``, at their file offset) after the text before their
     line, so the parser, which counts lines, finds a fault among those first.
     """
     offset = 0  # of the block's first byte in the file
     with open(path, "rb") as file:
-        for block in _whole_lines(file):
+        while block := file.read(_READ_BLOCK):
+            if not block.endswith(b"\n"):
+                block += file.readline()
             try:
                 text = block.decode("utf-8")
             except UnicodeDecodeError as exc:

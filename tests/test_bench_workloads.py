@@ -251,9 +251,9 @@ def test_verify_holds_the_records_and_a_few_blocks_of_text(tmp_path, monkeypatch
     argv = ["verify", str(scenario_path), str(trace_path)]
     footprint, peak = traced_peak(memfabric.cli.main, argv)
     assert kept == [result.records]
-    # Beyond the records it keeps, the decode holds about four 64 KiB blocks
-    # at a time (the bytes read, the bytes cut at a newline, their text and
-    # the next read) and its value cache, which goes when it ends; the
+    # Beyond the records it keeps, the decode holds about three 64 KiB blocks
+    # at a time (the bytes read, the same with the rest of their last line,
+    # and its text) and its value cache, which goes when it ends; the
     # trace's text alone is more than twice the bound.
     bound = 12 * 65536
     assert bound < trace_path.stat().st_size / 2

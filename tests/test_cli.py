@@ -6,6 +6,7 @@ import gc
 import json
 import os
 import subprocess
+import time
 import weakref
 from pathlib import Path
 from contextlib import closing
@@ -947,13 +948,22 @@ def test_a_command_that_runs_out_of_memory_exits_2_with_one_line(tmp_path):
         f.truncate(90_000_000)
     outputs = ["--trace", str(tmp_path / "long.trace.jsonl"), "--report", str(tmp_path / "r.json")]
     for argv in (["run", str(scenario), *outputs], ["verify", str(WORKED_EXAMPLE), str(trace)]):
-        proc = subprocess.run(
-            [*python_command(), "-c", capped_child(128), *argv],
-            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-            capture_output=True,
-            text=True,
-            encoding="utf-8",
-            timeout=60,
+        start = time.monotonic()
+        try:
+            proc = subprocess.run(
+                [*python_command(), "-c", capped_child(128), *argv],
+                env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                capture_output=True,
+                timeout=60,
+            )
+            code, out, err = proc.returncode, proc.stdout, proc.stderr
+        except subprocess.TimeoutExpired as exc:  # killed; what it printed comes with it
+            code, out, err = "none: timed out", exc.stdout or b"", exc.stderr or b""
+        out, err = out.decode("utf-8", "replace"), err.decode("utf-8", "replace")
+        # the child fills memory, so its time depends on the host's load: say it all
+        facts = (
+            f"{argv[0]} exited {code} after {time.monotonic() - start:.1f} s; "
+            f"stdout {out!r}; stderr ends {err.splitlines()[-5:]!r}"
         )
-        assert proc.returncode == 2, argv
-        assert (proc.stdout, proc.stderr) == ("", "error: out of memory\n"), argv
+        assert code == 2, facts
+        assert (out, err) == ("", "error: out of memory\n"), facts

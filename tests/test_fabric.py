@@ -142,6 +142,24 @@ def test_durations_keep_to_the_words_they_name(named, stray):
     assert_every_path_checks(config, "durations", dict(named), UnknownWordError)
 
 
+@pytest.mark.parametrize("word_count", [-1, 2.5, True, 0, 1])
+def test_durations_take_only_a_size_a_config_takes(word_count):
+    message = f"^need at least 2 words, got {re.escape(repr(word_count))}$"
+    unchecked = object.__new__(Durations)
+    unchecked._parts = (word_count, 4, {})
+    builds = [  # the size comes first: before a stray word, and before no default cuts it
+        lambda: Durations(word_count, 4, {}),
+        lambda: Durations(word_count, 4, {7: 9}),
+        lambda: Durations(word_count, None, {1: 4, 2: 4}),
+        lambda: FabricConfig(word_count, 5, 1, 1, {1: 4, 2: 4}),
+        lambda: pickle.loads(pickle.dumps(unchecked)),
+        lambda: copy.deepcopy(unchecked),
+    ]
+    for build in builds:
+        with pytest.raises(InvalidConfigError, match=message):
+            build()
+
+
 @pytest.mark.parametrize(
     "named, error, message",
     [  # the type, the words in the given order, the durations in word order, then the length

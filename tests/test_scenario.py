@@ -499,6 +499,9 @@ def test_every_way_to_build_an_override_checks_it():
         ("probes", (OverrideDirective(tick=5, i=2, j=3, is_open=True),), TypeError),
         ("overrides", (Probe(tick=5, word=1),), TypeError),
         ("config", {"word_count": 3}, TypeError),
+        # warnings that are no sequence of strs
+        ("warnings", "gap wide", TypeError),
+        ("warnings", [None, 3], TypeError),
     ]
     + [  # a word equal to a word of the fabric, but no int
         (field, (part,), UnknownWordError)
@@ -531,6 +534,8 @@ def test_a_scenario_names_the_slot_or_config_of_another_kind():
         Scenario(config, (), (Probe(tick=0, word=1), override), (), 100)
     with pytest.raises(TypeError, match=r"^config is not a FabricConfig: \{'word_count': 3\}$"):
         Scenario({"word_count": 3}, (), (), (), 100)
+    with pytest.raises(TypeError, match=r"^warnings are a sequence of strs, got 'gap wide'$"):
+        Scenario(config, (), (), (), 100, "gap wide")
 
 
 def test_every_way_to_build_a_scenario_checks_its_tick_limit():

@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import json
 import re
+import tracemalloc
 from pathlib import Path
 from contextlib import closing
 from unittest import mock
@@ -742,3 +743,45 @@ def test_a_malformed_line_before_a_bad_byte_is_named_first(tmp_path, gap, block)
     path = write_lines(tmp_path / "t.jsonl", lines)
     assert read_error(path, block) == "line 11: unknown event kind: 'mystery'"
     assert_read_as_by_the_reference(path, block)
+
+
+# one-byte, two-, three- and four-byte characters, in lines as long as 5 reads of 64
+_LINES = st.lists(
+    st.tuples(
+        st.text(st.sampled_from("a{é€\U0001f600"), max_size=320),
+        st.sampled_from(["\n", "\r\n", "\r"]),
+    ),
+    max_size=8,
+)
+
+
+@given(lines=_LINES, last=st.sampled_from(["", "\n", "x", "é\r"]), block=st.integers(1, 64))
+def test_the_reader_gives_whole_lines_of_one_read_and_the_rest_of_a_line(
+    tmp_path_factory, lines, last, block
+):
+    text = "".join(line + end for line, end in lines) + last
+    path = tmp_path_factory.getbasetemp() / "lines.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(memfabric.trace, "_READ_BLOCK", block):
+        blocks = list(read_blocks(path))
+    assert "".join(blocks) == text
+    assert all(blocks) and all(part.endswith("\n") for part in blocks[:-1])
+    for part in map(str.encode, blocks):
+        # one read that ends in a newline, or one that ends in the block's last line
+        assert len(part) <= block or part.rfind(b"\n", 0, len(part) - 1) < block - 1
+
+
+def test_a_long_line_is_read_at_twice_its_length(tmp_path):
+    # Its bytes and its text; pieces of the line kept while its text is
+    # decoded would make it three times.
+    path = tmp_path / "long.txt"
+    path.write_bytes(b"x" * 8_000_000 + b"\n")
+    tracemalloc.start()
+    try:
+        with mock.patch.object(memfabric.trace, "_READ_BLOCK", 65536):
+            sizes = [len(part) for part in read_blocks(path)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [8_000_001]
+    assert peak <= 2.5 * 8_000_001
