@@ -383,9 +383,6 @@ class Driver:
         self._added += 1
         sim.queue.schedule(tick, _new(CpuEnable, (word, episode)))
 
-    def unfinished_plans(self) -> int:
-        return sum(map(len, self._awaiting.values()))
-
     def on_done(self, sim, word: int, tick: int) -> None:
         entries = self._awaiting.pop(word, None)
         if entries is None:

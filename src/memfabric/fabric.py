@@ -183,11 +183,6 @@ class FabricConfig(
             check_word(word_count + 1, word_count)
         return tuple.__new__(cls, (word_count, delay1, delay2, threshold, durations, filter_mode))
 
-    @classmethod
-    def uniform(cls, word_count: int, *, duration: int, **fields) -> "FabricConfig":
-        """Config with the same duration for every word; ``fields`` are the others by name."""
-        return cls(word_count, durations=Durations(word_count, duration, {}), **fields)
-
     @staticmethod
     def check_duration(word: int | str, dur: int) -> None:
         """The duration rule: a word runs for at least one tick. ``word`` is

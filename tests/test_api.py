@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,10 +45,39 @@ def test_all_lists_exactly_the_supported_names():
         assert getattr(memfabric, name) is not None, name
 
 
+def _public_definitions(body):
+    """The public functions, classes and methods of a module or class body."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from _public_definitions(node.body)
+
+
+def test_every_public_definition_has_a_user_outside_the_tests():
+    # API that only tests call is code to delete: each public function, class
+    # and method of the package is named, as a whole word, in src/, demos/,
+    # perfbench/ or README.md on some line that defines nothing of that name.
+    sources = sorted((ROOT / "src" / "memfabric").glob("*.py"))
+    readers = [*sources, *sorted((ROOT / "demos").glob("*.py")), ROOT / "README.md"]
+    readers += sorted(p for p in (ROOT / "perfbench").iterdir() if p.suffix in (".py", ".md"))
+    lines = {path: path.read_text(encoding="utf-8").splitlines() for path in readers}
+    definitions = {}  # name -> the (path, line) of each definition
+    for path in sources:
+        for node in _public_definitions(ast.parse("\n".join(lines[path]), str(path)).body):
+            definitions.setdefault(node.name, set()).add((path, node.lineno))
+    places = {}  # word -> the (path, line) of each line that names it
+    for path, text in lines.items():
+        for number, line in enumerate(text, 1):
+            for word in re.findall(r"\w+", line):
+                places.setdefault(word, set()).add((path, number))
+    assert [name for name, defining in definitions.items() if places[name] <= defining] == []
+
+
 def test_a_simulation_has_no_public_way_to_add_a_part():
     # A run is built only by build_simulation from a checked Scenario, so no
     # method may queue a plan, a probe or an override of its own.
-    config = memfabric.FabricConfig.uniform(2, delay1=5, delay2=1, threshold=1, duration=4)
+    config = memfabric.FabricConfig(2, 5, 1, 1, {1: 4, 2: 4})
     sim = memfabric.Simulation(config)
     assert {name for name in dir(sim) if not name.startswith("_")} == {
         "config", "clock", "queue", "fabric", "driver", "records", "emit",

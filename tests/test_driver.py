@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from memfabric import (
     InvalidPlanError,
     Probe,
+    QUIESCENT,
     RehearsalPlan,
+    RunOutcome,
     Scenario,
     UnknownWordError,
     count_detections,
+    format_trace,
+    verify_run,
 )
-from memfabric.fabric import FabricConfig
+from memfabric.fabric import Durations, FabricConfig
 from memfabric.trace import (
+    EV_AUTO_ENABLE_SCHEDULED,
     EV_DONE,
     EV_ENABLE,
     EV_IGNORED_ENABLE,
@@ -62,8 +69,11 @@ def test_a_plan_names_its_first_repeated_word_in_one_pass():
     with pytest.raises(InvalidPlanError, match="^word 7 repeats in the sequence"):
         RehearsalPlan([*words, Word(7), Word(3)], reps=1, gap=0, rest=0, start=0)
     assert Word.tests <= len(words) + 2
-    for sequence, first in [((1, 2, 3, 2, 1), 2), ((True, 1), 1), ((2, 1.0, 3, 1), 1)]:
-        with pytest.raises(InvalidPlanError, match=f"^word {first} repeats in the sequence"):
+    # A word with no hash is compared with each earlier word instead.
+    cases = [((1, 2, 3, 2, 1), 2), ((True, 1), 1), ((2, 1.0, 3, 1), 1), (([1], [1]), [1])]
+    for sequence, first in cases:
+        message = f"^word {re.escape(str(first))} repeats in the sequence; states must be distinct$"
+        with pytest.raises(InvalidPlanError, match=message):
             RehearsalPlan(sequence, reps=1, gap=0, rest=0, start=0)
 
 
@@ -99,7 +109,7 @@ def test_every_way_to_build_a_probe_checks_it():
 
 
 def test_plan_word_outside_fabric_is_rejected():
-    config = FabricConfig.uniform(2, delay1=5, delay2=1, threshold=1, duration=4)
+    config = FabricConfig(2, 5, 1, 1, Durations(2, 4, {}))
     for sequence, message in [((1, 5), "^word 5 outside 1..2$"), ((0, 1), "^word 0 outside 1..2$")]:
         plan = RehearsalPlan(sequence=sequence, reps=1, gap=0, rest=0, start=0)
         with pytest.raises(UnknownWordError, match=message):
@@ -107,7 +117,7 @@ def test_plan_word_outside_fabric_is_rejected():
 
 
 def test_probe_word_outside_fabric_is_rejected():
-    config = FabricConfig.uniform(2, delay1=5, delay2=1, threshold=1, duration=4)
+    config = FabricConfig(2, 5, 1, 1, Durations(2, 4, {}))
     with pytest.raises(UnknownWordError, match="^word 3 outside 1..2$"):
         Scenario(config, (), [Probe(tick=0, word=3)], (), 100)
 
@@ -208,7 +218,8 @@ def test_driver_advances_on_done_of_autonomously_enabled_word():
     # the plan advanced from the autonomous done: enable(3) = done(2) + gap
     done_2 = next(r for r in late if r.ev == EV_DONE and r.word == 2)
     assert enable_3[0].t == done_2.t + 6
-    assert result.simulation.driver.unfinished_plans() == 0
+    # Word 3, the plan's last, ran and its done ended the run: the plan finished.
+    assert result.outcome == RunOutcome(QUIESCENT, enable_3[0].t + 4)
 
 
 def test_driver_never_schedules_two_simultaneous_cpu_enables_per_plan():
@@ -225,29 +236,38 @@ def test_driver_never_schedules_two_simultaneous_cpu_enables_per_plan():
 
 
 def test_a_plan_leaves_the_driver_when_its_last_repetition_ends():
-    # Durations 4, gap 1, rest 10. The short plan ends with word 2's done at
-    # 9; the long one's first repetition ends at 9 too, its second at 28.
+    # Durations 4, gap 1, rest 10. The short plan (episode 0) ends with word
+    # 2's done at 9; the long one's first repetition (episode 1) ends at 9
+    # too, its second (episode 2) at 28, which ends the run.
     sim = simulation(
-        FabricConfig.uniform(3, delay1=5, delay2=1, threshold=10, duration=4),
+        FabricConfig(3, 5, 1, 10, Durations(3, 4, {})),
         plans=[
             RehearsalPlan(sequence=(1, 2), reps=1, gap=1, rest=10, start=0),
             RehearsalPlan(sequence=(3, 1), reps=2, gap=1, rest=10, start=0),
         ],
     )
-    assert sim.driver.unfinished_plans() == 2
+
+    def cpu_steps():
+        return [(r.t, r.ev, r.word, r.episode) for r in sim.records if r.src == SRC_CPU]
+
     sim.run_to_quiescence(6)  # inside both plans' first repetition
-    assert sim.driver.unfinished_plans() == 2
+    assert cpu_steps() == [
+        (0, EV_ENABLE, 1, 0),
+        (0, EV_ENABLE, 3, 1),
+        (5, EV_ENABLE, 2, 0),
+        (5, EV_ENABLE, 1, 1),
+    ]
     sim.run_to_quiescence(20)  # the short plan is done; the long one is in its second repetition
-    assert sim.driver.unfinished_plans() == 1
-    assert sim.run_to_quiescence(1000).quiescent
-    assert sim.driver.unfinished_plans() == 0
-    cpu = [(r.t, r.word) for r in sim.records if r.ev == EV_ENABLE and r.src == SRC_CPU]
-    assert cpu == [(0, 1), (0, 3), (5, 2), (5, 1), (19, 3), (24, 1)]
+    assert cpu_steps()[4:] == [(19, EV_ENABLE, 3, 2)]
+    assert sim.run_to_quiescence(1000) == RunOutcome(QUIESCENT, 28)
+    assert cpu_steps()[5:] == [(24, EV_ENABLE, 1, 2)]
 
 
 def _cpu_enables(text: str) -> list[tuple[int, int]]:
+    # A drained run owes a done for each accepted enable, so a plan whose last
+    # word is among these enables has finished.
     result = run_text(text)
-    assert result.simulation.driver.unfinished_plans() == 0
+    assert result.outcome.quiescent
     return [(r.t, r.word) for r in result.records if r.ev == EV_ENABLE and r.src == SRC_CPU]
 
 
@@ -287,3 +307,50 @@ def test_a_done_before_a_plans_own_enable_does_not_advance_it():
         "rehearse 1 3 reps=1 gap=0 rest=0 start=5\n"
         "maxticks 100\n"
     ) == [(0, 1), (4, 2), (5, 1), (9, 3)]
+
+
+def test_a_done_at_a_plans_own_enable_tick_advances_it():
+    # The second plan's own enable of word 1 at 4 shares its tick with the
+    # first plan's done of word 1, which advances both, in add order.
+    assert _cpu_enables(
+        "fabric words=3 delay1=5 delay2=1 threshold=10\n"
+        "dur * 4\n"
+        "rehearse 1 2 reps=1 gap=0 rest=0 start=0\n"
+        "rehearse 1 3 reps=1 gap=0 rest=0 start=4\n"
+        "maxticks 100\n"
+    ) == [(0, 1), (4, 1), (4, 2), (4, 3)]
+
+
+def test_a_plan_whose_awaited_word_has_no_later_done_ends_a_quiescent_run_unfinished():
+    # The first plan learns (1, 2). In the second, word 1's done at 21
+    # replays word 2 (enabled at 23, done at 24) before the plan's own enable
+    # of 2 at 26, which is ignored: 2 already ran in episode 1. No done of 2
+    # comes at or after 26, so the plan never advances and its second
+    # repetition never starts.
+    text = (
+        "fabric words=2 delay1=2 delay2=1 threshold=1\n"
+        "dur * 1\n"
+        "rehearse 1 2 reps=1 gap=1 rest=0 start=0\n"
+        "rehearse 1 2 reps=2 gap=5 rest=10 start=20\n"
+        "maxticks 500\n"
+    )
+    result = run_text(text)
+    assert result.scenario.warnings == (
+        "line 4: gap=5 exceeds delay1=2; rehearsed pairs will fall outside every"
+        " coincidence window",
+    )
+    assert result.outcome == RunOutcome(QUIESCENT, 26)
+    second_plan = [(r.t, r.ev, r.word) for r in result.records if r.episode == 1]
+    assert second_plan == [
+        (20, EV_ENABLE, 1),
+        (21, EV_DONE, 1),
+        (21, EV_AUTO_ENABLE_SCHEDULED, 2),
+        (23, EV_ENABLE, 2),
+        (24, EV_DONE, 2),
+        (26, EV_IGNORED_ENABLE, 2),
+    ]
+    assert format_trace(result.records[-1:]) == (
+        '{"t":26,"ev":"ignored_enable","word":2,"src":"cpu","episode":1}\n'
+    )
+    assert max(r.episode for r in result.records if r.episode is not None) == 1
+    assert verify_run(result.scenario, result.records) == []

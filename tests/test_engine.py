@@ -22,6 +22,7 @@ from memfabric import (
     run_scenario,
 )
 from memfabric.engine import CpuEnable, EventQueue, OverrideSet
+from memfabric.fabric import Durations
 from conftest import OVERRIDE_CYCLE, run_text, simulation, step_until
 from test_scenario import scenarios
 
@@ -88,7 +89,7 @@ def test_a_run_cut_with_only_setup_events_pending_resumes_like_an_unlimited_run(
     # The limit falls after the first probe's done, so only the later probes,
     # still in the setup run, are pending when the run resumes.
     def build():
-        config = FabricConfig.uniform(3, delay1=2, delay2=1, threshold=1, duration=4)
+        config = FabricConfig(3, 2, 1, 1, Durations(3, 4, {}))
         return simulation(config, probes=[Probe(tick=tick, word=1) for tick in (200, 10, 100)])
 
     cut = build()
@@ -131,7 +132,7 @@ def test_setup_fires_overrides_then_probes_then_the_plans_first_enables():
 
 
 def test_step_pops_least_and_advances_clock():
-    sim = Simulation(FabricConfig.uniform(2, delay1=2, delay2=1, threshold=1, duration=1))
+    sim = Simulation(FabricConfig(2, 2, 1, 1, Durations(2, 1, {})))
     fired = []
 
     class Mark(NamedTuple):
@@ -221,35 +222,35 @@ def test_the_stepped_loop_and_run_to_quiescence_agree(scenario, data):
 
 
 def test_step_on_empty_queue_returns_none_and_keeps_clock():
-    sim = Simulation(FabricConfig.uniform(2, delay1=2, delay2=1, threshold=1, duration=1))
+    sim = Simulation(FabricConfig(2, 2, 1, 1, Durations(2, 1, {})))
     sim.clock = 9
     assert sim.step() is None
     assert sim.clock == 9
 
 
 def test_run_with_no_events_is_quiescent_at_zero():
-    sim = Simulation(FabricConfig.uniform(2, delay1=2, delay2=1, threshold=1, duration=1))
+    sim = Simulation(FabricConfig(2, 2, 1, 1, Durations(2, 1, {})))
     outcome = sim.run_to_quiescence(100)
     assert outcome.outcome == QUIESCENT and outcome.final_tick == 0
 
 
 def test_single_enabled_word_quiesces_at_its_done():
     # enable at 0, duration 4, nothing learned: done at 4 empties the queue
-    config = FabricConfig.uniform(2, delay1=2, delay2=1, threshold=9, duration=4)
+    config = FabricConfig(2, 2, 1, 9, Durations(2, 4, {}))
     sim = simulation(config, probes=[Probe(tick=0, word=1)])
     outcome = sim.run_to_quiescence(100)
     assert outcome.outcome == QUIESCENT and outcome.final_tick == 4
 
 
 def test_max_tick_must_be_positive():
-    sim = Simulation(FabricConfig.uniform(2, delay1=2, delay2=1, threshold=1, duration=1))
+    sim = Simulation(FabricConfig(2, 2, 1, 1, Durations(2, 1, {})))
     with pytest.raises(ValueError, match="^maxticks must be >= 1, got 0$"):
         sim.run_to_quiescence(0)
 
 
 @pytest.mark.parametrize("bad", [0.5, True, "1"])
 def test_a_tick_limit_that_is_not_an_int_is_a_value_error(bad):
-    sim = Simulation(FabricConfig.uniform(2, delay1=2, delay2=1, threshold=1, duration=1))
+    sim = Simulation(FabricConfig(2, 2, 1, 1, Durations(2, 1, {})))
     with pytest.raises(ValueError, match=rf"^maxticks is not an integer: {bad!r}$"):
         sim.run_to_quiescence(bad)
     assert sim.queue.scheduled_total == 0 and sim.clock == 0

@@ -40,9 +40,8 @@ from conftest import OVERRIDE_CYCLE, assert_every_path_checks, records_of, run_t
 
 
 def _config(word_count=2, delay1=5, delay2=1, threshold=10, duration=4, **kw):
-    return FabricConfig.uniform(
-        word_count, delay1=delay1, delay2=delay2, threshold=threshold, duration=duration, **kw
-    )
+    durations = Durations(word_count, duration, {})
+    return FabricConfig(word_count, delay1, delay2, threshold, durations, **kw)
 
 
 # -- construction ------------------------------------------------------
@@ -177,8 +176,7 @@ def test_durations_with_several_faults_name_the_first_rule_they_break(named, err
 
 def test_a_config_takes_its_durations_as_pairs_too():
     # As dict() takes them: the words are checked all the same.
-    uniform = FabricConfig.uniform(2, duration=4, delay1=5, delay2=1, threshold=1)
-    assert FabricConfig(2, 5, 1, 1, [(1, 4), (2, 4)]) == uniform
+    assert FabricConfig(2, 5, 1, 1, [(1, 4), (2, 4)]) == _config(threshold=1)
     assert Durations(3, 4, [(3, 9)]) == {1: 4, 2: 4, 3: 9}
     with pytest.raises(UnknownWordError, match="^word 7 outside 1..3$"):
         Durations(3, 4, [(3, 9), (7, 9)])

@@ -23,6 +23,7 @@ from memfabric import (
     shift_entries,
     verify_run,
 )
+from memfabric.fabric import Durations
 from memfabric.trace import (
     EV_AUTO_ENABLE_SCHEDULED,
     EV_DONE,
@@ -43,17 +44,9 @@ from reference_verify import override_state_at, reference_verify_run
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def _cfg(**kw):
-    defaults = dict(word_count=3, delay1=5, delay2=1, threshold=10, duration=4)
-    defaults.update(kw)
-    return FabricConfig.uniform(
-        defaults["word_count"],
-        delay1=defaults["delay1"],
-        delay2=defaults["delay2"],
-        threshold=defaults["threshold"],
-        duration=defaults["duration"],
-        filter_mode=defaults.get("filter_mode", "done_enable"),
-    )
+def _cfg(word_count=3, delay1=5, delay2=1, threshold=10, duration=4, filter_mode="done_enable"):
+    durations = Durations(word_count, duration, {})
+    return FabricConfig(word_count, delay1, delay2, threshold, durations, filter_mode)
 
 
 def _enable(t, word, episode=0, src=SRC_CPU, pair=None):
